@@ -60,7 +60,6 @@ from .symgroup import (
     PermModule,
     Permutation,
     YoungPair,
-    conjugacy_class_count,
     cycle_type,
     induction_invariance_check,
     invariant_dimension,
@@ -78,7 +77,7 @@ __all__ = [
     "PermModule", "Permutation", "PHANTOM", "Phantom", "POINT", "Point", "Sod",
     "Surface", "Sym", "SymCurve", "SymPower", "TruncatedSeries", "WeakComposition",
     "YoungPair", "betti_of", "blowup", "canonicalize", "component_count",
-    "conjugacy_class_count", "cycle_type", "equal_components", "eta_inverse_power",
+    "cycle_type", "equal_components", "eta_inverse_power",
     "euler_char", "exceptional_length", "expand", "expand_tail_first",
     "gottsche_series", "hh_total_dim", "induction_invariance_check",
     "invariant_dimension", "invariant_report", "macdonald_poincare", "make_preset",

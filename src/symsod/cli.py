@@ -231,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--suite", default="all", help=f"one of: {', '.join(SUITES)}, or all (default)"
     )
-    p_ver.add_argument("--max-n", type=int, default=None, help="cap the exhaustive ranges")
+    p_ver.add_argument(
+        "--max-n", type=int, default=None, help="cap the exhaustive ranges (at least 1)"
+    )
     p_ver.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(func=_cmd_verify)

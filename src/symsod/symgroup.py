@@ -6,8 +6,29 @@ here.  The centrepiece is :func:`induction_invariance_check`, a
 decategorified Frobenius-reciprocity test: the dimension of the invariants
 of a module induced from a Young subgroup, computed by direct orbit
 counting, must equal the dimension of the subgroup invariants of the
-original module, computed by the Burnside character average.  The two sides
-are computed by deliberately different algorithms.
+original module, computed by the Burnside character average over the
+conjugacy classes of the subgroup.  The two sides are computed by
+deliberately different algorithms.
+
+What is validated, and where:
+
+- ``Permutation(images)`` checks that the images are a permutation.  Products
+  and inverses of permutations skip that check (a product of two
+  permutations of equal degree always is one); the degree check stays.
+- :func:`validate_subgroup` checks that an element list is exactly the group
+  generated by a greedily chosen subset of it, and returns that subset.
+- :class:`PermModule` checks the action on the greedy generating subset of
+  the group list it is given: the identity fixes every basis point, each
+  generator maps the basis onto itself, and the homomorphism identity holds
+  for every ordered pair of generators on every basis point.
+- The induced module of :func:`induction_invariance_check` is given the
+  transposition (1 2) and the n-cycle (1 2 ... n), which generate S_n, so it
+  is checked on exactly those two, the generators its orbits are counted
+  under.
+
+Inside the hot loops permutations are plain image tuples; ``Permutation``
+objects appear only where user code sees them: group lists, the arguments
+of ``act`` callables, and the basis of :func:`regular_module`.
 """
 
 from __future__ import annotations
@@ -16,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from .partitions import Partition, partition_count
+from .partitions import Partition
 
 
 @dataclass(frozen=True)
@@ -31,6 +52,13 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
     @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """A permutation from images already known to be one; skips ``__post_init__``."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
 
@@ -43,18 +71,27 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition (self * other)(k) = self(other(k))."""
-        if self.degree != other.degree:
+        if len(self.images) != len(other.images):
             raise ValueError("cannot compose permutations of different degrees")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
+        return Permutation._unchecked(_compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for k, img in enumerate(self.images, start=1):
-            inv[img - 1] = k
-        return Permutation(tuple(inv))
+        return Permutation._unchecked(_inverse(self.images))
 
     def __repr__(self) -> str:
         return f"Permutation{self.images}"
+
+
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """One-line images of a * b, for image tuples of equal degree."""
+    return tuple([a[j - 1] for j in b])
+
+
+def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(a)
+    for k, img in enumerate(a, start=1):
+        inv[img - 1] = k
+    return tuple(inv)
 
 
 def cycle_type(p: Permutation) -> Partition:
@@ -79,17 +116,6 @@ def symmetric_group(n: int) -> list[Permutation]:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return [Permutation(imgs) for imgs in itertools.permutations(range(1, n + 1))]
-
-
-def conjugacy_class_count(n: int) -> int:
-    """Number of conjugacy classes of S_n, i.e. the number of cycle types.
-
-    Equals the partition number p(n); the exhaustive classification of all
-    n! elements is kept in the verification suites as the independent check.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return partition_count(n)
 
 
 @dataclass(frozen=True)
@@ -137,29 +163,40 @@ def young_coset_reps(y: YoungPair) -> list[Permutation]:
 
 
 def _generating_subset(elements: Sequence[Permutation]) -> list[Permutation]:
-    """A small generating subset of a (purported) subgroup given as a list."""
+    """A small generating subset of a (purported) subgroup given as a list.
+
+    Scans the list in order and keeps each element that the ones kept before
+    it do not generate.  The closure of the kept elements is recomputed only
+    when the next element has to be tested against it.
+    """
     if not elements:
         return []
     n = elements[0].degree
-    identity = Permutation.identity(n)
-    closure = {identity}
+    if any(p.degree != n for p in elements):
+        raise ValueError("group elements have mixed degrees")
+    identity = tuple(range(1, n + 1))
     gens: list[Permutation] = []
+    closure = {identity}
+    stale = False
     for x in elements:
-        if x in closure:
-            continue
-        gens.append(x)
-        closure = _mulclose(gens, identity)
+        if stale:
+            closure = _mulclose([g.images for g in gens], identity)
+            stale = False
+        if x.images not in closure:
+            gens.append(x)
+            stale = True
     return gens
 
 
-def _mulclose(gens: Sequence[Permutation], identity: Permutation) -> set[Permutation]:
+def _mulclose(gens: Sequence[tuple[int, ...]], identity: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The group generated by ``gens``, as image tuples."""
     closure = {identity}
     frontier = [identity]
     while frontier:
         new = []
         for x in frontier:
             for g in gens:
-                y = g * x
+                y = _compose(g, x)
                 if y not in closure:
                     closure.add(y)
                     new.append(y)
@@ -167,35 +204,72 @@ def _mulclose(gens: Sequence[Permutation], identity: Permutation) -> set[Permuta
     return closure
 
 
-def validate_subgroup(elements: Sequence[Permutation]) -> None:
+def validate_subgroup(elements: Sequence[Permutation]) -> list[Permutation]:
     """Raise ValueError unless ``elements`` is exactly a subgroup of S_n.
 
     Checks that the set equals the group generated by a greedily chosen
     generating subset; this implies closure under composition and inverse
-    without the quadratic all-pairs scan.
+    without the quadratic all-pairs scan.  Returns that generating subset.
     """
     if not elements:
         raise ValueError("empty element list is not a subgroup")
-    as_set = set(elements)
+    as_set = {p.images for p in elements}
     if len(as_set) != len(elements):
         raise ValueError("subgroup element list contains duplicates")
-    n = elements[0].degree
-    if any(p.degree != n for p in elements):
-        raise ValueError("subgroup elements have mixed degrees")
-    identity = Permutation.identity(n)
+    gens = _generating_subset(elements)
+    identity = tuple(range(1, elements[0].degree + 1))
     if identity not in as_set:
         raise ValueError("subgroup must contain the identity")
-    gens = _generating_subset(elements)
-    if _mulclose(gens, identity) != as_set:
+    if _mulclose([g.images for g in gens], identity) != as_set:
         raise ValueError("element list is not closed under composition/inverse")
+    return gens
+
+
+def _conjugacy_classes(
+    elements: Sequence[Permutation], gens: Sequence[Permutation]
+) -> list[tuple[Permutation, int]]:
+    """(representative, size) for each conjugacy class of the group ``elements``.
+
+    ``gens`` must generate the group.  The classes are the orbits of the
+    group on itself under conjugation by the generators; each representative
+    is the first element of its class in list order.
+    """
+    conjugators = [(g.images, _inverse(g.images)) for g in gens]
+    seen: set[tuple[int, ...]] = set()
+    classes = []
+    for h in elements:
+        if h.images in seen:
+            continue
+        orbit = {h.images}
+        frontier = [h.images]
+        while frontier:
+            x = frontier.pop()
+            for g, g_inv in conjugators:
+                y = tuple([g[x[j - 1] - 1] for j in g_inv])  # g * x * g^-1
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        seen |= orbit
+        classes.append((h, len(orbit)))
+    return classes
 
 
 class PermModule:
     """A finite permutation module: a basis with a group acting on it.
 
-    ``act(g, b)`` must define an action of the given group on the basis; the
-    identity axiom is checked on the whole basis and the homomorphism axiom
-    on a generating subset.
+    ``group`` lists elements of the acting group: all of them, or any list
+    that generates the group.  ``act(g, b)`` receives a ``Permutation`` of
+    the group and a basis point and must return a basis point.  The module
+    is validated once, on construction, on the greedy generating subset of
+    ``group`` (``_generating_subset``):
+
+    - the identity fixes every basis point;
+    - each generator maps the basis onto itself;
+    - ``act(g * h, b) == act(g, act(h, b))`` for every ordered pair (g, h) of
+      generators and every basis point b.
+
+    Elements other than the identity, the generators and their pairwise
+    products are trusted to act consistently with them.
     """
 
     def __init__(
@@ -220,15 +294,17 @@ class PermModule:
             if self.act(identity, b) != b:
                 raise ValueError(f"identity does not fix basis point {b!r}")
         gens = _generating_subset(self.group)
+        images = []
         for g in gens:
             image = [self.act(g, b) for b in self.basis]
             if set(image) != basis_set:
                 raise ValueError(f"{g!r} does not permute the basis")
-        for g in gens:
-            for h in gens:
+            images.append(dict(zip(self.basis, image)))
+        for g, g_image in zip(gens, images):
+            for h, h_image in zip(gens, images):
                 gh = g * h
                 for b in self.basis:
-                    if self.act(gh, b) != self.act(g, self.act(h, b)):
+                    if self.act(gh, b) != g_image[h_image[b]]:
                         raise ValueError("action is not a homomorphism on generators")
 
     def fixed_points(self, g: Permutation) -> int:
@@ -296,11 +372,17 @@ def random_orbit_module(
 def invariant_dimension(m: PermModule, subgroup: Sequence[Permutation]) -> int:
     """Dimension of the subgroup invariants of the linearized module.
 
-    Burnside average: (1/|H|) * sum of fixed-point counts over H.  The
-    subgroup is validated (closure under composition and inverse) first.
+    Burnside: (1/|H|) * sum over h in H of the fixed-point count of h.  The
+    subgroup is validated first (it must be exactly the group generated by
+    its greedy generating subset).  A fixed-point count is constant on each
+    conjugacy class of H, so the sum runs over the classes instead of the
+    elements: class size times the fixed points of one representative.  The
+    classes are the orbits of H on itself under conjugation by the
+    generating subset that :func:`validate_subgroup` returns.  The sum must
+    divide by |H|.
     """
-    validate_subgroup(subgroup)
-    total = sum(m.fixed_points(h) for h in subgroup)
+    gens = validate_subgroup(subgroup)
+    total = sum(size * m.fixed_points(rep) for rep, size in _conjugacy_classes(subgroup, gens))
     dim, remainder = divmod(total, len(subgroup))
     if remainder:
         raise ValueError("fixed-point average is not an integer; not a group action?")
@@ -321,49 +403,51 @@ class InductionReport:
         return self.ok
 
 
-def _coset_index_table(y: YoungPair, reps: Sequence[Permutation]) -> dict[frozenset, int]:
-    n, i = y.n, y.i
-    top = range(n - i + 1, n + 1)
-    return {frozenset(r(k) for k in top): j for j, r in enumerate(reps)}
-
-
 def induction_invariance_check(y: YoungPair, m: PermModule) -> InductionReport:
     """Frobenius reciprocity for the trivial character, made executable.
 
     The module ``m`` over H = S_{n-i} x S_i is induced up to G = S_n on the
     basis {(coset j, b)}: for g in G and each summand index k, the elements
     h in H and rep index j with ``g * g_k = g_j * h`` carry (k, b) to
-    (j, h.b).  The dimension of the G-invariants of the induced module is
-    computed by orbit counting under generators of G and compared with the
-    Burnside-average dimension of the H-invariants of ``m``.
+    (j, h.b).  The induced module is validated on, and its orbits are
+    counted under, the transposition (1 2) and the n-cycle (1 2 ... n),
+    which generate G.  The number of orbits, the dimension of the
+    G-invariants, is compared with the Burnside dimension of the
+    H-invariants of ``m``.
     """
     n = y.n
     h_elements = young_subgroup(y)
     if set(m.group) != set(h_elements):
         raise ValueError("module is not defined over the Young subgroup of the given pair")
 
-    reps = young_coset_reps(y)
-    rep_index = _coset_index_table(y, reps)
-    top = tuple(range(n - y.i + 1, n + 1))
+    reps = [r.images for r in young_coset_reps(y)]
+    rep_inverses = [_inverse(r) for r in reps]
+    top = range(n - y.i + 1, n + 1)
+    rep_index = {frozenset(r[t - 1] for t in top): j for j, r in enumerate(reps)}
+    h_by_images = {h.images: h for h in h_elements}
+    moves: dict[tuple[tuple[int, ...], int], tuple[int, Permutation]] = {}
 
     def induced_act(g: Permutation, point: tuple[int, Any]) -> tuple[int, Any]:
         k, b = point
-        x = g * reps[k]  # g * g_k = g_j * h
-        j = rep_index[frozenset(x(t) for t in top)]
-        h = reps[j].inverse() * x
+        move = moves.get((g.images, k))
+        if move is None:
+            x = _compose(g.images, reps[k])  # g * g_k = g_j * h
+            j = rep_index[frozenset(x[t - 1] for t in top)]
+            move = moves[g.images, k] = (j, h_by_images[_compose(rep_inverses[j], x)])
+        j, h = move
         return (j, m.act(h, b))
 
     induced_basis = [(j, b) for j in range(len(reps)) for b in m.basis]
 
     # generators of S_n: a transposition and an n-cycle (n-dependent edge cases)
-    if n == 1:
-        gens = [Permutation.identity(1)]
+    if n <= 1:
+        gens = [Permutation.identity(n)]
     else:
         gens = [Permutation((2, 1) + tuple(range(3, n + 1)))]
         if n > 2:
             gens.append(Permutation(tuple(range(2, n + 1)) + (1,)))
 
-    induced = PermModule(symmetric_group(n), induced_basis, induced_act)
+    induced = PermModule(gens, induced_basis, induced_act)
     induced_dim = induced.orbit_count(gens)
     subgroup_dim = invariant_dimension(m, h_elements)
     return InductionReport(

@@ -5,6 +5,7 @@ stated wall-clock budgets, which are asserted where required.
 """
 
 import json
+import random
 import time
 from collections import Counter
 
@@ -17,10 +18,19 @@ from symsod.rewrite import expand
 from symsod.series import BettiVector, eta_inverse_power, gottsche_series
 from symsod.suites import (
     _check_bracketing_independence,
+    _check_class_counts,
     _check_parse_render_roundtrip,
     frobenius_battery,
 )
-from symsod.symgroup import conjugacy_class_count, cycle_type, symmetric_group
+from symsod.symgroup import (
+    YoungPair,
+    induction_invariance_check,
+    natural_module,
+    random_orbit_module,
+    regular_module,
+    trivial_module,
+    young_subgroup,
+)
 
 
 def _report(criterion: str, description: str, ok: bool, detail: str = "") -> None:
@@ -186,12 +196,9 @@ def test_c08_frobenius_battery():
 
 
 def test_c09_class_count_shadow():
-    ok = all(conjugacy_class_count(n) == partition_count(n) for n in range(1, 11))
-    for n in range(1, 8):
-        types = {cycle_type(p) for p in symmetric_group(n)}
-        if len(types) != partition_count(n):
-            ok = False
-    _report("C09", "conjugacy classes = p(n) for n <= 10, exhaustively for n <= 7", ok)
+    result = _check_class_counts(max_n=7)
+    _report("C09", "S_n has p(n) conjugacy classes, by exhaustive classification for n <= 7",
+            result.ok, result.detail)
 
 
 def test_c10_bracketing_independence():
@@ -202,3 +209,26 @@ def test_c10_bracketing_independence():
 def test_c11_parser_roundtrip():
     result = _check_parse_render_roundtrip(seed=0, count=1000)
     _report("C11", "parse(render(e)) = e on 1000 seeded random canonical expressions", result.ok)
+
+
+def test_c12_frobenius_battery_s7():
+    start = time.perf_counter()
+    rng = random.Random(0)
+    failures = []
+    checked = 0
+    for i in range(8):
+        pair = YoungPair(7, i)
+        subgroup = young_subgroup(pair)
+        battery = [trivial_module(subgroup), natural_module(subgroup, 7), regular_module(subgroup)]
+        battery += [random_orbit_module(subgroup, 7, rng) for _ in range(2)]
+        for module in battery:
+            checked += 1
+            if not induction_invariance_check(pair, module):
+                failures.append((i, len(module.basis)))
+    elapsed = time.perf_counter() - start
+    _report(
+        "C12",
+        "induction/restriction invariant dimensions agree for every Young pair of S_7",
+        not failures and checked == 40 and elapsed < 30.0,
+        f"{checked} comparisons, failures {failures}; {elapsed:.1f}s",
+    )

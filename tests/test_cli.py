@@ -1,8 +1,14 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
+import symsod
 from symsod import cli
+from symsod.suites import frobenius_battery
 
 
 def run_cli(*argv):
@@ -126,6 +132,20 @@ def test_verify_frobenius_scaled(capsys):
     assert "induction-invariance" in out
 
 
+@pytest.mark.parametrize("suite, max_n", [("frobenius", "0"), ("combinatorics", "-3")])
+def test_verify_rejects_max_n_below_1(capsys, suite, max_n):
+    assert run_cli("verify", "--suite", suite, "--max-n", max_n) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_n must be >= 1" in captured.err
+
+
+def test_frobenius_battery_fails_when_it_compares_nothing():
+    result = frobenius_battery(max_n=0, seed=0)
+    assert not result.ok
+    assert "no module" in result.detail
+
+
 def test_verify_unknown_suite(capsys):
     assert run_cli("verify", "--suite", "bogus") == 2
 
@@ -189,3 +209,23 @@ def test_table_rejects_invalid_l(capsys):
 
 def test_table_rejects_non_dual_betti(capsys):
     assert run_cli("table", "gottsche", "--betti", "1,2,3,4,5", "--n", "2") == 2
+
+
+def test_json_stdout_independent_of_hash_seed():
+    src = str(pathlib.Path(symsod.__file__).resolve().parent.parent)
+    commands = [
+        ["verify", "--suite", "frobenius", "--max-n", "4", "--format", "json"],
+        ["decompose", "bullet(sym(3, P2), sym(2, sod(A, B)))", "--format", "json"],
+    ]
+    for argv in commands:
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "symsod.cli", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]

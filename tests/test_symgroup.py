@@ -1,14 +1,15 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from symsod.partitions import Partition, partition_count
+from symsod.partitions import Partition
+from symsod.suites import _check_class_counts
 from symsod.symgroup import (
     PermModule,
     Permutation,
     YoungPair,
-    conjugacy_class_count,
     cycle_type,
     induction_invariance_check,
     invariant_dimension,
@@ -21,6 +22,24 @@ from symsod.symgroup import (
     young_coset_reps,
     young_subgroup,
 )
+
+
+def test_unchecked_product_and_inverse_equal_validated_construction():
+    s4 = symmetric_group(4)
+    for p in s4:
+        inverse = p.inverse()
+        expected = [0] * 4
+        for k in range(1, 5):
+            expected[p(k) - 1] = k
+        assert inverse == Permutation(tuple(expected))
+        assert hash(inverse) == hash(Permutation(tuple(expected)))
+        for q in s4:
+            product = p * q
+            built = Permutation(tuple(p(q(k)) for k in range(1, 5)))
+            assert type(product) is Permutation
+            assert product == built and hash(product) == hash(built)
+    with pytest.raises(ValueError):
+        s4[1] * Permutation.identity(3)
 
 
 def test_permutation_basics():
@@ -37,16 +56,9 @@ def test_cycle_type_examples():
     assert cycle_type(Permutation((2, 3, 4, 5, 1))) == Partition((5,))
 
 
-def test_conjugacy_class_count_small():
-    assert conjugacy_class_count(1) == 1
-    assert conjugacy_class_count(3) == 3
-    assert conjugacy_class_count(6) == 11
-
-
 @pytest.mark.parametrize("n", range(1, 8))
 def test_class_count_by_exhaustive_classification(n):
-    types = {cycle_type(p) for p in symmetric_group(n)}
-    assert len(types) == conjugacy_class_count(n) == partition_count(n)
+    assert _check_class_counts(n).ok
 
 
 def test_young_subgroup_order():
@@ -91,7 +103,7 @@ def test_coset_reps_exhaustive_properties(n):
 
 def test_validate_subgroup_rejects_non_closed():
     good = young_subgroup(YoungPair(3, 1))
-    validate_subgroup(good)
+    assert validate_subgroup(good) == [Permutation((2, 1, 3))]
     bad = [Permutation.identity(3), Permutation((2, 3, 1))]  # no inverse closure
     with pytest.raises(ValueError):
         validate_subgroup(bad)
@@ -101,6 +113,72 @@ def test_perm_module_validation_rejects_non_action():
     group = symmetric_group(3)
     with pytest.raises(ValueError):
         PermModule(group, [1, 2, 3], lambda g, b: 1)  # identity does not fix 2
+
+
+def _subset_act(g, subset):
+    return frozenset(g(k) for k in subset)
+
+
+@pytest.mark.parametrize("n, i", [(3, 1), (4, 2), (5, 2)])
+def test_perm_module_rejects_induced_action_wrong_on_n_cycle(n, i):
+    # The permutation module on i-subsets is the trivial module of S_(n-i) x S_i
+    # induced up to S_n, given by the two generators the induction check uses.
+    swap = Permutation((2, 1) + tuple(range(3, n + 1)))
+    cycle = Permutation(tuple(range(2, n + 1)) + (1,))
+    subsets = [frozenset(c) for c in itertools.combinations(range(1, n + 1), i)]
+    assert PermModule([swap, cycle], subsets, _subset_act).orbit_count([swap, cycle]) == 1
+
+    def backwards_on_cycle(g, subset):
+        return _subset_act(g.inverse() if g == cycle else g, subset)
+
+    with pytest.raises(ValueError, match="homomorphism"):
+        PermModule([swap, cycle], subsets, backwards_on_cycle)
+
+    def collapses_on_cycle(g, subset):
+        return subsets[0] if g == cycle else _subset_act(g, subset)
+
+    with pytest.raises(ValueError, match="permute"):
+        PermModule([swap, cycle], subsets, collapses_on_cycle)
+
+
+def test_perm_module_rejects_anti_action_on_young_generators():
+    # g acting by g^-1 lets the identity fix every point and permutes the points,
+    # so only the homomorphism identity on the generators of S_3 x S_2 catches it.
+    h = young_subgroup(YoungPair(5, 2))
+    natural_module(h, 5)
+    with pytest.raises(ValueError, match="homomorphism"):
+        PermModule(h, list(range(1, 6)), lambda g, b: g.inverse()(b))
+
+
+def _literal_burnside(module, subgroup):
+    total = sum(module.fixed_points(h) for h in subgroup)
+    assert total % len(subgroup) == 0
+    return total // len(subgroup)
+
+
+def test_invariant_dimension_by_classes_equals_literal_burnside():
+    rng = random.Random(3)
+    for n in range(1, 6):
+        for i in range(n + 1):
+            h = young_subgroup(YoungPair(n, i))
+            modules = [trivial_module(h), natural_module(h, n), regular_module(h)]
+            modules += [random_orbit_module(h, n, rng) for _ in range(3)]
+            for module in modules:
+                assert invariant_dimension(module, h) == _literal_burnside(module, h)
+
+
+def test_invariant_dimension_by_classes_on_groups_with_non_involution_generators():
+    # The greedy generators of a Young subgroup are transpositions; a cyclic and
+    # an alternating group make the class search conjugate by longer cycles.
+    cycle = Permutation((2, 3, 4, 1))
+    cyclic = [Permutation.identity(4), cycle, cycle * cycle, cycle * cycle * cycle]
+    alternating = [p for p in symmetric_group(4) if (4 - len(cycle_type(p).parts)) % 2 == 0]
+    rng = random.Random(4)
+    for h in (cyclic, alternating):
+        modules = [natural_module(h, 4), regular_module(h)]
+        modules += [random_orbit_module(h, 4, rng) for _ in range(3)]
+        for module in modules:
+            assert invariant_dimension(module, h) == _literal_burnside(module, h)
 
 
 def test_invariant_dimension_examples():
