@@ -21,7 +21,7 @@ from symsod import (
 
 print("=== partitions ===")
 for n in (4, 5):
-    print(f"p({n}) = {partition_count(n)}:", [list(p.parts) for p in partitions_of(n)])
+    print(f"p({n}) = {partition_count(n)}:", [list(p) for p in partitions_of(n)])
 
 print()
 print("=== road 1: structural expansion ===")

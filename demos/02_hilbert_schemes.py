@@ -52,4 +52,4 @@ report = phantom_audit(1, 6)
 for row in report.rows:
     mark = "==" if row.equal else "!="
     print(f"  n={row.n}: {row.hilb_total_betti} {mark} {row.q_value}")
-print("phantom symmetric powers certified:", report.phantom_powers_certified)
+print("phantom symmetric powers certified:", report.all_equal)

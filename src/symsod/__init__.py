@@ -24,11 +24,10 @@ from .expr import (
     betti_of,
     blowup,
     canonicalize,
-    equal_components,
     make_preset,
     surface_literal,
 )
-from .grammar import ParseError, parse_expr, render, render_text
+from .grammar import ParseError, parse_expr, render_text
 from .invariants import (
     InvariantReport,
     euler_char,
@@ -38,9 +37,6 @@ from .invariants import (
     phantom_audit,
 )
 from .partitions import (
-    MultiplicityVector,
-    Partition,
-    WeakComposition,
     multiplicity_vectors,
     partition_count,
     partitions_of,
@@ -54,7 +50,6 @@ from .series import (
     eta_inverse_power,
     gottsche_series,
     macdonald_poincare,
-    series_mul,
 )
 from .symgroup import (
     PermModule,
@@ -73,16 +68,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BettiVector", "Bullet", "CatExpr", "Component", "ComponentList", "Curve",
-    "InvariantReport", "MultiplicityVector", "Opaque", "ParseError", "Partition",
-    "PermModule", "Permutation", "PHANTOM", "Phantom", "POINT", "Point", "Sod",
-    "Surface", "Sym", "SymCurve", "SymPower", "TruncatedSeries", "WeakComposition",
-    "YoungPair", "betti_of", "blowup", "canonicalize", "component_count",
-    "cycle_type", "equal_components", "eta_inverse_power",
+    "InvariantReport", "Opaque", "ParseError", "PermModule", "Permutation",
+    "PHANTOM", "Phantom", "POINT", "Point", "Sod", "Surface", "Sym", "SymCurve",
+    "SymPower", "TruncatedSeries", "YoungPair", "betti_of", "blowup",
+    "canonicalize", "component_count", "cycle_type", "eta_inverse_power",
     "euler_char", "exceptional_length", "expand", "expand_tail_first",
     "gottsche_series", "hh_total_dim", "induction_invariance_check",
     "invariant_dimension", "invariant_report", "macdonald_poincare", "make_preset",
     "multiplicity_vectors", "parse_expr", "partition_count", "partitions_of",
-    "phantom_audit", "q_length", "render", "render_text", "run_suites",
-    "series_mul", "surface_literal", "sym_of_sod", "symmetric_group",
-    "weak_compositions", "young_coset_reps", "young_subgroup",
+    "phantom_audit", "q_length", "render_text", "run_suites", "surface_literal",
+    "sym_of_sod", "symmetric_group", "weak_compositions", "young_coset_reps",
+    "young_subgroup",
 ]

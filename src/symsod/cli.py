@@ -26,12 +26,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
-from .expr import InternalInvariantError
+from .expr import Component, InternalInvariantError
 from .grammar import ParseError, parse_expr, render_text, uses_hilb_sugar
 from .invariants import InvariantReport, invariant_report
 from .partitions import q_length
+from .rewrite import expand
 from .series import BettiVector, gottsche_series, poly_str
 from .suites import SUITES, run_suites
 
@@ -42,28 +43,31 @@ _MCKAY_NOTE = (
 )
 
 
+def _component_dicts(pairs: Iterable[tuple[Component, int]]) -> list[dict]:
+    return [
+        {"factors": [render_text(a) for a in comp.factors], "multiplicity": mult}
+        for comp, mult in pairs
+    ]
+
+
 def _expression_payload(text: str) -> tuple[dict, InvariantReport]:
     expr = parse_expr(text)
     report = invariant_report(expr)
     payload = {
         "input": text,
         "canonical": render_text(expr),
-        "components": [
-            {
-                "factors": [render_text(a) for a in row.component.factors],
-                "multiplicity": row.multiplicity,
-            }
-            for row in report.components
-        ],
+        "components": _component_dicts(
+            (row.component, row.multiplicity) for row in report.components
+        ),
         "invariants": report.to_json_dict(),
     }
     return payload, report
 
 
-def _print_component_lines(payload: dict) -> None:
-    total = sum(c["multiplicity"] for c in payload["components"])
-    print(f"components ({len(payload['components'])} entries, total multiplicity {total}):")
-    for idx, comp in enumerate(payload["components"], start=1):
+def _print_component_lines(components: list[dict]) -> None:
+    total = sum(c["multiplicity"] for c in components)
+    print(f"components ({len(components)} entries, total multiplicity {total}):")
+    for idx, comp in enumerate(components, start=1):
         factors = " * ".join(comp["factors"])
         print(f"  {idx}. {factors}  x{comp['multiplicity']}")
 
@@ -79,14 +83,15 @@ def _invariant_lines(inv: dict) -> list[str]:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    payload, _ = _expression_payload(args.expression)
     if args.format == "json":
+        payload, _ = _expression_payload(args.expression)
         print(json.dumps(payload))
         return 0
+    expr = parse_expr(args.expression)
     if uses_hilb_sugar(args.expression):
         print(_MCKAY_NOTE)
-    print(f"canonical: {payload['canonical']}")
-    _print_component_lines(payload)
+    print(f"canonical: {render_text(expr)}")
+    _print_component_lines(_component_dicts(expand(expr)))
     return 0
 
 

@@ -84,10 +84,6 @@ class Surface:
     betti: BettiVector
     declared_sod: Optional["CatExpr"] = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.betti.b0 != self.betti.b4 or self.betti.b1 != self.betti.b3:
-            raise ValueError(f"surface Betti vector must be Poincare-dual: {self.betti}")
-
     def __str__(self) -> str:
         return self.name
 
@@ -307,9 +303,6 @@ class ComponentList:
     def is_purely_exceptional(self) -> bool:
         return all(comp.is_point() for comp, _ in self.entries)
 
-    def components(self) -> list[Component]:
-        return [comp for comp, _ in self.entries]
-
     def as_multiset(self) -> dict[Component, int]:
         counts: dict[Component, int] = {}
         for comp, mult in self.entries:
@@ -324,15 +317,6 @@ class ComponentList:
 
     def __str__(self) -> str:
         return "; ".join(f"{comp} x{mult}" for comp, mult in self.entries)
-
-
-def equal_components(x: ComponentList, y: ComponentList, mode: str = "ordered") -> bool:
-    """Compare two component lists exactly (``ordered``) or as multisets."""
-    if mode == "ordered":
-        return x.entries == y.entries
-    if mode == "multiset":
-        return x.as_multiset() == y.as_multiset()
-    raise ValueError(f"unknown comparison mode: {mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ form with ``^`` that the grammar does not accept.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -99,11 +98,17 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Deeper input is refused before the recursive parser and the engine's
+# recursive passes can exhaust the interpreter's stack.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.nesting = 0  # constructor calls enclosing the expression being parsed
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -128,6 +133,16 @@ class _Parser:
         return int(tok.text), tok
 
     def parse_expr(self) -> CatExpr:
+        if self.nesting > MAX_NESTING:
+            raise ParseError(
+                f"more than {MAX_NESTING} nested constructor calls", self.peek().pos
+            )
+        self.nesting += 1
+        expr = self._parse_one()
+        self.nesting -= 1
+        return expr
+
+    def _parse_one(self) -> CatExpr:
         tok = self.advance()
         if tok.kind != "ident":
             raise ParseError(f"expected an expression, found {tok.text or 'end of input'!r}", tok.pos)
@@ -292,46 +307,3 @@ def render_text(e: CatExpr) -> str:
     if isinstance(e, Sym):
         return f"sym({e.arity}, {render_text(e.inner)})"
     raise TypeError(f"not a CatExpr: {e!r}")
-
-
-def expr_to_json_dict(e: CatExpr) -> dict:
-    """Structural JSON form of an expression, with keys in a fixed order."""
-    if isinstance(e, Point):
-        return {"op": "pt"}
-    if isinstance(e, Phantom):
-        return {"op": "phantom"}
-    if isinstance(e, Curve):
-        return {"op": "curve", "genus": e.genus}
-    if isinstance(e, SymCurve):
-        return {"op": "symcurve", "genus": e.genus, "degree": e.degree}
-    if isinstance(e, Surface):
-        return {
-            "op": "surface",
-            "name": e.name,
-            "betti": list(e.betti.as_tuple()),
-            "declared_sod": expr_to_json_dict(e.declared_sod) if e.declared_sod else None,
-        }
-    if isinstance(e, Opaque):
-        return {"op": "opaque", "name": e.name, "euler": e.euler, "hh": e.hh}
-    if isinstance(e, SymPower):
-        return {"op": "sympower", "n": e.arity, "base": expr_to_json_dict(e.base)}
-    if isinstance(e, Sod):
-        return {
-            "op": "sod",
-            "orthogonal": e.orthogonal,
-            "parts": [expr_to_json_dict(p) for p in e.parts],
-        }
-    if isinstance(e, Bullet):
-        return {"op": "bullet", "factors": [expr_to_json_dict(f) for f in e.factors]}
-    if isinstance(e, Sym):
-        return {"op": "sym", "n": e.arity, "inner": expr_to_json_dict(e.inner)}
-    raise TypeError(f"not a CatExpr: {e!r}")
-
-
-def render(e: CatExpr, format: str = "text") -> str:
-    """Render an expression as canonical text or as structural JSON."""
-    if format == "text":
-        return render_text(e)
-    if format == "json":
-        return json.dumps(expr_to_json_dict(e))
-    raise ValueError(f"unknown format: {format!r}")

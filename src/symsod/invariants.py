@@ -214,11 +214,6 @@ class PhantomAuditReport:
     def all_equal(self) -> bool:
         return all(row.equal for row in self.rows)
 
-    @property
-    def phantom_powers_certified(self) -> bool:
-        """True when hh_total(sym^i(phantom)) = 0 is certified for all audited i."""
-        return self.all_equal
-
     def __bool__(self) -> bool:
         return self.all_equal
 

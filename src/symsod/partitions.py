@@ -17,87 +17,8 @@ here deliberately stays independent of both.
 
 from __future__ import annotations
 
-import math
 import threading
-from dataclasses import dataclass, field
 from typing import Iterator
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A weakly decreasing tuple of positive integers."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"partition parts must be >= 1: {self.parts}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"partition parts must be weakly decreasing: {self.parts}")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
-
-
-@dataclass(frozen=True)
-class WeakComposition:
-    """A tuple of non-negative integers with fixed length and total."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) < 1:
-            raise ValueError("weak composition needs at least one entry")
-        if any(e < 0 for e in self.entries):
-            raise ValueError(f"weak composition entries must be >= 0: {self.entries}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass
-class MultiplicityVector:
-    """Exponent encoding of a partition: ``a[i]`` parts equal to ``i``.
-
-    The weight is ``sum(i * a[i])``; entries with ``a[i] == 0`` are omitted.
-    """
-
-    a: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for i, ai in self.a.items():
-            if i < 1 or ai < 1:
-                raise ValueError(f"multiplicity vector needs i >= 1, a_i >= 1: {self.a}")
-
-    @property
-    def weight(self) -> int:
-        return sum(i * ai for i, ai in self.a.items())
-
-    def as_partition(self) -> Partition:
-        parts: list[int] = []
-        for i in sorted(self.a, reverse=True):
-            parts.extend([i] * self.a[i])
-        return Partition(tuple(parts))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MultiplicityVector) and self.a == other.a
 
 
 def _iter_partitions(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -109,15 +30,16 @@ def _iter_partitions(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]
             yield (first,) + rest
 
 
-def partitions_of(n: int) -> list[Partition]:
-    """All partitions of ``n`` in decreasing lexicographic order.
+def partitions_of(n: int) -> list[tuple[int, ...]]:
+    """All partitions of ``n`` as weakly decreasing tuples, in decreasing
+    lexicographic order.
 
-    The order starts with ``[n]`` and ends with ``[1, 1, ..., 1]``, e.g. for
-    n=4: [4], [3,1], [2,2], [2,1,1], [1,1,1,1].
+    The order starts with ``(n,)`` and ends with ``(1, 1, ..., 1)``, e.g. for
+    n=4: (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1).
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return [Partition(parts) for parts in _iter_partitions(n, n)]
+    return list(_iter_partitions(n, n))
 
 
 # p(n) table built with the pentagonal-number recurrence.  Kept deliberately
@@ -160,7 +82,7 @@ def _iter_weak_compositions(n: int, l: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def weak_compositions(n: int, l: int) -> list[WeakComposition]:
+def weak_compositions(n: int, l: int) -> list[tuple[int, ...]]:
     """All length-``l`` weak compositions of ``n``, lexicographically ordered.
 
     There are ``C(n + l - 1, l - 1)`` of them.
@@ -169,7 +91,7 @@ def weak_compositions(n: int, l: int) -> list[WeakComposition]:
         raise ValueError(f"n must be >= 0, got {n}")
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    return [WeakComposition(c) for c in _iter_weak_compositions(n, l)]
+    return list(_iter_weak_compositions(n, l))
 
 
 _Q_CACHE: dict[tuple[int, int], int] = {}
@@ -202,19 +124,16 @@ def q_length(n: int, l: int) -> int:
     return total
 
 
-def multiplicity_vectors(n: int) -> list[MultiplicityVector]:
-    """All multiplicity vectors of weight ``n``, in bijection with partitions_of(n)."""
+def multiplicity_vectors(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """All multiplicity vectors of weight ``n``, in bijection with partitions_of(n).
+
+    A vector is the tuple of pairs ``(i, a_i)``, increasing in ``i``, with
+    ``a_i >= 1`` parts equal to ``i`` and weight ``sum(i * a_i)``.
+    """
     result = []
     for part in partitions_of(n):
         a: dict[int, int] = {}
         for i in part:
             a[i] = a.get(i, 0) + 1
-        result.append(MultiplicityVector(a))
+        result.append(tuple(sorted(a.items())))
     return result
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) as an exact integer (0 when out of range)."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)

@@ -171,7 +171,7 @@ def _expand(
             for vec in reversed(multiplicity_vectors(n)):
                 factors = [
                     Curve(inner.genus) if a == 1 else SymCurve(inner.genus, a)
-                    for _, a in sorted(vec.a.items())
+                    for _, a in vec
                 ]
                 out.append((Component.of(factors), 1))
             return out

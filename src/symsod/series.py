@@ -50,23 +50,18 @@ def poly_str(poly: LaurentPoly) -> str:
 
 @dataclass(frozen=True)
 class BettiVector:
-    """Betti numbers (b0, b1, b2, b3, b4) of a surface.
-
-    Surfaces coming from presets are Poincare-dual by construction; the flag
-    is only ever disabled for ad-hoc carrier use.
-    """
+    """Betti numbers (b0, b1, b2, b3, b4) of a surface; always Poincare-dual."""
 
     b0: int
     b1: int
     b2: int
     b3: int
     b4: int
-    poincare_dual: bool = True
 
     def __post_init__(self) -> None:
         if any(b < 0 for b in self.as_tuple()):
             raise ValueError(f"Betti numbers must be >= 0: {self.as_tuple()}")
-        if self.poincare_dual and (self.b0 != self.b4 or self.b1 != self.b3):
+        if self.b0 != self.b4 or self.b1 != self.b3:
             raise ValueError(
                 f"Betti vector {self.as_tuple()} is not Poincare-dual (b0=b4, b1=b3 required)"
             )
@@ -111,10 +106,6 @@ class TruncatedSeries:
     def one(cls, trunc: int) -> "TruncatedSeries":
         return cls(trunc, {0: {0: 1}})
 
-    @classmethod
-    def zero(cls, trunc: int) -> "TruncatedSeries":
-        return cls(trunc, {})
-
     def q_coefficient(self, n: int) -> LaurentPoly:
         """The coefficient of q^n, as a fresh Laurent-polynomial dict."""
         if n < 0 or n > self.trunc:
@@ -139,14 +130,6 @@ class TruncatedSeries:
                 tgt[e] = tgt.get(e, 0) + c
         return TruncatedSeries(self.trunc, coeffs)
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.trunc, {n: {e: -c for e, c in p.items()} for n, p in self.coeffs.items()}
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_trunc(other)
         coeffs: dict[int, LaurentPoly] = {}
@@ -170,11 +153,6 @@ class TruncatedSeries:
     def __str__(self) -> str:
         rows = [f"q^{n}: {poly_str(self.coeffs.get(n, {}))}" for n in range(self.trunc + 1)]
         return "\n".join(rows)
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the (shared) order; exact coefficients."""
-    return a * b
 
 
 def _binomial_plus_factor(trunc: int, z_exp: int, q_exp: int, power: int) -> TruncatedSeries:

@@ -1,14 +1,18 @@
-"""Named verification suites behind ``symsod verify``.
+"""Named verification suites behind ``symsod verify``: the one home of each law.
 
-Each suite is a list of checks mirroring the structural properties the
-package promises: enumeration counts, series identities, coset bookkeeping,
-canonical-form laws, expansion laws, invariant cross-checks, and the parser
-round trip.  Checks are deterministic; randomized ones take an explicit
-seed (default 0).  ``max_n`` caps the ranges for quicker runs.
+``SUITES`` maps a suite name to its checks: enumeration counts, series
+identities, coset bookkeeping, Frobenius reciprocity, canonical-form laws,
+expansion laws, invariant cross-checks and the parser round trip.  Every
+check is a function ``(max_n, seed) -> CheckResult``.  ``max_n`` caps its
+exhaustive ranges (None keeps the full ranges); randomized checks draw from
+``seed``, and the others ignore it.  Checks are deterministic.  Each check
+counts the cases it examined, and a check that examined none fails.  The
+test suite runs every check once at its full ranges with seed 0.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -27,13 +31,11 @@ from .expr import (
     SymPower,
     betti_of,
     canonicalize,
-    equal_components,
     make_preset,
     ruled_betti,
     surface_literal,
 )
 from .partitions import (
-    binomial,
     multiplicity_vectors,
     partition_count,
     partitions_of,
@@ -46,16 +48,31 @@ from .series import (
     eta_inverse_power,
     euler_product_power,
     gottsche_series,
-    series_mul,
 )
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Outcome of one check; ``cases`` counts what it examined, in ``unit``s.
+
+    A result that claims success without a single examined case is turned
+    into a failure: a law checked over an empty range shows nothing.
+    """
+
     suite: str
     name: str
     ok: bool
     detail: str = ""
+    cases: int = 0
+    unit: str = "case"
+
+    def __post_init__(self) -> None:
+        if self.ok and self.cases < 1:
+            object.__setattr__(self, "ok", False)
+            object.__setattr__(self, "detail", f"no {self.unit} examined ({self.detail})")
+
+
+Check = Callable[[Optional[int], int], CheckResult]
 
 
 def _bound(default: int, max_n: Optional[int]) -> int:
@@ -66,7 +83,7 @@ def _bound(default: int, max_n: Optional[int]) -> int:
 # combinatorics
 
 
-def _check_partition_counts(max_n: Optional[int]) -> CheckResult:
+def _check_partition_counts(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(30, max_n)
     for n in range(top + 1):
         enum = partitions_of(n)
@@ -76,18 +93,20 @@ def _check_partition_counts(max_n: Optional[int]) -> CheckResult:
                 "combinatorics", "partition-counts", False,
                 f"mismatch at n={n}: {len(enum)} vs {partition_count(n)} vs {len(vectors)}",
             )
-        if any(vec.as_partition() != part for vec, part in zip(vectors, enum)):
-            return CheckResult(
-                "combinatorics", "partition-counts", False,
-                f"vector/partition bijection broken at n={n}",
-            )
+        for vec, part in zip(vectors, enum):
+            if tuple(i for i, a in reversed(vec) for _ in range(a)) != part:
+                return CheckResult(
+                    "combinatorics", "partition-counts", False,
+                    f"vector/partition bijection broken at n={n}",
+                )
     return CheckResult(
         "combinatorics", "partition-counts", True,
         f"enumeration, pentagonal recurrence, and vector encoding agree for n <= {top}",
+        cases=top + 1,
     )
 
 
-def _check_q_recurrence(max_n: Optional[int]) -> CheckResult:
+def _check_q_recurrence(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(20, max_n)
     for l in range(1, 7):
         for n in range(top + 1):
@@ -101,15 +120,16 @@ def _check_q_recurrence(max_n: Optional[int]) -> CheckResult:
     return CheckResult(
         "combinatorics", "q-recurrence", True,
         f"q(n;l+1) = sum p(i) q(n-i;l) for n <= {top}, l <= 6",
+        cases=6 * (top + 1),
     )
 
 
-def _check_weak_composition_counts(max_n: Optional[int]) -> CheckResult:
+def _check_weak_composition_counts(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(15, max_n)
     for n in range(top + 1):
         for l in range(1, 7):
             count = len(weak_compositions(n, l))
-            expected = binomial(n + l - 1, l - 1)
+            expected = math.comb(n + l - 1, l - 1)
             if count != expected:
                 return CheckResult(
                     "combinatorics", "weak-composition-counts", False,
@@ -118,24 +138,17 @@ def _check_weak_composition_counts(max_n: Optional[int]) -> CheckResult:
     return CheckResult(
         "combinatorics", "weak-composition-counts", True,
         f"|compositions(n,l)| = C(n+l-1,l-1) for n <= {top}, l <= 6",
+        cases=6 * (top + 1),
     )
 
 
-def _check_exact_bigint(_: Optional[int]) -> CheckResult:
+def _check_exact_integers(_max_n: Optional[int], _seed: int) -> CheckResult:
     ok = partition_count(100) == 190569292
     return CheckResult(
         "combinatorics", "exact-integers", ok,
         "p(100) = 190569292 computed exactly" if ok else "p(100) wrong",
+        cases=1,
     )
-
-
-def suite_combinatorics(max_n: Optional[int], seed: int) -> list[CheckResult]:
-    return [
-        _check_partition_counts(max_n),
-        _check_q_recurrence(max_n),
-        _check_weak_composition_counts(max_n),
-        _check_exact_bigint(max_n),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -147,31 +160,32 @@ def _random_series(rng: random.Random, trunc: int) -> TruncatedSeries:
     for n in range(trunc + 1):
         if rng.random() < 0.7:
             coeffs[n] = {
-                rng.randint(-2, 4): rng.randint(-5, 5) for _ in range(rng.randint(1, 3))
+                rng.randint(-3, 4): rng.randint(-5, 5) for _ in range(rng.randint(1, 3))
             }
     return TruncatedSeries(trunc, coeffs)
 
 
-def _check_series_ring_axioms(seed: int) -> CheckResult:
+def _check_ring_axioms(_max_n: Optional[int], seed: int) -> CheckResult:
     rng = random.Random(seed)
     for _ in range(40):
         trunc = rng.randint(1, 6)
         a, b, c = (_random_series(rng, trunc) for _ in range(3))
-        if series_mul(a, b) != series_mul(b, a):
+        if a * b != b * a:
             return CheckResult("series", "ring-axioms", False, "commutativity failed")
-        if series_mul(series_mul(a, b), c) != series_mul(a, series_mul(b, c)):
+        if (a * b) * c != a * (b * c):
             return CheckResult("series", "ring-axioms", False, "associativity failed")
-        if series_mul(a, b + c) != series_mul(a, b) + series_mul(a, c):
+        if a * (b + c) != a * b + a * c:
             return CheckResult("series", "ring-axioms", False, "distributivity failed")
-        if series_mul(a, TruncatedSeries.one(trunc)) != a:
+        if a * TruncatedSeries.one(trunc) != a:
             return CheckResult("series", "ring-axioms", False, "unit failed")
     return CheckResult(
         "series", "ring-axioms", True,
         "commutativity, associativity, distributivity, unit on 40 random series",
+        cases=40,
     )
 
 
-def _check_eta_matches_q(max_n: Optional[int]) -> CheckResult:
+def _check_eta_euler_product(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(20, max_n)
     for l in range(0, 7):
         series = eta_inverse_power(l, max(top, 1))
@@ -186,6 +200,7 @@ def _check_eta_matches_q(max_n: Optional[int]) -> CheckResult:
     return CheckResult(
         "series", "eta-euler-product", True,
         f"prod (1-q^m)^(-l) coefficients equal q(n;l) for n <= {top}, l <= 6",
+        cases=7 * (top + 1),
     )
 
 
@@ -198,7 +213,7 @@ _SUITE_BETTIS = (
 )
 
 
-def _check_gottsche_euler_spec(max_n: Optional[int]) -> CheckResult:
+def _check_gottsche_euler(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(12, max_n)
     for b in _SUITE_BETTIS:
         hilb = gottsche_series(b, top)
@@ -212,10 +227,11 @@ def _check_gottsche_euler_spec(max_n: Optional[int]) -> CheckResult:
     return CheckResult(
         "series", "gottsche-euler", True,
         f"z=-1 specialization matches prod (1-q^m)^(-chi) for n <= {top}",
+        cases=len(_SUITE_BETTIS) * (top + 1),
     )
 
 
-def _check_gottsche_palindromic(max_n: Optional[int]) -> CheckResult:
+def _check_gottsche_palindromic(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(8, max_n)
     for b in _SUITE_BETTIS:
         series = gottsche_series(b, top)
@@ -229,23 +245,15 @@ def _check_gottsche_palindromic(max_n: Optional[int]) -> CheckResult:
     return CheckResult(
         "series", "gottsche-palindromic", True,
         f"each q^n coefficient is z-palindromic about 2n for n <= {top}",
+        cases=len(_SUITE_BETTIS) * (top + 1),
     )
-
-
-def suite_series(max_n: Optional[int], seed: int) -> list[CheckResult]:
-    return [
-        _check_series_ring_axioms(seed),
-        _check_eta_matches_q(max_n),
-        _check_gottsche_euler_spec(max_n),
-        _check_gottsche_palindromic(max_n),
-    ]
 
 
 # ---------------------------------------------------------------------------
 # symgroup
 
 
-def _check_class_counts(max_n: Optional[int]) -> CheckResult:
+def _check_class_counts(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(7, max_n)
     for n in range(1, top + 1):
         types = {symgroup.cycle_type(p) for p in symgroup.symmetric_group(n)}
@@ -257,19 +265,27 @@ def _check_class_counts(max_n: Optional[int]) -> CheckResult:
     return CheckResult(
         "symgroup", "class-counts", True,
         f"S_n has p(n) cycle types by exhaustive classification for n <= {top}",
+        cases=top,
     )
 
 
-def _check_coset_reps(max_n: Optional[int]) -> CheckResult:
+def _check_coset_reps(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(7, max_n)
+    cases = 0
     for n in range(1, top + 1):
         for i in range(n + 1):
+            cases += 1
             pair = symgroup.YoungPair(n, i)
             reps = symgroup.young_coset_reps(pair)
-            if len(reps) != binomial(n, i):
+            if len(reps) != math.comb(n, i):
                 return CheckResult(
                     "symgroup", "coset-reps", False,
                     f"|reps({n},{i})| = {len(reps)} != C({n},{i})",
+                )
+            if reps[0] != symgroup.Permutation.identity(n):
+                return CheckResult(
+                    "symgroup", "coset-reps", False,
+                    f"first rep {reps[0]} of ({n},{i}) is not the identity",
                 )
             subgroup = set(symgroup.young_subgroup(pair))
             for j, a in enumerate(reps):
@@ -289,16 +305,19 @@ def _check_coset_reps(max_n: Optional[int]) -> CheckResult:
     return CheckResult(
         "symgroup", "coset-reps", True,
         f"C(n,i) pairwise-distinct lex-minimal representatives for n <= {top}",
+        cases=cases,
     )
 
 
-def _check_subset_bijection(max_n: Optional[int]) -> CheckResult:
+def _check_subset_bijection(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(7, max_n)
+    cases = 0
     for n in range(1, top + 1):
         for i in range(n + 1):
+            cases += 1
             reps = symgroup.young_coset_reps(symgroup.YoungPair(n, i))
             images = {frozenset(r(k) for k in range(n - i + 1, n + 1)) for r in reps}
-            if len(images) != binomial(n, i):
+            if len(images) != math.comb(n, i):
                 return CheckResult(
                     "symgroup", "subset-bijection", False,
                     f"top-block images not distinct for ({n},{i})",
@@ -306,18 +325,14 @@ def _check_subset_bijection(max_n: Optional[int]) -> CheckResult:
     return CheckResult(
         "symgroup", "subset-bijection", True,
         f"rep -> image of top block is a bijection onto i-subsets for n <= {top}",
+        cases=cases,
     )
 
 
-def suite_symgroup(max_n: Optional[int], seed: int) -> list[CheckResult]:
-    return [
-        _check_class_counts(max_n),
-        _check_coset_reps(max_n),
-        _check_subset_bijection(max_n),
-    ]
+_RANDOM_MODULES_PER_PAIR = 20
 
 
-def frobenius_battery(max_n: Optional[int], seed: int, modules_per_pair: int = 20) -> CheckResult:
+def frobenius_battery(max_n: Optional[int], seed: int) -> CheckResult:
     """Induced-invariants equality over the full module battery."""
     top = _bound(6, max_n)
     rng = random.Random(seed)
@@ -333,7 +348,7 @@ def frobenius_battery(max_n: Optional[int], seed: int, modules_per_pair: int = 2
             ]
             battery.extend(
                 symgroup.random_orbit_module(subgroup, n, rng)
-                for _ in range(modules_per_pair)
+                for _ in range(_RANDOM_MODULES_PER_PAIR)
             )
             for module in battery:
                 report = symgroup.induction_invariance_check(pair, module)
@@ -344,18 +359,11 @@ def frobenius_battery(max_n: Optional[int], seed: int, modules_per_pair: int = 2
                         f"({n},{i}): induced {report.induced_invariant_dim} != "
                         f"restricted {report.subgroup_invariant_dim}",
                     )
-    if not checked:
-        return CheckResult(
-            "frobenius", "induction-invariance", False, f"no module to compare for n <= {top}"
-        )
     return CheckResult(
         "frobenius", "induction-invariance", True,
         f"{checked} induced/restricted invariant comparisons agree (n <= {top})",
+        cases=checked, unit="module",
     )
-
-
-def suite_frobenius(max_n: Optional[int], seed: int) -> list[CheckResult]:
-    return [frobenius_battery(max_n, seed)]
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +427,7 @@ def _shuffled_bullets(e: CatExpr, rng: random.Random) -> CatExpr:
     return e
 
 
-def _check_canonical_idempotent(seed: int) -> CheckResult:
+def _check_canonical_idempotent(_max_n: Optional[int], seed: int) -> CheckResult:
     rng = random.Random(seed)
     for _ in range(300):
         e = gen_random_expr(rng)
@@ -429,11 +437,12 @@ def _check_canonical_idempotent(seed: int) -> CheckResult:
                 "catexpr", "canonical-idempotent", False, f"not idempotent on {c}"
             )
     return CheckResult(
-        "catexpr", "canonical-idempotent", True, "canonicalize twice = once on 300 random trees"
+        "catexpr", "canonical-idempotent", True, "canonicalize twice = once on 300 random trees",
+        cases=300,
     )
 
 
-def _check_bullet_permutation_invariance(seed: int) -> CheckResult:
+def _check_bullet_shuffle(_max_n: Optional[int], seed: int) -> CheckResult:
     rng = random.Random(seed + 1)
     for _ in range(300):
         e = gen_random_expr(rng)
@@ -444,10 +453,11 @@ def _check_bullet_permutation_invariance(seed: int) -> CheckResult:
     return CheckResult(
         "catexpr", "bullet-shuffle", True,
         "canonical form unchanged under 300 random factor shuffles",
+        cases=300,
     )
 
 
-def _check_preset_betti(_: Optional[int]) -> CheckResult:
+def _check_preset_betti(_max_n: Optional[int], _seed: int) -> CheckResult:
     presets: list[CatExpr] = [
         make_preset("P2"),
         make_preset("fakeP2", 1),
@@ -469,22 +479,15 @@ def _check_preset_betti(_: Optional[int]) -> CheckResult:
     return CheckResult(
         "catexpr", "preset-betti", True,
         "preset Betti vectors Poincare-dual; chi(blowup) = chi + 1",
+        cases=len(presets),
     )
-
-
-def suite_catexpr(max_n: Optional[int], seed: int) -> list[CheckResult]:
-    return [
-        _check_canonical_idempotent(seed),
-        _check_bullet_permutation_invariance(seed),
-        _check_preset_betti(max_n),
-    ]
 
 
 # ---------------------------------------------------------------------------
 # rewrite
 
 
-def _check_exceptional_count_law(max_n: Optional[int]) -> CheckResult:
+def _check_exceptional_count_law(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(12, max_n)
     for l in range(1, 6):
         sod = Sod(tuple([POINT] * l)) if l >= 2 else POINT
@@ -503,13 +506,15 @@ def _check_exceptional_count_law(max_n: Optional[int]) -> CheckResult:
     return CheckResult(
         "rewrite", "exceptional-count-law", True,
         f"sym(n, l points) has exactly q(n;l) point components for n <= {top}, l <= 5",
+        cases=5 * (top + 1),
     )
 
 
-def _check_order_law(max_n: Optional[int]) -> CheckResult:
+def _check_order_law(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(8, max_n)
     a, b = Opaque("A"), Opaque("B")
-    for n in range(2, top + 1):
+    arities = range(2, top + 1)
+    for n in arities:
         entries = rewrite.expand(Sym(n, Sod((a, b)))).entries
         first, last = entries[0][0], entries[-1][0]
         if first.factors != (SymPower(n, a),) or last.factors != (SymPower(n, b),):
@@ -520,6 +525,7 @@ def _check_order_law(max_n: Optional[int]) -> CheckResult:
     return CheckResult(
         "rewrite", "order-law", True,
         f"pure-A block first and pure-B block last for n <= {top}",
+        cases=len(arities),
     )
 
 
@@ -529,17 +535,19 @@ _BRACKETING_TRIPLES = (
     (Curve(0), Opaque("S"), POINT),
     (PHANTOM, POINT, Curve(2)),
     (Opaque("A"), Opaque("B"), Opaque("C")),
+    (POINT, Opaque("A"), Curve(1)),
+    (PHANTOM, POINT, Curve(0)),
 )
 
 
-def _check_bracketing_independence(max_n: Optional[int]) -> CheckResult:
+def _check_bracketing_independence(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(6, max_n)
     for triple in _BRACKETING_TRIPLES:
         sod = Sod(triple)
         for n in range(top + 1):
             head = rewrite.expand(Sym(n, sod))
             tail = rewrite.expand_tail_first(Sym(n, sod))
-            if not equal_components(head, tail, mode="multiset"):
+            if head.as_multiset() != tail.as_multiset():
                 return CheckResult(
                     "rewrite", "bracketing-independence", False,
                     f"bracketings disagree for n={n}, atoms {triple}",
@@ -552,10 +560,11 @@ def _check_bracketing_independence(max_n: Optional[int]) -> CheckResult:
     return CheckResult(
         "rewrite", "bracketing-independence", True,
         f"head-first and tail-first expansions multiset-equal for n <= {top}",
+        cases=len(_BRACKETING_TRIPLES) * (top + 1),
     )
 
 
-def _check_coset_count_shadow(max_n: Optional[int]) -> CheckResult:
+def _check_coset_count_shadow(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(7, max_n)
     a, b = Opaque("A"), Opaque("B")
     # n = 1 never reaches the block rule (sym(1, -) is the identity), so its
@@ -565,7 +574,8 @@ def _check_coset_count_shadow(max_n: Optional[int]) -> CheckResult:
             return CheckResult(
                 "rewrite", "coset-count-shadow", False, f"C(1,{i}) cosets != 1"
             )
-    for n in range(2, top + 1):
+    arities = range(2, top + 1)
+    for n in arities:
         trace: list[rewrite.BlockTrace] = []
         rewrite.expand(Sym(n, Sod((a, b))), trace)
         top_level = [t for t in trace if t.arity == n]
@@ -583,10 +593,11 @@ def _check_coset_count_shadow(max_n: Optional[int]) -> CheckResult:
     return CheckResult(
         "rewrite", "coset-count-shadow", True,
         f"per-block summand counts match the coset enumeration for n <= {top}",
+        cases=2 + len(arities),
     )
 
 
-def _check_ruled_law(max_n: Optional[int]) -> CheckResult:
+def _check_ruled_law(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(8, max_n)
     for g in (0, 1, 2):
         ruled = make_preset("ruled", g)
@@ -609,24 +620,15 @@ def _check_ruled_law(max_n: Optional[int]) -> CheckResult:
     return CheckResult(
         "rewrite", "ruled-law", True,
         f"sym(n, ruled(g)) has sum p(n-i)p(i) curve-power components for n <= {top}",
+        cases=3 * top,
     )
-
-
-def suite_rewrite(max_n: Optional[int], seed: int) -> list[CheckResult]:
-    return [
-        _check_exceptional_count_law(max_n),
-        _check_order_law(max_n),
-        _check_bracketing_independence(max_n),
-        _check_coset_count_shadow(max_n),
-        _check_ruled_law(max_n),
-    ]
 
 
 # ---------------------------------------------------------------------------
 # invariants
 
 
-def _check_euler_two_path(max_n: Optional[int]) -> CheckResult:
+def _check_euler_two_path(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(10, max_n)
     p2 = make_preset("P2")
     betti = BettiVector(1, 0, 1, 0, 1)
@@ -642,10 +644,11 @@ def _check_euler_two_path(max_n: Optional[int]) -> CheckResult:
     return CheckResult(
         "invariants", "euler-two-path", True,
         f"expansion Euler = Goettsche z=-1 for the plane, n <= {top}",
+        cases=top,
     )
 
 
-def _check_hh_two_path(max_n: Optional[int]) -> CheckResult:
+def _check_hh_two_path(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(8, max_n)
     for g in (0, 1, 2):
         ruled = make_preset("ruled", g)
@@ -661,10 +664,11 @@ def _check_hh_two_path(max_n: Optional[int]) -> CheckResult:
     return CheckResult(
         "invariants", "hh-two-path", True,
         f"curve-power + Macdonald HH = Goettsche z=1 for ruled(0..2), n <= {top}",
+        cases=3 * top,
     )
 
 
-def _check_exceptional_equalities(max_n: Optional[int]) -> CheckResult:
+def _check_exceptional_equalities(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(6, max_n)
     corpus: list[CatExpr] = [make_preset("P1"), make_preset("P2"), Sod((POINT, POINT, POINT, POINT))]
     corpus.extend(Sym(n, make_preset("P1")) for n in range(top + 1))
@@ -683,10 +687,11 @@ def _check_exceptional_equalities(max_n: Optional[int]) -> CheckResult:
     return CheckResult(
         "invariants", "exceptional-equalities", True,
         "length = euler = hh on the purely exceptional corpus",
+        cases=len(corpus),
     )
 
 
-def _check_blowup_formula(max_n: Optional[int]) -> CheckResult:
+def _check_blowup_formula(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(8, max_n)
     blown = gottsche_series(BettiVector(1, 0, 2, 0, 1), max(top, 1))
     blowup_sod = make_preset("blowup", make_preset("P2"))
@@ -704,13 +709,16 @@ def _check_blowup_formula(max_n: Optional[int]) -> CheckResult:
         "invariants", "blowup-formula", True,
         f"block-sum invariants of hilb(n, blowup(P2)) match the blown-up surface "
         f"series for n <= {top}",
+        cases=top,
     )
 
 
-def _check_phantom_audit(max_n: Optional[int]) -> CheckResult:
+def _check_phantom_audit(max_n: Optional[int], _seed: int) -> CheckResult:
     top = _bound(10, max_n)
+    cases = 0
     for l in range(1, 5):
         report = invariants.phantom_audit(l, top)
+        cases += len(report.rows)
         if not report.all_equal:
             bad = next(row for row in report.rows if not row.equal)
             return CheckResult(
@@ -721,26 +729,20 @@ def _check_phantom_audit(max_n: Optional[int]) -> CheckResult:
         "invariants", "phantom-audit", True,
         f"Hilbert total Betti equals q(n; l+2) for l = 1..4, n <= {top}; "
         "phantom sym-powers certified",
+        cases=cases,
     )
-
-
-def suite_invariants(max_n: Optional[int], seed: int) -> list[CheckResult]:
-    return [
-        _check_euler_two_path(max_n),
-        _check_hh_two_path(max_n),
-        _check_exceptional_equalities(max_n),
-        _check_blowup_formula(max_n),
-        _check_phantom_audit(max_n),
-    ]
 
 
 # ---------------------------------------------------------------------------
 # parser round trip
 
 
-def _check_parse_render_roundtrip(seed: int, count: int = 1000) -> CheckResult:
+_ROUNDTRIP_EXPRESSIONS = 1000
+
+
+def _check_parse_render(_max_n: Optional[int], seed: int) -> CheckResult:
     rng = random.Random(seed)
-    for k in range(count):
+    for k in range(_ROUNDTRIP_EXPRESSIONS):
         e = canonicalize(gen_random_expr(rng))
         text = grammar.render_text(e)
         back = grammar.parse_expr(text)
@@ -751,37 +753,42 @@ def _check_parse_render_roundtrip(seed: int, count: int = 1000) -> CheckResult:
             )
     return CheckResult(
         "roundtrip", "parse-render", True,
-        f"parse(render(e)) = e on {count} random canonical expressions",
+        f"parse(render(e)) = e on {_ROUNDTRIP_EXPRESSIONS} random canonical expressions",
+        cases=_ROUNDTRIP_EXPRESSIONS,
     )
 
 
-def _check_json_stability(seed: int) -> CheckResult:
-    rng = random.Random(seed + 7)
-    for _ in range(100):
-        e = canonicalize(gen_random_expr(rng))
-        if grammar.render(e, "json") != grammar.render(e, "json"):
-            return CheckResult("roundtrip", "json-stability", False, f"unstable on {e}")
-    return CheckResult(
-        "roundtrip", "json-stability", True, "repeated JSON rendering is byte-identical"
-    )
-
-
-def suite_roundtrip(max_n: Optional[int], seed: int) -> list[CheckResult]:
-    return [
-        _check_parse_render_roundtrip(seed),
-        _check_json_stability(seed),
-    ]
-
-
-SUITES: dict[str, Callable[[Optional[int], int], list[CheckResult]]] = {
-    "combinatorics": suite_combinatorics,
-    "series": suite_series,
-    "symgroup": suite_symgroup,
-    "frobenius": suite_frobenius,
-    "catexpr": suite_catexpr,
-    "rewrite": suite_rewrite,
-    "invariants": suite_invariants,
-    "roundtrip": suite_roundtrip,
+SUITES: dict[str, tuple[Check, ...]] = {
+    "combinatorics": (
+        _check_partition_counts,
+        _check_q_recurrence,
+        _check_weak_composition_counts,
+        _check_exact_integers,
+    ),
+    "series": (
+        _check_ring_axioms,
+        _check_eta_euler_product,
+        _check_gottsche_euler,
+        _check_gottsche_palindromic,
+    ),
+    "symgroup": (_check_class_counts, _check_coset_reps, _check_subset_bijection),
+    "frobenius": (frobenius_battery,),
+    "catexpr": (_check_canonical_idempotent, _check_bullet_shuffle, _check_preset_betti),
+    "rewrite": (
+        _check_exceptional_count_law,
+        _check_order_law,
+        _check_bracketing_independence,
+        _check_coset_count_shadow,
+        _check_ruled_law,
+    ),
+    "invariants": (
+        _check_euler_two_path,
+        _check_hh_two_path,
+        _check_exceptional_equalities,
+        _check_blowup_formula,
+        _check_phantom_audit,
+    ),
+    "roundtrip": (_check_parse_render,),
 }
 
 
@@ -794,10 +801,9 @@ def run_suites(name: str = "all", max_n: Optional[int] = None, seed: int = 0) ->
     if max_n is not None and max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     if name == "all":
-        results = []
-        for suite in SUITES.values():
-            results.extend(suite(max_n, seed))
-        return results
-    if name not in SUITES:
+        checks = [check for suite in SUITES.values() for check in suite]
+    elif name in SUITES:
+        checks = SUITES[name]
+    else:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
-    return SUITES[name](max_n, seed)
+    return [check(max_n, seed) for check in checks]

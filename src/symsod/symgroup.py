@@ -37,8 +37,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from .partitions import Partition
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -94,8 +92,8 @@ def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def cycle_type(p: Permutation) -> Partition:
-    """The multiset of cycle lengths of ``p`` as a partition of its degree."""
+def cycle_type(p: Permutation) -> tuple[int, ...]:
+    """The cycle lengths of ``p``, weakly decreasing: a partition of its degree."""
     seen = [False] * p.degree
     lengths = []
     for start in range(1, p.degree + 1):
@@ -108,7 +106,7 @@ def cycle_type(p: Permutation) -> Partition:
             k = p(k)
             length += 1
         lengths.append(length)
-    return Partition(tuple(sorted(lengths, reverse=True)))
+    return tuple(sorted(lengths, reverse=True))
 
 
 def symmetric_group(n: int) -> list[Permutation]:

@@ -80,6 +80,24 @@ def test_parse_error_exit_2(capsys):
     assert "parse error" in err
 
 
+def test_parse_error_on_nesting_beyond_the_cap(capsys):
+    deep = "sym(2, " * 1200 + "pt" + ")" * 1200
+    assert run_cli("invariants", deep) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parse error: more than 100 nested constructor calls" in captured.err
+
+
+@pytest.mark.parametrize(
+    "expression",
+    ["sym(2, " * 100 + "pt" + ")" * 100, "bullet(sod(A, " * 50 + "pt" + "), B)" * 50],
+    ids=["sym", "bullet-sod"],
+)
+def test_invariants_at_the_nesting_cap(capsys, expression):
+    assert run_cli("invariants", expression) == 0
+    assert "euler:" in capsys.readouterr().out
+
+
 def test_internal_invariant_exit_3(monkeypatch, capsys):
     from symsod.expr import InternalInvariantError
 
@@ -138,6 +156,14 @@ def test_verify_rejects_max_n_below_1(capsys, suite, max_n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "max_n must be >= 1" in captured.err
+
+
+def test_verify_fails_a_check_that_examines_no_case(capsys):
+    # order-law starts at n = 2, so a cap of 1 leaves it nothing to compare
+    assert run_cli("verify", "--suite", "rewrite", "--max-n", "1") == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] rewrite:order-law -- no case examined" in out
+    assert "passed 4/5 checks" in out
 
 
 def test_frobenius_battery_fails_when_it_compares_nothing():

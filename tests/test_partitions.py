@@ -3,9 +3,6 @@ import math
 import pytest
 
 from symsod.partitions import (
-    MultiplicityVector,
-    Partition,
-    binomial,
     multiplicity_vectors,
     partition_count,
     partitions_of,
@@ -29,32 +26,25 @@ def brute_force_partitions(n):
 
 
 def test_partitions_of_trivial_cases():
-    assert partitions_of(0) == [Partition(())]
-    assert partitions_of(1) == [Partition((1,))]
+    assert partitions_of(0) == [()]
+    assert partitions_of(1) == [(1,)]
 
 
 def test_partitions_of_4_matches_enumeration():
     got = partitions_of(4)
-    assert [p.parts for p in got] == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    assert {p.parts for p in got} == brute_force_partitions(4)
+    assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert set(got) == brute_force_partitions(4)
 
 
 @pytest.mark.parametrize("n", range(12))
 def test_partitions_of_matches_brute_force(n):
-    assert {p.parts for p in partitions_of(n)} == brute_force_partitions(n)
+    assert set(partitions_of(n)) == brute_force_partitions(n)
 
 
 def test_partitions_sorted_decreasing_lex():
     for n in range(10):
-        parts = [p.parts for p in partitions_of(n)]
+        parts = partitions_of(n)
         assert parts == sorted(parts, reverse=True)
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
 
 
 def test_partition_count_values():
@@ -69,12 +59,12 @@ def test_partition_count_matches_enumeration_up_to_30():
 
 
 def test_weak_compositions_trivial():
-    assert [c.entries for c in weak_compositions(0, 3)] == [(0, 0, 0)]
-    assert [c.entries for c in weak_compositions(5, 1)] == [(5,)]
+    assert weak_compositions(0, 3) == [(0, 0, 0)]
+    assert weak_compositions(5, 1) == [(5,)]
 
 
 def test_weak_compositions_2_3():
-    got = [c.entries for c in weak_compositions(2, 3)]
+    got = weak_compositions(2, 3)
     assert len(got) == 6  # C(4, 2)
     assert got == sorted(got)
     assert set(got) == {(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)}
@@ -109,7 +99,7 @@ def test_q_length_recurrence():
 
 def test_multiplicity_vectors_weight_2():
     got = multiplicity_vectors(2)
-    assert [v.a for v in got] == [{2: 1}, {1: 2}]
+    assert got == [((2, 1),), ((1, 2),)]
 
 
 def test_multiplicity_vectors_bijection():
@@ -118,18 +108,5 @@ def test_multiplicity_vectors_bijection():
         parts = partitions_of(n)
         assert len(vectors) == partition_count(n)
         for vec, part in zip(vectors, parts):
-            assert vec.weight == n
-            assert vec.as_partition() == part
-
-
-def test_multiplicity_vector_validation():
-    with pytest.raises(ValueError):
-        MultiplicityVector({0: 1})
-    with pytest.raises(ValueError):
-        MultiplicityVector({2: 0})
-
-
-def test_binomial_out_of_range():
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-    assert binomial(5, 2) == 10
+            assert sum(i * a for i, a in vec) == n
+            assert tuple(i for i, a in reversed(vec) for _ in range(a)) == part

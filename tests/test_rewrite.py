@@ -9,7 +9,6 @@ from symsod.expr import (
     Sym,
     SymCurve,
     SymPower,
-    equal_components,
 )
 from symsod.partitions import partition_count, q_length
 from symsod.rewrite import (
@@ -162,7 +161,7 @@ def test_bracketing_independence_multiset():
         for n in range(7):
             head = expand(Sym(n, sod))
             tail = expand_tail_first(Sym(n, sod))
-            assert equal_components(head, tail, "multiset")
+            assert head.as_multiset() == tail.as_multiset()
 
 
 def test_bracketing_ordered_equality_not_required():
@@ -172,7 +171,7 @@ def test_bracketing_ordered_equality_not_required():
     head = expand(Sym(2, sod))
     tail = expand_tail_first(Sym(2, sod))
     assert head.total_multiplicity() == tail.total_multiplicity() == 6
-    assert equal_components(head, tail, "multiset")
+    assert head.as_multiset() == tail.as_multiset()
 
 
 def test_trace_records_binomials():
@@ -256,7 +255,7 @@ def test_components_are_a_fixed_point_of_expansion():
     # again must reproduce the same multiset of components
     import random
 
-    from symsod.expr import Bullet as B, Sod as S, equal_components
+    from symsod.expr import Bullet as B, Sod as S
     from symsod.suites import gen_random_expr
 
     rng = random.Random(3)
@@ -268,4 +267,4 @@ def test_components_are_a_fixed_point_of_expansion():
             expr = B(comp.factors) if len(comp.factors) > 1 else comp.factors[0]
             parts.extend([expr] * mult)
         rebuilt = expand(S(tuple(parts)) if len(parts) > 1 else parts[0])
-        assert equal_components(rebuilt, components, "multiset")
+        assert rebuilt.as_multiset() == components.as_multiset()

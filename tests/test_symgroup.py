@@ -4,8 +4,6 @@ import random
 
 import pytest
 
-from symsod.partitions import Partition
-from symsod.suites import _check_class_counts
 from symsod.symgroup import (
     PermModule,
     Permutation,
@@ -51,14 +49,9 @@ def test_permutation_basics():
 
 
 def test_cycle_type_examples():
-    assert cycle_type(Permutation.identity(4)) == Partition((1, 1, 1, 1))
-    assert cycle_type(Permutation((2, 1, 4, 3))) == Partition((2, 2))
-    assert cycle_type(Permutation((2, 3, 4, 5, 1))) == Partition((5,))
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_class_count_by_exhaustive_classification(n):
-    assert _check_class_counts(n).ok
+    assert cycle_type(Permutation.identity(4)) == (1, 1, 1, 1)
+    assert cycle_type(Permutation((2, 1, 4, 3))) == (2, 2)
+    assert cycle_type(Permutation((2, 3, 4, 5, 1))) == (5,)
 
 
 def test_young_subgroup_order():
@@ -172,7 +165,7 @@ def test_invariant_dimension_by_classes_on_groups_with_non_involution_generators
     # an alternating group make the class search conjugate by longer cycles.
     cycle = Permutation((2, 3, 4, 1))
     cyclic = [Permutation.identity(4), cycle, cycle * cycle, cycle * cycle * cycle]
-    alternating = [p for p in symmetric_group(4) if (4 - len(cycle_type(p).parts)) % 2 == 0]
+    alternating = [p for p in symmetric_group(4) if (4 - len(cycle_type(p))) % 2 == 0]
     rng = random.Random(4)
     for h in (cyclic, alternating):
         modules = [natural_module(h, 4), regular_module(h)]
