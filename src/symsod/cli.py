@@ -121,7 +121,7 @@ def _parse_betti(text: str) -> BettiVector:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    top = args.n if args.n is not None else (args.max_n if args.max_n is not None else 10)
+    top = args.n if args.n is not None else 10
     if top < 0:
         print("error: --n must be >= 0", file=sys.stderr)
         return 2
@@ -228,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--l", type=int, default=None, help="number of exceptional pieces")
     p_tab.add_argument("--betti", default=None, help="b0,b1,b2,b3,b4 for the gottsche table")
     p_tab.add_argument("--n", type=int, default=None, help="largest weight to print")
-    p_tab.add_argument("--max-n", type=int, default=None, help="alias for --n")
     p_tab.add_argument("--format", choices=("text", "json"), default="text")
     p_tab.set_defaults(func=_cmd_table)
 

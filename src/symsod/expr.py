@@ -274,9 +274,6 @@ class Component:
     def is_point(self) -> bool:
         return self.factors == (POINT,)
 
-    def merge(self, other: "Component") -> "Component":
-        return Component.of(self.factors + other.factors)
-
     def __str__(self) -> str:
         return " * ".join(str(a) for a in self.factors)
 

@@ -49,7 +49,12 @@ from .expr import (
 )
 from .partitions import q_length
 from .rewrite import expand
-from .series import BettiVector, gottsche_series, macdonald_poincare, poly_eval
+from .series import BettiVector, LaurentPoly, gottsche_series, macdonald_poincare, poly_eval
+
+
+# The Macdonald polynomial of each sym^a(curve(g)) met so far, by (g, a); each
+# top-level call owns one, so the series runs once per (g, a) per call
+_CurvePowers = dict[tuple[int, int], LaurentPoly]
 
 
 @lru_cache(maxsize=None)
@@ -61,14 +66,17 @@ def _hilb_poincare_value(betti: BettiVector, n: int, z: int) -> int:
     return series.q_coefficient_at(n, z)
 
 
-def _atom_value(atom: Atom, z: int) -> Optional[int]:
+def _atom_value(atom: Atom, z: int, curve_powers: _CurvePowers) -> Optional[int]:
     """Euler characteristic (z = -1) or total HH dimension (z = 1) of an atom."""
     if isinstance(atom, Point):
         return 1
     if isinstance(atom, Curve):
         return 2 - 2 * atom.genus if z == -1 else 2 * atom.genus + 2
     if isinstance(atom, SymCurve):
-        return poly_eval(macdonald_poincare(atom.genus, atom.degree), z)
+        key = (atom.genus, atom.degree)
+        if key not in curve_powers:
+            curve_powers[key] = macdonald_poincare(*key)
+        return poly_eval(curve_powers[key], z)
     if isinstance(atom, Surface):
         return atom.betti.euler() if z == -1 else atom.betti.total()
     if isinstance(atom, Phantom):
@@ -84,20 +92,20 @@ def _atom_value(atom: Atom, z: int) -> Optional[int]:
     raise InternalInvariantError(f"not an atom: {atom!r}")
 
 
-def _component_value(comp: Component, z: int) -> Optional[int]:
+def _component_value(comp: Component, z: int, curve_powers: _CurvePowers) -> Optional[int]:
     product = 1
     for atom in comp.factors:
-        v = _atom_value(atom, z)
+        v = _atom_value(atom, z, curve_powers)
         if v is None:
             return None
         product *= v
     return product
 
 
-def _total_value(components: ComponentList, z: int) -> Optional[int]:
+def _total_value(components: ComponentList, z: int, curve_powers: _CurvePowers) -> Optional[int]:
     total = 0
     for comp, mult in components:
-        v = _component_value(comp, z)
+        v = _component_value(comp, z, curve_powers)
         if v is None:
             return None
         total += mult * v
@@ -109,12 +117,12 @@ def euler_char(e: CatExpr) -> Optional[int]:
 
     None means unknown (an opaque leaf with no declared value was hit).
     """
-    return _total_value(expand(e), -1)
+    return _total_value(expand(e), -1, {})
 
 
 def hh_total_dim(e: CatExpr) -> Optional[int]:
     """Total Hochschild dimension, or None when an opaque leaf absorbs it."""
-    return _total_value(expand(e), 1)
+    return _total_value(expand(e), 1, {})
 
 
 def exceptional_length(e: CatExpr) -> Optional[int]:
@@ -164,18 +172,19 @@ class InvariantReport:
 
 def invariant_report(e: CatExpr) -> InvariantReport:
     components = expand(e)
+    curve_powers: _CurvePowers = {}
     rows = tuple(
         ComponentInvariants(
             component=comp,
             multiplicity=mult,
-            euler=_component_value(comp, -1),
-            hh_total=_component_value(comp, 1),
+            euler=_component_value(comp, -1, curve_powers),
+            hh_total=_component_value(comp, 1, curve_powers),
         )
         for comp, mult in components
     )
     return InvariantReport(
-        euler=_total_value(components, -1),
-        hh_total=_total_value(components, 1),
+        euler=_total_value(components, -1, curve_powers),
+        hh_total=_total_value(components, 1, curve_powers),
         exceptional_length=(
             components.total_multiplicity() if components.is_purely_exceptional() else None
         ),

@@ -2,9 +2,9 @@
 
 Rules, applied until every component is a product of atoms:
 
-* R1  sym(n, sod(A, rest...)) splits into the n+1 blocks
-      ``bullet(sym(n-i, A), sym(i, sod(rest...)))`` for i = 0..n; longer
-      SODs are bracketed head-first and handled by induction on the length.
+* R1  sym(n, sod(A_1..A_l)) has one block per weak composition (i_1..i_l)
+      of n, the product of the sym(i_j, A_j); head-first, i_1 = n..0 varies
+      slowest.  Each sym(i, A_j) and sym(m, sod(A_j..A_l)) is expanded once.
 * R2  sym(n, pt) is p(n) completely orthogonal copies of the point,
       aggregated into a single entry with multiplicity p(n).
 * R3  sym(n, curve(g)) gives one component per multiplicity vector
@@ -19,16 +19,18 @@ Rules, applied until every component is a product of atoms:
 Everything is pure and deterministic; an optional trace records, for each
 R1 block, its count C(n, i) of upstairs summands (one per coset of the
 Young subgroup) so that verification can compare the engine's binomials
-against the coset enumeration.
+against the coset enumeration; each distinct power records them once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from .expr import (
+    Atom,
     Bullet,
     CatExpr,
     Component,
@@ -42,6 +44,7 @@ from .expr import (
     SymPower,
     canonicalize,
     is_atom,
+    sort_key,
 )
 from .partitions import multiplicity_vectors, partition_count
 
@@ -110,104 +113,109 @@ def sym_of_sod(a: CatExpr, b: CatExpr, n: int) -> list[CatExpr]:
     ]
 
 
-def _entries_product(
-    lists: list[tuple[tuple[Component, int], ...]]
-) -> list[tuple[Component, int]]:
-    """Cartesian product of component lists; left factors vary slowest."""
-    result: list[tuple[Component, int]] = [(Component.of([]), 1)]
-    for entries in lists:
-        result = [
-            (comp.merge(comp2), mult * mult2)
-            for comp, mult in result
-            for comp2, mult2 in entries
-        ]
-    return result
+# Engine entries: (component as a sorted tuple of atoms, multiplicity); () is the point
+Entries = list[tuple[tuple[Atom, ...], int]]
 
 
-def _merge_equal(entries: list[tuple[Component, int]]) -> list[tuple[Component, int]]:
-    order: list[Component] = []
-    counts: dict[Component, int] = {}
-    for comp, mult in entries:
-        if comp not in counts:
-            order.append(comp)
-            counts[comp] = 0
-        counts[comp] += mult
-    return [(comp, counts[comp]) for comp in order]
+def _join(a: tuple[Atom, ...], b: tuple[Atom, ...]) -> tuple[Atom, ...]:
+    if not a:
+        return b
+    if not b:
+        return a
+    return tuple(sorted(a + b, key=sort_key))
 
 
-def _expand(
-    e: CatExpr, trace: Optional[list[BlockTrace]], split_head: bool
-) -> list[tuple[Component, int]]:
-    if is_atom(e):
-        return [(Component.of([e]), 1)]
+def _product(left: Entries, right: Entries) -> Entries:
+    """Every product of an entry of ``left`` with one of ``right``; left varies slowest."""
+    return [(_join(a, b), mult_a * mult_b) for a, mult_a in left for b, mult_b in right]
 
-    if isinstance(e, Sod):
-        entries: list[tuple[Component, int]] = []
-        for part in e.parts:
-            entries.extend(_expand(part, trace, split_head))
-        if e.orthogonal:
-            entries = _merge_equal(entries)
-        return entries
 
-    if isinstance(e, Bullet):
-        factor_lists = [tuple(_expand(f, trace, split_head)) for f in e.factors]
-        return _entries_product(factor_lists)
+def _merge_equal(entries: Entries) -> Entries:
+    """Sum the multiplicities of equal components, in order of first occurrence."""
+    counts: dict[tuple[Atom, ...], int] = {}
+    for atoms, mult in entries:
+        counts[atoms] = counts.get(atoms, 0) + mult
+    return list(counts.items())
 
-    if isinstance(e, Sym):
-        n, inner = e.arity, e.inner
+
+class _Expansion:
+    """One expand call: its bracketing, its trace, and a memo of the Sym nodes it expanded."""
+
+    def __init__(self, trace: Optional[list[BlockTrace]], split_head: bool) -> None:
+        self.trace = trace
+        self.split_head = split_head
+        self.memo: dict[Sym, Entries] = {}
+
+    def expand(self, e: CatExpr) -> Entries:
+        if is_atom(e):
+            return [((), 1)] if isinstance(e, Point) else [((e,), 1)]
+
+        if isinstance(e, Sod):
+            entries = [entry for part in e.parts for entry in self.expand(part)]
+            return _merge_equal(entries) if e.orthogonal else entries
+
+        if isinstance(e, Bullet):
+            return reduce(_product, [self.expand(f) for f in e.factors])
+
+        if isinstance(e, Sym):
+            entries = self.memo.get(e)
+            if entries is None:
+                entries = self.memo[e] = self._sym(e.arity, e.inner)
+            return entries
+
+        raise TypeError(f"not a CatExpr: {e!r}")
+
+    def _sym(self, n: int, inner: CatExpr) -> Entries:
         while isinstance(inner, Sym) and inner.arity <= 1:
             inner = POINT if inner.arity == 0 else inner.inner
         if n == 0:
-            return [(Component.of([]), 1)]  # R5: the unit
+            return [((), 1)]  # R5: the unit
         if n == 1:
-            return _expand(inner, trace, split_head)  # R6
+            return self.expand(inner)  # R6
         inner = _distribute(inner)
         if isinstance(inner, Point):
-            return [(Component.of([]), partition_count(n))]  # R2
+            return [((), partition_count(n))]  # R2
         if isinstance(inner, Curve):
-            # R3: one component per multiplicity vector of weight n,
-            # ordered with the all-ones vector (the top symmetric power) first
-            out = []
-            for vec in reversed(multiplicity_vectors(n)):
-                factors = [
-                    Curve(inner.genus) if a == 1 else SymCurve(inner.genus, a)
-                    for _, a in vec
-                ]
-                out.append((Component.of(factors), 1))
-            return out
-        if isinstance(inner, Sod):
-            return _expand_sym_of_sod(n, inner, trace, split_head)
-        # R7: bullet bases and the remaining atoms stay opaque sym powers
-        return [(Component.of([SymPower(n, inner)]), 1)]
+            # R3: one component per multiplicity vector of weight n, the all-ones
+            # vector (the top power) first; ascending degrees are in sort_key order
+            g = inner.genus
+            degrees = (sorted(a for _, a in vec) for vec in reversed(multiplicity_vectors(n)))
+            return [
+                (tuple(Curve(g) if a == 1 else SymCurve(g, a) for a in ds), 1) for ds in degrees
+            ]
+        if not isinstance(inner, Sod):
+            # R7: bullet bases and the remaining atoms stay opaque sym powers
+            return [((SymPower(n, inner),), 1)]
 
-    raise TypeError(f"not a CatExpr: {e!r}")
+        # R1: split off one end part at a time (the first, tail-first the last),
+        # re-distributing the rest; then build the powers of each rest from the far end
+        ends, rest = [], inner.parts
+        while len(rest) > 1:
+            end, rest = (rest[0], rest[1:]) if self.split_head else (rest[-1], rest[:-1])
+            ends.append(end)
+            rest = _distribute(Sod(rest, inner.orthogonal)).parts if len(rest) > 1 else rest
+        ends.append(rest[0])
+        powers = [[self.expand(Sym(m, p)) for m in range(n + 1)] for p in ends]
+        acc = powers[-1]
+        for k in range(len(ends) - 2, -1, -1):
+            first, second = (powers[k], acc) if self.split_head else (acc, powers[k])
+            arities = range(n + 1) if k else (n,)
+            acc = [self._blocks(first, second, m, inner.orthogonal) for m in arities]
+        return acc[-1]
+
+    def _blocks(self, first: list[Entries], second: list[Entries], m: int, orth: bool) -> Entries:
+        """sym(m) of a two-term SOD from its terms' powers; block i is first[m-i] * second[i]."""
+        if self.trace is not None and m >= 2:
+            self.trace.extend(BlockTrace(m, i, math.comb(m, i)) for i in range(m + 1))
+        entries: Entries = []
+        for i in range(m + 1):
+            entries += _product(first[m - i], second[i])
+        return _merge_equal(entries) if orth else entries
 
 
-def _expand_sym_of_sod(
-    n: int, sod: Sod, trace: Optional[list[BlockTrace]], split_head: bool
-) -> list[tuple[Component, int]]:
-    """R1 with the chosen bracketing of SODs longer than two terms."""
-    if split_head:
-        first, rest = sod.parts[0], sod.parts[1:]
-    else:
-        first, rest = sod.parts[-1], sod.parts[:-1]
-    rest_expr: CatExpr = rest[0] if len(rest) == 1 else Sod(rest, sod.orthogonal)
-
-    entries: list[tuple[Component, int]] = []
-    for i in range(n + 1):
-        if trace is not None:
-            trace.append(BlockTrace(arity=n, block=i, summands=math.comb(n, i)))
-        if split_head:
-            block = Bullet((Sym(n - i, first), Sym(i, rest_expr)))
-        else:
-            block = Bullet((Sym(n - i, rest_expr), Sym(i, first)))
-        block_entries = _expand(block, trace, split_head)
-        if sod.orthogonal:
-            block_entries = _merge_equal(block_entries)
-        entries.extend(block_entries)
-    if sod.orthogonal:
-        entries = _merge_equal(entries)
-    return entries
+def _components(e: CatExpr, trace: Optional[list[BlockTrace]], split_head: bool) -> ComponentList:
+    entries = _Expansion(trace, split_head).expand(canonicalize(e))
+    return ComponentList(tuple((Component.of(atoms), mult) for atoms, mult in entries))
 
 
 def expand(e: CatExpr, trace: Optional[list[BlockTrace]] = None) -> ComponentList:
@@ -217,8 +225,11 @@ def expand(e: CatExpr, trace: Optional[list[BlockTrace]] = None) -> ComponentLis
     atoms.  Completely orthogonal repetitions aggregate into multiplicities;
     blocks that are only semi-orthogonal stay as separate entries even when
     their components coincide.
+
+    ``trace`` gets the blocks of each distinct power once, the outermost
+    power's last: sym(4, sod(pt, curve(1), pt, curve(1))) records 29.
     """
-    return ComponentList(tuple(_expand(canonicalize(e), trace, split_head=True)))
+    return _components(e, trace, split_head=True)
 
 
 def expand_tail_first(e: CatExpr, trace: Optional[list[BlockTrace]] = None) -> ComponentList:
@@ -227,7 +238,7 @@ def expand_tail_first(e: CatExpr, trace: Optional[list[BlockTrace]] = None) -> C
     Exists so verification can confirm that the two bracketings agree up to
     reordering (they are not required to agree as ordered lists).
     """
-    return ComponentList(tuple(_expand(canonicalize(e), trace, split_head=False)))
+    return _components(e, trace, split_head=False)
 
 
 def component_count(e: CatExpr) -> int:

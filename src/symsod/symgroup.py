@@ -131,12 +131,17 @@ class YoungPair:
             raise ValueError(f"need 0 <= i <= n, got n={self.n}, i={self.i}")
 
 
-def young_subgroup(y: YoungPair) -> list[Permutation]:
-    """All elements of S_{n-i} x S_i as permutations of {1..n}."""
+def _young_images(y: YoungPair) -> list[tuple[int, ...]]:
+    """The one-line forms of the elements of S_{n-i} x S_i."""
     n, i = y.n, y.i
     first = list(itertools.permutations(range(1, n - i + 1)))
     second = list(itertools.permutations(range(n - i + 1, n + 1)))
-    return [Permutation(a + b) for a in first for b in second]
+    return [a + b for a in first for b in second]
+
+
+def young_subgroup(y: YoungPair) -> list[Permutation]:
+    """All elements of S_{n-i} x S_i as permutations of {1..n}."""
+    return [Permutation(images) for images in _young_images(y)]
 
 
 def young_coset_reps(y: YoungPair) -> list[Permutation]:
@@ -414,15 +419,14 @@ def induction_invariance_check(y: YoungPair, m: PermModule) -> InductionReport:
     H-invariants of ``m``.
     """
     n = y.n
-    h_elements = young_subgroup(y)
-    if set(m.group) != set(h_elements):
+    h_by_images = {h.images: h for h in m.group}
+    if h_by_images.keys() != set(_young_images(y)):
         raise ValueError("module is not defined over the Young subgroup of the given pair")
 
     reps = [r.images for r in young_coset_reps(y)]
     rep_inverses = [_inverse(r) for r in reps]
     top = range(n - y.i + 1, n + 1)
     rep_index = {frozenset(r[t - 1] for t in top): j for j, r in enumerate(reps)}
-    h_by_images = {h.images: h for h in h_elements}
     moves: dict[tuple[tuple[int, ...], int], tuple[int, Permutation]] = {}
 
     def induced_act(g: Permutation, point: tuple[int, Any]) -> tuple[int, Any]:
@@ -447,7 +451,7 @@ def induction_invariance_check(y: YoungPair, m: PermModule) -> InductionReport:
 
     induced = PermModule(gens, induced_basis, induced_act)
     induced_dim = induced.orbit_count(gens)
-    subgroup_dim = invariant_dimension(m, h_elements)
+    subgroup_dim = invariant_dimension(m, m.group)
     return InductionReport(
         ok=induced_dim == subgroup_dim,
         pair=y,

@@ -225,6 +225,13 @@ def test_table_defaults_to_n_10(capsys):
     assert out.endswith("42")  # p(10)
 
 
+def test_table_has_no_max_n_alias(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("table", "q", "--l", "1", "--max-n", "3")
+    assert exc.value.code == 2
+    assert "--max-n" in capsys.readouterr().err
+
+
 def test_verify_seed_changes_random_modules_but_passes(capsys):
     assert run_cli("verify", "--suite", "catexpr", "--seed", "7") == 0
 

@@ -1,5 +1,6 @@
 import pytest
 
+from symsod import invariants
 from symsod.expr import (
     Curve,
     InternalInvariantError,
@@ -22,7 +23,7 @@ from symsod.invariants import (
     phantom_audit,
 )
 from symsod.partitions import q_length
-from symsod.series import BettiVector, gottsche_series
+from symsod.series import BettiVector, gottsche_series, macdonald_poincare
 
 
 def test_euler_atoms():
@@ -86,6 +87,19 @@ def test_hh_two_path_consistency_ruled():
     series = gottsche_series(BettiVector(1, 0, 2, 0, 1), 6)
     for n in range(1, 7):
         assert hh_total_dim(Sym(n, ruled0)) == series.q_coefficient_at(n, 1)
+
+
+@pytest.mark.parametrize("evaluate", [invariant_report, euler_char, hh_total_dim])
+def test_macdonald_series_once_per_degree(monkeypatch, evaluate):
+    calls = []
+
+    def counted(g, a):
+        calls.append((g, a))
+        return macdonald_poincare(g, a)
+
+    monkeypatch.setattr(invariants, "macdonald_poincare", counted)
+    evaluate(Sym(16, make_preset("ruled", 2)))
+    assert len(calls) == len(set(calls)) <= 16
 
 
 def test_report_breakdown_and_consistency():

@@ -1,3 +1,7 @@
+import math
+
+import pytest
+
 from symsod.expr import (
     Bullet,
     Component,
@@ -179,6 +183,25 @@ def test_trace_records_binomials():
     expand(Sym(4, Sod((A, B))), trace)
     top = [t for t in trace if t.arity == 4]
     assert [t.summands for t in top] == [1, 4, 6, 4, 1]
+
+
+@pytest.mark.parametrize("engine", [expand, expand_tail_first])
+def test_trace_records_each_power_of_a_sod_once(engine):
+    # the first n + 1 records are the outermost blocks; after them, each
+    # sym(m, sod(.., ..)) of the two-term rest (m >= 2) adds its m + 1 blocks once
+    for n in range(2, 7):
+        trace: list[BlockTrace] = []
+        engine(Sym(n, Sod((A, B, C))), trace)
+        assert trace[-(n + 1) :] == [BlockTrace(n, i, math.comb(n, i)) for i in range(n + 1)]
+        assert len(trace) == (n + 1) + sum(m + 1 for m in range(2, n + 1))
+
+
+def test_long_sod_does_not_recurse_per_part():
+    # R1 walks the parts of an SOD in a loop; recursing once per part raised
+    # RecursionError at 250 parts
+    # q(2; l) = 2l + C(l, 2): p(2) = 2 points per part, one per pair of parts
+    components = expand(Sym(2, Sod((POINT,) * 260)))
+    assert components.total_multiplicity() == 2 * 260 + math.comb(260, 2)
 
 
 def test_bullet_distributes_over_sod():

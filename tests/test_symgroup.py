@@ -230,7 +230,23 @@ def test_induction_check_random_battery_small():
 
 
 def test_induction_check_rejects_wrong_group():
-    pair = YoungPair(4, 2)
-    module = trivial_module(symmetric_group(4))
-    with pytest.raises(ValueError):
-        induction_invariance_check(pair, module)
+    for pair, n in ((YoungPair(4, 2), 4), (YoungPair(3, 1), 3)):
+        with pytest.raises(ValueError):
+            induction_invariance_check(pair, trivial_module(symmetric_group(n)))
+
+
+def test_induction_check_reuses_the_module_group(monkeypatch):
+    # the S_6 regular-module operation: 721 permutations build the module,
+    # 4 the check (a coset representative, the two generators of S_6 and an
+    # identity); building the Young subgroup again would add 720
+    built = []
+    post_init = Permutation.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted)
+    pair = YoungPair(6, 0)
+    assert induction_invariance_check(pair, regular_module(young_subgroup(pair)))
+    assert len(built) == 725
