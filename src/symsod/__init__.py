@@ -43,7 +43,7 @@ from .partitions import (
     q_length,
     weak_compositions,
 )
-from .rewrite import component_count, expand, expand_tail_first, sym_of_sod
+from .rewrite import expand, expand_tail_first, sym_of_sod
 from .series import (
     BettiVector,
     TruncatedSeries,
@@ -71,7 +71,7 @@ __all__ = [
     "InvariantReport", "Opaque", "ParseError", "PermModule", "Permutation",
     "PHANTOM", "Phantom", "POINT", "Point", "Sod", "Surface", "Sym", "SymCurve",
     "SymPower", "TruncatedSeries", "YoungPair", "betti_of", "blowup",
-    "canonicalize", "component_count", "cycle_type", "eta_inverse_power",
+    "canonicalize", "cycle_type", "eta_inverse_power",
     "euler_char", "exceptional_length", "expand", "expand_tail_first",
     "gottsche_series", "hh_total_dim", "induction_invariance_check",
     "invariant_dimension", "invariant_report", "macdonald_poincare", "make_preset",

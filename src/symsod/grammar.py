@@ -178,11 +178,14 @@ class _Parser:
             inner = self.parse_expr()
             self.expect_punct(")")
             inner = canonicalize(inner)
-            if not isinstance(inner, (Surface, Opaque)) and not is_surface_like(inner):
+            try:
+                # sod(opaque, pt) is surface-like for hilb, but it has no
+                # surface atom to blow up: blowup raises ValueError for it
+                return blowup(inner)
+            except ValueError as exc:
                 raise ParseError(
                     f"blowup needs a surface-like argument, got {render_text(inner)}", tok.pos
-                )
-            return blowup(inner)
+                ) from exc
         if name == "sod":
             parts = self._expr_args(minimum=2)
             return Sod(tuple(parts))

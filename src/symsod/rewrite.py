@@ -239,8 +239,3 @@ def expand_tail_first(e: CatExpr, trace: Optional[list[BlockTrace]] = None) -> C
     reordering (they are not required to agree as ordered lists).
     """
     return _components(e, trace, split_head=False)
-
-
-def component_count(e: CatExpr) -> int:
-    """Total multiplicity of the full expansion."""
-    return expand(e).total_multiplicity()

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import symsod
-from symsod import cli
+from symsod import cli, suites
 from symsod.suites import frobenius_battery
 
 
@@ -89,6 +89,17 @@ def test_parse_error_on_nesting_beyond_the_cap(capsys):
 
 
 @pytest.mark.parametrize(
+    "expression", ["blowup(blowup(A))", "hilb(2, blowup(blowup(A)))", "blowup(sod(A, pt))"]
+)
+def test_blowup_of_an_opaque_blowup_is_a_parse_error(capsys, expression):
+    # sod(A, pt) is surface-like for hilb but has no surface atom to blow up
+    assert run_cli("decompose", expression) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parse error: blowup needs a surface-like argument" in captured.err
+
+
+@pytest.mark.parametrize(
     "expression",
     ["sym(2, " * 100 + "pt" + ")" * 100, "bullet(sod(A, " * 50 + "pt" + "), B)" * 50],
     ids=["sym", "bullet-sod"],
@@ -164,6 +175,20 @@ def test_verify_fails_a_check_that_examines_no_case(capsys):
     out = capsys.readouterr().out
     assert "[FAIL] rewrite:order-law -- no case examined" in out
     assert "passed 4/5 checks" in out
+
+
+def test_verify_reports_a_broken_law(monkeypatch, capsys):
+    real = suites.weak_compositions
+
+    def drops_one(n, l):
+        compositions = real(n, l)
+        return compositions[1:] if (n, l) == (2, 2) else compositions
+
+    monkeypatch.setattr(suites, "weak_compositions", drops_one)
+    assert run_cli("verify", "--suite", "combinatorics") == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] combinatorics:weak-composition-counts -- (2,2): 2 != C(3,1) = 3\n" in out
+    assert "passed 3/4 checks" in out
 
 
 def test_frobenius_battery_fails_when_it_compares_nothing():

@@ -3,7 +3,8 @@
 The digests pin the exact bytes that ``decompose`` and ``invariants`` print,
 in text and in JSON, for the ``exceptional-decompose`` benchmark cells and a
 few mixed inputs.  An engine change that reorders entries, merges them at a
-different point or renders them differently changes a digest.
+different point or renders them differently changes a digest.  Three more
+pin what ``verify`` prints, a passing run and a failing one.
 """
 
 import contextlib
@@ -84,6 +85,27 @@ def stdout_digest(text: str) -> str:
 @pytest.mark.parametrize("text", CORPUS)
 def test_cli_stdout_digest(text):
     assert stdout_digest(text) == DIGESTS[text]
+
+
+# SHA-256 of the ``verify`` stdout, with the exit code it comes with.
+VERIFY_DIGESTS = {
+    "--max-n 3": (0, "0477fa33be8d6992292f88f3b5650bfdb61585f27d70ab8aa5783aced5c7542d"),
+    "--max-n 3 --format json": (
+        0, "9bcef8991890561e5ec5888ba57a2cd19f30545c37aded50cf66ef63caaf4830"
+    ),
+    # order-law examines no case under a cap of 1 and fails
+    "--suite rewrite --max-n 1": (
+        1, "320004b01c4dede1731b3c28ce20de0086e8c41825ad925fe8b0fc35fc429711"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", VERIFY_DIGESTS)
+def test_verify_stdout_digest(args):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = cli.main(["verify", *args.split()])
+    assert (code, hashlib.sha256(buffer.getvalue().encode()).hexdigest()) == VERIFY_DIGESTS[args]
 
 
 def test_orthogonal_sod_entries_in_order():

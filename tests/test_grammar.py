@@ -101,6 +101,7 @@ def test_render_parse_identity_on_examples():
         "sod(surface(1,0,2,0,1), pt, phantom)",
         "sym(0, sym(1, pt))",
         "blowup(blowup(P2))",
+        "blowup(blowup(blowup(P2)))",
     ):
         e = parse_expr(text)
         assert parse_expr(render_text(e)) == e

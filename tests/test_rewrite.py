@@ -17,7 +17,6 @@ from symsod.expr import (
 from symsod.partitions import partition_count, q_length
 from symsod.rewrite import (
     BlockTrace,
-    component_count,
     expand,
     expand_tail_first,
     sym_of_sod,
@@ -145,9 +144,13 @@ def test_expand_sym_sod_criterion_shape():
 
 
 def test_component_count_examples():
-    assert component_count(Sym(2, Sod((POINT, POINT, POINT)))) == 9
-    assert component_count(Sym(3, Curve(1))) == 3
-    assert component_count(Sym(1, Sod((A, B)))) == component_count(Sod((A, B))) == 2
+    assert expand(Sym(2, Sod((POINT, POINT, POINT)))).total_multiplicity() == 9
+    assert expand(Sym(3, Curve(1))).total_multiplicity() == 3
+    assert (
+        expand(Sym(1, Sod((A, B)))).total_multiplicity()
+        == expand(Sod((A, B))).total_multiplicity()
+        == 2
+    )
 
 
 def test_exceptional_count_law():
@@ -270,7 +273,7 @@ def test_fake_plane_expansion_count_law():
         fake = make_preset("fakeP2", l)
         for n in range(1, 7):
             expected = sum(q_length(n - k, l + 2) for k in range(n + 1))
-            assert component_count(Sym(n, fake)) == expected
+            assert expand(Sym(n, fake)).total_multiplicity() == expected
 
 
 def test_components_are_a_fixed_point_of_expansion():
