@@ -25,13 +25,13 @@ from .expr import (
     blowup,
     canonicalize,
     make_preset,
+    render_text,
     surface_literal,
 )
-from .grammar import ParseError, parse_expr, render_text
+from .grammar import ParseError, parse_expr
 from .invariants import (
     InvariantReport,
     euler_char,
-    exceptional_length,
     hh_total_dim,
     invariant_report,
     phantom_audit,
@@ -43,7 +43,7 @@ from .partitions import (
     q_length,
     weak_compositions,
 )
-from .rewrite import expand, expand_tail_first, sym_of_sod
+from .rewrite import expand, expand_tail_first
 from .series import (
     BettiVector,
     TruncatedSeries,
@@ -72,11 +72,11 @@ __all__ = [
     "PHANTOM", "Phantom", "POINT", "Point", "Sod", "Surface", "Sym", "SymCurve",
     "SymPower", "TruncatedSeries", "YoungPair", "betti_of", "blowup",
     "canonicalize", "cycle_type", "eta_inverse_power",
-    "euler_char", "exceptional_length", "expand", "expand_tail_first",
+    "euler_char", "expand", "expand_tail_first",
     "gottsche_series", "hh_total_dim", "induction_invariance_check",
     "invariant_dimension", "invariant_report", "macdonald_poincare", "make_preset",
     "multiplicity_vectors", "parse_expr", "partition_count", "partitions_of",
     "phantom_audit", "q_length", "render_text", "run_suites", "surface_literal",
-    "sym_of_sod", "symmetric_group", "weak_compositions", "young_coset_reps",
+    "symmetric_group", "weak_compositions", "young_coset_reps",
     "young_subgroup",
 ]

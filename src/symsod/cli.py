@@ -10,7 +10,8 @@ Verbs::
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success (and,
 for verify, all checks passing); 2 parse or usage errors; 3 internal
-invariant violations; 1 failed verification checks.
+invariant violations; 1 failed verification checks; 141 when the reader
+closes stdout early (as in ``symsod decompose ... | head``), quietly.
 
 JSON output (``--format json``) is byte-stable for identical inputs.  For
 expression verbs the schema is::
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable, Optional
 
@@ -256,6 +258,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader is gone: point stdout at /dev/null, so that flushing what
+        # is still buffered at interpreter exit cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ Composite nodes:
 
 Canonicalization flattens nested bullets and nested SODs of matching
 orthogonality, unwraps singletons, and sorts bullet factors by a fixed
-total order; SOD order is always preserved.
+total order; SOD order is always preserved.  ``render_text`` is the one
+text form of an expression; ``str(e)`` returns it.
 """
 
 from __future__ import annotations
@@ -33,26 +34,29 @@ class InternalInvariantError(AssertionError):
     """A structural invariant of the engine failed; maps to CLI exit 3."""
 
 
-@dataclass(frozen=True)
-class Point:
+class _Rendered:
+    """Base of the expression classes: ``str(e)`` is ``render_text(e)``."""
+
     def __str__(self) -> str:
-        return "pt"
+        return render_text(self)
 
 
 @dataclass(frozen=True)
-class Curve:
+class Point(_Rendered):
+    """The point: one exceptional object, and the unit of the bullet product."""
+
+
+@dataclass(frozen=True)
+class Curve(_Rendered):
     genus: int
 
     def __post_init__(self) -> None:
         if self.genus < 0:
             raise ValueError(f"genus must be >= 0, got {self.genus}")
 
-    def __str__(self) -> str:
-        return f"curve({self.genus})"
-
 
 @dataclass(frozen=True)
-class SymCurve:
+class SymCurve(_Rendered):
     """Fully expanded curve power: the a-th symmetric power of a genus-g curve.
 
     For degree >= genus these categories are known to refine further into
@@ -67,37 +71,26 @@ class SymCurve:
         if self.genus < 0 or self.degree < 0:
             raise ValueError(f"need genus >= 0 and degree >= 0: {self}")
 
-    def __str__(self) -> str:
-        return f"sym^{self.degree}(curve({self.genus}))"
-
 
 @dataclass(frozen=True)
-class Surface:
-    """A surface atom with known Betti numbers and an optional declared SOD.
+class Surface(_Rendered):
+    """A surface atom with known Betti numbers.
 
-    Identity is (name, betti); the declared SOD is bookkeeping only.  Atoms
-    produced by collapsing a surface-like SOD are named by their Betti
+    Atoms produced by collapsing a surface-like SOD are named by their Betti
     literal so that the canonical text stays inside the grammar.
     """
 
     name: str
     betti: BettiVector
-    declared_sod: Optional["CatExpr"] = field(default=None, compare=False)
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
-class Phantom:
+class Phantom(_Rendered):
     """An admissible piece with vanishing total Hochschild homology."""
 
-    def __str__(self) -> str:
-        return "phantom"
-
 
 @dataclass(frozen=True)
-class Opaque:
+class Opaque(_Rendered):
     """A named category we know nothing about beyond optionally declared invariants."""
 
     name: str
@@ -108,12 +101,9 @@ class Opaque:
         if not self.name:
             raise ValueError("opaque atom needs a non-empty name")
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
-class SymPower:
+class SymPower(_Rendered):
     """An unexpanded symmetric power kept as an opaque leaf, arity attached."""
 
     arity: int
@@ -123,12 +113,9 @@ class SymPower:
         if self.arity < 2:
             raise ValueError("sym powers of arity < 2 should have been simplified away")
 
-    def __str__(self) -> str:
-        return f"sym^{self.arity}({self.base})"
-
 
 @dataclass(frozen=True)
-class Sod:
+class Sod(_Rendered):
     parts: tuple["CatExpr", ...]
     orthogonal: bool = False
 
@@ -136,35 +123,24 @@ class Sod:
         if not self.parts:
             raise ValueError("SOD must have at least one component")
 
-    def __str__(self) -> str:
-        inner = ", ".join(str(p) for p in self.parts)
-        return f"sod({inner})"
-
 
 @dataclass(frozen=True)
-class Bullet:
+class Bullet(_Rendered):
     factors: tuple["CatExpr", ...]
 
     def __post_init__(self) -> None:
         if not self.factors:
             raise ValueError("bullet product must have at least one factor")
 
-    def __str__(self) -> str:
-        inner = ", ".join(str(f) for f in self.factors)
-        return f"bullet({inner})"
-
 
 @dataclass(frozen=True)
-class Sym:
+class Sym(_Rendered):
     arity: int
     inner: "CatExpr"
 
     def __post_init__(self) -> None:
         if self.arity < 0:
             raise ValueError(f"sym arity must be >= 0, got {self.arity}")
-
-    def __str__(self) -> str:
-        return f"sym({self.arity}, {self.inner})"
 
 
 Atom = Union[Point, Curve, SymCurve, Surface, Phantom, Opaque, SymPower]
@@ -243,6 +219,66 @@ def canonicalize(e: CatExpr) -> CatExpr:
         if len(parts) == 1:
             return parts[0]
         return Sod(tuple(parts), e.orthogonal)
+    raise TypeError(f"not a CatExpr: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# Rendering
+
+
+def _preset_shape_name(e: Sod) -> Optional[str]:
+    if e.orthogonal:
+        return None  # the flag has no surface syntax; fall back to sod(...)
+    parts = e.parts
+    if all(isinstance(p, Point) for p in parts):
+        if len(parts) == 2:
+            return "P1"
+        if len(parts) == 3:
+            return "P2"
+        return None
+    if len(parts) == 2:
+        head, tail = parts
+        if isinstance(head, Curve) and isinstance(tail, Curve) and head.genus == tail.genus:
+            return f"ruled({head.genus})"
+        if isinstance(head, (Surface, Opaque)) and isinstance(tail, Point):
+            return f"blowup({head.name})"
+    if len(parts) >= 4 and isinstance(parts[-1], Phantom):
+        body = parts[:-1]
+        if all(isinstance(p, Point) for p in body):
+            return f"fakeP2({len(body) - 2})"
+    return None
+
+
+def render_text(e: CatExpr) -> str:
+    """Canonical text form; re-parses to the identical canonical expression.
+
+    Preset shapes render under their preset names.  Expansion-only atoms
+    (``sym^a(curve(g))`` and opaque sym powers) render in a caret display
+    form outside the grammar.
+    """
+    if isinstance(e, Point):
+        return "pt"
+    if isinstance(e, Phantom):
+        return "phantom"
+    if isinstance(e, Curve):
+        return f"curve({e.genus})"
+    if isinstance(e, SymCurve):
+        return f"sym^{e.degree}(curve({e.genus}))"
+    if isinstance(e, Surface):
+        return e.name
+    if isinstance(e, Opaque):
+        return e.name
+    if isinstance(e, SymPower):
+        return f"sym^{e.arity}({render_text(e.base)})"
+    if isinstance(e, Sod):
+        preset = _preset_shape_name(e)
+        if preset is not None:
+            return preset
+        return "sod(" + ", ".join(render_text(p) for p in e.parts) + ")"
+    if isinstance(e, Bullet):
+        return "bullet(" + ", ".join(render_text(f) for f in e.factors) + ")"
+    if isinstance(e, Sym):
+        return f"sym({e.arity}, {render_text(e.inner)})"
     raise TypeError(f"not a CatExpr: {e!r}")
 
 
@@ -382,16 +418,14 @@ def as_surface_atom(e: CatExpr) -> Union[Surface, Opaque]:
     """Collapse a surface-like expression to an atom for use inside a blow-up.
 
     Surface and opaque atoms pass through unchanged; a recognized
-    surface-like SOD becomes a surface atom named by its Betti literal and
-    carrying the SOD it was built from as non-identity metadata.
+    surface-like SOD becomes a surface atom named by its Betti literal.
     """
     if isinstance(e, (Surface, Opaque)):
         return e
     b = betti_of(e)
     if b is None:
         raise ValueError(f"not a surface-like expression: {e}")
-    lit = surface_literal(b)
-    return Surface(lit.name, b, declared_sod=e)
+    return surface_literal(b)
 
 
 def blowup(e: CatExpr) -> Sod:

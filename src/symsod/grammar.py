@@ -1,4 +1,4 @@
-"""The expression language: tokenizer, recursive-descent parser, renderer.
+"""The expression language: tokenizer and recursive-descent parser.
 
 Grammar (whitespace-insensitive, keywords case-sensitive)::
 
@@ -20,17 +20,14 @@ Hilbert scheme of n points is the derived McKay correspondence and is
 inherited, not computed.
 
 Rendering is the inverse: ``parse_expr(render_text(e)) == e`` for every
-canonical expression built from the grammar.  Preset shapes are rendered
-back under their preset names.  Atoms that only occur in expansion output
-(symmetric powers of curves, opaque sym-power leaves) render in a display
-form with ``^`` that the grammar does not accept.
+canonical expression built from the grammar.  ``render_text`` lives in
+``symsod.expr``, next to the classes it renders, and is imported here.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 from .expr import (
     Bullet,
@@ -39,17 +36,13 @@ from .expr import (
     Opaque,
     PHANTOM,
     POINT,
-    Phantom,
-    Point,
     Sod,
-    Surface,
     Sym,
-    SymCurve,
-    SymPower,
     blowup,
     canonicalize,
     is_surface_like,
     make_preset,
+    render_text,
 )
 
 KEYWORDS = {
@@ -251,62 +244,3 @@ def parse_expr(text: str) -> CatExpr:
 def uses_hilb_sugar(text: str) -> bool:
     """Whether the source text invoked the Hilbert-scheme sugar anywhere."""
     return any(t.kind == "ident" and t.text == "hilb" for t in _tokenize(text))
-
-
-# ---------------------------------------------------------------------------
-# Rendering
-
-
-def _preset_shape_name(e: Sod) -> Optional[str]:
-    if e.orthogonal:
-        return None  # the flag has no surface syntax; fall back to sod(...)
-    parts = e.parts
-    if all(isinstance(p, Point) for p in parts):
-        if len(parts) == 2:
-            return "P1"
-        if len(parts) == 3:
-            return "P2"
-        return None
-    if len(parts) == 2:
-        head, tail = parts
-        if isinstance(head, Curve) and isinstance(tail, Curve) and head.genus == tail.genus:
-            return f"ruled({head.genus})"
-        if isinstance(head, (Surface, Opaque)) and isinstance(tail, Point):
-            return f"blowup({head.name})"
-    if len(parts) >= 4 and isinstance(parts[-1], Phantom):
-        body = parts[:-1]
-        if all(isinstance(p, Point) for p in body):
-            return f"fakeP2({len(body) - 2})"
-    return None
-
-
-def render_text(e: CatExpr) -> str:
-    """Canonical text form; re-parses to the identical canonical expression.
-
-    Expansion-only atoms (``sym^a(curve(g))`` and opaque sym powers) render
-    in a caret display form outside the grammar.
-    """
-    if isinstance(e, Point):
-        return "pt"
-    if isinstance(e, Phantom):
-        return "phantom"
-    if isinstance(e, Curve):
-        return f"curve({e.genus})"
-    if isinstance(e, SymCurve):
-        return f"sym^{e.degree}(curve({e.genus}))"
-    if isinstance(e, Surface):
-        return e.name
-    if isinstance(e, Opaque):
-        return e.name
-    if isinstance(e, SymPower):
-        return f"sym^{e.arity}({render_text(e.base)})"
-    if isinstance(e, Sod):
-        preset = _preset_shape_name(e)
-        if preset is not None:
-            return preset
-        return "sod(" + ", ".join(render_text(p) for p in e.parts) + ")"
-    if isinstance(e, Bullet):
-        return "bullet(" + ", ".join(render_text(f) for f in e.factors) + ")"
-    if isinstance(e, Sym):
-        return f"sym({e.arity}, {render_text(e.inner)})"
-    raise TypeError(f"not a CatExpr: {e!r}")

@@ -125,18 +125,6 @@ def hh_total_dim(e: CatExpr) -> Optional[int]:
     return _total_value(expand(e), 1, {})
 
 
-def exceptional_length(e: CatExpr) -> Optional[int]:
-    """Length of the full exceptional collection, if the expansion is one.
-
-    Returns the total multiplicity when every expanded component is a point,
-    and None ("not purely exceptional") otherwise.
-    """
-    components = expand(e)
-    if components.is_purely_exceptional():
-        return components.total_multiplicity()
-    return None
-
-
 @dataclass(frozen=True)
 class ComponentInvariants:
     component: Component

