@@ -11,7 +11,8 @@ Verbs::
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success (and,
 for verify, all checks passing); 2 parse or usage errors; 3 internal
 invariant violations; 1 failed verification checks; 141 when the reader
-closes stdout early (as in ``symsod decompose ... | head``), quietly.
+closes stdout early (as in ``symsod decompose ... | head``), quietly; 74
+when stdout cannot be written otherwise (as on a full disk).
 
 JSON output (``--format json``) is byte-stable for identical inputs.  For
 expression verbs the schema is::
@@ -251,20 +252,25 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write fails here, not at interpreter exit
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    except BrokenPipeError:
-        # the reader is gone: point stdout at /dev/null, so that flushing what
-        # is still buffered at interpreter exit cannot raise a second time
+    except OSError as exc:
+        # stdout failed: point it at /dev/null, so that flushing what is still
+        # buffered at interpreter exit cannot raise a second time
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141  # the reader is gone: quietly
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return 74  # EX_IOERR
 
 
 if __name__ == "__main__":

@@ -20,6 +20,10 @@ Canonicalization flattens nested bullets and nested SODs of matching
 orthogonality, unwraps singletons, and sorts bullet factors by a fixed
 total order; SOD order is always preserved.  ``render_text`` is the one
 text form of an expression; ``str(e)`` returns it.
+
+``CONSTRUCTORS`` names every constructor of the text grammar with its
+argument kinds and builder; ``make_preset`` builds and validates any of them,
+and the parser in ``symsod.grammar`` reads nothing else about them.
 """
 
 from __future__ import annotations
@@ -226,29 +230,6 @@ def canonicalize(e: CatExpr) -> CatExpr:
 # Rendering
 
 
-def _preset_shape_name(e: Sod) -> Optional[str]:
-    if e.orthogonal:
-        return None  # the flag has no surface syntax; fall back to sod(...)
-    parts = e.parts
-    if all(isinstance(p, Point) for p in parts):
-        if len(parts) == 2:
-            return "P1"
-        if len(parts) == 3:
-            return "P2"
-        return None
-    if len(parts) == 2:
-        head, tail = parts
-        if isinstance(head, Curve) and isinstance(tail, Curve) and head.genus == tail.genus:
-            return f"ruled({head.genus})"
-        if isinstance(head, (Surface, Opaque)) and isinstance(tail, Point):
-            return f"blowup({head.name})"
-    if len(parts) >= 4 and isinstance(parts[-1], Phantom):
-        body = parts[:-1]
-        if all(isinstance(p, Point) for p in body):
-            return f"fakeP2({len(body) - 2})"
-    return None
-
-
 def render_text(e: CatExpr) -> str:
     """Canonical text form; re-parses to the identical canonical expression.
 
@@ -271,9 +252,9 @@ def render_text(e: CatExpr) -> str:
     if isinstance(e, SymPower):
         return f"sym^{e.arity}({render_text(e.base)})"
     if isinstance(e, Sod):
-        preset = _preset_shape_name(e)
+        preset = None if e.orthogonal else _preset_shape(e)[0]
         if preset is not None:
-            return preset
+            return preset  # the orthogonal flag has no preset syntax
         return "sod(" + ", ".join(render_text(p) for p in e.parts) + ")"
     if isinstance(e, Bullet):
         return "bullet(" + ", ".join(render_text(f) for f in e.factors) + ")"
@@ -373,115 +354,113 @@ def surface_literal(b: BettiVector) -> Surface:
     return Surface(name, b)
 
 
-def betti_of(e: CatExpr) -> Optional[BettiVector]:
-    """Betti vector of a surface-like expression, if it is determined.
+def _preset_shape(e: Sod) -> tuple[Optional[str], Optional[BettiVector]]:
+    """The preset an SOD's shape spells, and its Betti vector when determined.
 
-    Recognized shapes (post-canonicalization): a surface atom; the blow-up
-    shape ``sod(S, pt)`` with S a surface atom (b2 goes up by one); the
-    ruled shape ``sod(curve(g), curve(g))``; ``sod(pt, pt, pt)`` (the plane);
-    and ``sod(pt, ..., pt, phantom)`` with at least three points (a fake
-    plane).  Anything else returns None.
+    Recognized shapes (post-canonicalization, orthogonal flag ignored):
+    ``sod(pt, pt)`` (P1, a curve: no Betti vector); ``sod(pt, pt, pt)`` (the
+    plane); ``sod(curve(g), curve(g))`` (ruled); the blow-up shape
+    ``sod(S, pt)`` with S a surface or opaque atom (b2 goes up by one, unknown
+    for opaque S); and ``sod(pt, ..., pt, phantom)`` with at least three
+    points (a fake plane).  Anything else is ``(None, None)``.
     """
+    parts = e.parts
+    if all(isinstance(p, Point) for p in parts) and len(parts) in (2, 3):
+        return ("P1", None) if len(parts) == 2 else ("P2", P2_BETTI)
+    if len(parts) == 2:
+        head, tail = parts
+        if isinstance(head, Curve) and isinstance(tail, Curve) and head.genus == tail.genus:
+            return f"ruled({head.genus})", ruled_betti(head.genus)
+        if isinstance(head, (Surface, Opaque)) and isinstance(tail, Point):
+            b = betti_of(head)  # None for an opaque S
+            return f"blowup({head.name})", b and BettiVector(b.b0, b.b1, b.b2 + 1, b.b3, b.b4)
+    if len(parts) >= 4 and isinstance(parts[-1], Phantom):
+        if all(isinstance(p, Point) for p in parts[:-1]):
+            return f"fakeP2({len(parts) - 3})", fake_plane_betti(len(parts) - 3)
+    return None, None
+
+
+def betti_of(e: CatExpr) -> Optional[BettiVector]:
+    """Betti vector of a surface atom or a surface-shaped SOD, if it is determined."""
     if isinstance(e, Surface):
         return e.betti
-    if isinstance(e, Sod) and len(e.parts) == 2:
-        head, tail = e.parts
-        if isinstance(head, (Surface, Opaque)) and isinstance(tail, Point):
-            inner = betti_of(head)
-            if inner is None:
-                return None
-            return BettiVector(inner.b0, inner.b1, inner.b2 + 1, inner.b3, inner.b4)
-        if isinstance(head, Curve) and isinstance(tail, Curve) and head.genus == tail.genus:
-            return ruled_betti(head.genus)
-    if isinstance(e, Sod) and all(isinstance(p, Point) for p in e.parts):
-        if len(e.parts) == 3:
-            return P2_BETTI
-    if isinstance(e, Sod) and len(e.parts) >= 4:
-        *pts, last = e.parts
-        if all(isinstance(p, Point) for p in pts) and isinstance(last, Phantom):
-            return fake_plane_betti(len(pts) - 2)
-    return None
+    return _preset_shape(e)[1] if isinstance(e, Sod) else None
 
 
 def is_surface_like(e: CatExpr) -> bool:
-    """Shapes accepted as the surface argument of a Hilbert-scheme power."""
+    """Shapes accepted as the surface argument of a Hilbert-scheme power:
+    a surface atom, or any preset shape but P1 (a blow-up's base may be opaque)."""
     if isinstance(e, Surface):
         return True
-    if isinstance(e, Sod) and len(e.parts) == 2:
-        head, tail = e.parts
-        if isinstance(head, (Surface, Opaque)) and isinstance(tail, Point):
-            return True  # blow-up shape, base possibly opaque
-    return betti_of(e) is not None
-
-
-def as_surface_atom(e: CatExpr) -> Union[Surface, Opaque]:
-    """Collapse a surface-like expression to an atom for use inside a blow-up.
-
-    Surface and opaque atoms pass through unchanged; a recognized
-    surface-like SOD becomes a surface atom named by its Betti literal.
-    """
-    if isinstance(e, (Surface, Opaque)):
-        return e
-    b = betti_of(e)
-    if b is None:
-        raise ValueError(f"not a surface-like expression: {e}")
-    return surface_literal(b)
+    return isinstance(e, Sod) and _preset_shape(e)[0] not in (None, "P1")
 
 
 def blowup(e: CatExpr) -> Sod:
-    """The blow-up at a point: ``sod(S, pt)`` over the surface atom of ``e``."""
-    return Sod((as_surface_atom(canonicalize(e)), POINT))
+    """The blow-up at a point: ``sod(S, pt)``, with S the surface or opaque atom
+    ``e`` or the surface literal of a surface-shaped SOD ``e``."""
+    e = canonicalize(e)
+    if not isinstance(e, (Surface, Opaque)):
+        b = betti_of(e)
+        if b is None:
+            raise ValueError(f"blowup needs a surface-like argument, got {render_text(e)}")
+        e = surface_literal(b)
+    return Sod((e, POINT))
+
+
+def _fake_plane(l: int) -> Sod:
+    if l < 1:
+        raise ValueError(f"fakeP2 needs l >= 1, got {l}")
+    return Sod((POINT,) * (l + 2) + (PHANTOM,))
+
+
+def _hilb(n: int, e: CatExpr) -> Sym:
+    inner = canonicalize(e)
+    if not is_surface_like(inner):
+        raise ValueError(f"hilb needs a surface-like argument, got {render_text(inner)}")
+    return Sym(n, inner)
+
+
+# Argument kinds: a natural number, an expression, or two or more expressions
+# (EXPRS, always the only kind of its constructor).
+NAT, EXPR, EXPRS = "nat", "expr", "exprs"
+
+# Every constructor of the grammar: name -> (argument kinds, builder).
+CONSTRUCTORS = {
+    "pt": ((), lambda: POINT),
+    "phantom": ((), lambda: PHANTOM),
+    "P1": ((), lambda: Sod((POINT, POINT))),
+    "P2": ((), lambda: Sod((POINT, POINT, POINT))),
+    "curve": ((NAT,), Curve),
+    "fakeP2": ((NAT,), _fake_plane),
+    "ruled": ((NAT,), lambda g: Sod((Curve(g), Curve(g)))),
+    "surface": ((NAT,) * 5, lambda *b: surface_literal(BettiVector(*b))),
+    "blowup": ((EXPR,), blowup),
+    "sod": ((EXPRS,), lambda *parts: Sod(parts)),
+    "bullet": ((EXPRS,), lambda *factors: Bullet(factors)),
+    "sym": ((NAT, EXPR), Sym),
+    "hilb": ((NAT, EXPR), _hilb),
+}
 
 
 def make_preset(name: str, *args) -> CatExpr:
-    """Build a named geometric preset expression.
+    """Build any constructor of the grammar, by name, from its arguments.
 
-    ``P1`` -> sod(pt, pt); ``P2`` -> sod(pt, pt, pt);
+    The geometric presets: ``P1`` -> sod(pt, pt); ``P2`` -> sod(pt, pt, pt);
     ``fakeP2(l)`` -> sod(pt x (l+2), phantom) for l >= 1;
     ``ruled(g)`` -> sod(curve(g), curve(g));
     ``surface(b0..b4)`` -> a surface atom (must be Poincare-dual);
     ``blowup(e)`` -> sod(surface-atom-of-e, pt);
     ``hilb(n, e)`` -> sym(n, e) for surface-like e.
+    Invalid arguments raise ``ValueError`` with the message the CLI prints.
     """
-    if name == "P1":
-        _expect_args(name, args, 0)
-        return Sod((POINT, POINT))
-    if name == "P2":
-        _expect_args(name, args, 0)
-        return Sod((POINT, POINT, POINT))
-    if name == "fakeP2":
-        _expect_args(name, args, 1)
-        l = _nat(name, args[0])
-        if l < 1:
-            raise ValueError(f"fakeP2 needs l >= 1, got {l}")
-        return Sod(tuple([POINT] * (l + 2)) + (PHANTOM,))
-    if name == "ruled":
-        _expect_args(name, args, 1)
-        g = _nat(name, args[0])
-        return Sod((Curve(g), Curve(g)))
-    if name == "surface":
-        _expect_args(name, args, 5)
-        b = BettiVector(*(_nat(name, a) for a in args))
-        return surface_literal(b)
-    if name == "blowup":
-        _expect_args(name, args, 1)
-        return blowup(args[0])
-    if name == "hilb":
-        _expect_args(name, args, 2)
-        n = _nat(name, args[0])
-        inner = canonicalize(args[1])
-        if not is_surface_like(inner):
-            raise ValueError(f"hilb needs a surface-like argument, got {inner}")
-        return Sym(n, inner)
-    raise ValueError(f"unknown preset: {name!r}")
-
-
-def _expect_args(name: str, args: tuple, count: int) -> None:
-    if len(args) != count:
-        raise ValueError(f"preset {name!r} takes {count} argument(s), got {len(args)}")
-
-
-def _nat(name: str, value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"preset {name!r} needs a non-negative integer, got {value!r}")
-    return value
+    if name not in CONSTRUCTORS:
+        raise ValueError(f"unknown preset: {name!r}")
+    kinds, build = CONSTRUCTORS[name]
+    variadic = kinds == (EXPRS,)
+    if (len(args) < 2) if variadic else (len(args) != len(kinds)):
+        wanted = "at least 2" if variadic else len(kinds)
+        raise ValueError(f"preset {name!r} takes {wanted} argument(s), got {len(args)}")
+    for kind, value in zip(kinds, args):
+        if kind == NAT and (not isinstance(value, int) or isinstance(value, bool) or value < 0):
+            raise ValueError(f"preset {name!r} needs a non-negative integer, got {value!r}")
+    return build(*args)

@@ -19,6 +19,11 @@ identification of the n-th symmetric power of a surface category with the
 Hilbert scheme of n points is the derived McKay correspondence and is
 inherited, not computed.
 
+The parser is generic: an identifier named in ``symsod.expr.CONSTRUCTORS``
+has its arguments read by the kinds listed there and is built by
+``make_preset``, whose ``ValueError`` becomes a ``ParseError`` at the
+identifier; any other identifier is an opaque atom.
+
 Rendering is the inverse: ``parse_expr(render_text(e)) == e`` for every
 canonical expression built from the grammar.  ``render_text`` lives in
 ``symsod.expr``, next to the classes it renders, and is imported here.
@@ -29,26 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .expr import (
-    Bullet,
-    CatExpr,
-    Curve,
-    Opaque,
-    PHANTOM,
-    POINT,
-    Sod,
-    Sym,
-    blowup,
-    canonicalize,
-    is_surface_like,
-    make_preset,
-    render_text,
-)
-
-KEYWORDS = {
-    "pt", "curve", "phantom", "P1", "P2", "fakeP2", "ruled",
-    "surface", "blowup", "sod", "bullet", "sym", "hilb",
-}
+from .expr import CONSTRUCTORS, EXPRS, NAT, CatExpr, Opaque, canonicalize, make_preset, render_text
 
 
 class ParseError(ValueError):
@@ -80,12 +66,8 @@ def _tokenize(text: str) -> list[_Token]:
                 break
             bad_pos = len(text) - len(stripped)
             raise ParseError(f"unexpected character {stripped[0]!r}", bad_pos)
-        if m.lastgroup == "ident":
-            tokens.append(_Token("ident", m.group("ident"), m.start("ident")))
-        elif m.lastgroup == "nat":
-            tokens.append(_Token("nat", m.group("nat"), m.start("nat")))
-        else:
-            tokens.append(_Token("punct", m.group("punct"), m.start("punct")))
+        kind = m.lastgroup  # the one named group that matched
+        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(_Token("end", "", len(text)))
     return tokens
@@ -117,13 +99,13 @@ class _Parser:
             raise ParseError(f"expected {ch!r}, found {tok.text or 'end of input'!r}", tok.pos)
         return tok
 
-    def expect_nat(self) -> tuple[int, _Token]:
+    def expect_nat(self) -> int:
         tok = self.advance()
         if tok.kind != "nat":
             raise ParseError(
                 f"expected a non-negative integer, found {tok.text or 'end of input'!r}", tok.pos
             )
-        return int(tok.text), tok
+        return int(tok.text)
 
     def parse_expr(self) -> CatExpr:
         if self.nesting > MAX_NESTING:
@@ -139,96 +121,26 @@ class _Parser:
         tok = self.advance()
         if tok.kind != "ident":
             raise ParseError(f"expected an expression, found {tok.text or 'end of input'!r}", tok.pos)
-        name = tok.text
-
-        if name == "pt":
-            return POINT
-        if name == "phantom":
-            return PHANTOM
-        if name == "P1":
-            return make_preset("P1")
-        if name == "P2":
-            return make_preset("P2")
-        if name == "curve":
-            (g,) = self._nat_args(1)
-            return Curve(g)
-        if name == "fakeP2":
-            (l,) = self._nat_args(1)
-            if l < 1:
-                raise ParseError(f"fakeP2 needs l >= 1, got {l}", tok.pos)
-            return make_preset("fakeP2", l)
-        if name == "ruled":
-            (g,) = self._nat_args(1)
-            return make_preset("ruled", g)
-        if name == "surface":
-            args = self._nat_args(5)
-            try:
-                return make_preset("surface", *args)
-            except ValueError as exc:
-                raise ParseError(str(exc), tok.pos) from exc
-        if name == "blowup":
+        if tok.text not in CONSTRUCTORS:
+            return Opaque(tok.text)
+        kinds, _ = CONSTRUCTORS[tok.text]
+        args: list = []
+        if kinds:
             self.expect_punct("(")
-            inner = self.parse_expr()
-            self.expect_punct(")")
-            inner = canonicalize(inner)
-            try:
-                # sod(opaque, pt) is surface-like for hilb, but it has no
-                # surface atom to blow up: blowup raises ValueError for it
-                return blowup(inner)
-            except ValueError as exc:
-                raise ParseError(
-                    f"blowup needs a surface-like argument, got {render_text(inner)}", tok.pos
-                ) from exc
-        if name == "sod":
-            parts = self._expr_args(minimum=2)
-            return Sod(tuple(parts))
-        if name == "bullet":
-            factors = self._expr_args(minimum=2)
-            return Bullet(tuple(factors))
-        if name == "sym":
-            n, inner = self._arity_and_expr()
-            return Sym(n, inner)
-        if name == "hilb":
-            n, inner = self._arity_and_expr()
-            inner = canonicalize(inner)
-            if not is_surface_like(inner):
-                raise ParseError(
-                    f"hilb needs a surface-like argument, got {render_text(inner)}", tok.pos
-                )
-            return Sym(n, inner)
-        if name in KEYWORDS:
-            raise ParseError(f"misused keyword {name!r}", tok.pos)
-        return Opaque(name)
-
-    def _nat_args(self, count: int) -> list[int]:
-        self.expect_punct("(")
-        args = []
-        for i in range(count):
-            if i:
-                self.expect_punct(",")
-            value, _ = self.expect_nat()
-            args.append(value)
-        self.expect_punct(")")
-        return args
-
-    def _expr_args(self, minimum: int) -> list[CatExpr]:
-        self.expect_punct("(")
-        args = [self.parse_expr()]
-        while self.peek().kind == "punct" and self.peek().text == ",":
-            self.advance()
-            args.append(self.parse_expr())
-        closing = self.expect_punct(")")
-        if len(args) < minimum:
-            raise ParseError(f"expected at least {minimum} arguments, got {len(args)}", closing.pos)
-        return args
-
-    def _arity_and_expr(self) -> tuple[int, CatExpr]:
-        self.expect_punct("(")
-        n, _ = self.expect_nat()
-        self.expect_punct(",")
-        inner = self.parse_expr()
-        self.expect_punct(")")
-        return n, inner
+            for i, kind in enumerate(kinds):
+                if i:
+                    self.expect_punct(",")
+                args.append(self.expect_nat() if kind == NAT else self.parse_expr())
+            while kinds == (EXPRS,) and self.peek().text == ",":
+                self.advance()
+                args.append(self.parse_expr())
+            closing = self.expect_punct(")")
+            if kinds == (EXPRS,) and len(args) < 2:
+                raise ParseError(f"expected at least 2 arguments, got {len(args)}", closing.pos)
+        try:
+            return make_preset(tok.text, *args)
+        except ValueError as exc:
+            raise ParseError(str(exc), tok.pos) from exc
 
 
 def parse_expr(text: str) -> CatExpr:

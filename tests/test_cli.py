@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pathlib
@@ -244,9 +245,35 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert b"Traceback" not in stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_stdout_write_exits_74_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "symsod.cli", "invariants", "sym(3, curve(1))"],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 74
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_every_export_resolves_once():
     assert len(symsod.__all__) == len(set(symsod.__all__))
     assert [name for name in symsod.__all__ if not hasattr(symsod, name)] == []
+
+
+def test_every_benchmark_call_site_resolves():
+    # the benchmark wraps these attributes in spans; a refactor that drops one
+    # would otherwise fail only the benchmark's own run
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()  # raises on any SPAN_SITES entry or patched class attribute that is gone
+    finally:
+        tracer.uninstall()
 
 
 def test_console_script_parse_error_code():

@@ -4,18 +4,23 @@ The digests pin the exact bytes that ``decompose`` and ``invariants`` print,
 in text and in JSON, for the ``exceptional-decompose`` benchmark cells and a
 few mixed inputs.  An engine change that reorders entries, merges them at a
 different point or renders them differently changes a digest.  Three more
-pin what ``verify`` prints, a passing run and a failing one.
+pin what ``verify`` prints, a passing run and a failing one, and one pins
+what the parser makes of seeded, mutated expression texts.
 """
 
 import contextlib
 import hashlib
 import io
+import random
+import re
 
 import pytest
 
 from symsod import cli
 from symsod.expr import Component, Curve, POINT, Sod, Sym, SymCurve
+from symsod.grammar import ParseError, parse_expr, render_text
 from symsod.rewrite import expand, expand_tail_first
+from symsod.suites import gen_random_expr
 
 
 def _cells() -> list[str]:
@@ -121,3 +126,51 @@ def test_orthogonal_sod_entries_in_order():
     )
     assert expand(e).entries == pinned
     assert expand_tail_first(e).entries == pinned
+
+
+# Tokens and whole calls inserted into rendered expressions; the calls reach
+# the argument checks of hilb, blowup, fakeP2 and surface.
+_INSERTS = [
+    "pt", "phantom", "curve", "P1", "P2", "fakeP2", "ruled", "surface", "blowup",
+    "sod", "bullet", "sym", "hilb", "S", "(", ")", ",", "0", "1", "5",
+    "hilb(2, P2)", "hilb(2, P1)", "blowup(P1)", "blowup(S)", "fakeP2(0)", "surface(1,2,3,4,5)",
+]
+_TEXT_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|[(),]|\s+")
+
+
+def _mutated_texts(count: int) -> list[str]:
+    """Rendered random expressions, each with 1-3 token insertions, deletions or cuts."""
+    rng = random.Random(0)
+    texts = []
+    for _ in range(count):
+        tokens = _TEXT_TOKEN_RE.findall(render_text(gen_random_expr(rng, 3)))
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(len(tokens) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                tokens.insert(pos, rng.choice(_INSERTS))
+            elif op == 1:
+                del tokens[pos:pos + 1]
+            else:
+                del tokens[pos:]
+        texts.append("".join(tokens))
+    return texts
+
+
+def test_parse_outcome_digest():
+    # each text parses to an expression that round-trips, or raises ParseError
+    # (any other exception fails the test); the digest pins the rendered
+    # results and the error texts with their positions
+    outcomes, parsed = [], 0
+    for text in _mutated_texts(5000):
+        try:
+            e = parse_expr(text)
+        except ParseError as exc:
+            outcomes.append(str(exc))
+            continue
+        assert parse_expr(render_text(e)) == e, text
+        outcomes.append(render_text(e))
+        parsed += 1
+    assert 0 < parsed < len(outcomes)
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "362bae220ca2b01e87f9de87ed376d5e69ccd370e70ec7d0262bd6248586c3e7"

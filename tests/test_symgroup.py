@@ -17,7 +17,6 @@ from symsod.symgroup import (
     symmetric_group,
     trivial_module,
     validate_subgroup,
-    young_coset_reps,
     young_subgroup,
 )
 
@@ -57,34 +56,6 @@ def test_cycle_type_examples():
 def test_young_subgroup_order():
     assert len(young_subgroup(YoungPair(4, 2))) == math.factorial(2) * math.factorial(2)
     assert len(young_subgroup(YoungPair(5, 0))) == math.factorial(5)
-
-
-def test_coset_reps_trivial_quotient():
-    assert young_coset_reps(YoungPair(4, 0)) == [Permutation.identity(4)]
-    assert young_coset_reps(YoungPair(4, 4)) == [Permutation.identity(4)]
-
-
-def test_coset_reps_degree_2():
-    reps = young_coset_reps(YoungPair(2, 1))
-    assert len(reps) == 2
-    assert reps[0] == Permutation.identity(2)
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_coset_reps_exhaustive_properties(n):
-    for i in range(n + 1):
-        pair = YoungPair(n, i)
-        reps = young_coset_reps(pair)
-        subgroup = set(young_subgroup(pair))
-        assert len(reps) == math.comb(n, i)
-        assert reps[0] == Permutation.identity(n)
-        # pairwise distinct cosets
-        for j, a in enumerate(reps):
-            for b in reps[j + 1 :]:
-                assert a.inverse() * b not in subgroup
-        # lexicographically minimal in their coset
-        for rep in reps:
-            assert rep.images == min((rep * h).images for h in subgroup)
 
 
 def test_validate_subgroup_rejects_non_closed():
