@@ -117,10 +117,13 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _parse_betti(text: str) -> BettiVector:
-    pieces = text.split(",")
-    if len(pieces) != 5:
+    try:
+        values = [int(p) for p in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != 5:
         raise ValueError(f"--betti needs five comma-separated integers, got {text!r}")
-    return BettiVector(*(int(p) for p in pieces))
+    return BettiVector(*values)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:

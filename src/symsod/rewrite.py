@@ -16,18 +16,12 @@ Rules, applied until every component is a product of atoms:
 * R7  sym(n, -) of a bullet, phantom, surface, or opaque leaf stays an
       opaque sym-power atom carrying its arity.
 
-Everything is pure and deterministic; an optional trace records, for each
-R1 block, its count C(n, i) of upstairs summands (one per coset of the
-Young subgroup) so that verification can compare the engine's binomials
-against the coset enumeration; each distinct power records them once.
+Everything is pure and deterministic.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
 
 from .expr import (
     Atom,
@@ -47,15 +41,6 @@ from .expr import (
     sort_key,
 )
 from .partitions import multiplicity_vectors, partition_count
-
-
-@dataclass(frozen=True)
-class BlockTrace:
-    """One R1 block: arity n, block index i, and its C(n, i) summand count."""
-
-    arity: int
-    block: int
-    summands: int
 
 
 def bullet_of(factors: list[CatExpr]) -> CatExpr:
@@ -115,10 +100,9 @@ def _merge_equal(entries: Entries) -> Entries:
 
 
 class _Expansion:
-    """One expand call: its bracketing, its trace, and a memo of the Sym nodes it expanded."""
+    """One expand call: its bracketing and a memo of the Sym nodes it expanded."""
 
-    def __init__(self, trace: Optional[list[BlockTrace]], split_head: bool) -> None:
-        self.trace = trace
+    def __init__(self, split_head: bool) -> None:
         self.split_head = split_head
         self.memo: dict[Sym, Entries] = {}
 
@@ -176,42 +160,38 @@ class _Expansion:
         for k in range(len(ends) - 2, -1, -1):
             first, second = (powers[k], acc) if self.split_head else (acc, powers[k])
             arities = range(n + 1) if k else (n,)
-            acc = [self._blocks(first, second, m, inner.orthogonal) for m in arities]
+            acc = [_blocks(first, second, m, inner.orthogonal) for m in arities]
         return acc[-1]
 
-    def _blocks(self, first: list[Entries], second: list[Entries], m: int, orth: bool) -> Entries:
-        """sym(m) of a two-term SOD from its terms' powers; block i is first[m-i] * second[i]."""
-        if self.trace is not None and m >= 2:
-            self.trace.extend(BlockTrace(m, i, math.comb(m, i)) for i in range(m + 1))
-        entries: Entries = []
-        for i in range(m + 1):
-            entries += _product(first[m - i], second[i])
-        return _merge_equal(entries) if orth else entries
+
+def _blocks(first: list[Entries], second: list[Entries], m: int, orth: bool) -> Entries:
+    """sym(m) of a two-term SOD from its terms' powers; block i is first[m-i] * second[i]."""
+    entries: Entries = []
+    for i in range(m + 1):
+        entries += _product(first[m - i], second[i])
+    return _merge_equal(entries) if orth else entries
 
 
-def _components(e: CatExpr, trace: Optional[list[BlockTrace]], split_head: bool) -> ComponentList:
-    entries = _Expansion(trace, split_head).expand(canonicalize(e))
+def _components(e: CatExpr, split_head: bool) -> ComponentList:
+    entries = _Expansion(split_head).expand(canonicalize(e))
     return ComponentList(tuple((Component.of(atoms), mult) for atoms, mult in entries))
 
 
-def expand(e: CatExpr, trace: Optional[list[BlockTrace]] = None) -> ComponentList:
+def expand(e: CatExpr) -> ComponentList:
     """Fully expand an expression into an ordered list of atomic components.
 
     Never fails: subterms with no applicable rule become opaque sym-power
     atoms.  Completely orthogonal repetitions aggregate into multiplicities;
     blocks that are only semi-orthogonal stay as separate entries even when
     their components coincide.
-
-    ``trace`` gets the blocks of each distinct power once, the outermost
-    power's last: sym(4, sod(pt, curve(1), pt, curve(1))) records 29.
     """
-    return _components(e, trace, split_head=True)
+    return _components(e, split_head=True)
 
 
-def expand_tail_first(e: CatExpr, trace: Optional[list[BlockTrace]] = None) -> ComponentList:
+def expand_tail_first(e: CatExpr) -> ComponentList:
     """Like :func:`expand` but bracketing long SODs tail-first.
 
     Exists so verification can confirm that the two bracketings agree up to
     reordering (they are not required to agree as ordered lists).
     """
-    return _components(e, trace, split_head=False)
+    return _components(e, split_head=False)

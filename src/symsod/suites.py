@@ -1,6 +1,6 @@
 """Named verification suites behind ``symsod verify``: the one home of each law.
 
-``SUITES`` maps a suite name to its checks: enumeration counts, series
+``SUITES`` maps a suite name to its checks by name: enumeration counts, series
 identities, coset bookkeeping, Frobenius reciprocity, canonical-form laws,
 expansion laws, invariant cross-checks and the parser round trip.  A check
 is a body ``(max_n, seed) -> (detail, cases)`` registered once with
@@ -26,6 +26,7 @@ from . import grammar, invariants, rewrite, symgroup
 from .expr import (
     Bullet,
     CatExpr,
+    Component,
     Curve,
     Opaque,
     PHANTOM,
@@ -37,7 +38,6 @@ from .expr import (
     betti_of,
     canonicalize,
     make_preset,
-    ruled_betti,
     surface_literal,
 )
 from .partitions import (
@@ -68,7 +68,7 @@ class CheckResult:
 
 Check = Callable[[Optional[int], int], CheckResult]
 
-SUITES: dict[str, list[Check]] = {}
+SUITES: dict[str, dict[str, Check]] = {}
 
 
 class _Failed(Exception):
@@ -93,7 +93,7 @@ def _check(suite: str, name: str, unit: str = "case") -> Callable[[Callable], Ch
                 return CheckResult(suite, name, False, f"no {unit} examined ({detail})")
             return CheckResult(suite, name, True, detail)
 
-        SUITES.setdefault(suite, []).append(check)
+        SUITES.setdefault(suite, {})[name] = check
         return check
 
     return register
@@ -269,6 +269,9 @@ def _check_coset_reps(max_n: Optional[int], _seed: int) -> tuple[str, int]:
                 raise _Failed(f"|reps({n},{i})| = {len(reps)} != C({n},{i})")
             if reps[0] != symgroup.Permutation.identity(n):
                 raise _Failed(f"first rep {reps[0]} of ({n},{i}) is not the identity")
+            images = {frozenset(r(k) for k in range(n - i + 1, n + 1)) for r in reps}
+            if len(images) != len(reps):
+                raise _Failed(f"top-block images not distinct for ({n},{i})")
             subgroup = set(symgroup.young_subgroup(pair))
             for j, a in enumerate(reps):
                 for b in reps[j + 1 :]:
@@ -278,21 +281,11 @@ def _check_coset_reps(max_n: Optional[int], _seed: int) -> tuple[str, int]:
                 best = min((rep * h).images for h in subgroup)
                 if best != rep.images:
                     raise _Failed(f"rep {rep} is not lex-minimal in its coset for ({n},{i})")
-    return f"C(n,i) pairwise-distinct lex-minimal representatives for n <= {top}", cases
-
-
-@_check("symgroup", "subset-bijection")
-def _check_subset_bijection(max_n: Optional[int], _seed: int) -> tuple[str, int]:
-    top = _bound(7, max_n)
-    cases = 0
-    for n in range(1, top + 1):
-        for i in range(n + 1):
-            cases += 1
-            reps = symgroup.young_coset_reps(symgroup.YoungPair(n, i))
-            images = {frozenset(r(k) for k in range(n - i + 1, n + 1)) for r in reps}
-            if len(images) != math.comb(n, i):
-                raise _Failed(f"top-block images not distinct for ({n},{i})")
-    return f"rep -> image of top block is a bijection onto i-subsets for n <= {top}", cases
+    return (
+        f"C(n,i) pairwise-distinct lex-minimal representatives, with distinct "
+        f"top-block images, for n <= {top}",
+        cases,
+    )
 
 
 _RANDOM_MODULES_PER_PAIR = 20
@@ -433,34 +426,58 @@ def _check_preset_betti(_max_n: Optional[int], _seed: int) -> tuple[str, int]:
 # rewrite
 
 
-@_check("rewrite", "exceptional-count-law")
-def _check_exceptional_count_law(max_n: Optional[int], _seed: int) -> tuple[str, int]:
+@_check("rewrite", "count-law")
+def _check_count_law(max_n: Optional[int], _seed: int) -> tuple[str, int]:
     top = _bound(12, max_n)
-    for l in range(1, 6):
-        sod = Sod(tuple([POINT] * l)) if l >= 2 else POINT
+    # (kind, parts, base): l points; ruled(g) = sod(curve(g), curve(g)); and
+    # fakeP2(l) = sod(pt x (l+2), phantom), whose phantom powers each count once
+    bases = [("points", l, Sod((POINT,) * l) if l > 1 else POINT) for l in range(1, 6)]
+    bases += [("curves", 2, make_preset("ruled", g)) for g in range(3)]
+    bases += [("fake", l + 2, make_preset("fakeP2", l)) for l in range(1, 4)]
+    for kind, parts, base in bases:
         for n in range(top + 1):
-            components = rewrite.expand(Sym(n, sod))
-            if not components.is_purely_exceptional():
-                raise _Failed(f"non-point component for n={n}, l={l}")
-            if components.total_multiplicity() != q_length(n, l):
-                raise _Failed(f"count {components.total_multiplicity()} != q({n};{l})")
+            e = Sym(n, base)
+            components = rewrite.expand(e)
+            if kind == "fake":
+                expected = sum(q_length(n - k, parts) for k in range(n + 1))
+            else:
+                expected = q_length(n, parts)
+                factors = [f for comp, _ in components for f in comp.factors]
+                if not all(isinstance(f, (Curve, SymCurve)) or f == POINT for f in factors):
+                    raise _Failed(f"non-curve-power factor in {e}")
+            if components.total_multiplicity() != expected:
+                raise _Failed(f"{e}: count {components.total_multiplicity()} != {expected}")
+            if kind == "points":
+                report = invariants.invariant_report(e)
+                lengths = (report.exceptional_length, report.euler, report.hh_total)
+                if lengths != (expected,) * 3:
+                    raise _Failed(f"{e}: length, euler, hh {lengths} != {expected}")
     return (
-        f"sym(n, l points) has exactly q(n;l) point components for n <= {top}, l <= 5",
-        5 * (top + 1),
+        f"sym(n, -) has q(n;l) points (= length = euler = hh) for l <= 5 points, q(n;2) "
+        f"curve powers for ruled(0..2), sum q(n-k;l+2) components for fakeP2(1..3), n <= {top}",
+        len(bases) * (top + 1),
     )
 
 
-@_check("rewrite", "order-law")
-def _check_order_law(max_n: Optional[int], _seed: int) -> tuple[str, int]:
+def _power(k: int, x: CatExpr) -> list[CatExpr]:
+    return [] if k == 0 else [x] if k == 1 else [SymPower(k, x)]
+
+
+@_check("rewrite", "block-law")
+def _check_block_law(max_n: Optional[int], _seed: int) -> tuple[str, int]:
     top = _bound(8, max_n)
     a, b = Opaque("A"), Opaque("B")
-    arities = range(2, top + 1)
+    arities = range(2, top + 1)  # sym(0, -) and sym(1, -) are R5 and R6, not R1
     for n in arities:
-        entries = rewrite.expand(Sym(n, Sod((a, b)))).entries
-        first, last = entries[0][0], entries[-1][0]
-        if first.factors != (SymPower(n, a),) or last.factors != (SymPower(n, b),):
-            raise _Failed(f"blocks out of order for n={n}: {first} ... {last}")
-    return f"pure-A block first and pure-B block last for n <= {top}", len(arities)
+        components = rewrite.expand(Sym(n, Sod((a, b))))
+        blocks = tuple((Component.of(_power(n - i, a) + _power(i, b)), 1) for i in range(n + 1))
+        if components.entries != blocks:
+            raise _Failed(f"sym({n}, sod(A, B)) = {components}")
+    return (
+        f"sym(n, sod(A, B)) is the blocks sym^(n-i)A . sym^i B, i = 0..n, each x1, "
+        f"for 2 <= n <= {top}",
+        len(arities),
+    )
 
 
 _BRACKETING_TRIPLES = (
@@ -492,120 +509,28 @@ def _check_bracketing_independence(max_n: Optional[int], _seed: int) -> tuple[st
     )
 
 
-@_check("rewrite", "coset-count-shadow")
-def _check_coset_count_shadow(max_n: Optional[int], _seed: int) -> tuple[str, int]:
-    top = _bound(7, max_n)
-    a, b = Opaque("A"), Opaque("B")
-    # n = 1 never reaches the block rule (sym(1, -) is the identity), so its
-    # coset counts C(1, i) = 1 are checked against the enumeration directly.
-    for i in (0, 1):
-        if len(symgroup.young_coset_reps(symgroup.YoungPair(1, i))) != 1:
-            raise _Failed(f"C(1,{i}) cosets != 1")
-    arities = range(2, top + 1)
-    for n in arities:
-        trace: list[rewrite.BlockTrace] = []
-        rewrite.expand(Sym(n, Sod((a, b))), trace)
-        top_level = [t for t in trace if t.arity == n]
-        if len(top_level) != n + 1:
-            raise _Failed(f"expected {n + 1} blocks at n={n}")
-        for record in top_level:
-            reps = symgroup.young_coset_reps(symgroup.YoungPair(n, record.block))
-            if record.summands != len(reps):
-                raise _Failed(
-                    f"block {record.block} of n={n}: {record.summands} != {len(reps)} cosets"
-                )
-    return (
-        f"per-block summand counts match the coset enumeration for n <= {top}",
-        2 + len(arities),
-    )
-
-
-@_check("rewrite", "ruled-law")
-def _check_ruled_law(max_n: Optional[int], _seed: int) -> tuple[str, int]:
-    top = _bound(8, max_n)
-    for g in (0, 1, 2):
-        ruled = make_preset("ruled", g)
-        for n in range(1, top + 1):
-            components = rewrite.expand(Sym(n, ruled))
-            expected = sum(
-                partition_count(n - i) * partition_count(i) for i in range(n + 1)
-            )
-            if components.total_multiplicity() != expected:
-                raise _Failed(
-                    f"count {components.total_multiplicity()} != {expected} for g={g}, n={n}"
-                )
-            for comp, _ in components:
-                if not all(isinstance(f, (Curve, SymCurve)) or f == POINT for f in comp.factors):
-                    raise _Failed(f"non-curve-power factor in {comp} for g={g}, n={n}")
-    return (
-        f"sym(n, ruled(g)) has sum p(n-i)p(i) curve-power components for n <= {top}",
-        3 * top,
-    )
-
-
 # ---------------------------------------------------------------------------
 # invariants
 
 
-@_check("invariants", "euler-two-path")
-def _check_euler_two_path(max_n: Optional[int], _seed: int) -> tuple[str, int]:
+@_check("invariants", "goettsche-two-path")
+def _check_goettsche_two_path(max_n: Optional[int], _seed: int) -> tuple[str, int]:
     top = _bound(10, max_n)
-    p2 = make_preset("P2")
-    series = gottsche_series(BettiVector(1, 0, 1, 0, 1), top)
-    for n in range(1, top + 1):
-        expanded = invariants.euler_char(Sym(n, p2))
-        analytic = series.q_coefficient_at(n, -1)
-        if expanded != analytic:
-            raise _Failed(f"n={n}: expansion {expanded} != Goettsche {analytic}")
-    return f"expansion Euler = Goettsche z=-1 for the plane, n <= {top}", top
-
-
-@_check("invariants", "hh-two-path")
-def _check_hh_two_path(max_n: Optional[int], _seed: int) -> tuple[str, int]:
-    top = _bound(8, max_n)
-    for g in (0, 1, 2):
-        ruled = make_preset("ruled", g)
-        series = gottsche_series(ruled_betti(g), top)
+    bases = [make_preset("P2"), make_preset("blowup", make_preset("P2"))]
+    bases += [make_preset("ruled", g) for g in range(3)]
+    bases += [make_preset("fakeP2", l) for l in range(1, 4)]
+    for base in bases:
+        series = gottsche_series(betti_of(base), top)
         for n in range(1, top + 1):
-            expanded = invariants.hh_total_dim(Sym(n, ruled))
-            analytic = series.q_coefficient_at(n, 1)
+            e = Sym(n, base)
+            expanded = (invariants.euler_char(e), invariants.hh_total_dim(e))
+            analytic = (series.q_coefficient_at(n, -1), series.q_coefficient_at(n, 1))
             if expanded != analytic:
-                raise _Failed(
-                    f"g={g}, n={n}: curve-power pipeline {expanded} != Goettsche {analytic}"
-                )
-    return f"curve-power + Macdonald HH = Goettsche z=1 for ruled(0..2), n <= {top}", 3 * top
-
-
-@_check("invariants", "exceptional-equalities")
-def _check_exceptional_equalities(max_n: Optional[int], _seed: int) -> tuple[str, int]:
-    top = _bound(6, max_n)
-    corpus: list[CatExpr] = [make_preset("P1"), make_preset("P2"), Sod((POINT, POINT, POINT, POINT))]
-    corpus.extend(Sym(n, make_preset("P1")) for n in range(top + 1))
-    corpus.extend(Sym(n, make_preset("P2")) for n in range(top + 1))
-    for e in corpus:
-        report = invariants.invariant_report(e)
-        if report.exceptional_length is None:
-            raise _Failed(f"{e} should be exceptional")
-        if not (report.exceptional_length == report.euler == report.hh_total):
-            raise _Failed(f"{e}: {report.exceptional_length} / {report.euler} / {report.hh_total}")
-    return "length = euler = hh on the purely exceptional corpus", len(corpus)
-
-
-@_check("invariants", "blowup-formula")
-def _check_blowup_formula(max_n: Optional[int], _seed: int) -> tuple[str, int]:
-    top = _bound(8, max_n)
-    blown = gottsche_series(BettiVector(1, 0, 2, 0, 1), max(top, 1))
-    blowup_sod = make_preset("blowup", make_preset("P2"))
-    for n in range(1, top + 1):
-        e = Sym(n, blowup_sod)
-        if invariants.hh_total_dim(e) != blown.q_coefficient_at(n, 1):
-            raise _Failed(f"hh mismatch at n={n}")
-        if invariants.euler_char(e) != blown.q_coefficient_at(n, -1):
-            raise _Failed(f"euler mismatch at n={n}")
+                raise _Failed(f"{e}: expansion (euler, hh) {expanded} != Goettsche {analytic}")
     return (
-        f"block-sum invariants of hilb(n, blowup(P2)) match the blown-up surface "
-        f"series for n <= {top}",
-        top,
+        f"expansion euler and hh = Goettsche at z=-1 and z=1 for P2, blowup(P2), "
+        f"ruled(0..2) and fakeP2(1..3), n <= {top}",
+        len(bases) * top,
     )
 
 
@@ -656,9 +581,9 @@ def run_suites(name: str = "all", max_n: Optional[int] = None, seed: int = 0) ->
     if max_n is not None and max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     if name == "all":
-        checks = [check for suite in SUITES.values() for check in suite]
+        checks = [check for suite in SUITES.values() for check in suite.values()]
     elif name in SUITES:
-        checks = SUITES[name]
+        checks = list(SUITES[name].values())
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
     return [check(max_n, seed) for check in checks]

@@ -158,6 +158,12 @@ def test_table_gottsche_bad_betti(capsys):
     assert run_cli("table", "gottsche", "--betti", "1,2,3") == 2
 
 
+def test_table_gottsche_non_integer_betti(capsys):
+    assert run_cli("table", "gottsche", "--betti", "1,a,1,0,1") == 2
+    err = capsys.readouterr().err
+    assert err == "error: --betti needs five comma-separated integers, got '1,a,1,0,1'\n"
+
+
 def test_verify_single_suite(capsys):
     assert run_cli("verify", "--suite", "combinatorics", "--max-n", "8") == 0
     out = capsys.readouterr().out
@@ -180,11 +186,11 @@ def test_verify_rejects_max_n_below_1(capsys, suite, max_n):
 
 
 def test_verify_fails_a_check_that_examines_no_case(capsys):
-    # order-law starts at n = 2, so a cap of 1 leaves it nothing to compare
+    # block-law starts at n = 2, so a cap of 1 leaves it nothing to compare
     assert run_cli("verify", "--suite", "rewrite", "--max-n", "1") == 1
     out = capsys.readouterr().out
-    assert "[FAIL] rewrite:order-law -- no case examined" in out
-    assert "passed 4/5 checks" in out
+    assert "[FAIL] rewrite:block-law -- no case examined" in out
+    assert "passed 2/3 checks" in out
 
 
 def test_verify_reports_a_broken_law(monkeypatch, capsys):

@@ -94,13 +94,13 @@ def test_cli_stdout_digest(text):
 
 # SHA-256 of the ``verify`` stdout, with the exit code it comes with.
 VERIFY_DIGESTS = {
-    "--max-n 3": (0, "0477fa33be8d6992292f88f3b5650bfdb61585f27d70ab8aa5783aced5c7542d"),
+    "--max-n 3": (0, "ef0ecad8285e85acbeac63e187d1cd78749f65e5dee961b58f496699f6f6d00c"),
     "--max-n 3 --format json": (
-        0, "9bcef8991890561e5ec5888ba57a2cd19f30545c37aded50cf66ef63caaf4830"
+        0, "c6e20a1f59863ba42ded50afc38e1ed4a78db7661d4cb4d6f5749cac7afeb8b3"
     ),
-    # order-law examines no case under a cap of 1 and fails
+    # block-law examines no case under a cap of 1 and fails
     "--suite rewrite --max-n 1": (
-        1, "320004b01c4dede1731b3c28ce20de0086e8c41825ad925fe8b0fc35fc429711"
+        1, "9669fcdb862229f0cc9a208dd534b6ca625ec772432a74831c4d80a942174997"
     ),
 }
 

@@ -133,16 +133,3 @@ def test_declared_opaque_invariants_multiply():
     e = Bullet((Opaque("A", euler=3, hh=5), Curve(1)))
     assert euler_char(e) == 3 * 0
     assert hh_total_dim(e) == 5 * 4
-
-
-def test_hh_two_path_genus_two_exercises_odd_betti():
-    # the ruled surface over a genus-2 curve has b1 = b3 = 4; this drives the
-    # odd-cohomology factors of the Hilbert-scheme series, which the pure
-    # curve-power pipeline never touches
-    from symsod.expr import ruled_betti
-
-    series = gottsche_series(ruled_betti(2), 5)
-    ruled2 = make_preset("ruled", 2)
-    for n in range(1, 6):
-        assert hh_total_dim(Sym(n, ruled2)) == series.q_coefficient_at(n, 1)
-        assert euler_char(Sym(n, ruled2)) == series.q_coefficient_at(n, -1)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from symsod import rewrite
 from symsod.expr import (
     Bullet,
     Component,
@@ -15,7 +16,7 @@ from symsod.expr import (
     SymPower,
 )
 from symsod.partitions import partition_count, q_length
-from symsod.rewrite import BlockTrace, expand, expand_tail_first
+from symsod.rewrite import expand, expand_tail_first
 
 A, B, C = Opaque("A"), Opaque("B"), Opaque("C")
 
@@ -76,14 +77,23 @@ def test_bracketing_ordered_equality_not_required():
 
 
 @pytest.mark.parametrize("engine", [expand, expand_tail_first])
-def test_trace_records_each_power_of_a_sod_once(engine):
-    # the first n + 1 records are the outermost blocks; after them, each
-    # sym(m, sod(.., ..)) of the two-term rest (m >= 2) adds its m + 1 blocks once
-    for n in range(2, 7):
-        trace: list[BlockTrace] = []
-        engine(Sym(n, Sod((A, B, C))), trace)
-        assert trace[-(n + 1) :] == [BlockTrace(n, i, math.comb(n, i)) for i in range(n + 1)]
-        assert len(trace) == (n + 1) + sum(m + 1 for m in range(2, n + 1))
+def test_one_expand_call_expands_each_power_once(monkeypatch, engine):
+    # each sym(m, X) is computed once per call; with the repeated parts of
+    # sod(A, B, A, B), a call without the memo computes sym(m, A) twice
+    real = rewrite._Expansion._sym
+    computed = []
+
+    def counted(self, n, inner):
+        computed.append((n, inner))
+        return real(self, n, inner)
+
+    monkeypatch.setattr(rewrite._Expansion, "_sym", counted)
+    for sod in (Sod((A, B, C)), Sod((A, B, A, B))):
+        for n in range(2, 7):
+            computed.clear()
+            engine(Sym(n, sod))
+            assert (n, sod) in computed
+            assert len(computed) == len(set(computed)), sorted(computed, key=str)
 
 
 def test_long_sod_does_not_recurse_per_part():
@@ -137,18 +147,6 @@ def test_expand_never_fails_on_awkward_nesting():
     components = expand(weird)
     assert components.total_multiplicity() >= 1
     assert all(mult >= 1 for _, mult in components)
-
-
-def test_fake_plane_expansion_count_law():
-    # sym(n, sod((l+2) points, phantom)) splits the arity between the point
-    # part and phantom powers: total count is sum_k q(n-k; l+2)
-    from symsod.expr import make_preset
-
-    for l in (1, 2, 3):
-        fake = make_preset("fakeP2", l)
-        for n in range(1, 7):
-            expected = sum(q_length(n - k, l + 2) for k in range(n + 1))
-            assert expand(Sym(n, fake)).total_multiplicity() == expected
 
 
 def test_components_are_a_fixed_point_of_expansion():

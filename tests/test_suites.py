@@ -1,8 +1,8 @@
 """Every check of every ``symsod verify`` suite, once, at its full ranges.
 
 The suites are the one place each law is checked; this module turns each
-check into one test id, ``<suite>:<check>``.  Two checks also carry a
-wall-clock budget.
+check into one test id, ``<suite>:<check>``, the name ``verify`` prints.
+Two checks also carry a wall-clock budget.
 """
 
 import time
@@ -11,21 +11,19 @@ import pytest
 
 from symsod.suites import SUITES
 
-CHECKS = [(suite, check) for suite, checks in SUITES.items() for check in checks]
+CHECKS = {
+    f"{suite}:{name}": check for suite, checks in SUITES.items() for name, check in checks.items()
+}
 
 BUDGETS_S = {"series:eta-euler-product": 1.0, "frobenius:induction-invariance": 60.0}
 
 
-@pytest.mark.parametrize(
-    "suite, check",
-    CHECKS,
-    ids=[f"{suite}:{check.__name__.removeprefix('_check_')}" for suite, check in CHECKS],
-)
-def test_suite_check(suite, check):
+@pytest.mark.parametrize("check_id", CHECKS)
+def test_suite_check(check_id):
     start = time.perf_counter()
-    result = check(None, 0)
+    result = CHECKS[check_id](None, 0)
     elapsed = time.perf_counter() - start
-    assert result.suite == suite
+    assert f"{result.suite}:{result.name}" == check_id
     assert result.ok, result.detail
-    budget = BUDGETS_S.get(f"{result.suite}:{result.name}")
+    budget = BUDGETS_S.get(check_id)
     assert budget is None or elapsed < budget, f"{elapsed:.2f}s over the {budget}s budget"
