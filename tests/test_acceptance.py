@@ -2,8 +2,8 @@
 
 C01, C07 and C08-C11 only re-ran a verify suite check, so they run in
 ``test_suites.py`` with every other check: C01 (the Euler-product identity,
-with its 1.0 s budget) is ``test_suite_check[series:eta-euler-product]`` and
-C07 (the phantom audit) is ``test_suite_check[invariants:phantom-audit]``.
+with its 1.0 s budget) is ``test_suite_check[series:eta_euler_product]`` and
+C07 (the phantom audit) is ``test_suite_check[invariants:phantom_audit]``.
 
 Everything here is exact integer equality; the only tolerances are the
 stated wall-clock budgets, which are asserted where required.
