@@ -17,6 +17,8 @@ here deliberately stays independent of both.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import threading
 from typing import Iterator
 
@@ -73,15 +75,6 @@ def partition_count(n: int) -> int:
     return _P_TABLE[n]
 
 
-def _iter_weak_compositions(n: int, l: int) -> Iterator[tuple[int, ...]]:
-    if l == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _iter_weak_compositions(n - first, l - 1):
-            yield (first,) + rest
-
-
 def weak_compositions(n: int, l: int) -> list[tuple[int, ...]]:
     """All length-``l`` weak compositions of ``n``, lexicographically ordered.
 
@@ -91,7 +84,12 @@ def weak_compositions(n: int, l: int) -> list[tuple[int, ...]]:
         raise ValueError(f"n must be >= 0, got {n}")
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    return list(_iter_weak_compositions(n, l))
+    # stars and bars: lexicographic bar positions give lexicographic compositions
+    ends = n + l - 1
+    return [
+        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, ends)))
+        for bars in itertools.combinations(range(ends), l - 1)
+    ]
 
 
 _Q_CACHE: dict[tuple[int, int], int] = {}
@@ -100,27 +98,35 @@ _Q_CACHE: dict[tuple[int, int], int] = {}
 def q_length(n: int, l: int) -> int:
     """``q(n; l)``: sum of ``p(i_1)*...*p(i_l)`` over weak compositions of n.
 
-    Computed literally from the composition sum (with memoization), not from
-    the convolution recurrence -- the recurrence and the Euler-product
-    coefficient are kept as independent cross-checks.
+    Computed literally, one term per composition: a depth-first walk over
+    the first l - 2 parts carries their product, and the inner loop sums the
+    last two.  The convolution recurrence and the Euler-product coefficient
+    stay independent cross-checks.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    key = (n, l)
-    cached = _Q_CACHE.get(key)
-    if cached is not None:
-        return cached
+    if (n, l) in _Q_CACHE:
+        return _Q_CACHE[n, l]
     partition_count(n)  # warm the p table once
-    p = _P_TABLE
-    total = 0
-    for comp in _iter_weak_compositions(n, l):
-        prod = 1
-        for i in comp:
-            prod *= p[i]
-        total += prod
-    _Q_CACHE[key] = total
+    p = _P_TABLE[: n + 1]
+    backwards = p[::-1]
+    depth = l - 2
+    # rest[k], prod[k]: what the first k parts leave of n, and their p-product
+    rest, prod = [n] * (depth + 1) + [0], [1] * (depth + 1)
+    total = p[n] if l == 1 else 0
+    while l > 1:
+        total += prod[depth] * sum(map(operator.mul, p, backwards[n - rest[depth] :]))
+        k = rest.index(0) - 1  # the last part that can grow (rest falls to a closing 0)
+        if k < 1:
+            break
+        r = rest[k] - 1
+        f = prod[k - 1] * p[rest[k - 1] - r]
+        for j in range(k, depth + 1):  # later parts start again at 0
+            rest[j] = r
+            prod[j] = f
+    _Q_CACHE[n, l] = total
     return total
 
 

@@ -7,7 +7,9 @@ dicts; negative z-exponents are allowed so the same carrier serves graded
 invariants).
 
 On top of the ring operations the module provides three generating
-functions used as analytic oracles by the rest of the package:
+functions used as analytic oracles by the rest of the package (the two
+products share one kernel, ``_product``, that applies one binomial factor
+at a time, in place, to dense coefficient rows):
 
 * :func:`eta_inverse_power` -- the Euler product ``prod (1 - q^m)^(-l)``
   whose q^n coefficient is ``q(n; l)``,
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 LaurentPoly = dict[int, int]
 
@@ -79,15 +82,6 @@ class BettiVector:
         return {i: b for i, b in enumerate(self.as_tuple()) if b != 0}
 
 
-def _clean(coeffs: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
-    out: dict[int, LaurentPoly] = {}
-    for n, poly in coeffs.items():
-        nz = {e: c for e, c in poly.items() if c != 0}
-        if nz:
-            out[n] = nz
-    return out
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Integer series in q (truncated at order ``trunc``) and Laurent z."""
@@ -100,7 +94,8 @@ class TruncatedSeries:
             raise ValueError("truncation order must be >= 0")
         if any(n < 0 or n > self.trunc for n in self.coeffs):
             raise ValueError("stored q-degrees must lie in [0, trunc]")
-        object.__setattr__(self, "coeffs", _clean(self.coeffs))
+        clean = {n: {e: c for e, c in poly.items() if c} for n, poly in self.coeffs.items()}
+        object.__setattr__(self, "coeffs", {n: poly for n, poly in clean.items() if poly})
 
     @classmethod
     def one(cls, trunc: int) -> "TruncatedSeries":
@@ -155,38 +150,31 @@ class TruncatedSeries:
         return "\n".join(rows)
 
 
-def _binomial_plus_factor(trunc: int, z_exp: int, q_exp: int, power: int) -> TruncatedSeries:
-    """(1 + z^a q^m)^b truncated at q^trunc; the finite binomial expansion."""
-    coeffs: dict[int, LaurentPoly] = {}
-    for j in range(0, min(power, trunc // q_exp) + 1):
-        coeffs[j * q_exp] = {j * z_exp: math.comb(power, j)}
-    return TruncatedSeries(trunc, coeffs)
+def _product(trunc: int, z_slope: int, factors: Iterable[tuple[int, ...]]) -> TruncatedSeries:
+    """The product of ``(1 + s z^a q^m)^e`` over ``(a, m, s, e)``, s = +-1.
 
-
-def _binomial_inverse_factor(trunc: int, z_exp: int, q_exp: int, power: int) -> TruncatedSeries:
-    """(1 - z^a q^m)^(-b) truncated at q^trunc, via C(j + b - 1, j) coefficients."""
-    coeffs: dict[int, LaurentPoly] = {}
-    for j in range(0, trunc // q_exp + 1):
-        c = math.comb(j + power - 1, j) if power > 0 else (1 if j == 0 else 0)
-        if c:
-            coeffs[j * q_exp] = {j * z_exp: c}
-    return TruncatedSeries(trunc, coeffs)
+    Dense rows hold it, row n the z^0..z^(z_slope n) coefficients of q^n
+    (so a <= z_slope m).  A factor with e >= 0 multiplies the rows in place
+    from the top down, so that a row reads only rows not yet multiplied; one
+    with e < 0 divides them by ``(1 + s z^a q^m)^-e`` from the bottom up, so
+    that a row reads only rows already divided.
+    """
+    rows = [[0] * (z_slope * n + 1) for n in range(trunc + 1)]
+    rows[0][0] = 1
+    for a, m, s, e in factors:
+        sign = -1 if e < 0 else 1
+        coeffs = [sign * s**j * math.comb(abs(e), j) for j in range(min(abs(e), trunc // m) + 1)]
+        for n in range(m, trunc + 1) if e < 0 else range(trunc, m - 1, -1):
+            row = rows[n]
+            for j in range(1, min(len(coeffs), n // m + 1)):
+                c, src, lo = coeffs[j], rows[n - j * m], j * a
+                row[lo : lo + len(src)] = [d + c * x for d, x in zip(row[lo:], src)]
+    return TruncatedSeries(trunc, {n: dict(enumerate(row)) for n, row in enumerate(rows)})
 
 
 def euler_product_power(c: int, trunc: int) -> TruncatedSeries:
     """``prod_{m=1..trunc} (1 - q^m)^(-c)`` for any integer c (z-free)."""
-    result = TruncatedSeries.one(trunc)
-    for m in range(1, trunc + 1):
-        if c >= 0:
-            factor = _binomial_inverse_factor(trunc, 0, m, c)
-        else:
-            # positive power (1 - q^m)^(-c): finite alternating binomial
-            coeffs: dict[int, LaurentPoly] = {}
-            for j in range(0, min(-c, trunc // m) + 1):
-                coeffs[j * m] = {0: (-1) ** j * math.comb(-c, j)}
-            factor = TruncatedSeries(trunc, coeffs)
-        result = result * factor
-    return result
+    return _product(trunc, 0, ((0, m, -1, -c) for m in range(1, trunc + 1)))
 
 
 def eta_inverse_power(l: int, trunc: int) -> TruncatedSeries:
@@ -211,15 +199,13 @@ def gottsche_series(b: BettiVector, trunc: int) -> TruncatedSeries:
     """
     if trunc < 1:
         raise ValueError(f"truncation order must be >= 1, got {trunc}")
-    result = TruncatedSeries.one(trunc)
-    for m in range(1, trunc + 1):
-        for z_exp, power in ((2 * m - 1, b.b1), (2 * m + 1, b.b3)):
-            if power:
-                result = result * _binomial_plus_factor(trunc, z_exp, m, power)
-        for z_exp, power in ((2 * m - 2, b.b0), (2 * m, b.b2), (2 * m + 2, b.b4)):
-            if power:
-                result = result * _binomial_inverse_factor(trunc, z_exp, m, power)
-    return result
+    # b0..b4 come with z^(2m-2)..z^(2m+2); b0, b2, b4 are in the denominator
+    factors = (
+        (a, m, s, s * power)
+        for m in range(1, trunc + 1)
+        for a, s, power in zip(range(2 * m - 2, 2 * m + 3), (-1, 1, -1, 1, -1), b.as_tuple())
+    )
+    return _product(trunc, 4, factors)
 
 
 def macdonald_poincare(g: int, a: int) -> LaurentPoly:

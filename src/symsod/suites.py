@@ -79,7 +79,8 @@ def _check(suite: str, name: str, unit: str = "case") -> Callable[[Callable], Ch
     """Register a check body under ``suite:name``, in definition order.
 
     A success that examined no ``unit`` becomes a failure: a law checked
-    over an empty range shows nothing.
+    over an empty range shows nothing.  Any other exception raised by the
+    body fails the check with its type and message as the detail.
     """
 
     def register(body: Callable[[Optional[int], int], tuple[str, int]]) -> Check:
@@ -89,6 +90,8 @@ def _check(suite: str, name: str, unit: str = "case") -> Callable[[Callable], Ch
                 detail, cases = body(max_n, seed)
             except _Failed as failure:
                 return CheckResult(suite, name, False, str(failure))
+            except Exception as exc:  # a crashing check is a failed check, not a usage error
+                return CheckResult(suite, name, False, f"{type(exc).__name__}: {exc}")
             if cases < 1:
                 return CheckResult(suite, name, False, f"no {unit} examined ({detail})")
             return CheckResult(suite, name, True, detail)

@@ -136,6 +136,14 @@ def test_table_q_row(capsys):
     assert "1, 2, 5, 10, 20, 36" in out
 
 
+def test_table_q_with_a_very_long_collection(capsys):
+    # the composition walk is iterative: no recursion limit to hit
+    assert run_cli("table", "q", "--l", "2000", "--n", "1") == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "1, 2000"
+    assert captured.err == ""
+
+
 def test_table_q_requires_l(capsys):
     assert run_cli("table", "q") == 2
 
@@ -205,6 +213,18 @@ def test_verify_reports_a_broken_law(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] combinatorics:weak-composition-counts -- (2,2): 2 != C(3,1) = 3\n" in out
     assert "passed 3/4 checks" in out
+
+
+def test_verify_reports_a_check_that_raises(monkeypatch, capsys):
+    def boom(n, l):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(suites, "q_length", boom)
+    assert run_cli("verify", "--suite", "combinatorics") == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] combinatorics:q-recurrence -- ValueError: boom\n" in captured.out
+    assert "passed 3/4 checks" in captured.out
+    assert captured.err == ""
 
 
 def test_frobenius_battery_fails_when_it_compares_nothing():

@@ -2,10 +2,11 @@
 
 The digests pin the exact bytes that ``decompose`` and ``invariants`` print,
 in text and in JSON, for the ``exceptional-decompose`` benchmark cells and a
-few mixed inputs.  An engine change that reorders entries, merges them at a
-different point or renders them differently changes a digest.  Three more
-pin what ``verify`` prints, a passing run and a failing one, and one pins
-what the parser makes of seeded, mutated expression texts.
+few mixed inputs, and what ``table`` prints for the ``oracle-tables`` cells.
+An engine change that reorders entries, merges them at a different point or
+renders them differently changes a digest.  Three more pin what ``verify``
+prints, a passing run and a failing one, and one pins what the parser makes
+of seeded, mutated expression texts.
 """
 
 import contextlib
@@ -76,20 +77,22 @@ DIGESTS = {
 }
 
 
-def stdout_digest(text: str) -> str:
+def stdout_digest(*argvs: list[str]) -> str:
+    """SHA-256 of the stdouts of successful CLI runs, joined by NUL bytes."""
     outputs = []
-    for verb in ("decompose", "invariants"):
-        for fmt in ("text", "json"):
-            buffer = io.StringIO()
-            with contextlib.redirect_stdout(buffer):
-                assert cli.main([verb, text, "--format", fmt]) == 0
-            outputs.append(buffer.getvalue())
+    for argv in argvs:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert cli.main(argv) == 0
+        outputs.append(buffer.getvalue())
     return hashlib.sha256("\0".join(outputs).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("text", CORPUS)
 def test_cli_stdout_digest(text):
-    assert stdout_digest(text) == DIGESTS[text]
+    argvs = [[verb, text, "--format", fmt] for verb in ("decompose", "invariants")
+             for fmt in ("text", "json")]
+    assert stdout_digest(*argvs) == DIGESTS[text]
 
 
 # SHA-256 of the ``verify`` stdout, with the exit code it comes with.
@@ -111,6 +114,65 @@ def test_verify_stdout_digest(args):
     with contextlib.redirect_stdout(buffer):
         code = cli.main(["verify", *args.split()])
     assert (code, hashlib.sha256(buffer.getvalue().encode()).hexdigest()) == VERIFY_DIGESTS[args]
+
+
+# SHA-256 of the two stdouts (text, json) of ``table <args>``, joined by a NUL
+# byte, for every cell of the oracle-tables benchmark: q at each n of its l
+# bands, and Goettsche at n = 10..24 in both Betti strata (b1 = 0, and b1 in
+# 1..3; b2 in 1..60, drawn with random.Random(0)), the largest Betti vector of
+# the strata, and the two smallest tables.
+TABLE_DIGESTS = {
+    "q --l 3 --n 56": "d5543566fe342c5d8e2bcbb6a79b11c7dc6bb71cf01cc726864a50805752df4a",
+    "q --l 3 --n 57": "7a2e68459baaa183b7c6034fe20f1b32346f88696b71ffa64d70683b4373ced7",
+    "q --l 3 --n 58": "454f56878ecc8e3f370ed1cdc3d84038a64596def6e7f40188b954b340420393",
+    "q --l 3 --n 59": "310253ea5b68d7f3469fda025eec4bdfad69a20ae81cc23eec6469638caa5bab",
+    "q --l 3 --n 60": "86236843947d2e83999204f942f67d81db732dc9ba89bbb42c9780c1f839eb4d",
+    "q --l 4 --n 31": "b875569444b7cb2899590f4502812ca02ab41b49ee505fc4446252a395536fba",
+    "q --l 4 --n 32": "6bd6d1a9e9ebd39bab2539eb5e397188d21d637f5fd440cb98ab1e0ad9e99d5a",
+    "q --l 4 --n 33": "65cfc63a398aba23cb825a1e50a542e9058292691a146d9cbbd8b75dff990afa",
+    "q --l 5 --n 22": "4ddf2718099f3490610fe525f61006041522b62770a70f424e932b0092432b01",
+    "q --l 5 --n 23": "968d18e4655eaf845899dda7e1a92945329e7215e2758903de86987c7724d9ad",
+    "q --l 6 --n 17": "a63741d0bb02095d444984abb5e82a93f64845d39da05a4743074cfb630605c8",
+    "gottsche --betti 1,0,55,0,1 --n 10": "0afafb95dfcab8bb76d342d837f9591ac961d1c08ac830f8b6b818d0dc456622",
+    "gottsche --betti 1,2,49,2,1 --n 10": "8f7852615a9759a986a39f862ff9ade9fad8d2b1c1752c5f5c5284f355c95dad",
+    "gottsche --betti 1,0,57,0,1 --n 11": "fe10c6feb623e91745cafd72ef96b7d4b3b214b35e2c36093e6436b8b30da1d0",
+    "gottsche --betti 1,2,3,2,1 --n 11": "80c00e0aa5b6a82f2eb88d159140f5fc9b3bea7da63c75b570d05758480d2cb2",
+    "gottsche --betti 1,0,17,0,1 --n 12": "98a867e0460408ef55b1d3cf04efe340543f1d8f60c529881092f7f67be7cce1",
+    "gottsche --betti 1,3,32,3,1 --n 12": "18e9d872edd0e67121a84a7c94b8d1ad08fee412e839c78f7e4312af0663e3aa",
+    "gottsche --betti 1,0,26,0,1 --n 13": "f50cd0779363e55e7566fc79bf0774a9480d1792d04b0cd0d6fdfaaddcb1453e",
+    "gottsche --betti 1,2,31,2,1 --n 13": "006a10151412b8846ccf7ee80402b19178430844b100862dfcebb2441a570bc8",
+    "gottsche --betti 1,0,23,0,1 --n 14": "9425c6bebbc8f36cf40a84d6852a802d48c4a804753ed1f05e627e764e6456f6",
+    "gottsche --betti 1,3,58,3,1 --n 14": "42dc9baef925fe714d28b934629c6b43767090b2df61fb2442ac9cb2e82d7dde",
+    "gottsche --betti 1,0,59,0,1 --n 15": "2dcbbe6432284e3db1222c29d52409476e9112ce536ab6bf42193d053d8c123e",
+    "gottsche --betti 1,1,33,1,1 --n 15": "5b73f413160a7ce82000ae08496b08a13a11aec0d9e076eebdc9d19328914bb8",
+    "gottsche --betti 1,0,9,0,1 --n 16": "223969ec89fa5a30546f6295b5c12825b5eca925ba7e948acdc7d79ecca66411",
+    "gottsche --betti 1,2,9,2,1 --n 16": "36ec1b5bfef816e57d79e4fd109efa470e389777301b710ab8d488f40ae1f3d6",
+    "gottsche --betti 1,0,49,0,1 --n 17": "49b33f334ba5e8cc3a74d97e55e78ddce8e39d1c4c8ebdda8ed7d21261fe344d",
+    "gottsche --betti 1,1,40,1,1 --n 17": "3c8ab9efefe184fc1816c8cf58830a13e7132012cca8d537a3dd9dbbff6539d5",
+    "gottsche --betti 1,0,52,0,1 --n 18": "0ed4166cb93f0a535574581e939ed40c19a2c19392bb78cb0c3e09ea35bcbfe0",
+    "gottsche --betti 1,2,59,2,1 --n 18": "48281812e63741d59bc5004a1c68389cf15f151dafe9371f2167361cf735641f",
+    "gottsche --betti 1,0,35,0,1 --n 19": "0490031523efbe5e721addc4a3e0127c9987a41ba9a5ec3153e5274d2a9743d0",
+    "gottsche --betti 1,3,52,3,1 --n 19": "4ab9f318ae2a8246745c8839cbf9b9ea29b563d853b9412be1a3f99b643a7696",
+    "gottsche --betti 1,0,39,0,1 --n 20": "144963da4598906cbd62a2edd81976bbcd7314678bc48e997fcba760d37614af",
+    "gottsche --betti 1,1,20,1,1 --n 20": "0988780584a039038c48a582451fecb9e9523c2c54501284c1373b07f8abc0e2",
+    "gottsche --betti 1,0,7,0,1 --n 21": "b54faef569e616417e4737cc7eb43ef7747f9ca8d2276cc532666e79c94afc3a",
+    "gottsche --betti 1,3,5,3,1 --n 21": "f1d0e9384079213efe2b06799b3c586549d3a94caa507e2195680f10b964a559",
+    "gottsche --betti 1,0,58,0,1 --n 22": "7f261b2909a968e2e1cc376506fe2bc9125e57be67672b9aaba6c7ae1d445950",
+    "gottsche --betti 1,3,22,3,1 --n 22": "32caaf8d0cf713217e029fccb0ef91ec02df253262cd84395b31df7de9323f16",
+    "gottsche --betti 1,0,31,0,1 --n 23": "b8842785f48c7c0c57268b2d276c25bdb97512406a2cbaff94d7060dd882a1fc",
+    "gottsche --betti 1,3,7,3,1 --n 23": "f36b2378725fc08673f6d1f6ec9bdb7401359985dcee937b7dbe878fb0b3127e",
+    "gottsche --betti 1,0,23,0,1 --n 24": "1d05b65ebadb0ab504300058f8f2994f700e6950f3d9641d0c6d2e7c91e63f7e",
+    "gottsche --betti 1,2,21,2,1 --n 24": "6128f1e9ca2481a29d7aa6c9c1056e84861915b62030192bd12e293a5c31b94d",
+    "gottsche --betti 1,3,60,3,1 --n 24": "6b977a9b30b435f62e38b5332e916f900c35f97710cfd46f6a39833f56bdaf53",
+    "gottsche --betti 1,2,5,2,1 --n 0": "e3984018f953b28960844d360b59dbde168a2a0b19a63fd5e9eb496925239b75",
+    "gottsche --betti 1,2,5,2,1 --n 1": "d6471d16bdcb8f46b948002ec65b9a34521ea4eb39453a5390f4001761bfdeef",
+}
+
+
+@pytest.mark.parametrize("args", TABLE_DIGESTS)
+def test_table_stdout_digest(args):
+    argvs = [["table", *args.split(), "--format", fmt] for fmt in ("text", "json")]
+    assert stdout_digest(*argvs) == TABLE_DIGESTS[args]
 
 
 def test_orthogonal_sod_entries_in_order():

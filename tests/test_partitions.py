@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 from symsod.partitions import (
@@ -75,6 +78,21 @@ def test_q_length_2_3_by_hand():
     # compositions of 2 into 3 slots: three with a lone 2 (p(2) = 2 each)
     # and three with two 1s (product 1 each)
     assert q_length(2, 3) == 3 * 2 + 3 * 1 == 9
+
+
+def test_q_length_is_the_literal_composition_sum():
+    for n in range(13):
+        for l in range(1, 7):
+            compositions = weak_compositions(n, l)
+            literal = sum(math.prod(partition_count(i) for i in c) for c in compositions)
+            assert q_length(n, l) == literal, (n, l)
+
+
+def test_weak_compositions_in_lexicographic_order():
+    for n in range(6):
+        for l in range(1, 5):
+            expected = [c for c in itertools.product(range(n + 1), repeat=l) if sum(c) == n]
+            assert weak_compositions(n, l) == expected
 
 
 def test_multiplicity_vectors_weight_2():

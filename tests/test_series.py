@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from symsod.partitions import partition_count
@@ -119,3 +122,40 @@ def test_macdonald_euler_generating_identity():
             else:
                 expected = _math.comb(a - power - 1, a)
             assert poly_eval(macdonald_poincare(g, a), -1) == expected
+
+
+def _factor(trunc, z_exp, q_exp, coefficient):
+    """sum_j coefficient(j) z^(j z_exp) q^(j q_exp), truncated at q^trunc."""
+    terms = {j * q_exp: {j * z_exp: coefficient(j)} for j in range(trunc // q_exp + 1)}
+    return TruncatedSeries(trunc, terms)
+
+
+def _product_by_mul(trunc, factors):
+    """The product of (1 + sign z^a q^m)^power over (a, m, sign, power), by __mul__."""
+    result = TruncatedSeries.one(trunc)
+    for a, m, sign, power in factors:
+        if power >= 0:
+            factor = _factor(trunc, a, m, lambda j: sign**j * math.comb(power, j))
+        else:
+            factor = _factor(trunc, a, m, lambda j: (-sign) ** j * math.comb(j - power - 1, j))
+        result = result * factor
+    return result
+
+
+def test_product_kernel_equals_the_generic_product():
+    rng = random.Random(0)
+    vectors = [(0, 0, 0, 0, 0), (0, 3, 0, 3, 0), (2, 1, 5, 1, 2), (1, 0, 60, 0, 1)]
+    vectors += [(1, b1, rng.randint(0, 60), b1, 1) for b1 in (0, 0, 1, 2, 3)]
+    for b in vectors:
+        for trunc in range(1, 13):
+            factors = [
+                (a, m, sign, sign * betti)
+                for m in range(1, trunc + 1)
+                for a, sign, betti in zip(range(2 * m - 2, 2 * m + 3), (-1, 1, -1, 1, -1), b)
+            ]
+            expected = _product_by_mul(trunc, factors)
+            assert gottsche_series(BettiVector(*b), trunc) == expected, (b, trunc)
+    for c in range(-4, 9):
+        for trunc in range(1, 13):
+            factors = [(0, m, -1, -c) for m in range(1, trunc + 1)]
+            assert euler_product_power(c, trunc) == _product_by_mul(trunc, factors), (c, trunc)
