@@ -47,10 +47,10 @@ _MCKAY_NOTE = (
 
 
 def _component_dicts(pairs: Iterable[tuple[Component, int]]) -> list[dict]:
-    return [
-        {"factors": [render_text(a) for a in comp.factors], "multiplicity": mult}
-        for comp, mult in pairs
-    ]
+    """One dict per entry; entries with equal components share one factor list."""
+    pairs = list(pairs)
+    texts = {comp: [render_text(a) for a in comp.factors] for comp in {c for c, _ in pairs}}
+    return [{"factors": texts[comp], "multiplicity": mult} for comp, mult in pairs]
 
 
 def _expression_payload(text: str) -> tuple[dict, InvariantReport]:

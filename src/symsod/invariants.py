@@ -3,7 +3,10 @@
 Invariants are computed on the full expansion: the Euler characteristic and
 the total Hochschild dimension of an expression are the sums over its
 expanded components (with multiplicity) of the products over atomic
-factors.  Atom values:
+factors.  One report values each distinct atom once, takes each distinct
+component's product once, and totals its rows by multiplicity; the atoms
+sym^n(S) over one surface S read one Goettsche series, of order the largest
+such n.  Atom values:
 
 ====================  ===========================  =========================
 atom                  euler                        hh_total
@@ -28,9 +31,10 @@ not determine its grading in general, and nothing here needs it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .expr import (
     Atom,
@@ -49,80 +53,78 @@ from .expr import (
 )
 from .partitions import q_length
 from .rewrite import expand
-from .series import BettiVector, LaurentPoly, gottsche_series, macdonald_poincare, poly_eval
+from .series import BettiVector, gottsche_series, macdonald_poincare, poly_eval
 
 
-# The Macdonald polynomial of each sym^a(curve(g)) met so far, by (g, a); each
-# top-level call owns one, so the series runs once per (g, a) per call
-_CurvePowers = dict[tuple[int, int], LaurentPoly]
+# (euler, hh_total) of an atom or a component; None is unknown
+_Values = tuple[Optional[int], Optional[int]]
 
 
 @lru_cache(maxsize=None)
-def _hilb_poincare_value(betti: BettiVector, n: int, z: int) -> int:
-    """Poincare polynomial of Hilb^n evaluated at z, via Goettsche's formula."""
-    if n == 0:
-        return 1
-    series = gottsche_series(betti, n)
-    return series.q_coefficient_at(n, z)
+def _hilb_poincare_value(betti: BettiVector, top: int) -> tuple[_Values, ...]:
+    """(euler, total Betti) of Hilb^n S for n = 0..top, from one Goettsche series.
+
+    A report asks once per surface S, with ``top`` the largest n of its
+    sym^n(S) atoms; its other sym^n(S) atoms are cache hits.
+    """
+    at = gottsche_series(betti, top).q_coefficient_at
+    return tuple((at(n, -1), at(n, 1)) for n in range(top + 1))
 
 
-def _atom_value(atom: Atom, z: int, curve_powers: _CurvePowers) -> Optional[int]:
-    """Euler characteristic (z = -1) or total HH dimension (z = 1) of an atom."""
+def _atom_value(atom: Atom, tops: dict[BettiVector, int]) -> _Values:
+    """(euler, hh_total) of an atom; ``tops`` holds the ``top`` of each surface."""
     if isinstance(atom, Point):
-        return 1
+        return 1, 1
     if isinstance(atom, Curve):
-        return 2 - 2 * atom.genus if z == -1 else 2 * atom.genus + 2
+        return 2 - 2 * atom.genus, 2 * atom.genus + 2
     if isinstance(atom, SymCurve):
-        key = (atom.genus, atom.degree)
-        if key not in curve_powers:
-            curve_powers[key] = macdonald_poincare(*key)
-        return poly_eval(curve_powers[key], z)
+        poly = macdonald_poincare(atom.genus, atom.degree)
+        return poly_eval(poly, -1), poly_eval(poly, 1)
     if isinstance(atom, Surface):
-        return atom.betti.euler() if z == -1 else atom.betti.total()
+        return atom.betti.euler(), atom.betti.total()
     if isinstance(atom, Phantom):
-        return 0
+        return 0, 0
     if isinstance(atom, Opaque):
-        return atom.euler if z == -1 else atom.hh
+        return atom.euler, atom.hh
     if isinstance(atom, SymPower):
         if isinstance(atom.base, Surface):
-            return _hilb_poincare_value(atom.base.betti, atom.arity, z)
-        if isinstance(atom.base, Phantom):
-            return 0
-        return None
+            return _hilb_poincare_value(atom.base.betti, tops[atom.base.betti])[atom.arity]
+        return (0, 0) if isinstance(atom.base, Phantom) else (None, None)
     raise InternalInvariantError(f"not an atom: {atom!r}")
 
 
-def _component_value(comp: Component, z: int, curve_powers: _CurvePowers) -> Optional[int]:
-    product = 1
-    for atom in comp.factors:
-        v = _atom_value(atom, z, curve_powers)
-        if v is None:
-            return None
-        product *= v
-    return product
+def _known(fold: Callable[[Sequence[int]], int], values: Sequence[Optional[int]]) -> Optional[int]:
+    """``fold(values)``, or None when any value is unknown."""
+    return None if None in values else fold(values)
 
 
-def _total_value(components: ComponentList, z: int, curve_powers: _CurvePowers) -> Optional[int]:
-    total = 0
-    for comp, mult in components:
-        v = _component_value(comp, z, curve_powers)
-        if v is None:
-            return None
-        total += mult * v
-    return total
+def _component_values(components: ComponentList) -> dict[Component, _Values]:
+    """(euler, hh_total) of each distinct component, each distinct atom evaluated once."""
+    distinct = dict.fromkeys(comp for comp, _ in components)
+    atoms = dict.fromkeys(atom for comp in distinct for atom in comp.factors)
+    powers = [a for a in atoms if isinstance(a, SymPower) and isinstance(a.base, Surface)]
+    tops = {a.base.betti: a.arity for a in sorted(powers, key=lambda a: a.arity)}  # largest last
+    values = {atom: _atom_value(atom, tops) for atom in atoms}
+    products = {}
+    for comp in distinct:
+        eulers, hhs = zip(*(values[atom] for atom in comp.factors))
+        products[comp] = _known(math.prod, eulers), _known(math.prod, hhs)
+    return products
+
+
+def _weighted_sum(terms: Iterable[tuple[Optional[int], int]]) -> Optional[int]:
+    """The sum of value * multiplicity over the terms, or None when a value is unknown."""
+    return _known(sum, [None if value is None else value * mult for value, mult in terms])
 
 
 def euler_char(e: CatExpr) -> Optional[int]:
-    """Euler characteristic: additive over SODs, multiplicative over products.
-
-    None means unknown (an opaque leaf with no declared value was hit).
-    """
-    return _total_value(expand(e), -1, {})
+    """Euler characteristic, or None when an opaque leaf absorbs it."""
+    return invariant_report(e).euler
 
 
 def hh_total_dim(e: CatExpr) -> Optional[int]:
     """Total Hochschild dimension, or None when an opaque leaf absorbs it."""
-    return _total_value(expand(e), 1, {})
+    return invariant_report(e).hh_total
 
 
 @dataclass(frozen=True)
@@ -159,20 +161,13 @@ class InvariantReport:
 
 
 def invariant_report(e: CatExpr) -> InvariantReport:
+    """Expand ``e``; value each distinct component once, and total the rows."""
     components = expand(e)
-    curve_powers: _CurvePowers = {}
-    rows = tuple(
-        ComponentInvariants(
-            component=comp,
-            multiplicity=mult,
-            euler=_component_value(comp, -1, curve_powers),
-            hh_total=_component_value(comp, 1, curve_powers),
-        )
-        for comp, mult in components
-    )
+    values = _component_values(components)
+    rows = tuple(ComponentInvariants(comp, mult, *values[comp]) for comp, mult in components)
     return InvariantReport(
-        euler=_total_value(components, -1, curve_powers),
-        hh_total=_total_value(components, 1, curve_powers),
+        euler=_weighted_sum((row.euler, row.multiplicity) for row in rows),
+        hh_total=_weighted_sum((row.hh_total, row.multiplicity) for row in rows),
         exceptional_length=(
             components.total_multiplicity() if components.is_purely_exceptional() else None
         ),

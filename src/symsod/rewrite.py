@@ -86,8 +86,15 @@ def _join(a: tuple[Atom, ...], b: tuple[Atom, ...]) -> tuple[Atom, ...]:
     return tuple(sorted(a + b, key=sort_key))
 
 
+_UNIT: Entries = [((), 1)]  # the point: _product returns the other operand, uncopied
+
+
 def _product(left: Entries, right: Entries) -> Entries:
     """Every product of an entry of ``left`` with one of ``right``; left varies slowest."""
+    if left == _UNIT:
+        return right
+    if right == _UNIT:
+        return left
     return [(_join(a, b), mult_a * mult_b) for a, mult_a in left for b, mult_b in right]
 
 
@@ -174,7 +181,8 @@ def _blocks(first: list[Entries], second: list[Entries], m: int, orth: bool) -> 
 
 def _components(e: CatExpr, split_head: bool) -> ComponentList:
     entries = _Expansion(split_head).expand(canonicalize(e))
-    return ComponentList(tuple((Component.of(atoms), mult) for atoms, mult in entries))
+    made = {atoms: Component.of(atoms) for atoms in {atoms for atoms, _ in entries}}
+    return ComponentList(tuple((made[atoms], mult) for atoms, mult in entries))
 
 
 def expand(e: CatExpr) -> ComponentList:

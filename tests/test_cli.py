@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -300,6 +301,28 @@ def test_every_benchmark_call_site_resolves():
         tracer.install()  # raises on any SPAN_SITES entry or patched class attribute that is gone
     finally:
         tracer.uninstall()
+
+
+def test_benchmark_cache_hooks_drain_the_package(monkeypatch, capsys):
+    # the benchmark empties these caches before every operation and counts what
+    # they held; a refactor that renames one would otherwise fail only its run
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    counts = Counter()
+    bench_run.drain_caches(symsod, counts)
+    counts.clear()
+    assert run_cli("invariants", "hilb(5, blowup(P2))") == 0  # sym^2..sym^5 of one surface
+    assert run_cli("table", "q", "--l", "2", "--n", "3") == 0
+    capsys.readouterr()
+    bench_run.drain_caches(symsod, counts)
+    assert counts["invariants.hilb_cache.misses"] == 1
+    assert counts["invariants.hilb_cache.hits"] == 3
+    assert counts["partitions.q_cache.size"] == 4
+    assert symsod.invariants._hilb_poincare_value.cache_info().currsize == 0
+    assert symsod.partitions._Q_CACHE == {} and symsod.partitions._P_TABLE == [1]
 
 
 def test_console_script_parse_error_code():

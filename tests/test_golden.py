@@ -2,7 +2,8 @@
 
 The digests pin the exact bytes that ``decompose`` and ``invariants`` print,
 in text and in JSON, for the ``exceptional-decompose`` benchmark cells and a
-few mixed inputs, and what ``table`` prints for the ``oracle-tables`` cells.
+few mixed inputs, what ``invariants`` prints for ``hilbert-invariants`` cells,
+and what ``table`` prints for the ``oracle-tables`` cells.
 An engine change that reorders entries, merges them at a different point or
 renders them differently changes a digest.  Three more pin what ``verify``
 prints, a passing run and a failing one, and one pins what the parser makes
@@ -173,6 +174,36 @@ TABLE_DIGESTS = {
 def test_table_stdout_digest(args):
     argvs = [["table", *args.split(), "--format", fmt] for fmt in ("text", "json")]
     assert stdout_digest(*argvs) == TABLE_DIGESTS[args]
+
+
+# SHA-256 of the two stdouts (text, json) of ``invariants <text>``, joined by
+# a NUL byte, for cells of the hilbert-invariants benchmark: Hilbert schemes
+# of surface literals in both Betti strata, of blow-ups nested one to three
+# times, curve and ruled-surface powers, and the two nested powers.
+HILBERT_DIGESTS = {
+    "hilb(6, surface(1,0,23,0,1))": "167824ac75e692776ee56784d939bc12d389618c1a166b0a11ce1f243c9c7668",
+    "hilb(15, surface(1,0,59,0,1))": "f0f0e0a29f5ac13424ad24d133be499bc581aa51efcf777e3a8c9f1f3445383e",
+    "hilb(9, surface(1,2,31,2,1))": "09d9991b75a434cecd6b936d3ef03d28b46c539f807ed19ad308c626b11d3efb",
+    "hilb(12, surface(1,3,58,3,1))": "a5908079a43e41c74cfcaf994ebaed6829109b7f7e862e91f18208a8dd5e4e04",
+    "hilb(5, blowup(surface(1,0,17,0,1)))": "60a7d9ca5d4951beea44f167dd3823ea39aa33a988f472082a0aadbdd0c6ade4",
+    "hilb(8, blowup(blowup(surface(1,2,9,2,1))))": "f8418aedc12a9565e200242695c9888653588a9799be02e742e1fb519418ad9f",
+    "hilb(11, blowup(blowup(blowup(surface(1,0,7,0,1)))))": "8ac77d0bb8863ce053fd2acf97ce2850d3a5b9c2166f4f4ad47ae86426abdbd2",
+    "hilb(11, blowup(blowup(blowup(surface(1,3,5,3,1)))))": "2f8307d93a737b0e2e017be12aaa7f021f6a4a33d698dfa8da17b51df857cdbb",
+    "sym(6, curve(0))": "ac9f9b3e315a84e1dbdb91ba04cf29ece0e34251e49179bd9d4d463ea7b57f14",
+    "sym(9, curve(2))": "fc2417a4109e69390219615af8c3b050f846ae8b8a2544a1fff9a8bb67afd3dd",
+    "sym(15, curve(4))": "3bdf44d2bc00500d92046d46b8992a3425c0d414ab5d4d4c316b4d9ac983ebac",
+    "sym(4, ruled(0))": "9d3d419b3e19a67a19dc80c719645d9cdf6b33038d18e812d52ce429e0863785",
+    "sym(6, ruled(1))": "5d048d8bd120a80347e203c9f5831a2b459639c441622d63f61782a213e3a3bf",
+    "sym(8, ruled(3))": "c0ed6e26bd57127bfcfed69bf2c56a54dd457726ce733c9a2fe951f015d627e1",
+    "sym(2, sym(2, pt))": "f40835eeb8169935902fa357020f96d90d3380cc5034de7af5217da00f88dcc3",
+    "sym(3, sym(2, P1))": "c6e10b3086e1422cf199c02b2c0eeaf2a6685a4551ad2243ac2461ba7cd5c1ac",
+}
+
+
+@pytest.mark.parametrize("text", HILBERT_DIGESTS)
+def test_invariants_stdout_digest(text):
+    argvs = [["invariants", text, "--format", fmt] for fmt in ("text", "json")]
+    assert stdout_digest(*argvs) == HILBERT_DIGESTS[text]
 
 
 def test_orthogonal_sod_entries_in_order():

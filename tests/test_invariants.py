@@ -1,7 +1,11 @@
+import math
+import random
+
 import pytest
 
 from symsod import invariants
 from symsod.expr import (
+    Bullet,
     Curve,
     InternalInvariantError,
     Opaque,
@@ -21,8 +25,10 @@ from symsod.invariants import (
     invariant_report,
     phantom_audit,
 )
+from symsod.grammar import parse_expr
 from symsod.partitions import q_length
 from symsod.series import BettiVector, gottsche_series, macdonald_poincare
+from symsod.suites import gen_random_expr
 
 
 def test_euler_atoms():
@@ -128,8 +134,58 @@ def test_phantom_audit_validates_arguments():
 
 
 def test_declared_opaque_invariants_multiply():
-    from symsod.expr import Bullet
-
     e = Bullet((Opaque("A", euler=3, hh=5), Curve(1)))
     assert euler_char(e) == 3 * 0
     assert hh_total_dim(e) == 5 * 4
+
+
+def _weighted(values, rows):
+    return None if None in values else sum(v * row.multiplicity for v, row in zip(values, rows))
+
+
+def _factor_product(values):
+    return None if None in values else math.prod(values)
+
+
+def test_report_totals_are_the_weighted_sums_of_its_rows():
+    rng = random.Random(0)
+    undeclared = Sod((Curve(1), Opaque("A"), POINT))
+    corpus = [gen_random_expr(rng, 3) for _ in range(60)] + [undeclared]
+    # several sym^n(S) atoms over one surface S, read from one series
+    corpus += [parse_expr("hilb(6, blowup(surface(1,2,3,2,1)))")]
+    corpus += [parse_expr("bullet(hilb(4, blowup(P2)), hilb(3, surface(1,0,1,0,1)))")]
+    unknown = 0
+    for e in corpus:
+        report = invariant_report(e)
+        rows = report.components
+        eulers, hhs = [row.euler for row in rows], [row.hh_total for row in rows]
+        assert (report.euler, report.hh_total) == (_weighted(eulers, rows), _weighted(hhs, rows))
+        assert (report.euler, report.hh_total) == (euler_char(e), hh_total_dim(e))
+        for row in rows:  # each factor valued on its own, with a series of its own order
+            factors = row.component.factors
+            assert row.euler == _factor_product([euler_char(f) for f in factors])
+            assert row.hh_total == _factor_product([hh_total_dim(f) for f in factors])
+        unknown += report.euler is None
+    assert 0 < unknown < len(corpus)
+    report = invariant_report(undeclared)
+    assert (report.euler, report.hh_total) == (None, None)
+    assert [(row.euler, row.hh_total) for row in report.components] == [(0, 4), (None, None), (1, 1)]
+
+
+def test_one_goettsche_series_per_surface(monkeypatch):
+    # hilb(11, sod(S, pt)) has the atoms sym^2(S)..sym^11(S): one series of
+    # order 11 holds them all
+    calls = []
+
+    def counted(betti, top):
+        calls.append((betti, top))
+        return gottsche_series(betti, top)
+
+    monkeypatch.setattr(invariants, "gottsche_series", counted)
+    invariants._hilb_poincare_value.cache_clear()
+    report = invariant_report(parse_expr("hilb(11, blowup(blowup(surface(1,0,7,0,1))))"))
+    assert calls == [(BettiVector(1, 0, 8, 0, 1), 11)]
+    series = gottsche_series(BettiVector(1, 0, 9, 0, 1), 11)
+    assert (report.euler, report.hh_total) == (
+        series.q_coefficient_at(11, -1), series.q_coefficient_at(11, 1)
+    )

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -94,6 +95,30 @@ def test_one_expand_call_expands_each_power_once(monkeypatch, engine):
             engine(Sym(n, sod))
             assert (n, sod) in computed
             assert len(computed) == len(set(computed)), sorted(computed, key=str)
+
+
+def _literal_product(left, right):
+    return [(rewrite._join(a, b), ma * mb) for a, ma in left for b, mb in right]
+
+
+def test_product_with_the_unit_makes_no_joins(monkeypatch):
+    # a unit operand gives the other operand back; R1 multiplies by the unit in
+    # every block of sym(2, sod(pt x l)), which then needs no join at all
+    operands = [[((), 1)], [((), 3)], [((A,), 1), ((B, C), 2)], [((C,), 2), ((), 1)]]
+    for left, right in itertools.product(operands, repeat=2):
+        assert rewrite._product(left, right) == _literal_product(left, right)
+    exprs = [Sym(3, Sod((A, POINT, B))), Bullet((Sym(2, Sod((POINT, POINT))), Sym(2, Sod((A, B)))))]
+    with monkeypatch.context() as patch:
+        patch.setattr(rewrite, "_product", _literal_product)
+        literal = [expand(e).entries for e in exprs]
+    assert [expand(e).entries for e in exprs] == literal
+
+    joins = []
+    real = rewrite._join
+    monkeypatch.setattr(rewrite, "_join", lambda a, b: joins.append((a, b)) or real(a, b))
+    components = expand(Sym(2, Sod((POINT,) * 60)))
+    assert joins == []
+    assert components.total_multiplicity() == q_length(2, 60)
 
 
 def test_long_sod_does_not_recurse_per_part():
