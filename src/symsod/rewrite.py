@@ -10,7 +10,7 @@ Rules, applied until every component is a product of atoms:
 * R3  sym(n, curve(g)) gives one component per multiplicity vector
       (a_i) with sum(i * a_i) = n, namely the product of the symmetric
       powers sym^(a_i)(curve(g)) over the indices with a_i > 0.
-* R4  bullet distributes over sod slot by slot, preserving SOD order.
+* R4  bullet distributes over sod slot by slot, preserving SOD order, to a flat SOD.
 * R5  sym(0, X) is the point.
 * R6  sym(1, X) is X.
 * R7  sym(n, -) of a bullet, phantom, surface, or opaque leaf stays an
@@ -69,7 +69,7 @@ def _distribute(e: CatExpr) -> CatExpr:
                     _distribute(bullet_of(factors[:idx] + [p] + factors[idx + 1 :]))
                     for p in f.parts
                 )
-                return Sod(parts, f.orthogonal)
+                return canonicalize(Sod(parts, f.orthogonal))
         return bullet_of(factors)
     raise TypeError(f"not a CatExpr: {e!r}")
 
@@ -154,14 +154,9 @@ class _Expansion:
             # R7: bullet bases and the remaining atoms stay opaque sym powers
             return [((SymPower(n, inner),), 1)]
 
-        # R1: split off one end part at a time (the first, tail-first the last),
-        # re-distributing the rest; then build the powers of each rest from the far end
-        ends, rest = [], inner.parts
-        while len(rest) > 1:
-            end, rest = (rest[0], rest[1:]) if self.split_head else (rest[-1], rest[:-1])
-            ends.append(end)
-            rest = _distribute(Sod(rest, inner.orthogonal)).parts if len(rest) > 1 else rest
-        ends.append(rest[0])
+        # R1: split off the parts from one end (head-first the first, tail-first
+        # the last), then build the powers of each rest from the far end
+        ends = inner.parts if self.split_head else inner.parts[::-1]
         powers = [[self.expand(Sym(m, p)) for m in range(n + 1)] for p in ends]
         acc = powers[-1]
         for k in range(len(ends) - 2, -1, -1):

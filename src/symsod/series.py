@@ -145,10 +145,6 @@ class TruncatedSeries:
             return NotImplemented
         return self.trunc == other.trunc and self.coeffs == other.coeffs
 
-    def __str__(self) -> str:
-        rows = [f"q^{n}: {poly_str(self.coeffs.get(n, {}))}" for n in range(self.trunc + 1)]
-        return "\n".join(rows)
-
 
 def _product(trunc: int, z_slope: int, factors: Iterable[tuple[int, ...]]) -> TruncatedSeries:
     """The product of ``(1 + s z^a q^m)^e`` over ``(a, m, s, e)``, s = +-1.

@@ -462,24 +462,33 @@ def _check_count_law(max_n: Optional[int], _seed: int) -> tuple[str, int]:
     )
 
 
-def _power(k: int, x: CatExpr) -> list[CatExpr]:
-    return [] if k == 0 else [x] if k == 1 else [SymPower(k, x)]
+def _power(k: int, x: CatExpr) -> tuple[list[CatExpr], int]:
+    """sym^k(x) as (factors, multiplicity): p(k) points for x = pt, else one power of x."""
+    if x == POINT:
+        return [], partition_count(k)
+    return ([] if k == 0 else [x] if k == 1 else [SymPower(k, x)]), 1
 
 
 @_check("rewrite", "block-law")
 def _check_block_law(max_n: Optional[int], _seed: int) -> tuple[str, int]:
-    top = _bound(8, max_n)
+    top = _bound(10, max_n)
     a, b = Opaque("A"), Opaque("B")
+    # sod(A, B); P1 = sod(pt, pt); the blow-up sod(A, pt) of an opaque surface
+    bases = ((a, b), (POINT, POINT), (a, POINT))
     arities = range(2, top + 1)  # sym(0, -) and sym(1, -) are R5 and R6, not R1
-    for n in arities:
-        components = rewrite.expand(Sym(n, Sod((a, b))))
-        blocks = tuple((Component.of(_power(n - i, a) + _power(i, b)), 1) for i in range(n + 1))
-        if components.entries != blocks:
-            raise _Failed(f"sym({n}, sod(A, B)) = {components}")
+    for x, y in bases:
+        for n in arities:
+            components = rewrite.expand(Sym(n, Sod((x, y))))
+            blocks = []
+            for i in range(n + 1):
+                (head, mult_head), (tail, mult_tail) = _power(n - i, x), _power(i, y)
+                blocks.append((Component.of(head + tail), mult_head * mult_tail))
+            if components.entries != tuple(blocks):
+                raise _Failed(f"sym({n}, sod({x}, {y})) = {components}")
     return (
-        f"sym(n, sod(A, B)) is the blocks sym^(n-i)A . sym^i B, i = 0..n, each x1, "
-        f"for 2 <= n <= {top}",
-        len(arities),
+        f"sym(n, sod(X, Y)) is the blocks sym^(n-i)X . sym^i Y, i = 0..n, with sym^k pt "
+        f"= p(k) points, for (X, Y) = (A, B), (pt, pt), (A, pt) and 2 <= n <= {top}",
+        len(bases) * len(arities),
     )
 
 

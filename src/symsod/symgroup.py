@@ -344,14 +344,15 @@ def regular_module(group: Sequence[Permutation]) -> PermModule:
     return PermModule(group, list(group), lambda g, b: g * b)
 
 
-def random_orbit_module(
-    group: Sequence[Permutation], n: int, rng, max_points: int = 12
-) -> PermModule:
+_RANDOM_ORBIT_MAX_POINTS = 12
+
+
+def random_orbit_module(group: Sequence[Permutation], n: int, rng) -> PermModule:
     """A random union of orbits of the group acting on small tuples over {1..n}.
 
     Orbits of coordinatewise actions on k-tuples (k <= 3) are accumulated
-    while they fit under ``max_points``; singleton-block orbits always fit,
-    so the result is never empty.
+    while they fit under ``_RANDOM_ORBIT_MAX_POINTS`` points; singleton-block
+    orbits always fit, so the result is never empty.
     """
 
     def tuple_act(g: Permutation, t: tuple[int, ...]) -> tuple[int, ...]:
@@ -364,7 +365,7 @@ def random_orbit_module(
         orbit = {tuple_act(g, seed) for g in group}
         if points | orbit == points:
             continue
-        if len(points | orbit) <= max_points:
+        if len(points | orbit) <= _RANDOM_ORBIT_MAX_POINTS:
             points |= orbit
     if not points:
         seed = (rng.randint(1, n),)

@@ -97,13 +97,6 @@ def test_preset_blowup_of_plane():
     assert betti_of(e) == BettiVector(1, 0, 2, 0, 1)
 
 
-def test_blowup_chi_increments():
-    for base in (make_preset("P2"), make_preset("ruled", 1), make_preset("fakeP2", 2)):
-        before = betti_of(base).euler()
-        after = betti_of(blowup(base)).euler()
-        assert after == before + 1
-
-
 def test_blowup_keeps_opaque_base():
     e = blowup(Opaque("S"))
     assert e == Sod((Opaque("S"), POINT))

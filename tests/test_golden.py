@@ -98,13 +98,13 @@ def test_cli_stdout_digest(text):
 
 # SHA-256 of the ``verify`` stdout, with the exit code it comes with.
 VERIFY_DIGESTS = {
-    "--max-n 3": (0, "ef0ecad8285e85acbeac63e187d1cd78749f65e5dee961b58f496699f6f6d00c"),
+    "--max-n 3": (0, "6b2ba62b661f78c4671ae0b8a99d6c448c02f68c333ceaec5a143f17f473ee65"),
     "--max-n 3 --format json": (
-        0, "c6e20a1f59863ba42ded50afc38e1ed4a78db7661d4cb4d6f5749cac7afeb8b3"
+        0, "7dd72e05f961f037ba9237ed580cf63eee51ef7842e52fdc4ab24da289e98f5f"
     ),
     # block-law examines no case under a cap of 1 and fails
     "--suite rewrite --max-n 1": (
-        1, "9669fcdb862229f0cc9a208dd534b6ca625ec772432a74831c4d80a942174997"
+        1, "b6c93b18a4e1f17e24259206cf1f24689741e3c6e4bb809546c11bd367b96fcd"
     ),
 }
 

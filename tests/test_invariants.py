@@ -44,12 +44,6 @@ def test_euler_sym_curve_projective_spaces():
         assert euler_char(SymCurve(0, n)) == n + 1
 
 
-def test_euler_of_expanded_plane_powers():
-    assert euler_char(Sym(2, make_preset("P1"))) == 5
-    for n in range(1, 7):
-        assert euler_char(Sym(n, make_preset("P1"))) == q_length(n, 2)
-
-
 def test_euler_unknown_absorbs():
     assert euler_char(Opaque("A")) is None
     assert euler_char(Sod((POINT, Opaque("A")))) is None
@@ -74,12 +68,6 @@ def test_sym_power_of_phantom_is_phantom():
     assert hh_total_dim(Sym(3, make_preset("fakeP2", 2))) == q_length(3, 4)
 
 
-def test_exceptional_length_examples():
-    assert invariant_report(make_preset("P2")).exceptional_length == 3
-    assert invariant_report(Sym(2, make_preset("P2"))).exceptional_length == 9
-    assert invariant_report(Sym(2, Curve(1))).exceptional_length is None
-
-
 @pytest.mark.parametrize("evaluate", [invariant_report, euler_char, hh_total_dim])
 def test_macdonald_series_once_per_degree(monkeypatch, evaluate):
     calls = []
@@ -95,7 +83,6 @@ def test_macdonald_series_once_per_degree(monkeypatch, evaluate):
 
 def test_report_breakdown_and_consistency():
     report = invariant_report(Sym(2, make_preset("P1")))
-    assert report.euler == report.hh_total == report.exceptional_length == 5
     assert sum(r.multiplicity for r in report.components) == 5
     assert all(r.euler == r.hh_total == 1 for r in report.components)
     assert report.to_json_dict() == {"euler": 5, "hh_total": 5, "exceptional_length": 5}

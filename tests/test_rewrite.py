@@ -16,6 +16,7 @@ from symsod.expr import (
     SymCurve,
     SymPower,
 )
+from symsod.grammar import parse_expr, render_text
 from symsod.partitions import partition_count, q_length
 from symsod.rewrite import expand, expand_tail_first
 
@@ -30,6 +31,8 @@ def test_expand_atoms_and_trivial_sym():
     assert expand(POINT).entries == (point_entry(1),)
     assert expand(Sym(0, A)).entries == (point_entry(1),)
     assert expand(Sym(1, A)).entries == ((Component.of([A]), 1),)
+    a_then_b = ((Component.of([A]), 1), (Component.of([B]), 1))
+    assert expand(Sym(1, Sod((A, B)))).entries == expand(Sod((A, B))).entries == a_then_b
 
 
 def test_expand_sym_point_aggregates():
@@ -57,24 +60,20 @@ def test_expand_blowup_shape():
     )
 
 
-def test_component_count_examples():
-    assert expand(Sym(2, Sod((POINT, POINT, POINT)))).total_multiplicity() == 9
-    assert expand(Sym(3, Curve(1))).total_multiplicity() == 3
-    assert (
-        expand(Sym(1, Sod((A, B)))).total_multiplicity()
-        == expand(Sod((A, B))).total_multiplicity()
-        == 2
-    )
+def test_bullet_over_sods_expands_like_the_flat_sod():
+    # R4 distributes over the first SOD, then each part over the second
+    nested = expand(parse_expr("sym(2, bullet(sod(A, B, C), sod(D, E)))"))
+    parts = ", ".join(f"bullet({x}, {y})" for x in "ABC" for y in "DE")
+    flat = expand(parse_expr(f"sym(2, sod({parts}))"))
+    assert len(nested) == 21
+    assert nested.entries == flat.entries
 
 
-def test_bracketing_ordered_equality_not_required():
-    # opaque atoms contribute one entry per weak composition: C(2+2, 2) = 6;
-    # the two bracketings agree as multisets, order is not pinned
-    sod = Sod((A, B, C))
-    head = expand(Sym(2, sod))
-    tail = expand_tail_first(Sym(2, sod))
-    assert head.total_multiplicity() == tail.total_multiplicity() == 6
-    assert head.as_multiset() == tail.as_multiset()
+def test_sym_power_base_of_distributed_bullet_reparses():
+    text = "sym(2, sym(2, bullet(sod(A, B, C), sod(D, E))))"
+    ((component, _),) = expand(parse_expr(text)).entries
+    (atom,) = component.factors
+    assert parse_expr(render_text(atom.base)) == atom.base
 
 
 @pytest.mark.parametrize("engine", [expand, expand_tail_first])

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from symsod.partitions import partition_count
 from symsod.series import (
     BettiVector,
     TruncatedSeries,
@@ -29,8 +28,6 @@ def test_mul_requires_equal_truncation():
         TruncatedSeries.one(2) * TruncatedSeries.one(3)
 
 
-
-
 def test_negative_z_exponents_are_carried():
     a = TruncatedSeries(1, {0: {-2: 1}})
     sq = a * a
@@ -40,24 +37,6 @@ def test_negative_z_exponents_are_carried():
 def test_truncation_bounds_enforced():
     with pytest.raises(ValueError):
         TruncatedSeries(2, {3: {0: 1}})
-
-
-def test_eta_l0_is_one():
-    s = eta_inverse_power(0, 6)
-    assert s == TruncatedSeries.one(6)
-
-
-def test_eta_l1_counts_partitions():
-    s = eta_inverse_power(1, 15)
-    for n in range(16):
-        assert s.q_coefficient_at(n, 1) == partition_count(n)
-
-
-def test_eta_l2_coefficient_q4_by_convolution():
-    expected = sum(partition_count(i) * partition_count(4 - i) for i in range(5))
-    assert expected == 20
-    assert eta_inverse_power(2, 6).q_coefficient_at(4, 1) == 20
-
 
 
 def test_euler_product_negative_power():
@@ -79,13 +58,6 @@ def test_gottsche_low_coefficients():
     s = gottsche_series(b, 4)
     assert s.q_coefficient(0) == {0: 1}
     assert s.q_coefficient(1) == b.poincare_poly()  # Hilb^1 = the surface
-
-
-def test_gottsche_p2_q2_total():
-    s = gottsche_series(BettiVector(1, 0, 1, 0, 1), 2)
-    assert s.q_coefficient_at(2, 1) == 9
-
-
 
 
 def test_macdonald_trivial_and_known():
