@@ -28,9 +28,9 @@ print()
 print("=== Burnside counting ===")
 h = young_subgroup(pair)
 print("invariants of the natural module over S_2 x S_2:",
-      invariant_dimension(natural_module(h, 4), h), "(the two blocks)")
+      invariant_dimension(natural_module(h, 4)), "(the two blocks)")
 print("invariants of the regular module:",
-      invariant_dimension(regular_module(h), h))
+      invariant_dimension(regular_module(h)))
 
 print()
 print("=== induction preserves invariants ===")

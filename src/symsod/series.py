@@ -140,11 +140,6 @@ class TruncatedSeries:
                         tgt[e] = tgt.get(e, 0) + c1 * c2
         return TruncatedSeries(self.trunc, coeffs)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.trunc == other.trunc and self.coeffs == other.coeffs
-
 
 def _product(trunc: int, z_slope: int, factors: Iterable[tuple[int, ...]]) -> TruncatedSeries:
     """The product of ``(1 + s z^a q^m)^e`` over ``(a, m, s, e)``, s = +-1.

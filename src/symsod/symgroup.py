@@ -12,15 +12,18 @@ deliberately different algorithms.
 
 What is validated, and where:
 
-- ``Permutation(images)`` checks that the images are a permutation.  Products
-  and inverses of permutations skip that check (a product of two
-  permutations of equal degree always is one); the degree check stays.
-- :func:`validate_subgroup` checks that an element list is exactly the group
-  generated by a greedily chosen subset of it, and returns that subset.
-- :class:`PermModule` checks the action on the greedy generating subset of
-  the group list it is given: the identity fixes every basis point, each
-  generator maps the basis onto itself, and the homomorphism identity holds
-  for every ordered pair of generators on every basis point.
+- ``Permutation(images)`` checks that the images are a permutation, and
+  calling it checks that its argument lies in 1..n.  Products and inverses
+  of permutations skip the first check (a product of two permutations of
+  equal degree always is one); the degree check stays.
+- :class:`PermModule` keeps the greedy generating subset of the group list
+  it is given as ``generators`` and checks the action on it: the identity
+  fixes every basis point, each generator maps the basis onto itself, and
+  the homomorphism identity holds for every ordered pair of generators on
+  every basis point.
+- :func:`invariant_dimension` checks that the module's group list is a
+  whole group: no duplicates, the identity present, and the same set as
+  the group that ``generators`` generate (so it is closed).
 - The induced module of :func:`induction_invariance_check` is given the
   transposition (1 2) and the n-cycle (1 2 ... n), which generate S_n, so it
   is checked on exactly those two, the generators its orbits are counted
@@ -28,7 +31,9 @@ What is validated, and where:
 
 Inside the hot loops permutations are plain image tuples; ``Permutation``
 objects appear only where user code sees them: group lists, the arguments
-of ``act`` callables, and the basis of :func:`regular_module`.
+of ``act`` callables, and the basis of :func:`regular_module`.  One walk,
+``_orbit``, finds every orbit here: group closures, conjugacy classes,
+module orbits and cycles.
 """
 
 from __future__ import annotations
@@ -65,7 +70,9 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, k: int) -> int:
-        return self.images[k - 1]
+        if 1 <= k <= len(self.images):
+            return self.images[k - 1]
+        raise ValueError(f"{k} is not a point of 1..{len(self.images)}")
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition (self * other)(k) = self(other(k))."""
@@ -92,28 +99,41 @@ def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _orbit(start: Any, gens: Sequence[Any], act: Callable[[Any, Any], Any]) -> set:
+    """The orbit of ``start`` under the group that ``gens`` generate.
+
+    ``act(g, x)`` is the image of the point x under the generator g.
+    """
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = act(g, x)
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def _orbits(
+    points: Iterable[Any], gens: Sequence[Any], act: Callable[[Any, Any], Any]
+) -> list[tuple[Any, set]]:
+    """(first point, orbit) for each orbit that meets ``points``, in the order of ``points``."""
+    seen: set = set()
+    orbits = []
+    for x in points:
+        if x not in seen:
+            orbit = _orbit(x, gens, act)
+            seen |= orbit
+            orbits.append((x, orbit))
+    return orbits
+
+
 def cycle_type(p: Permutation) -> tuple[int, ...]:
     """The cycle lengths of ``p``, weakly decreasing: a partition of its degree."""
-    seen = [False] * p.degree
-    lengths = []
-    for start in range(1, p.degree + 1):
-        if seen[start - 1]:
-            continue
-        length = 0
-        k = start
-        while not seen[k - 1]:
-            seen[k - 1] = True
-            k = p(k)
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
-def symmetric_group(n: int) -> list[Permutation]:
-    """All of S_n in lexicographic one-line order (n <= 7 intended)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return [Permutation(imgs) for imgs in itertools.permutations(range(1, n + 1))]
+    cycles = _orbits(range(1, p.degree + 1), [p], Permutation.__call__)
+    return tuple(sorted((len(cycle) for _, cycle in cycles), reverse=True))
 
 
 @dataclass(frozen=True)
@@ -140,8 +160,13 @@ def _young_images(y: YoungPair) -> list[tuple[int, ...]]:
 
 
 def young_subgroup(y: YoungPair) -> list[Permutation]:
-    """All elements of S_{n-i} x S_i as permutations of {1..n}."""
+    """All elements of S_{n-i} x S_i as permutations of {1..n}, in lexicographic order."""
     return [Permutation(images) for images in _young_images(y)]
+
+
+def symmetric_group(n: int) -> list[Permutation]:
+    """All of S_n in lexicographic one-line order (n <= 7 intended)."""
+    return young_subgroup(YoungPair(n, 0))
 
 
 def young_coset_reps(y: YoungPair) -> list[Permutation]:
@@ -172,8 +197,6 @@ def _generating_subset(elements: Sequence[Permutation]) -> list[Permutation]:
     it do not generate.  The closure of the kept elements is recomputed only
     when the next element has to be tested against it.
     """
-    if not elements:
-        return []
     n = elements[0].degree
     if any(p.degree != n for p in elements):
         raise ValueError("group elements have mixed degrees")
@@ -183,7 +206,7 @@ def _generating_subset(elements: Sequence[Permutation]) -> list[Permutation]:
     stale = False
     for x in elements:
         if stale:
-            closure = _mulclose([g.images for g in gens], identity)
+            closure = _orbit(identity, [g.images for g in gens], _compose)
             stale = False
         if x.images not in closure:
             gens.append(x)
@@ -191,80 +214,36 @@ def _generating_subset(elements: Sequence[Permutation]) -> list[Permutation]:
     return gens
 
 
-def _mulclose(gens: Sequence[tuple[int, ...]], identity: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The group generated by ``gens``, as image tuples."""
-    closure = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = _compose(g, x)
-                if y not in closure:
-                    closure.add(y)
-                    new.append(y)
-        frontier = new
-    return closure
-
-
-def validate_subgroup(elements: Sequence[Permutation]) -> list[Permutation]:
-    """Raise ValueError unless ``elements`` is exactly a subgroup of S_n.
-
-    Checks that the set equals the group generated by a greedily chosen
-    generating subset; this implies closure under composition and inverse
-    without the quadratic all-pairs scan.  Returns that generating subset.
-    """
-    if not elements:
-        raise ValueError("empty element list is not a subgroup")
-    as_set = {p.images for p in elements}
-    if len(as_set) != len(elements):
-        raise ValueError("subgroup element list contains duplicates")
-    gens = _generating_subset(elements)
-    identity = tuple(range(1, elements[0].degree + 1))
-    if identity not in as_set:
-        raise ValueError("subgroup must contain the identity")
-    if _mulclose([g.images for g in gens], identity) != as_set:
-        raise ValueError("element list is not closed under composition/inverse")
-    return gens
+def _conjugate(
+    pair: tuple[tuple[int, ...], tuple[int, ...]], x: tuple[int, ...]
+) -> tuple[int, ...]:
+    """g * x * g^-1 for the pair (g, g^-1) of image tuples."""
+    g, g_inv = pair
+    return tuple([g[x[j - 1] - 1] for j in g_inv])
 
 
 def _conjugacy_classes(
-    elements: Sequence[Permutation], gens: Sequence[Permutation]
+    by_images: dict[tuple[int, ...], Permutation], gens: Sequence[Permutation]
 ) -> list[tuple[Permutation, int]]:
-    """(representative, size) for each conjugacy class of the group ``elements``.
+    """(representative, size) for each conjugacy class of a group keyed by image tuples.
 
     ``gens`` must generate the group.  The classes are the orbits of the
     group on itself under conjugation by the generators; each representative
-    is the first element of its class in list order.
+    is the first element of its class in key order.
     """
     conjugators = [(g.images, _inverse(g.images)) for g in gens]
-    seen: set[tuple[int, ...]] = set()
-    classes = []
-    for h in elements:
-        if h.images in seen:
-            continue
-        orbit = {h.images}
-        frontier = [h.images]
-        while frontier:
-            x = frontier.pop()
-            for g, g_inv in conjugators:
-                y = tuple([g[x[j - 1] - 1] for j in g_inv])  # g * x * g^-1
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        seen |= orbit
-        classes.append((h, len(orbit)))
-    return classes
+    return [(by_images[h], len(cls)) for h, cls in _orbits(by_images, conjugators, _conjugate)]
 
 
 class PermModule:
     """A finite permutation module: a basis with a group acting on it.
 
     ``group`` lists elements of the acting group: all of them, or any list
-    that generates the group.  ``act(g, b)`` receives a ``Permutation`` of
-    the group and a basis point and must return a basis point.  The module
-    is validated once, on construction, on the greedy generating subset of
-    ``group`` (``_generating_subset``):
+    that generates the group (:func:`invariant_dimension` needs all of them).
+    ``act(g, b)`` receives a ``Permutation`` of the group and a basis point
+    and must return a basis point.  ``generators`` is the greedy generating
+    subset of ``group`` (``_generating_subset``); the module is validated
+    once, on construction, on those generators:
 
     - the identity fixes every basis point;
     - each generator maps the basis onto itself;
@@ -288,6 +267,7 @@ class PermModule:
         self.group = list(group)
         self.basis = list(basis)
         self.act = act
+        self.generators = _generating_subset(self.group)
         self._validate()
 
     def _validate(self) -> None:
@@ -296,15 +276,14 @@ class PermModule:
         for b in self.basis:
             if self.act(identity, b) != b:
                 raise ValueError(f"identity does not fix basis point {b!r}")
-        gens = _generating_subset(self.group)
         images = []
-        for g in gens:
+        for g in self.generators:
             image = [self.act(g, b) for b in self.basis]
             if set(image) != basis_set:
                 raise ValueError(f"{g!r} does not permute the basis")
             images.append(dict(zip(self.basis, image)))
-        for g, g_image in zip(gens, images):
-            for h, h_image in zip(gens, images):
+        for g, g_image in zip(self.generators, images):
+            for h, h_image in zip(self.generators, images):
                 gh = g * h
                 for b in self.basis:
                     if self.act(gh, b) != g_image[h_image[b]]:
@@ -313,23 +292,9 @@ class PermModule:
     def fixed_points(self, g: Permutation) -> int:
         return sum(1 for b in self.basis if self.act(g, b) == b)
 
-    def orbit_count(self, generators: Iterable[Permutation]) -> int:
-        """Number of orbits on the basis under the group generated by ``generators``."""
-        gens = list(generators)
-        remaining = set(self.basis)
-        orbits = 0
-        while remaining:
-            seed = remaining.pop()
-            frontier = [seed]
-            while frontier:
-                x = frontier.pop()
-                for g in gens:
-                    y = self.act(g, x)
-                    if y in remaining:
-                        remaining.remove(y)
-                        frontier.append(y)
-            orbits += 1
-        return orbits
+    def orbit_count(self) -> int:
+        """Number of orbits of the group on the basis, walked under ``generators``."""
+        return len(_orbits(self.basis, self.generators, self.act))
 
 
 def trivial_module(group: Sequence[Permutation]) -> PermModule:
@@ -373,21 +338,29 @@ def random_orbit_module(group: Sequence[Permutation], n: int, rng) -> PermModule
     return PermModule(group, sorted(points), tuple_act)
 
 
-def invariant_dimension(m: PermModule, subgroup: Sequence[Permutation]) -> int:
-    """Dimension of the subgroup invariants of the linearized module.
+def invariant_dimension(m: PermModule) -> int:
+    """Dimension of the invariants of the linearized module under its group.
 
-    Burnside: (1/|H|) * sum over h in H of the fixed-point count of h.  The
-    subgroup is validated first (it must be exactly the group generated by
-    its greedy generating subset).  A fixed-point count is constant on each
-    conjugacy class of H, so the sum runs over the classes instead of the
-    elements: class size times the fixed points of one representative.  The
-    classes are the orbits of H on itself under conjugation by the
-    generating subset that :func:`validate_subgroup` returns.  The sum must
-    divide by |H|.
+    Burnside: (1/|H|) * sum over h in H of the fixed-point count of h, for
+    H = ``m.group``.  The list is validated first: no duplicates, the
+    identity present, and the same set as the group that ``m.generators``
+    generate.  A fixed-point count is constant on each conjugacy class of H,
+    so the sum runs over the classes instead of the elements: class size
+    times the fixed points of one representative.  The classes are the
+    orbits of H on itself under conjugation by ``m.generators``.  The sum
+    must divide by |H|.
     """
-    gens = validate_subgroup(subgroup)
-    total = sum(size * m.fixed_points(rep) for rep, size in _conjugacy_classes(subgroup, gens))
-    dim, remainder = divmod(total, len(subgroup))
+    by_images = {h.images: h for h in m.group}
+    if len(by_images) != len(m.group):
+        raise ValueError("group element list contains duplicates")
+    identity = tuple(range(1, m.group[0].degree + 1))
+    if identity not in by_images:
+        raise ValueError("group element list must contain the identity")
+    if _orbit(identity, [g.images for g in m.generators], _compose) != by_images.keys():
+        raise ValueError("group element list is not closed under composition/inverse")
+    classes = _conjugacy_classes(by_images, m.generators)
+    total = sum(size * m.fixed_points(rep) for rep, size in classes)
+    dim, remainder = divmod(total, len(m.group))
     if remainder:
         raise ValueError("fixed-point average is not an integer; not a group action?")
     return dim
@@ -451,8 +424,8 @@ def induction_invariance_check(y: YoungPair, m: PermModule) -> InductionReport:
             gens.append(Permutation(tuple(range(2, n + 1)) + (1,)))
 
     induced = PermModule(gens, induced_basis, induced_act)
-    induced_dim = induced.orbit_count(gens)
-    subgroup_dim = invariant_dimension(m, m.group)
+    induced_dim = induced.orbit_count()
+    subgroup_dim = invariant_dimension(m)
     return InductionReport(
         ok=induced_dim == subgroup_dim,
         pair=y,

@@ -325,6 +325,26 @@ def test_benchmark_cache_hooks_drain_the_package(monkeypatch, capsys):
     assert symsod.partitions._Q_CACHE == {} and symsod.partitions._P_TABLE == [1]
 
 
+def test_benchmark_module_ops_run_and_check(monkeypatch):
+    # the frobenius-battery workload builds its modules and runs the induction
+    # check through these calls; a changed S_n signature would otherwise fail
+    # only the benchmark's own run
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    ops = {}
+    for op in workloads.frobenius_round(0, 0):
+        n, _, kind, _ = op.params
+        if n == 3:
+            ops.setdefault(kind, op)
+    assert sorted(ops) == ["natural", "random", "regular", "trivial"]
+    for op in ops.values():
+        assert workloads.check(op, workloads.run_module(symsod, op))
+
+
 def test_console_script_parse_error_code():
     proc = subprocess.run(
         [sys.executable, "-m", "symsod.cli", "decompose", "sod(pt"],

@@ -17,7 +17,7 @@ from symsod.expr import (
     SymPower,
 )
 from symsod.grammar import parse_expr, render_text
-from symsod.partitions import partition_count, q_length
+from symsod.partitions import q_length
 from symsod.rewrite import expand, expand_tail_first
 
 A, B, C = Opaque("A"), Opaque("B"), Opaque("C")
@@ -35,28 +35,11 @@ def test_expand_atoms_and_trivial_sym():
     assert expand(Sym(1, Sod((A, B)))).entries == expand(Sod((A, B))).entries == a_then_b
 
 
-def test_expand_sym_point_aggregates():
-    for n in range(8):
-        assert expand(Sym(n, POINT)).entries == (point_entry(partition_count(n)),)
-
-
 def test_expand_sym2_of_curve():
     components = expand(Sym(2, Curve(1)))
     assert components.entries == (
         (Component.of([SymCurve(1, 2)]), 1),
         (Component.of([Curve(1)]), 1),
-    )
-
-
-def test_expand_blowup_shape():
-    # sym(3, sod(S, pt)) for opaque S: sym^3(S) x1, sym^2(S) x1, S x2, pt x3
-    s = Opaque("S")
-    components = expand(Sym(3, Sod((s, POINT))))
-    assert components.entries == (
-        (Component.of([SymPower(3, s)]), 1),
-        (Component.of([SymPower(2, s)]), 1),
-        (Component.of([s]), 2),
-        point_entry(3),
     )
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from symsod import symgroup
 from symsod.symgroup import (
     PermModule,
     Permutation,
@@ -16,7 +17,6 @@ from symsod.symgroup import (
     regular_module,
     symmetric_group,
     trivial_module,
-    validate_subgroup,
     young_subgroup,
 )
 
@@ -47,6 +47,15 @@ def test_permutation_basics():
         Permutation((1, 1, 2))
 
 
+def test_permutation_rejects_points_outside_its_degree():
+    p = Permutation((2, 3, 1))
+    for k in (0, -1, 4):
+        with pytest.raises(ValueError, match="not a point"):
+            p(k)
+    with pytest.raises(ValueError, match="not a point"):
+        natural_module(symmetric_group(3), 4)
+
+
 def test_cycle_type_examples():
     assert cycle_type(Permutation.identity(4)) == (1, 1, 1, 1)
     assert cycle_type(Permutation((2, 1, 4, 3))) == (2, 2)
@@ -58,12 +67,30 @@ def test_young_subgroup_order():
     assert len(young_subgroup(YoungPair(5, 0))) == math.factorial(5)
 
 
-def test_validate_subgroup_rejects_non_closed():
-    good = young_subgroup(YoungPair(3, 1))
-    assert validate_subgroup(good) == [Permutation((2, 1, 3))]
-    bad = [Permutation.identity(3), Permutation((2, 3, 1))]  # no inverse closure
-    with pytest.raises(ValueError):
-        validate_subgroup(bad)
+def test_invariant_dimension_rejects_a_group_list_that_is_not_a_group():
+    good = trivial_module(young_subgroup(YoungPair(3, 1)))
+    assert good.generators == [Permutation((2, 1, 3))]
+    bad = trivial_module([Permutation.identity(3), Permutation((2, 3, 1))])  # no inverse closure
+    assert bad.generators == [Permutation((2, 3, 1))]
+    with pytest.raises(ValueError, match="not closed"):
+        invariant_dimension(bad)
+    s3 = symmetric_group(3)
+    with pytest.raises(ValueError, match="duplicates"):
+        invariant_dimension(trivial_module(s3 + [s3[1]]))
+    with pytest.raises(ValueError, match="identity"):
+        invariant_dimension(trivial_module(s3[1:]))
+
+
+def test_invariant_dimension_rejects_a_fixed_point_sum_that_does_not_divide():
+    # the 4-cycle (1 2 3 4) is neither a generator of S_4 nor a product of two, so
+    # acting by (1 2) passes construction; its class of 6 then adds 6 * 2 fixed
+    # points, and Burnside sums 36 over 24 elements
+    s4 = symmetric_group(4)
+    cycle, swap = Permutation((2, 3, 4, 1)), Permutation((2, 1, 3, 4))
+    module = PermModule(s4, [1, 2, 3, 4], lambda g, b: swap(b) if g == cycle else g(b))
+    assert cycle not in module.generators
+    with pytest.raises(ValueError, match="not an integer"):
+        invariant_dimension(module)
 
 
 def test_perm_module_validation_rejects_non_action():
@@ -83,7 +110,7 @@ def test_perm_module_rejects_induced_action_wrong_on_n_cycle(n, i):
     swap = Permutation((2, 1) + tuple(range(3, n + 1)))
     cycle = Permutation(tuple(range(2, n + 1)) + (1,))
     subsets = [frozenset(c) for c in itertools.combinations(range(1, n + 1), i)]
-    assert PermModule([swap, cycle], subsets, _subset_act).orbit_count([swap, cycle]) == 1
+    assert PermModule([swap, cycle], subsets, _subset_act).orbit_count() == 1
 
     def backwards_on_cycle(g, subset):
         return _subset_act(g.inverse() if g == cycle else g, subset)
@@ -121,7 +148,7 @@ def test_invariant_dimension_by_classes_equals_literal_burnside():
             modules = [trivial_module(h), natural_module(h, n), regular_module(h)]
             modules += [random_orbit_module(h, n, rng) for _ in range(3)]
             for module in modules:
-                assert invariant_dimension(module, h) == _literal_burnside(module, h)
+                assert invariant_dimension(module) == _literal_burnside(module, h)
 
 
 def test_invariant_dimension_by_classes_on_groups_with_non_involution_generators():
@@ -135,15 +162,15 @@ def test_invariant_dimension_by_classes_on_groups_with_non_involution_generators
         modules = [natural_module(h, 4), regular_module(h)]
         modules += [random_orbit_module(h, 4, rng) for _ in range(3)]
         for module in modules:
-            assert invariant_dimension(module, h) == _literal_burnside(module, h)
+            assert invariant_dimension(module) == _literal_burnside(module, h)
 
 
 def test_invariant_dimension_examples():
     s4 = symmetric_group(4)
-    assert invariant_dimension(trivial_module(s4), s4) == 1
-    assert invariant_dimension(natural_module(s4, 4), s4) == 1
+    assert invariant_dimension(trivial_module(s4)) == 1
+    assert invariant_dimension(natural_module(s4, 4)) == 1
     h = young_subgroup(YoungPair(4, 2))
-    assert invariant_dimension(natural_module(h, 4), h) == 2
+    assert invariant_dimension(natural_module(h, 4)) == 2
 
 
 def test_invariant_dimension_matches_orbit_count_oracle():
@@ -153,8 +180,8 @@ def test_invariant_dimension_matches_orbit_count_oracle():
             h = young_subgroup(YoungPair(n, i))
             for _ in range(5):
                 module = random_orbit_module(h, n, rng)
-                burnside = invariant_dimension(module, h)
-                orbits = module.orbit_count(h)
+                burnside = invariant_dimension(module)
+                orbits = module.orbit_count()
                 assert burnside == orbits
 
 
@@ -186,3 +213,19 @@ def test_induction_check_reuses_the_module_group(monkeypatch):
     pair = YoungPair(6, 0)
     assert induction_invariance_check(pair, regular_module(young_subgroup(pair)))
     assert len(built) == 725
+
+
+def test_induction_check_scans_only_the_induced_module_for_generators(monkeypatch):
+    # the module keeps its generators, so the check's Burnside side does not rescan m.group
+    pair = YoungPair(4, 2)
+    module = natural_module(young_subgroup(pair), 4)
+    scanned = []
+    scan = symgroup._generating_subset
+
+    def counted(elements):
+        scanned.append(list(elements))
+        return scan(elements)
+
+    monkeypatch.setattr(symgroup, "_generating_subset", counted)
+    assert induction_invariance_check(pair, module)
+    assert [len(elements) for elements in scanned] == [2]  # (1 2) and (1 2 3 4)
