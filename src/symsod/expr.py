@@ -9,17 +9,16 @@ evaluate them.
 
 Composite nodes:
 
-* ``Sod(parts, orthogonal=...)`` -- an ordered semi-orthogonal decomposition
-  (optionally flagged completely orthogonal),
+* ``Sod(parts)`` -- an ordered semi-orthogonal decomposition,
 * ``Bullet(factors)`` -- the product of categories (commutative for
   canonical display),
 * ``Sym(arity, inner)`` -- a symmetric power, kept structural until the
   rewrite engine runs.
 
-Canonicalization flattens nested bullets and nested SODs of matching
-orthogonality, unwraps singletons, and sorts bullet factors by a fixed
-total order; SOD order is always preserved.  ``render_text`` is the one
-text form of an expression; ``str(e)`` returns it.
+Canonicalization flattens nested bullets and nested SODs, unwraps
+singletons, and sorts bullet factors by a fixed total order; SOD order is
+always preserved.  ``render_text`` is the one text form of an expression;
+``str(e)`` returns it.
 
 ``CONSTRUCTORS`` names every constructor of the text grammar with its
 argument kinds and builder; ``make_preset`` builds and validates any of them,
@@ -95,7 +94,10 @@ class Phantom(_Rendered):
 
 @dataclass(frozen=True)
 class Opaque(_Rendered):
-    """A named category we know nothing about beyond optionally declared invariants."""
+    """A named category we know nothing about beyond optionally declared invariants.
+
+    Declared values must be some category's: hh >= |euler|, of the same parity.
+    """
 
     name: str
     euler: Optional[int] = None
@@ -104,6 +106,9 @@ class Opaque(_Rendered):
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("opaque atom needs a non-empty name")
+        e, h = self.euler, self.hh
+        if h is not None and (h < abs(e or 0) or (e is not None and (h - e) % 2)):
+            raise ValueError(f"opaque atom {self.name}: no category has euler={e} and hh={h}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,6 @@ class SymPower(_Rendered):
 @dataclass(frozen=True)
 class Sod(_Rendered):
     parts: tuple["CatExpr", ...]
-    orthogonal: bool = False
 
     def __post_init__(self) -> None:
         if not self.parts:
@@ -179,7 +183,7 @@ def sort_key(e: CatExpr) -> tuple:
     if isinstance(e, SymPower):
         return (6, e.arity, sort_key(e.base))
     if isinstance(e, Sod):
-        return (7, e.orthogonal, tuple(sort_key(p) for p in e.parts))
+        return (7, tuple(sort_key(p) for p in e.parts))
     if isinstance(e, Bullet):
         return (8, tuple(sort_key(f) for f in e.factors))
     if isinstance(e, Sym):
@@ -190,11 +194,10 @@ def sort_key(e: CatExpr) -> tuple:
 def canonicalize(e: CatExpr) -> CatExpr:
     """Canonical form: flatten, sort bullet factors, unwrap singletons.
 
-    Nested bullets are flattened; nested SODs are flattened only when their
-    orthogonality flags match.  Bullet factors are sorted by the fixed total
-    order; SOD order is preserved.  Idempotent by construction.  No
-    evaluation happens here: sym(0, -) and sym(1, -) are left alone for the
-    rewrite engine.
+    Nested bullets and nested SODs are flattened.  Bullet factors are sorted
+    by the fixed total order; SOD order is preserved.  Idempotent by
+    construction.  No evaluation happens here: sym(0, -) and sym(1, -) are
+    left alone for the rewrite engine.
     """
     if is_atom(e):
         return e
@@ -216,13 +219,13 @@ def canonicalize(e: CatExpr) -> CatExpr:
         parts: list[CatExpr] = []
         for p in e.parts:
             cp = canonicalize(p)
-            if isinstance(cp, Sod) and cp.orthogonal == e.orthogonal:
+            if isinstance(cp, Sod):
                 parts.extend(cp.parts)
             else:
                 parts.append(cp)
         if len(parts) == 1:
             return parts[0]
-        return Sod(tuple(parts), e.orthogonal)
+        return Sod(tuple(parts))
     raise TypeError(f"not a CatExpr: {e!r}")
 
 
@@ -252,10 +255,8 @@ def render_text(e: CatExpr) -> str:
     if isinstance(e, SymPower):
         return f"sym^{e.arity}({render_text(e.base)})"
     if isinstance(e, Sod):
-        preset = None if e.orthogonal else _preset_shape(e)[0]
-        if preset is not None:
-            return preset  # the orthogonal flag has no preset syntax
-        return "sod(" + ", ".join(render_text(p) for p in e.parts) + ")"
+        preset = _preset_shape(e)[0]
+        return preset or "sod(" + ", ".join(render_text(p) for p in e.parts) + ")"
     if isinstance(e, Bullet):
         return "bullet(" + ", ".join(render_text(f) for f in e.factors) + ")"
     if isinstance(e, Sym):
@@ -300,8 +301,9 @@ class ComponentList:
     """An ordered list of (component, multiplicity) pairs.
 
     Multiplicity > 1 records completely orthogonal repetitions of the same
-    component; distinct entries may carry equal components when the blocks
-    they came from are only semi-orthogonal.
+    component: the p(n) points of sym(n, pt), and products with them.
+    Distinct entries may carry equal components when the blocks they came
+    from are only semi-orthogonal.
     """
 
     entries: tuple[tuple[Component, int], ...] = field(default_factory=tuple)
@@ -357,7 +359,7 @@ def surface_literal(b: BettiVector) -> Surface:
 def _preset_shape(e: Sod) -> tuple[Optional[str], Optional[BettiVector]]:
     """The preset an SOD's shape spells, and its Betti vector when determined.
 
-    Recognized shapes (post-canonicalization, orthogonal flag ignored):
+    Recognized shapes (post-canonicalization):
     ``sod(pt, pt)`` (P1, a curve: no Betti vector); ``sod(pt, pt, pt)`` (the
     plane); ``sod(curve(g), curve(g))`` (ruled); the blow-up shape
     ``sod(S, pt)`` with S a surface or opaque atom (b2 goes up by one, unknown

@@ -10,17 +10,22 @@ Rules, applied until every component is a product of atoms:
 * R3  sym(n, curve(g)) gives one component per multiplicity vector
       (a_i) with sum(i * a_i) = n, namely the product of the symmetric
       powers sym^(a_i)(curve(g)) over the indices with a_i > 0.
-* R4  bullet distributes over sod slot by slot, preserving SOD order, to a flat SOD.
-* R5  sym(0, X) is the point.
-* R6  sym(1, X) is X.
-* R7  sym(n, -) of a bullet, phantom, surface, or opaque leaf stays an
-      opaque sym-power atom carrying its arity.
+* R4  the base of sym(n, -) is read as the flat list of its SOD parts, in one
+      walk: nested SODs flatten, and a bullet distributes over its factors'
+      parts, the first factor varying slowest.  Nested sym(k >= 2, -) nodes
+      are left alone.
+* R5  sym(0, X) is the point, anywhere in a base.
+* R6  sym(1, X) is X, anywhere in a base.
+* R7  sym(n, -) of a single part that is a bullet, phantom, surface, opaque
+      leaf or nested sym(k >= 2, -) stays an opaque sym-power atom carrying
+      its arity.
 
 Everything is pure and deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import reduce
 
 from .expr import (
@@ -43,35 +48,22 @@ from .expr import (
 from .partitions import multiplicity_vectors, partition_count
 
 
-def bullet_of(factors: list[CatExpr]) -> CatExpr:
-    """A bullet product with point units dropped and singletons unwrapped."""
-    kept = [f for f in factors if not isinstance(f, Point)]
-    if not kept:
-        return POINT
-    if len(kept) == 1:
-        return kept[0]
-    return canonicalize(Bullet(tuple(kept)))
+def bullet_of(factors: tuple[CatExpr, ...]) -> CatExpr:
+    """A canonical bullet product with point units dropped and singletons unwrapped."""
+    kept = tuple(f for f in factors if not isinstance(f, Point))
+    return canonicalize(Bullet(kept)) if kept else POINT
 
 
-def _distribute(e: CatExpr) -> CatExpr:
-    """R4 closure: after this, no bullet product retains an SOD slot."""
-    if is_atom(e):
-        return e
-    if isinstance(e, Sym):
-        return Sym(e.arity, _distribute(e.inner))
+def _parts(e: CatExpr) -> list[CatExpr]:
+    """R4-R6 as one flat walk: the SOD parts of ``e``, none of them an SOD, a bullet
+    over an SOD, or a sym of arity <= 1 outside a nested sym(k >= 2, -)."""
+    if isinstance(e, Sym) and e.arity <= 1:
+        return [POINT] if e.arity == 0 else _parts(e.inner)
     if isinstance(e, Sod):
-        return canonicalize(Sod(tuple(_distribute(p) for p in e.parts), e.orthogonal))
+        return [q for p in e.parts for q in _parts(p)]
     if isinstance(e, Bullet):
-        factors = [_distribute(f) for f in e.factors]
-        for idx, f in enumerate(factors):
-            if isinstance(f, Sod):
-                parts = tuple(
-                    _distribute(bullet_of(factors[:idx] + [p] + factors[idx + 1 :]))
-                    for p in f.parts
-                )
-                return canonicalize(Sod(parts, f.orthogonal))
-        return bullet_of(factors)
-    raise TypeError(f"not a CatExpr: {e!r}")
+        return [bullet_of(fs) for fs in itertools.product(*map(_parts, e.factors))]
+    return [e]
 
 
 # Engine entries: (component as a sorted tuple of atoms, multiplicity); () is the point
@@ -98,14 +90,6 @@ def _product(left: Entries, right: Entries) -> Entries:
     return [(_join(a, b), mult_a * mult_b) for a, mult_a in left for b, mult_b in right]
 
 
-def _merge_equal(entries: Entries) -> Entries:
-    """Sum the multiplicities of equal components, in order of first occurrence."""
-    counts: dict[tuple[Atom, ...], int] = {}
-    for atoms, mult in entries:
-        counts[atoms] = counts.get(atoms, 0) + mult
-    return list(counts.items())
-
-
 class _Expansion:
     """One expand call: its bracketing and a memo of the Sym nodes it expanded."""
 
@@ -118,8 +102,7 @@ class _Expansion:
             return [((), 1)] if isinstance(e, Point) else [((e,), 1)]
 
         if isinstance(e, Sod):
-            entries = [entry for part in e.parts for entry in self.expand(part)]
-            return _merge_equal(entries) if e.orthogonal else entries
+            return [entry for part in e.parts for entry in self.expand(part)]
 
         if isinstance(e, Bullet):
             return reduce(_product, [self.expand(f) for f in e.factors])
@@ -133,45 +116,44 @@ class _Expansion:
         raise TypeError(f"not a CatExpr: {e!r}")
 
     def _sym(self, n: int, inner: CatExpr) -> Entries:
-        while isinstance(inner, Sym) and inner.arity <= 1:
-            inner = POINT if inner.arity == 0 else inner.inner
         if n == 0:
             return [((), 1)]  # R5: the unit
         if n == 1:
             return self.expand(inner)  # R6
-        inner = _distribute(inner)
-        if isinstance(inner, Point):
+        parts = _parts(inner)
+        base = parts[0] if len(parts) == 1 else None
+        if isinstance(base, Point):
             return [((), partition_count(n))]  # R2
-        if isinstance(inner, Curve):
+        if isinstance(base, Curve):
             # R3: one component per multiplicity vector of weight n, the all-ones
             # vector (the top power) first; ascending degrees are in sort_key order
-            g = inner.genus
+            g = base.genus
             degrees = (sorted(a for _, a in vec) for vec in reversed(multiplicity_vectors(n)))
             return [
                 (tuple(Curve(g) if a == 1 else SymCurve(g, a) for a in ds), 1) for ds in degrees
             ]
-        if not isinstance(inner, Sod):
-            # R7: bullet bases and the remaining atoms stay opaque sym powers
-            return [((SymPower(n, inner),), 1)]
+        if base is not None:
+            # R7: bullet and nested-sym bases and the remaining atoms stay opaque sym powers
+            return [((SymPower(n, base),), 1)]
 
         # R1: split off the parts from one end (head-first the first, tail-first
         # the last), then build the powers of each rest from the far end
-        ends = inner.parts if self.split_head else inner.parts[::-1]
+        ends = parts if self.split_head else parts[::-1]
         powers = [[self.expand(Sym(m, p)) for m in range(n + 1)] for p in ends]
         acc = powers[-1]
         for k in range(len(ends) - 2, -1, -1):
             first, second = (powers[k], acc) if self.split_head else (acc, powers[k])
             arities = range(n + 1) if k else (n,)
-            acc = [_blocks(first, second, m, inner.orthogonal) for m in arities]
+            acc = [_blocks(first, second, m) for m in arities]
         return acc[-1]
 
 
-def _blocks(first: list[Entries], second: list[Entries], m: int, orth: bool) -> Entries:
+def _blocks(first: list[Entries], second: list[Entries], m: int) -> Entries:
     """sym(m) of a two-term SOD from its terms' powers; block i is first[m-i] * second[i]."""
     entries: Entries = []
     for i in range(m + 1):
         entries += _product(first[m - i], second[i])
-    return _merge_equal(entries) if orth else entries
+    return entries
 
 
 def _components(e: CatExpr, split_head: bool) -> ComponentList:
@@ -184,9 +166,9 @@ def expand(e: CatExpr) -> ComponentList:
     """Fully expand an expression into an ordered list of atomic components.
 
     Never fails: subterms with no applicable rule become opaque sym-power
-    atoms.  Completely orthogonal repetitions aggregate into multiplicities;
-    blocks that are only semi-orthogonal stay as separate entries even when
-    their components coincide.
+    atoms.  The completely orthogonal points of R2 aggregate into one
+    multiplicity; blocks that are only semi-orthogonal stay as separate
+    entries even when their components coincide.
     """
     return _components(e, split_head=True)
 

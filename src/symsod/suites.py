@@ -379,7 +379,7 @@ def _shuffled_bullets(e: CatExpr, rng: random.Random) -> CatExpr:
         rng.shuffle(factors)
         return Bullet(tuple(factors))
     if isinstance(e, Sod):
-        return Sod(tuple(_shuffled_bullets(p, rng) for p in e.parts), e.orthogonal)
+        return Sod(tuple(_shuffled_bullets(p, rng) for p in e.parts))
     if isinstance(e, Sym):
         return Sym(e.arity, _shuffled_bullets(e.inner, rng))
     return e

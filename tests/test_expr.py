@@ -38,13 +38,6 @@ def test_canonicalize_flattens_sods_in_order():
     assert canonicalize(Sod((Sod((a, b)), c))) == Sod((a, b, c))
 
 
-def test_canonicalize_respects_orthogonality_flags():
-    a, b, c = Opaque("A"), Opaque("B"), Opaque("C")
-    nested = Sod((Sod((a, b), orthogonal=True), c))
-    flat = canonicalize(nested)
-    assert isinstance(flat.parts[0], Sod) and flat.parts[0].orthogonal
-
-
 def test_canonicalize_unwraps_singletons():
     assert canonicalize(Bullet((Curve(1),))) == Curve(1)
     assert canonicalize(Sod((Curve(1),))) == Curve(1)
@@ -141,6 +134,20 @@ def test_unknown_preset():
 def test_surface_atom_enforces_duality():
     with pytest.raises(ValueError):
         Surface("bad", BettiVector(1, 2, 0, 0, 1))
+
+
+@pytest.mark.parametrize("euler, hh", [(3, 1), (-3, 1), (2, 3), (0, 1), (None, -1)])
+def test_opaque_rejects_invariants_no_category_has(euler, hh):
+    # hh is the sum of the Hochschild dimensions and euler their alternating
+    # sum, so hh >= |euler| with the same parity, and hh >= 0 on its own
+    with pytest.raises(ValueError, match=f"euler={euler} and hh={hh}"):
+        Opaque("A", euler=euler, hh=hh)
+
+
+@pytest.mark.parametrize("euler, hh", [(7, 9), (3, 5), (-2, 2), (0, 0), (None, 0), (-5, None)])
+def test_opaque_accepts_invariants_some_category_has(euler, hh):
+    atom = Opaque("A", euler=euler, hh=hh)
+    assert (atom.euler, atom.hh) == (euler, hh)
 
 
 def test_blowup_stays_atomic_under_expansion():

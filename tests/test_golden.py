@@ -1,4 +1,4 @@
-"""Golden outputs: CLI stdout and the ordered entries of orthogonal SODs.
+"""Golden outputs: CLI stdout, parse outcomes and expansions of random trees.
 
 The digests pin the exact bytes that ``decompose`` and ``invariants`` print,
 in text and in JSON, for the ``exceptional-decompose`` benchmark cells and a
@@ -6,8 +6,9 @@ few mixed inputs, what ``invariants`` prints for ``hilbert-invariants`` cells,
 and what ``table`` prints for the ``oracle-tables`` cells.
 An engine change that reorders entries, merges them at a different point or
 renders them differently changes a digest.  Three more pin what ``verify``
-prints, a passing run and a failing one, and one pins what the parser makes
-of seeded, mutated expression texts.
+prints, a passing run and a failing one, one pins what the parser makes
+of seeded, mutated expression texts, and one pins the ordered entries that
+``expand`` makes of seeded random trees.
 """
 
 import contextlib
@@ -19,9 +20,8 @@ import re
 import pytest
 
 from symsod import cli
-from symsod.expr import Component, Curve, POINT, Sod, Sym, SymCurve
 from symsod.grammar import ParseError, parse_expr, render_text
-from symsod.rewrite import expand, expand_tail_first
+from symsod.rewrite import expand
 from symsod.suites import gen_random_expr
 
 
@@ -206,21 +206,6 @@ def test_invariants_stdout_digest(text):
     assert stdout_digest(*argvs) == HILBERT_DIGESTS[text]
 
 
-def test_orthogonal_sod_entries_in_order():
-    # sod(pt, curve(1), pt) flagged completely orthogonal: equal components
-    # merge into one entry, kept at the place of their first occurrence
-    e = Sym(3, Sod((POINT, Curve(1), POINT), orthogonal=True))
-    pinned = (
-        (Component.of([]), 10),
-        (Component.of([Curve(1)]), 8),
-        (Component.of([SymCurve(1, 2)]), 2),
-        (Component.of([SymCurve(1, 3)]), 1),
-        (Component.of([Curve(1), Curve(1)]), 1),
-    )
-    assert expand(e).entries == pinned
-    assert expand_tail_first(e).entries == pinned
-
-
 # Tokens and whole calls inserted into rendered expressions; the calls reach
 # the argument checks of hilb, blowup, fakeP2 and surface.
 _INSERTS = [
@@ -267,3 +252,15 @@ def test_parse_outcome_digest():
     assert 0 < parsed < len(outcomes)
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == "362bae220ca2b01e87f9de87ed376d5e69ccd370e70ec7d0262bd6248586c3e7"
+
+
+def test_expansion_outcome_digest():
+    # each random tree's text and its ordered entries; pins the rule order,
+    # the entry order and how opaque sym-power bases render
+    rng = random.Random(0)
+    lines = []
+    for _ in range(500):
+        e = gen_random_expr(rng, 3)
+        lines.append(f"{render_text(e)}\t{expand(e)}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "ba73de5418c5eff42cfe189c59824f113b6d540fce1fa91097ddf9de0291f569"

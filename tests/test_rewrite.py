@@ -17,6 +17,7 @@ from symsod.expr import (
     SymPower,
 )
 from symsod.grammar import parse_expr, render_text
+from symsod.invariants import invariant_report
 from symsod.partitions import q_length
 from symsod.rewrite import expand, expand_tail_first
 
@@ -52,10 +53,12 @@ def test_bullet_over_sods_expands_like_the_flat_sod():
     assert nested.entries == flat.entries
 
 
-def test_sym_power_base_of_distributed_bullet_reparses():
-    text = "sym(2, sym(2, bullet(sod(A, B, C), sod(D, E))))"
-    ((component, _),) = expand(parse_expr(text)).entries
+def test_nested_sym_power_base_is_the_parsed_canonical_inner():
+    # R7 keeps a nested sym(k >= 2, -) base as parsed: its bullet is not distributed
+    inner = "sym(2, bullet(sod(A, B, C), sod(D, E)))"
+    ((component, _),) = expand(parse_expr(f"sym(2, {inner})")).entries
     (atom,) = component.factors
+    assert atom == SymPower(2, parse_expr(inner))
     assert parse_expr(render_text(atom.base)) == atom.base
 
 
@@ -143,10 +146,59 @@ def test_nested_trivial_syms_simplify():
     assert expand(Sym(2, Sym(0, A))) == expand(Sym(2, POINT))
 
 
-def test_orthogonal_sod_merges_repetitions():
-    sod = Sod((POINT, POINT, POINT), orthogonal=True)
-    components = expand(sod)
-    assert components.entries == (point_entry(3),)
+def _wrappable_paths(e, path=(), in_base=False):
+    """Child-index paths of the subterms of ``e``, but none inside the base of a
+    nested sym(k >= 2, -): R7 keeps such a base as written."""
+    yield path
+    if isinstance(e, Sym):
+        if not (in_base and e.arity >= 2):
+            yield from _wrappable_paths(e.inner, path + (0,), in_base or e.arity >= 2)
+    elif isinstance(e, (Sod, Bullet)):
+        for i, kid in enumerate(e.parts if isinstance(e, Sod) else e.factors):
+            yield from _wrappable_paths(kid, path + (i,), in_base)
+
+
+def _with_subterm(e, path, wrap):
+    """``e`` with the subterm X at ``path`` replaced by ``wrap(X)``."""
+    if not path:
+        return wrap(e)
+    if isinstance(e, Sym):
+        return Sym(e.arity, _with_subterm(e.inner, path[1:], wrap))
+    kids = list(e.parts if isinstance(e, Sod) else e.factors)
+    kids[path[0]] = _with_subterm(kids[path[0]], path[1:], wrap)
+    return type(e)(tuple(kids))
+
+
+def test_trivial_syms_reduce_inside_a_bullet_base():
+    # R6 inside a bullet: the bullet distributes over the SOD below sym(1, -)
+    components = expand(parse_expr("sym(2, bullet(A, sym(1, sod(B, C))))"))
+    assert components == expand(parse_expr("sym(2, bullet(A, sod(B, C)))"))
+    assert len(components) == 3
+    # R5 inside a bullet: the base is the phantom, so both totals are known
+    square = parse_expr("sym(2, bullet(phantom, sym(0, A)))")
+    assert expand(square) == expand(Sym(2, PHANTOM))
+    report = invariant_report(square)
+    assert (report.euler, report.hh_total) == (0, 0)
+
+
+def test_trivial_syms_are_transparent_anywhere():
+    # R5 and R6 apply at every level of a base: wrapping a subterm X as
+    # sym(1, X) or as bullet(X, sym(0, Y)) changes no entry and no total
+    import random
+
+    from symsod.suites import gen_random_expr
+
+    rng = random.Random(3)
+    for _ in range(60):
+        e = gen_random_expr(rng, depth=3)
+        entries, report = expand(e).entries, invariant_report(e)
+        path = rng.choice(list(_wrappable_paths(e)))
+        y = gen_random_expr(rng, depth=1)
+        for wrap in (lambda x: Sym(1, x), lambda x: Bullet((x, Sym(0, y)))):
+            wrapped = _with_subterm(e, path, wrap)
+            assert expand(wrapped).entries == entries, render_text(wrapped)
+            totals = invariant_report(wrapped)
+            assert (totals.euler, totals.hh_total) == (report.euler, report.hh_total)
 
 
 def test_expand_never_fails_on_awkward_nesting():
