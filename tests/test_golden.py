@@ -7,8 +7,9 @@ and what ``table`` prints for the ``oracle-tables`` cells.
 An engine change that reorders entries, merges them at a different point or
 renders them differently changes a digest.  Three more pin what ``verify``
 prints, a passing run and a failing one, one pins what the parser makes
-of seeded, mutated expression texts, and one pins the ordered entries that
-``expand`` makes of seeded random trees.
+of seeded, mutated expression texts, one pins the ordered entries that
+``expand`` makes of seeded random trees, and one pins every report of the
+Frobenius battery with the basis of its module.
 """
 
 import contextlib
@@ -19,10 +20,10 @@ import re
 
 import pytest
 
-from symsod import cli
+from symsod import cli, symgroup
 from symsod.grammar import ParseError, parse_expr, render_text
 from symsod.rewrite import expand
-from symsod.suites import gen_random_expr
+from symsod.suites import frobenius_battery, gen_random_expr
 
 
 def _cells() -> list[str]:
@@ -264,3 +265,21 @@ def test_expansion_outcome_digest():
         lines.append(f"{render_text(e)}\t{expand(e)}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "ba73de5418c5eff42cfe189c59824f113b6d540fce1fa91097ddf9de0291f569"
+
+
+def test_frobenius_battery_digest(monkeypatch):
+    # every InductionReport of the battery (seed 0, n <= 6) with its module's
+    # basis; pins the answers of the S_n layer, not only their agreement
+    lines = []
+    check = symgroup.induction_invariance_check
+
+    def recorded(pair, module):
+        report = check(pair, module)
+        lines.append(f"{report!r}\t{module.basis!r}")
+        return report
+
+    monkeypatch.setattr(symgroup, "induction_invariance_check", recorded)
+    assert frobenius_battery(None, 0).ok
+    assert len(lines) == 621
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "5f5e307ed82a9f863241c958e2853f1f1b8f9f4af96ea00819c07185bc085ceb"

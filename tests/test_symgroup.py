@@ -67,6 +67,54 @@ def test_young_subgroup_order():
     assert len(young_subgroup(YoungPair(5, 0))) == math.factorial(5)
 
 
+def _closure(gens, n):
+    closure, frontier = {Permutation.identity(n)}, [Permutation.identity(n)]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            if g * x not in closure:
+                closure.add(g * x)
+                frontier.append(g * x)
+    return closure
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_young_subgroup_generators_are_a_transposition_and_a_cycle_per_block(n):
+    for i in range(n + 1):
+        h = young_subgroup(YoungPair(n, i))
+        gens = trivial_module(h).generators
+        assert set(gens) <= set(h)
+        assert _closure(gens, n) == set(h)
+        moved = {g: {k for k in range(1, n + 1) if g(k) != k} for g in gens}
+        for block in ({*range(1, n - i + 1)}, {*range(n - i + 1, n + 1)}):
+            on_block = [g for g in gens if moved[g] & block]
+            assert all(moved[g] <= block and max(cycle_type(g)) == len(moved[g]) for g in on_block)
+            sizes = sorted(len(moved[g]) for g in on_block)
+            assert sizes == ([] if len(block) < 2 else [2] if len(block) == 2 else [2, len(block)])
+    if n >= 3:
+        swap = Permutation((2, 1) + tuple(range(3, n + 1)))
+        cycle = Permutation(tuple(range(2, n + 1)) + (1,))
+        assert trivial_module(symmetric_group(n)).generators == [swap, cycle]
+
+
+def test_regular_module_of_s6_validates_on_two_generators(monkeypatch):
+    # the identity, then each of (1 2) and (1 2 3 4 5 6), then each ordered pair of
+    # them, on each of the 720 basis points
+    calls = []
+    init = PermModule.__init__
+
+    def counted(self, group, basis, act):
+        def counting(g, b):
+            calls.append(g)
+            return act(g, b)
+
+        init(self, group, basis, counting)
+
+    monkeypatch.setattr(PermModule, "__init__", counted)
+    regular_module(symmetric_group(6))
+    assert len(calls) == 720 * (1 + 2 + 4)
+
+
 def test_invariant_dimension_rejects_a_group_list_that_is_not_a_group():
     good = trivial_module(young_subgroup(YoungPair(3, 1)))
     assert good.generators == [Permutation((2, 1, 3))]
@@ -82,13 +130,13 @@ def test_invariant_dimension_rejects_a_group_list_that_is_not_a_group():
 
 
 def test_invariant_dimension_rejects_a_fixed_point_sum_that_does_not_divide():
-    # the 4-cycle (1 2 3 4) is neither a generator of S_4 nor a product of two, so
-    # acting by (1 2) passes construction; its class of 6 then adds 6 * 2 fixed
-    # points, and Burnside sums 36 over 24 elements
+    # (1 2)(3 4) is neither a generator of S_4 nor a product of two, so acting by
+    # (1 2) passes construction; it is first in its class of 3, which then adds
+    # 3 * 2 fixed points, and Burnside sums 30 over 24 elements
     s4 = symmetric_group(4)
-    cycle, swap = Permutation((2, 3, 4, 1)), Permutation((2, 1, 3, 4))
-    module = PermModule(s4, [1, 2, 3, 4], lambda g, b: swap(b) if g == cycle else g(b))
-    assert cycle not in module.generators
+    wrong, swap = Permutation((2, 1, 4, 3)), Permutation((2, 1, 3, 4))
+    module = PermModule(s4, [1, 2, 3, 4], lambda g, b: swap(b) if g == wrong else g(b))
+    assert wrong not in module.generators
     with pytest.raises(ValueError, match="not an integer"):
         invariant_dimension(module)
 
@@ -152,11 +200,16 @@ def test_invariant_dimension_by_classes_equals_literal_burnside():
 
 
 def test_invariant_dimension_by_classes_on_groups_with_non_involution_generators():
-    # The greedy generators of a Young subgroup are transpositions; a cyclic and
-    # an alternating group make the class search conjugate by longer cycles.
+    # A Young subgroup is generated by a transposition and a cycle per block; a
+    # cyclic and an alternating group, which are not full symmetric groups on
+    # their orbits, keep the greedy generators, a 4-cycle and a 3-cycle with
+    # (1 2)(3 4), so the class search conjugates by other shapes.
     cycle = Permutation((2, 3, 4, 1))
     cyclic = [Permutation.identity(4), cycle, cycle * cycle, cycle * cycle * cycle]
     alternating = [p for p in symmetric_group(4) if (4 - len(cycle_type(p))) % 2 == 0]
+    assert trivial_module(cyclic).generators == [cycle]
+    assert trivial_module(alternating).generators == [
+        Permutation((1, 3, 4, 2)), Permutation((2, 1, 4, 3))]
     rng = random.Random(4)
     for h in (cyclic, alternating):
         modules = [natural_module(h, 4), regular_module(h)]
