@@ -18,7 +18,8 @@ Rules, applied until every component is a product of atoms:
 * R6  sym(1, X) is X, anywhere in a base.
 * R7  sym(n, -) of a single part that is a bullet, phantom, surface, opaque
       leaf or nested sym(k >= 2, -) stays an opaque sym-power atom carrying
-      its arity.
+      its arity.  Its base keeps its shape: R5, R6 and the point unit of a
+      bullet apply at every level, then canonical form; nothing distributes.
 
 Everything is pure and deterministic.
 """
@@ -64,6 +65,20 @@ def _parts(e: CatExpr) -> list[CatExpr]:
     if isinstance(e, Bullet):
         return [bullet_of(fs) for fs in itertools.product(*map(_parts, e.factors))]
     return [e]
+
+
+def _reduced(e: CatExpr) -> CatExpr:
+    """``e`` with R5, R6 and the bullet's point unit applied at every level, in
+    canonical form; unlike :func:`_parts` it distributes nothing."""
+    if isinstance(e, Sym):
+        if e.arity <= 1:
+            return POINT if e.arity == 0 else _reduced(e.inner)
+        return Sym(e.arity, _reduced(e.inner))
+    if isinstance(e, Sod):
+        return canonicalize(Sod(tuple(map(_reduced, e.parts))))
+    if isinstance(e, Bullet):
+        return bullet_of(tuple(map(_reduced, e.factors)))
+    return e
 
 
 # Engine entries: (component as a sorted tuple of atoms, multiplicity); () is the point
@@ -134,7 +149,7 @@ class _Expansion:
             ]
         if base is not None:
             # R7: bullet and nested-sym bases and the remaining atoms stay opaque sym powers
-            return [((SymPower(n, base),), 1)]
+            return [((SymPower(n, _reduced(base)),), 1)]
 
         # R1: split off the parts from one end (head-first the first, tail-first
         # the last), then build the powers of each rest from the far end

@@ -7,9 +7,12 @@ dicts; negative z-exponents are allowed so the same carrier serves graded
 invariants).
 
 On top of the ring operations the module provides three generating
-functions used as analytic oracles by the rest of the package (the two
-products share one kernel, ``_product``, that applies one binomial factor
-at a time, in place, to dense coefficient rows):
+functions used as analytic oracles by the rest of the package.  The two
+products share one kernel, ``_product``, that applies one binomial factor at
+a time, in place, to packed rows: row n is a single integer, its z^e
+coefficient the signed digit e in base 2^W (Kronecker substitution), so one
+step of a factor is one big-integer shift-and-add.  W comes from a z-free
+majorant of the product, and each row is decoded in one linear pass.
 
 * :func:`eta_inverse_power` -- the Euler product ``prod (1 - q^m)^(-l)``
   whose q^n coefficient is ``q(n; l)``,
@@ -101,14 +104,19 @@ class TruncatedSeries:
     def one(cls, trunc: int) -> "TruncatedSeries":
         return cls(trunc, {0: {0: 1}})
 
-    def q_coefficient(self, n: int) -> LaurentPoly:
-        """The coefficient of q^n, as a fresh Laurent-polynomial dict."""
+    def _row(self, n: int) -> LaurentPoly:
         if n < 0 or n > self.trunc:
             raise ValueError(f"q-degree {n} outside truncation order {self.trunc}")
-        return dict(self.coeffs.get(n, {}))
+        return self.coeffs.get(n, {})
+
+    def q_coefficient(self, n: int) -> LaurentPoly:
+        """The coefficient of q^n, as a fresh Laurent-polynomial dict."""
+        return dict(self._row(n))
 
     def q_coefficient_at(self, n: int, z: int) -> int:
-        return poly_eval(self.coeffs.get(n, {}), z)
+        """The coefficient of q^n evaluated at z; like :meth:`q_coefficient`,
+        it raises ValueError for n outside [0, trunc]."""
+        return poly_eval(self._row(n), z)
 
     def _require_same_trunc(self, other: "TruncatedSeries") -> None:
         if self.trunc != other.trunc:
@@ -141,26 +149,63 @@ class TruncatedSeries:
         return TruncatedSeries(self.trunc, coeffs)
 
 
+def _rows(trunc: int, factors: Iterable[tuple[int, ...]], width: int) -> list[int]:
+    """Rows 0..trunc of the product of ``(1 + s z^a q^m)^e``, each packed as the
+    integer value of its z-polynomial at z = 2^width.
+
+    A factor with e >= 0 multiplies the rows in place from the top down, so
+    that a row reads only rows not yet multiplied; one with e < 0 divides them
+    by ``(1 + s z^a q^m)^-e`` from the bottom up, so that a row reads only rows
+    already divided.  Packing is a ring map, so every step is exact whatever
+    the width; the width only decides whether the digits can be read back.
+    """
+    rows = [1] + [0] * trunc
+    for a, m, s, e in factors:
+        sign = -1 if e < 0 else 1
+        steps = [
+            (j * m, sign * s**j * math.comb(abs(e), j), j * a * width)
+            for j in range(1, min(abs(e), trunc // m) + 1)
+        ]
+        for n in range(m, trunc + 1) if e < 0 else range(trunc, m - 1, -1):
+            row = rows[n]
+            for jm, c, shift in steps:
+                if jm > n:
+                    break
+                row += c * rows[n - jm] << shift
+            rows[n] = row
+    return rows
+
+
 def _product(trunc: int, z_slope: int, factors: Iterable[tuple[int, ...]]) -> TruncatedSeries:
     """The product of ``(1 + s z^a q^m)^e`` over ``(a, m, s, e)``, s = +-1.
 
-    Dense rows hold it, row n the z^0..z^(z_slope n) coefficients of q^n
-    (so a <= z_slope m).  A factor with e >= 0 multiplies the rows in place
-    from the top down, so that a row reads only rows not yet multiplied; one
-    with e < 0 divides them by ``(1 + s z^a q^m)^-e`` from the bottom up, so
-    that a row reads only rows already divided.
+    Row n holds the z^0..z^(z_slope n) coefficients of q^n (so a <= z_slope m)
+    as one integer, ``sum_e c_e 2^(W e)``, built by :func:`_rows`.  The sum of
+    |c_e| over row n is at most the q^n coefficient of the z-free majorant
+    ``prod_m (1 - q^m)^(-E_m)``, E_m the sum of |e| over the factors at m, which
+    :func:`_rows` computes at shift 0; W is its largest bit length plus 2, in
+    whole bytes, so every digit lies in (-2^(W-1), 2^(W-1)).  A row decodes in
+    one linear pass: adding 2^(W-1) to each digit makes them all non-negative,
+    so one ``int.to_bytes`` call lays them out W/8 bytes apiece.
     """
-    rows = [[0] * (z_slope * n + 1) for n in range(trunc + 1)]
-    rows[0][0] = 1
-    for a, m, s, e in factors:
-        sign = -1 if e < 0 else 1
-        coeffs = [sign * s**j * math.comb(abs(e), j) for j in range(min(abs(e), trunc // m) + 1)]
-        for n in range(m, trunc + 1) if e < 0 else range(trunc, m - 1, -1):
-            row = rows[n]
-            for j in range(1, min(len(coeffs), n // m + 1)):
-                c, src, lo = coeffs[j], rows[n - j * m], j * a
-                row[lo : lo + len(src)] = [d + c * x for d, x in zip(row[lo:], src)]
-    return TruncatedSeries(trunc, {n: dict(enumerate(row)) for n, row in enumerate(rows)})
+    factors = list(factors)
+    weights = [0] * (trunc + 1)
+    for _, m, _, e in factors:
+        weights[m] += abs(e)
+    majorant = _rows(trunc, [(0, m, -1, -w) for m, w in enumerate(weights) if w], 0)
+    size = (max(majorant).bit_length() + 9) // 8  # W / 8
+    half = 1 << (8 * size - 1)
+    digit_bias = bytes(size - 1) + b"\x80"  # 2^(W-1), little-endian
+    coeffs = {}
+    for n, row in enumerate(_rows(trunc, factors, 8 * size)):
+        digits = z_slope * n + 1
+        biased = row + int.from_bytes(digit_bias * digits, "little")
+        raw = biased.to_bytes(digits * size, "little")
+        coeffs[n] = {
+            e: int.from_bytes(raw[e * size : e * size + size], "little") - half
+            for e in range(digits)
+        }
+    return TruncatedSeries(trunc, coeffs)
 
 
 def euler_product_power(c: int, trunc: int) -> TruncatedSeries:

@@ -177,6 +177,13 @@ def test_table_stdout_digest(args):
     assert stdout_digest(*argvs) == TABLE_DIGESTS[args]
 
 
+def test_high_order_gottsche_table_digest():
+    # the largest Betti vector of the oracle-tables strata at n = 60, far past
+    # its cells' n <= 24; JSON only, its stdout's SHA-256
+    argv = ["table", "gottsche", "--betti", "1,3,60,3,1", "--n", "60", "--format", "json"]
+    assert stdout_digest(argv) == "41f72a91f0da7ccb4f84c99d82449a38c3e327e4a619dbee6f7a4da8aca27687"
+
+
 # SHA-256 of the two stdouts (text, json) of ``invariants <text>``, joined by
 # a NUL byte, for cells of the hilbert-invariants benchmark: Hilbert schemes
 # of surface literals in both Betti strata, of blow-ups nested one to three
@@ -257,14 +264,16 @@ def test_parse_outcome_digest():
 
 def test_expansion_outcome_digest():
     # each random tree's text and its ordered entries; pins the rule order,
-    # the entry order and how opaque sym-power bases render
+    # the entry order and how opaque sym-power bases render (a nested sym's
+    # base drops the bullet's point units, so sym(3, sym(3, bullet(pt, pt)))
+    # gives sym^3(sym(3, pt)) and sym(3, sym(2, bullet(pt, S))) sym^3(sym(2, S)))
     rng = random.Random(0)
     lines = []
     for _ in range(500):
         e = gen_random_expr(rng, 3)
         lines.append(f"{render_text(e)}\t{expand(e)}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "ba73de5418c5eff42cfe189c59824f113b6d540fce1fa91097ddf9de0291f569"
+    assert digest == "87fa2e9be7034927e1a6ddd64f48c5a56b9bd60e67eaeed869018c68f1c9fb4c"
 
 
 def test_frobenius_battery_digest(monkeypatch):

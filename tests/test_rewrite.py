@@ -146,16 +146,14 @@ def test_nested_trivial_syms_simplify():
     assert expand(Sym(2, Sym(0, A))) == expand(Sym(2, POINT))
 
 
-def _wrappable_paths(e, path=(), in_base=False):
-    """Child-index paths of the subterms of ``e``, but none inside the base of a
-    nested sym(k >= 2, -): R7 keeps such a base as written."""
+def _wrappable_paths(e, path=()):
+    """Child-index paths of all the subterms of ``e``."""
     yield path
     if isinstance(e, Sym):
-        if not (in_base and e.arity >= 2):
-            yield from _wrappable_paths(e.inner, path + (0,), in_base or e.arity >= 2)
+        yield from _wrappable_paths(e.inner, path + (0,))
     elif isinstance(e, (Sod, Bullet)):
         for i, kid in enumerate(e.parts if isinstance(e, Sod) else e.factors):
-            yield from _wrappable_paths(kid, path + (i,), in_base)
+            yield from _wrappable_paths(kid, path + (i,))
 
 
 def _with_subterm(e, path, wrap):
@@ -179,6 +177,21 @@ def test_trivial_syms_reduce_inside_a_bullet_base():
     assert expand(square) == expand(Sym(2, PHANTOM))
     report = invariant_report(square)
     assert (report.euler, report.hh_total) == (0, 0)
+
+
+def test_trivial_syms_reduce_below_a_nested_sym_base():
+    # R7 keeps the base of a nested sym(k >= 2, -) as one atom, but with R5,
+    # R6 and the bullet's point unit applied inside it, and in canonical form
+    ((component, _),) = expand(parse_expr("sym(2, sym(2, bullet(sym(1, A), B)))"))
+    assert [render_text(atom) for atom in component.factors] == ["sym^2(sym(2, bullet(A, B)))"]
+    same = [
+        ("sym(2, sym(2, sod(sym(0, A), B)))", "sym(2, sym(2, sod(pt, B)))"),
+        ("sym(3, sym(3, bullet(pt, pt)))", "sym(3, sym(3, pt))"),
+        ("sym(3, sym(2, bullet(pt, S)))", "sym(3, sym(2, S))"),
+        ("sym(2, bullet(A, sym(2, sym(1, sod(B, C)))))", "sym(2, bullet(A, sym(2, sod(B, C))))"),
+    ]
+    for text, reduced in same:
+        assert expand(parse_expr(text)) == expand(parse_expr(reduced)), text
 
 
 def test_trivial_syms_are_transparent_anywhere():

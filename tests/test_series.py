@@ -6,6 +6,7 @@ import pytest
 from symsod.series import (
     BettiVector,
     TruncatedSeries,
+    _product,
     eta_inverse_power,
     euler_product_power,
     gottsche_series,
@@ -21,6 +22,16 @@ def test_mul_unit_and_simple_product():
     b = TruncatedSeries(2, {0: {0: 1}, 1: {0: -1}})  # 1 - q
     assert a * one == a
     assert a * b == TruncatedSeries(2, {0: {0: 1}, 2: {0: -1}})  # 1 - q^2
+
+
+def test_q_coefficients_outside_the_truncation_order_raise():
+    s = gottsche_series(BettiVector(1, 0, 1, 0, 1), 3)
+    for n in (s.trunc + 1, -1, 9):
+        with pytest.raises(ValueError, match="outside truncation order 3"):
+            s.q_coefficient(n)
+        for z in (1, -1):
+            with pytest.raises(ValueError, match="outside truncation order 3"):
+                s.q_coefficient_at(n, z)
 
 
 def test_mul_requires_equal_truncation():
@@ -118,6 +129,7 @@ def test_product_kernel_equals_the_generic_product():
     rng = random.Random(0)
     vectors = [(0, 0, 0, 0, 0), (0, 3, 0, 3, 0), (2, 1, 5, 1, 2), (1, 0, 60, 0, 1)]
     vectors += [(1, b1, rng.randint(0, 60), b1, 1) for b1 in (0, 0, 1, 2, 3)]
+    vectors += [(1, 0, 10**6, 0, 1), (1, 2, 10**6, 2, 1)]  # packed digits many bytes wide
     for b in vectors:
         for trunc in range(1, 13):
             factors = [
@@ -131,3 +143,26 @@ def test_product_kernel_equals_the_generic_product():
         for trunc in range(1, 13):
             factors = [(0, m, -1, -c) for m in range(1, trunc + 1)]
             assert euler_product_power(c, trunc) == _product_by_mul(trunc, factors), (c, trunc)
+
+
+def test_packed_kernel_decodes_signed_and_wide_coefficients():
+    # random factor lists: s = +-1, e of both signs, 0 <= a <= z_slope m; the
+    # results carry negative z-coefficients, and every fifth list has
+    # exponents up to 10**6, so its packed digits are many bytes wide
+    rng = random.Random(1)
+    signed = 0
+    for case in range(60):
+        trunc = 30 if case % 6 == 0 else rng.randint(1, 14)
+        z_slope = rng.randint(0, 4)
+        largest = 10**6 if case % 5 == 0 else 4
+        factors = [
+            (rng.randint(0, z_slope * m), m, rng.choice((-1, 1)), e)
+            for m, e in (
+                (rng.randint(1, trunc), rng.choice((-1, 1)) * rng.randint(1, largest))
+                for _ in range(rng.randint(1, 4))
+            )
+        ]
+        product = _product(trunc, z_slope, factors)
+        assert product == _product_by_mul(trunc, factors), (trunc, z_slope, factors)
+        signed += any(c < 0 for poly in product.coeffs.values() for c in poly.values())
+    assert signed >= 20
