@@ -29,7 +29,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .expr import Component, InternalInvariantError
 from .grammar import ParseError, parse_expr, render_text, uses_hilb_sugar
@@ -46,11 +46,21 @@ _MCKAY_NOTE = (
 )
 
 
-def _component_dicts(pairs: Iterable[tuple[Component, int]]) -> list[dict]:
-    """One dict per entry; entries with equal components share one factor list."""
-    pairs = list(pairs)
-    texts = {comp: [render_text(a) for a in comp.factors] for comp in {c for c, _ in pairs}}
-    return [{"factors": texts[comp], "multiplicity": mult} for comp, mult in pairs]
+def _component_dicts(entries: Iterable[Sequence]) -> list[dict]:
+    """One dict per entry, read from its first two fields, component and multiplicity.
+
+    Each distinct component's factor texts are rendered once, into one list
+    that every entry with that component shares.
+    """
+    texts: dict[Component, list[str]] = {}
+    dicts = []
+    for entry in entries:
+        comp = entry[0]
+        factors = texts.get(comp)
+        if factors is None:
+            factors = texts[comp] = [render_text(a) for a in comp.factors]
+        dicts.append({"factors": factors, "multiplicity": entry[1]})
+    return dicts
 
 
 def _expression_payload(text: str) -> tuple[dict, InvariantReport]:
@@ -59,9 +69,7 @@ def _expression_payload(text: str) -> tuple[dict, InvariantReport]:
     payload = {
         "input": text,
         "canonical": render_text(expr),
-        "components": _component_dicts(
-            (row.component, row.multiplicity) for row in report.components
-        ),
+        "components": _component_dicts(report.components),
         "invariants": report.to_json_dict(),
     }
     return payload, report

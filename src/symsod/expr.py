@@ -274,9 +274,20 @@ class Component:
 
     Point factors are the unit of the product: they are dropped when other
     atoms are present, and a pure-point product collapses to a single point.
+    The hash is computed once, when the component is built; it depends on the
+    process's hash seed, so pickling keeps only the factors.
     """
 
     factors: tuple[Atom, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.factors))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Component, (self.factors,)
 
     @classmethod
     def of(cls, atoms: Iterable[Atom]) -> "Component":
@@ -315,9 +326,6 @@ class ComponentList:
 
     def total_multiplicity(self) -> int:
         return sum(mult for _, mult in self.entries)
-
-    def is_purely_exceptional(self) -> bool:
-        return all(comp.is_point() for comp, _ in self.entries)
 
     def as_multiset(self) -> dict[Component, int]:
         counts: dict[Component, int] = {}

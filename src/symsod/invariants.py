@@ -1,12 +1,12 @@
 """Numerical invariants of expressions and the quasi-phantom audit.
 
-Invariants are computed on the full expansion: the Euler characteristic and
-the total Hochschild dimension of an expression are the sums over its
-expanded components (with multiplicity) of the products over atomic
-factors.  One report values each distinct atom once, takes each distinct
-component's product once, and totals its rows by multiplicity; the atoms
-sym^n(S) over one surface S read one Goettsche series, of order the largest
-such n.  Atom values:
+The Euler characteristic and the total Hochschild dimension of an
+expression are the sums over its expanded components (with multiplicity) of
+the products over atomic factors.  One report values each distinct atom
+once and takes each distinct component's product once; the totals are summed
+per distinct component, its value times its total multiplicity over the
+expansion.  The atoms sym^n(S) over one surface S read one Goettsche series,
+of order the largest such n.  Atom values:
 
 ====================  ===========================  =========================
 atom                  euler                        hh_total
@@ -34,13 +34,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .expr import (
     Atom,
     CatExpr,
     Component,
-    ComponentList,
     Curve,
     InternalInvariantError,
     Opaque,
@@ -98,9 +97,8 @@ def _known(fold: Callable[[Sequence[int]], int], values: Sequence[Optional[int]]
     return None if None in values else fold(values)
 
 
-def _component_values(components: ComponentList) -> dict[Component, _Values]:
+def _component_values(distinct: Collection[Component]) -> dict[Component, _Values]:
     """(euler, hh_total) of each distinct component, each distinct atom evaluated once."""
-    distinct = dict.fromkeys(comp for comp, _ in components)
     atoms = dict.fromkeys(atom for comp in distinct for atom in comp.factors)
     powers = [a for a in atoms if isinstance(a, SymPower) and isinstance(a.base, Surface)]
     tops = {a.base.betti: a.arity for a in sorted(powers, key=lambda a: a.arity)}  # largest last
@@ -127,8 +125,9 @@ def hh_total_dim(e: CatExpr) -> Optional[int]:
     return invariant_report(e).hh_total
 
 
-@dataclass(frozen=True)
-class ComponentInvariants:
+class ComponentInvariants(NamedTuple):
+    """One report row, a plain tuple: an expansion entry and its component's values."""
+
     component: Component
     multiplicity: int
     euler: Optional[int]
@@ -161,17 +160,19 @@ class InvariantReport:
 
 
 def invariant_report(e: CatExpr) -> InvariantReport:
-    """Expand ``e``; value each distinct component once, and total the rows."""
+    """Expand ``e``; value and total each distinct component once, and list the rows."""
     components = expand(e)
-    values = _component_values(components)
-    rows = tuple(ComponentInvariants(comp, mult, *values[comp]) for comp, mult in components)
+    counts = components.as_multiset()
+    values = _component_values(counts)
     return InvariantReport(
-        euler=_weighted_sum((row.euler, row.multiplicity) for row in rows),
-        hh_total=_weighted_sum((row.hh_total, row.multiplicity) for row in rows),
+        euler=_weighted_sum((values[comp][0], mult) for comp, mult in counts.items()),
+        hh_total=_weighted_sum((values[comp][1], mult) for comp, mult in counts.items()),
         exceptional_length=(
-            components.total_multiplicity() if components.is_purely_exceptional() else None
+            sum(counts.values()) if all(comp.is_point() for comp in counts) else None
         ),
-        components=rows,
+        components=tuple(
+            ComponentInvariants(comp, mult, *values[comp]) for comp, mult in components
+        ),
     )
 
 

@@ -172,6 +172,8 @@ def _blocks(first: list[Entries], second: list[Entries], m: int) -> Entries:
 
 
 def _components(e: CatExpr, split_head: bool) -> ComponentList:
+    """The engine's entries as a :class:`ComponentList`, one ``Component`` built per
+    distinct atom tuple: equal components in one expansion are one object."""
     entries = _Expansion(split_head).expand(canonicalize(e))
     made = {atoms: Component.of(atoms) for atoms in {atoms for atoms, _ in entries}}
     return ComponentList(tuple((made[atoms], mult) for atoms, mult in entries))

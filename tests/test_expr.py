@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import symsod
 from symsod.expr import (
     Bullet,
     Component,
@@ -60,6 +66,41 @@ def test_component_drops_point_units():
     assert c.factors == (Curve(1),)
     assert Component.of([POINT, POINT]).is_point()
     assert Component.of([]).is_point()
+
+
+def _run_with_hash_seed(seed: int, code: str, stdin: bytes = b"") -> bytes:
+    src = str(Path(symsod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=stdin, capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+_MAKE = (
+    "from symsod.expr import Component, Curve, Opaque\n"
+    "c = Component.of([Opaque('X'), Curve(1)])\n"
+)
+
+
+def test_component_pickled_under_one_hash_seed_is_found_under_another():
+    # string hashes, and so the hash a Component caches, differ between seeds
+    pickled = _run_with_hash_seed(
+        1, _MAKE + "import pickle, sys\nsys.stdout.buffer.write(pickle.dumps(c))\n"
+    )
+    checked = _run_with_hash_seed(
+        2,
+        _MAKE
+        + "import pickle, sys\n"
+        + "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+        + "assert loaded == c and hash(loaded) == hash(c), (hash(loaded), hash(c))\n"
+        + "assert {c: 'found'}[loaded] == {loaded: 'found'}[c] == 'found'\n"
+        + "print('ok')\n",
+        pickled,
+    )
+    assert checked == b"ok\n"
 
 
 def test_presets_p1_p2():

@@ -176,3 +176,44 @@ def test_one_goettsche_series_per_surface(monkeypatch):
     assert (report.euler, report.hh_total) == (
         series.q_coefficient_at(11, -1), series.q_coefficient_at(11, 1)
     )
+
+
+@pytest.mark.parametrize(
+    "e, distinct, rows, totals",
+    [
+        # a bare identifier is an opaque atom with no declared invariants
+        (
+            parse_expr("sym(2, sod(curve(1), X, curve(1)))"),
+            5,
+            [(0, 8), (0, 4), (None, None), (0, 16), (None, None), (None, None), (0, 8), (0, 4)],
+            (None, None, None),
+        ),
+        # declared invariants value curve(1) * X, but sym^2(X) stays unknown
+        (
+            Sym(2, Sod((Curve(1), Opaque("X", 0, 2), Curve(1)))),
+            5,
+            [(0, 8), (0, 4), (0, 8), (0, 16), (None, None), (0, 8), (0, 8), (0, 4)],
+            (None, None, None),
+        ),
+        (
+            parse_expr("sym(2, sod(curve(2), pt, curve(2)))"),
+            4,
+            [(1, 17), (-2, 6), (-2, 6), (4, 36), (1, 1), (-2, 6), (1, 17), (-2, 6)],
+            (0, 96, None),
+        ),
+        (parse_expr("sym(3, P2)"), 1, [(1, 1)] * 10, (22, 22, 22)),
+    ],
+)
+def test_report_totals_over_repeated_components(e, distinct, rows, totals):
+    # the totals are summed once per distinct component; they must equal the
+    # sums over the rows, weighted by each row's multiplicity
+    report = invariant_report(e)
+    got = report.components
+    assert [(row.euler, row.hh_total) for row in got] == rows
+    assert len({row.component for row in got}) == distinct
+    eulers, hhs = [row.euler for row in got], [row.hh_total for row in got]
+    assert (report.euler, report.hh_total) == (_weighted(eulers, got), _weighted(hhs, got))
+    assert (report.euler, report.hh_total, report.exceptional_length) == totals
+    all_points = all(row.component.is_point() for row in got)
+    assert (report.exceptional_length is None) == (not all_points)
+    assert got[0]._fields == ("component", "multiplicity", "euler", "hh_total")

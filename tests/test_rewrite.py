@@ -126,7 +126,7 @@ def test_bullet_distributes_over_sod():
 def test_sym_of_distributed_bullet():
     # the product rule fires inside a symmetric power too
     components = expand(Sym(2, Bullet((Sod((POINT, POINT)), POINT))))
-    assert components.is_purely_exceptional()
+    assert all(comp.is_point() for comp, _ in components)
     assert components.total_multiplicity() == q_length(2, 2)
 
 
@@ -239,3 +239,22 @@ def test_components_are_a_fixed_point_of_expansion():
             parts.extend([expr] * mult)
         rebuilt = expand(S(tuple(parts)) if len(parts) > 1 else parts[0])
         assert rebuilt.as_multiset() == components.as_multiset()
+
+
+@pytest.mark.parametrize("text", ["sym(2, sod(curve(1), pt, curve(1)))", "sym(10, fakeP2(2))"])
+def test_equal_components_of_one_expansion_are_one_object(monkeypatch, text):
+    real = Component.of.__func__
+    built = []
+
+    def counted(cls, atoms):
+        atoms = tuple(atoms)
+        built.append(atoms)
+        return real(cls, atoms)
+
+    monkeypatch.setattr(Component, "of", classmethod(counted))
+    components = expand(parse_expr(text))
+    assert len(built) == len(set(built))  # one Component.of call per distinct atom tuple
+    first = {}
+    for comp, _ in components:
+        assert first.setdefault(comp, comp) is comp
+    assert len(first) == len(built) < len(components)
