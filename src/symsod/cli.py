@@ -26,6 +26,7 @@ expression verbs the schema is::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -36,7 +37,7 @@ from .grammar import ParseError, parse_expr, render_text, uses_hilb_sugar
 from .invariants import InvariantReport, invariant_report
 from .partitions import q_length
 from .rewrite import expand
-from .series import BettiVector, gottsche_series, poly_str
+from .series import BettiVector, gottsche_series, poly_eval, poly_str
 from .suites import SUITES, run_suites
 
 _MCKAY_NOTE = (
@@ -171,8 +172,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
             {
                 "n": n,
                 "poincare": poly_str(poly),
-                "total_betti": series.q_coefficient_at(n, 1),
-                "euler": series.q_coefficient_at(n, -1),
+                "total_betti": poly_eval(poly, 1),
+                "euler": poly_eval(poly, -1),
             }
         )
     if args.format == "json":
@@ -259,9 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a buffered write fails here, not at interpreter exit

@@ -5,8 +5,10 @@ expression are the sums over its expanded components (with multiplicity) of
 the products over atomic factors.  One report values each distinct atom
 once and takes each distinct component's product once; the totals are summed
 per distinct component, its value times its total multiplicity over the
-expansion.  The atoms sym^n(S) over one surface S read one Goettsche series,
-of order the largest such n.  Atom values:
+expansion.  The atoms sym^n(S) over one surface S read one evaluation of the
+invariant law (:func:`series.sym_power_totals`), to order the largest such n;
+Goettsche's series at z = -1 and z = 1 stays its independent check.  Atom
+values:
 
 ====================  ===========================  =========================
 atom                  euler                        hh_total
@@ -16,7 +18,7 @@ curve(g)              2 - 2g                       2g + 2
 sym^a(curve(g))       Macdonald at z = -1          Macdonald at z = 1
 surface               alternating Betti sum        total Betti sum
 phantom               0                            0
-sym^n(surface)        Goettsche q^n at z = -1      Goettsche q^n at z = 1
+sym^n(surface)        law: Euler product, t^n      law: HH product, t^n
 sym^n(phantom)        0                            0
 opaque                declared value or unknown    declared value or unknown
 ====================  ===========================  =========================
@@ -52,7 +54,13 @@ from .expr import (
 )
 from .partitions import q_length
 from .rewrite import expand
-from .series import BettiVector, gottsche_series, macdonald_poincare, poly_eval
+from .series import (
+    BettiVector,
+    gottsche_series,
+    macdonald_poincare,
+    poly_eval,
+    sym_power_totals,
+)
 
 
 # (euler, hh_total) of an atom or a component; None is unknown
@@ -61,13 +69,14 @@ _Values = tuple[Optional[int], Optional[int]]
 
 @lru_cache(maxsize=None)
 def _hilb_poincare_value(betti: BettiVector, top: int) -> tuple[_Values, ...]:
-    """(euler, total Betti) of Hilb^n S for n = 0..top, from one Goettsche series.
+    """(euler, total Betti) of Hilb^n S for n = 0..top, from the invariant law at
+    h+ = b0 + b2 + b4 and h- = b1 + b3; ``invariants:goettsche-two-path``
+    checks it against Goettsche's series.
 
     A report asks once per surface S, with ``top`` the largest n of its
     sym^n(S) atoms; its other sym^n(S) atoms are cache hits.
     """
-    at = gottsche_series(betti, top).q_coefficient_at
-    return tuple((at(n, -1), at(n, 1)) for n in range(top + 1))
+    return sym_power_totals(betti.b0 + betti.b2 + betti.b4, betti.b1 + betti.b3, top)
 
 
 def _atom_value(atom: Atom, tops: dict[BettiVector, int]) -> _Values:

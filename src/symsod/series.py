@@ -7,15 +7,20 @@ dicts; negative z-exponents are allowed so the same carrier serves graded
 invariants).
 
 On top of the ring operations the module provides three generating
-functions used as analytic oracles by the rest of the package.  The two
-products share one kernel, ``_product``, that applies one binomial factor at
-a time, in place, to packed rows: row n is a single integer, its z^e
-coefficient the signed digit e in base 2^W (Kronecker substitution), so one
-step of a factor is one big-integer shift-and-add.  W comes from a z-free
-majorant of the product, and each row is decoded in one linear pass.
+functions used as analytic oracles by the rest of the package, and the
+z-free law that values the symmetric powers of a category.  The products
+share one kernel, ``_rows``, that applies one binomial factor at a time, in
+place, to packed rows: row n is a single integer, its z^e coefficient the
+signed digit e in base 2^W (Kronecker substitution), so one step of a factor
+is one big-integer shift-and-add.  The law runs it at W = 0, one plain
+integer per row; ``_product`` takes W from a z-free majorant of the product
+and decodes each row in one linear pass.
 
 * :func:`eta_inverse_power` -- the Euler product ``prod (1 - q^m)^(-l)``
   whose q^n coefficient is ``q(n; l)``,
+* :func:`sym_power_totals` -- the Euler numbers and total Hochschild
+  dimensions of the symmetric powers of a category, from its even and odd
+  Hochschild dimensions,
 * :func:`gottsche_series` -- Goettsche's formula for the Poincare
   polynomials of the Hilbert schemes of points of a surface (a classical
   result, quoted from the literature),
@@ -33,7 +38,14 @@ LaurentPoly = dict[int, int]
 
 
 def poly_eval(poly: LaurentPoly, z: int) -> int:
-    """Evaluate a Laurent polynomial at an integer z (z = +-1 in practice)."""
+    """Evaluate a Laurent polynomial at an integer z (z = +-1 in practice).
+
+    At z = 1 it is the coefficient sum, and at z = -1 that sum less twice the
+    odd-exponent coefficients: no powers are taken.
+    """
+    if z in (1, -1):
+        total = sum(poly.values())
+        return total if z == 1 else total - 2 * sum(c for e, c in poly.items() if e & 1)
     if z == 0 and any(e < 0 for e in poly):
         raise ZeroDivisionError("Laurent polynomial with negative exponents at z=0")
     return sum(c * z**e for e, c in poly.items())
@@ -220,6 +232,26 @@ def eta_inverse_power(l: int, trunc: int) -> TruncatedSeries:
     if trunc < 1:
         raise ValueError(f"truncation order must be >= 1, got {trunc}")
     return euler_product_power(l, trunc)
+
+
+def sym_power_totals(h_plus: int, h_minus: int, trunc: int) -> tuple[tuple[int, int], ...]:
+    """(euler, hh) of sym^n D for n = 0..trunc, for a category D whose Hochschild
+    homology has h_plus even and h_minus odd dimensions.
+
+    The law reads them off two z-free products, built by :func:`_rows` at
+    width 0 (one integer per row, nothing to decode)::
+
+        sum_n euler(sym^n D) t^n = prod_k (1 - t^k)^(-(h_plus - h_minus))
+        sum_n hh(sym^n D) t^n    = prod_k (1 + t^k)^h_minus (1 - t^k)^(-h_plus)
+
+    For a surface with Betti vector b, h_plus = b0 + b2 + b4 and
+    h_minus = b1 + b3, and these are :func:`gottsche_series` at z = -1 and
+    z = 1; that series stays the independent check of the law.
+    """
+    ks = range(1, trunc + 1)
+    eulers = _rows(trunc, ((0, k, -1, h_minus - h_plus) for k in ks), 0)
+    hhs = _rows(trunc, ((0, k, s, e) for k in ks for s, e in ((1, h_minus), (-1, -h_plus))), 0)
+    return tuple(zip(eulers, hhs))
 
 
 def gottsche_series(b: BettiVector, trunc: int) -> TruncatedSeries:

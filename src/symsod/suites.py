@@ -525,23 +525,44 @@ def _check_bracketing_independence(max_n: Optional[int], _seed: int) -> tuple[st
 # invariants
 
 
+_LAW_SURFACES = (BettiVector(1, 0, 10, 0, 1), BettiVector(1, 2, 6, 2, 1))
+
+
+def _law_surfaces(rng: random.Random) -> list[BettiVector]:
+    """Two Betti vectors with e < 0 (b1 > b0 + b2 / 2) and two with b2 up to 1000."""
+    drawn = []
+    for _ in range(2):
+        b0 = rng.randint(1, 3)
+        b1 = rng.randint(b0 + 1, 12)
+        drawn.append(BettiVector(b0, b1, rng.randint(0, 2 * (b1 - b0) - 1), b1, b0))
+        b0 = rng.randint(1, 3)
+        b1 = rng.randint(0, 12)
+        drawn.append(BettiVector(b0, b1, rng.randint(0, 1000), b1, b0))
+    return drawn
+
+
 @_check("invariants", "goettsche-two-path")
-def _check_goettsche_two_path(max_n: Optional[int], _seed: int) -> tuple[str, int]:
+def _check_goettsche_two_path(max_n: Optional[int], seed: int) -> tuple[str, int]:
     top = _bound(10, max_n)
     bases = [make_preset("P2"), make_preset("blowup", make_preset("P2"))]
     bases += [make_preset("ruled", g) for g in range(3)]
     bases += [make_preset("fakeP2", l) for l in range(1, 4)]
+    surfaces = [surface_literal(b) for b in _LAW_SURFACES]
+    bases += surfaces + [make_preset("blowup", surfaces[1])]
+    bases += [surface_literal(b) for b in _law_surfaces(random.Random(seed))]
     for base in bases:
         series = gottsche_series(betti_of(base), top)
         for n in range(1, top + 1):
             e = Sym(n, base)
-            expanded = (invariants.euler_char(e), invariants.hh_total_dim(e))
+            report = invariants.invariant_report(e)
+            expanded = (report.euler, report.hh_total)
             analytic = (series.q_coefficient_at(n, -1), series.q_coefficient_at(n, 1))
             if expanded != analytic:
                 raise _Failed(f"{e}: expansion (euler, hh) {expanded} != Goettsche {analytic}")
     return (
         f"expansion euler and hh = Goettsche at z=-1 and z=1 for P2, blowup(P2), "
-        f"ruled(0..2) and fakeP2(1..3), n <= {top}",
+        f"ruled(0..2), fakeP2(1..3), {surfaces[0]}, {surfaces[1]}, blowup({surfaces[1]}) "
+        f"and 4 seeded surfaces (2 with e < 0, 2 with b2 <= 1000), n <= {top}",
         len(bases) * top,
     )
 

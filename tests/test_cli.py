@@ -149,6 +149,35 @@ def test_table_q_requires_l(capsys):
     assert run_cli("table", "q") == 2
 
 
+def test_main_builds_one_parser_and_keeps_its_usage_errors(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    assert run_cli("decompose", "sym(2, P1)") == 0
+    assert run_cli("invariants", "P2") == 0
+    assert len(built) == 1
+    capsys.readouterr()
+    # after a successful call, a usage error gives a fresh process's code and stderr
+    for argv in (["table", "q"], ["frobnicate", "pt"]):
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:  # argparse exits on its own usage errors
+            code = exc.code
+        fresh = subprocess.run(
+            [sys.executable, "-m", "symsod.cli", *argv], capture_output=True, text=True
+        )
+        assert (code, capsys.readouterr().err) == (fresh.returncode, fresh.stderr)
+        assert fresh.returncode == 2 and fresh.stderr
+    assert len(built) == 1
+    cli._parser.cache_clear()
+
+
 def test_table_gottsche(capsys):
     assert run_cli("table", "gottsche", "--betti", "1,0,1,0,1", "--n", "3") == 0
     out = capsys.readouterr().out

@@ -99,9 +99,9 @@ def test_cli_stdout_digest(text):
 
 # SHA-256 of the ``verify`` stdout, with the exit code it comes with.
 VERIFY_DIGESTS = {
-    "--max-n 3": (0, "6b2ba62b661f78c4671ae0b8a99d6c448c02f68c333ceaec5a143f17f473ee65"),
+    "--max-n 3": (0, "d2b7682140eb902679f8420ab72629d00dda90d03303108ec24d505508a0241d"),
     "--max-n 3 --format json": (
-        0, "7dd72e05f961f037ba9237ed580cf63eee51ef7842e52fdc4ab24da289e98f5f"
+        0, "f6e567f76c7a4c944786b641e4121477be854adfa8b566b2284425f57b0f17e9"
     ),
     # block-law examines no case under a cap of 1 and fails
     "--suite rewrite --max-n 1": (
@@ -212,6 +212,13 @@ HILBERT_DIGESTS = {
 def test_invariants_stdout_digest(text):
     argvs = [["invariants", text, "--format", fmt] for fmt in ("text", "json")]
     assert stdout_digest(*argvs) == HILBERT_DIGESTS[text]
+
+
+def test_high_order_hilbert_invariants_digest():
+    # the largest Betti vector of the hilbert-invariants strata at n = 200, far
+    # past its cells' n <= 15; JSON only, its stdout's SHA-256
+    argv = ["invariants", "hilb(200, surface(1,3,60,3,1))", "--format", "json"]
+    assert stdout_digest(argv) == "87658c3c438742eb6059e4552cfb8c5be5ec2f18296ecae62237161933a3c395"
 
 
 # Tokens and whole calls inserted into rendered expressions; the calls reach

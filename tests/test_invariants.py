@@ -159,9 +159,9 @@ def test_report_totals_are_the_weighted_sums_of_its_rows():
     assert [(row.euler, row.hh_total) for row in report.components] == [(0, 4), (None, None), (1, 1)]
 
 
-def test_one_goettsche_series_per_surface(monkeypatch):
-    # hilb(11, sod(S, pt)) has the atoms sym^2(S)..sym^11(S): one series of
-    # order 11 holds them all
+def test_one_law_evaluation_per_surface(monkeypatch):
+    # hilb(11, sod(S, pt)) has the atoms sym^2(S)..sym^11(S): one evaluation of
+    # the law, to order 11, values them all, and no Goettsche series is built
     calls = []
 
     def counted(betti, top):
@@ -171,7 +171,10 @@ def test_one_goettsche_series_per_surface(monkeypatch):
     monkeypatch.setattr(invariants, "gottsche_series", counted)
     invariants._hilb_poincare_value.cache_clear()
     report = invariant_report(parse_expr("hilb(11, blowup(blowup(surface(1,0,7,0,1))))"))
-    assert calls == [(BettiVector(1, 0, 8, 0, 1), 11)]
+    info = invariants._hilb_poincare_value.cache_info()
+    assert (info.misses, calls) == (1, [])
+    assert invariants._hilb_poincare_value(BettiVector(1, 0, 8, 0, 1), 11)
+    assert invariants._hilb_poincare_value.cache_info().misses == 1  # the one key it took
     series = gottsche_series(BettiVector(1, 0, 9, 0, 1), 11)
     assert (report.euler, report.hh_total) == (
         series.q_coefficient_at(11, -1), series.q_coefficient_at(11, 1)

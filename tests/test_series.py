@@ -83,6 +83,16 @@ def test_poly_helpers():
     assert poly_eval({0: 2, 1: 3}, -1) == -1
 
 
+def test_poly_eval_at_plus_minus_one_is_the_power_sum():
+    # z = +-1 take the parity-sum path; negative exponents included
+    rng = random.Random(0)
+    for _ in range(200):
+        poly = {rng.randint(-9, 9): rng.randint(-50, 50) for _ in range(rng.randint(0, 8))}
+        for z in (1, -1):
+            assert poly_eval(poly, z) == sum(c * z**e for e, c in poly.items())
+    assert poly_eval({0: 1, 2: 5}, 2) == 21  # other z keep the general path
+
+
 def test_gottsche_k3_hilbert_square_anchor():
     # frozen classical value: the Hilbert square of a K3 surface has total
     # cohomology dimension 324 (1 + 23 + 276 + 23 + 1), all even degree
