@@ -21,6 +21,11 @@ expression verbs the schema is::
      "components": [{"factors": [str, ...], "multiplicity": int}, ...],
      "invariants": {"euler": int|null, "hh_total": int|null,
                     "exceptional_length": int|null}}
+
+It is written piece by piece, byte for byte ``json.dumps(payload)``: strings
+through the encoder ``json.dumps`` uses, the invariants by ``json.dumps``.  Each
+distinct component is rendered once, to ``{"factors": [...], "multiplicity": ``
+(or to its `` * `` text); an entry adds ``str(mult) + "}"``.
 """
 
 from __future__ import annotations
@@ -30,9 +35,10 @@ import functools
 import json
 import os
 import sys
-from typing import Iterable, Optional, Sequence
+from json.encoder import encode_basestring_ascii as _json_str  # the string form json.dumps writes
+from typing import Optional
 
-from .expr import Component, InternalInvariantError
+from .expr import CatExpr, Component, ComponentList, InternalInvariantError
 from .grammar import ParseError, parse_expr, render_text, uses_hilb_sugar
 from .invariants import InvariantReport, invariant_report
 from .partitions import q_length
@@ -47,81 +53,61 @@ _MCKAY_NOTE = (
 )
 
 
-def _component_dicts(entries: Iterable[Sequence]) -> list[dict]:
-    """One dict per entry, read from its first two fields, component and multiplicity.
-
-    Each distinct component's factor texts are rendered once, into one list
-    that every entry with that component shares.
-    """
-    texts: dict[Component, list[str]] = {}
-    dicts = []
-    for entry in entries:
-        comp = entry[0]
-        factors = texts.get(comp)
-        if factors is None:
-            factors = texts[comp] = [render_text(a) for a in comp.factors]
-        dicts.append({"factors": factors, "multiplicity": entry[1]})
-    return dicts
+def _expression_json(text: str, expr: CatExpr, report: InvariantReport) -> str:
+    """``json.dumps`` of the expression payload, written piece by piece."""
+    prefix = f'{{"input": {_json_str(text)}, "canonical": {_json_str(render_text(expr))}'
+    entries = report.components.expansion
+    heads = {}
+    for comp in entries.as_multiset():
+        factors = ", ".join([_json_str(render_text(a)) for a in comp.factors])
+        heads[comp] = f'{{"factors": [{factors}], "multiplicity": '
+    components = ", ".join([f"{heads[comp]}{mult}}}" for comp, mult in entries])
+    invariants = json.dumps(report.to_json_dict())
+    return f'{prefix}, "components": [{components}], "invariants": {invariants}}}'
 
 
-def _expression_payload(text: str) -> tuple[dict, InvariantReport]:
-    expr = parse_expr(text)
-    report = invariant_report(expr)
-    payload = {
-        "input": text,
-        "canonical": render_text(expr),
-        "components": _component_dicts(report.components),
-        "invariants": report.to_json_dict(),
-    }
-    return payload, report
+def _write_entries(entries: ComponentList, tails: dict[Component, str]) -> None:
+    """One line per entry, each distinct component's text and tail rendered once."""
+    texts = {comp: " * ".join(map(render_text, comp.factors)) for comp in tails}
+    lines = (f"  {i}. {texts[c]}  x{mult}{tails[c]}\n" for i, (c, mult) in enumerate(entries, 1))
+    sys.stdout.write("".join(lines))
 
 
-def _print_component_lines(components: list[dict]) -> None:
-    total = sum(c["multiplicity"] for c in components)
-    print(f"components ({len(components)} entries, total multiplicity {total}):")
-    for idx, comp in enumerate(components, start=1):
-        factors = " * ".join(comp["factors"])
-        print(f"  {idx}. {factors}  x{comp['multiplicity']}")
-
-
-def _invariant_lines(inv: dict) -> list[str]:
-    euler = "unknown" if inv["euler"] is None else str(inv["euler"])
-    hh = "unknown" if inv["hh_total"] is None else str(inv["hh_total"])
-    if inv["exceptional_length"] is None:
-        length = "not purely exceptional"
-    else:
-        length = str(inv["exceptional_length"])
-    return [f"euler: {euler}", f"hh_total: {hh}", f"exceptional_length: {length}"]
+def _shown(value: Optional[int]) -> str:
+    return "unknown" if value is None else str(value)
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    if args.format == "json":
-        payload, _ = _expression_payload(args.expression)
-        print(json.dumps(payload))
-        return 0
     expr = parse_expr(args.expression)
+    if args.format == "json":
+        print(_expression_json(args.expression, expr, invariant_report(expr)))
+        return 0
     if uses_hilb_sugar(args.expression):
         print(_MCKAY_NOTE)
     print(f"canonical: {render_text(expr)}")
-    _print_component_lines(_component_dicts(expand(expr)))
+    entries = expand(expr)
+    total = entries.total_multiplicity()
+    print(f"components ({len(entries)} entries, total multiplicity {total}):")
+    _write_entries(entries, dict.fromkeys(entries.as_multiset(), ""))
     return 0
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    payload, report = _expression_payload(args.expression)
+    expr = parse_expr(args.expression)
+    report = invariant_report(expr)
     if args.format == "json":
-        print(json.dumps(payload))
+        print(_expression_json(args.expression, expr, report))
         return 0
     if uses_hilb_sugar(args.expression):
         print(_MCKAY_NOTE)
-    print(f"canonical: {payload['canonical']}")
-    for line in _invariant_lines(payload["invariants"]):
-        print(line)
+    length = report.exceptional_length
+    print(f"canonical: {render_text(expr)}")
+    print(f"euler: {_shown(report.euler)}\nhh_total: {_shown(report.hh_total)}")
+    print(f"exceptional_length: {'not purely exceptional' if length is None else length}")
     print("per-component:")
-    for idx, row in enumerate(report.components, start=1):
-        euler = "unknown" if row.euler is None else row.euler
-        hh = "unknown" if row.hh_total is None else row.hh_total
-        print(f"  {idx}. {row.component}  x{row.multiplicity}  euler={euler} hh={hh}")
+    values = report.components.values.items()
+    tails = {comp: f"  euler={_shown(e)} hh={_shown(h)}" for comp, (e, h) in values}
+    _write_entries(report.components.expansion, tails)
     return 0
 
 

@@ -314,24 +314,25 @@ class ComponentList:
     Multiplicity > 1 records completely orthogonal repetitions of the same
     component: the p(n) points of sym(n, pt), and products with them.
     Distinct entries may carry equal components when the blocks they came
-    from are only semi-orthogonal.
+    from are only semi-orthogonal.  Construction is one counting pass: it checks
+    each multiplicity and sums it into the multiset that ``as_multiset`` copies.
     """
 
     entries: tuple[tuple[Component, int], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        counts: dict[Component, int] = {}
         for comp, mult in self.entries:
             if mult < 1:
                 raise InternalInvariantError(f"multiplicity must be >= 1: {comp} x {mult}")
+            counts[comp] = counts.get(comp, 0) + mult
+        object.__setattr__(self, "_counts", counts)
 
     def total_multiplicity(self) -> int:
-        return sum(mult for _, mult in self.entries)
+        return sum(self._counts.values())
 
     def as_multiset(self) -> dict[Component, int]:
-        counts: dict[Component, int] = {}
-        for comp, mult in self.entries:
-            counts[comp] = counts.get(comp, 0) + mult
-        return counts
+        return dict(self._counts)
 
     def __len__(self) -> int:
         return len(self.entries)

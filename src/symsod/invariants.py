@@ -4,11 +4,11 @@ The Euler characteristic and the total Hochschild dimension of an
 expression are the sums over its expanded components (with multiplicity) of
 the products over atomic factors.  One report values each distinct atom
 once and takes each distinct component's product once; the totals are summed
-per distinct component, its value times its total multiplicity over the
-expansion.  The atoms sym^n(S) over one surface S read one evaluation of the
-invariant law (:func:`series.sym_power_totals`), to order the largest such n;
-Goettsche's series at z = -1 and z = 1 stays its independent check.  Atom
-values:
+per distinct component of the expansion's multiset, its value times its
+total multiplicity; the per-entry rows are built only when first read.  The
+atoms sym^n(S) over one surface S read one evaluation of the invariant law
+(:func:`series.sym_power_totals`), to order the largest such n; Goettsche's
+series at z = -1 and z = 1 stays its independent check.  Atom values:
 
 ====================  ===========================  =========================
 atom                  euler                        hh_total
@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .expr import (
     Atom,
     CatExpr,
     Component,
+    ComponentList,
     Curve,
     InternalInvariantError,
     Opaque,
@@ -143,14 +144,31 @@ class ComponentInvariants(NamedTuple):
     hh_total: Optional[int]
 
 
+class ComponentRows(Sequence[ComponentInvariants]):
+    """An expansion's rows, built when first read, and its components' ``values``."""
+
+    def __init__(self, expansion: ComponentList, values: dict[Component, _Values]) -> None:
+        self.expansion, self.values = expansion, values
+
+    @cached_property
+    def _rows(self) -> tuple[ComponentInvariants, ...]:
+        return tuple(ComponentInvariants(c, m, *self.values[c]) for c, m in self.expansion)
+
+    def __getitem__(self, index):
+        return self._rows[index]
+
+    def __len__(self) -> int:
+        return len(self.expansion)
+
+
 @dataclass(frozen=True)
 class InvariantReport:
-    """Invariants of an expression together with the per-component breakdown."""
+    """Invariants of an expression and its rows: a tuple, or :class:`ComponentRows`."""
 
     euler: Optional[int]
     hh_total: Optional[int]
     exceptional_length: Optional[int]
-    components: tuple[ComponentInvariants, ...]
+    components: Sequence[ComponentInvariants]
 
     def __post_init__(self) -> None:
         if self.exceptional_length is not None:
@@ -169,7 +187,7 @@ class InvariantReport:
 
 
 def invariant_report(e: CatExpr) -> InvariantReport:
-    """Expand ``e``; value and total each distinct component once, and list the rows."""
+    """Expand ``e``; value and total each distinct component once; rows wait for a read."""
     components = expand(e)
     counts = components.as_multiset()
     values = _component_values(counts)
@@ -179,9 +197,7 @@ def invariant_report(e: CatExpr) -> InvariantReport:
         exceptional_length=(
             sum(counts.values()) if all(comp.is_point() for comp in counts) else None
         ),
-        components=tuple(
-            ComponentInvariants(comp, mult, *values[comp]) for comp, mult in components
-        ),
+        components=ComponentRows(components, values),
     )
 
 

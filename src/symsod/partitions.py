@@ -20,16 +20,6 @@ from __future__ import annotations
 import itertools
 import operator
 import threading
-from typing import Iterator
-
-
-def _iter_partitions(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    if remaining == 0:
-        yield ()
-        return
-    for first in range(min(max_part, remaining), 0, -1):
-        for rest in _iter_partitions(remaining - first, first):
-            yield (first,) + rest
 
 
 def partitions_of(n: int) -> list[tuple[int, ...]]:
@@ -41,7 +31,24 @@ def partitions_of(n: int) -> list[tuple[int, ...]]:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return list(_iter_partitions(n, n))
+    # Zoghbi and Stojmenovic's ZS1: lower the last part above 1, refill greedily.
+    # x[:m + 1] is the partition, x[h] its last part above 1, x[m + 1:] all 1
+    x, m, h, result = [n] + [1] * (n - 1), 0, 0, [(n,) if n else ()]
+    while x[0] > 1:
+        if x[h] == 2:
+            x[h], m, h = 1, m + 1, h - 1
+        else:
+            r, t = x[h] - 1, m - h + 1  # t: what x[h:m + 1] holds once x[h] is r
+            x[h] = r
+            while t >= r:
+                h, t = h + 1, t - r
+                x[h] = r
+            m = h if t == 0 else h + 1
+            if t > 1:
+                h += 1
+                x[h] = t
+        result.append(tuple(x[: m + 1]))
+    return result
 
 
 # p(n) table built with the pentagonal-number recurrence.  Kept deliberately

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -10,7 +11,11 @@ import pytest
 
 import symsod
 from symsod import cli, suites
-from symsod.suites import frobenius_battery
+from symsod.expr import Bullet, Curve, Opaque, Sod, Sym
+from symsod.grammar import parse_expr, render_text
+from symsod.invariants import invariant_report
+from symsod.rewrite import expand
+from symsod.suites import frobenius_battery, gen_random_expr
 
 
 def run_cli(*argv):
@@ -46,6 +51,53 @@ def test_decompose_json_byte_stable(capsys):
     run_cli("decompose", "hilb(3, blowup(P2))", "--format", "json")
     second = capsys.readouterr().out
     assert first == second
+
+
+def _payload_json(text, tree):
+    """``json.dumps`` of the expression payload, built as plain dicts and lists."""
+    report = invariant_report(tree)
+    components = [
+        {"factors": [render_text(atom) for atom in comp.factors], "multiplicity": mult}
+        for comp, mult in expand(tree)
+    ]
+    invariants = {
+        "euler": report.euler,
+        "hh_total": report.hh_total,
+        "exceptional_length": report.exceptional_length,
+    }
+    payload = {
+        "input": text, "canonical": render_text(tree),
+        "components": components, "invariants": invariants,
+    }
+    return json.dumps(payload) + "\n"
+
+
+def test_expression_json_is_json_dumps_of_the_payload(monkeypatch, capsys):
+    # the expression verbs write their JSON piece by piece, each distinct
+    # component rendered once; the bytes must be those of json.dumps(payload)
+    rng = random.Random(1)
+    texts = [render_text(gen_random_expr(rng, 3)) for _ in range(300)]
+    texts += ["A", "sym(2, sod(A, B))", "bullet(sym(2, sod(curve(1), X1)), sym(3, P1))"]
+    texts += ["pt", "sym(5, P2)", "sym(4, sod(pt, pt, pt, pt))", "bullet(sym(3, P2), sym(2, P1))"]
+    texts += ["sym(2, sym(2, pt))", "sym(3, sym(2, P1))", "sym(2,\tsod(A,\n B))"]  # escapes
+    cases = [(text, parse_expr(text)) for text in texts]
+    # declared opaque atoms have no text form: the parser is bypassed for them
+    declared = {
+        "declared-x": Sym(2, Sod((Curve(1), Opaque("X", 0, 2), Curve(1)))),
+        "declared-d": Bullet((Opaque("D", 1, 3), Sod((Curve(2), Opaque("E", -1, 1))))),
+    }
+    cases += list(declared.items())
+    parse = cli.parse_expr
+    monkeypatch.setattr(cli, "parse_expr", lambda text: declared.get(text) or parse(text))
+    nulls = 0
+    for text, tree in cases:
+        expected = _payload_json(text, tree)
+        nulls += '"euler": null' in expected
+        for verb in ("decompose", "invariants"):
+            assert run_cli(verb, text, "--format", "json") == 0
+            assert capsys.readouterr().out == expected, (verb, text)
+    assert 0 < nulls < len(cases)
+    assert '"euler": -3, "hh_total": 21' in _payload_json("declared-d", declared["declared-d"])
 
 
 def test_hilb_note_printed_in_text_mode(capsys):

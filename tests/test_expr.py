@@ -9,7 +9,9 @@ import symsod
 from symsod.expr import (
     Bullet,
     Component,
+    ComponentList,
     Curve,
+    InternalInvariantError,
     Opaque,
     PHANTOM,
     POINT,
@@ -66,6 +68,25 @@ def test_component_drops_point_units():
     assert c.factors == (Curve(1),)
     assert Component.of([POINT, POINT]).is_point()
     assert Component.of([]).is_point()
+
+
+def test_component_list_counts_and_checks_in_one_pass():
+    curve, point = Component.of([Curve(1)]), Component.of([])
+    for bad in (0, -2):
+        with pytest.raises(InternalInvariantError, match="multiplicity must be >= 1"):
+            ComponentList(((curve, 1), (point, bad)))
+    components = ComponentList(((curve, 2), (point, 3), (curve, 1)))
+    assert components.as_multiset() == {curve: 3, point: 3}
+    assert list(components.as_multiset()) == [curve, point]  # first appearance
+    assert components.total_multiplicity() == 6
+    # every call returns a fresh dict: mutating one changes neither the next
+    # call's result nor the totals (suites compare these dicts)
+    counts = components.as_multiset()
+    counts[curve] = 100
+    del counts[point]
+    assert components.as_multiset() == {curve: 3, point: 3}
+    assert components.total_multiplicity() == 6
+    assert ComponentList().as_multiset() == {}
 
 
 def _run_with_hash_seed(seed: int, code: str, stdin: bytes = b"") -> bytes:

@@ -37,13 +37,15 @@ def test_partitions_of_4_matches_enumeration():
     assert set(got) == brute_force_partitions(4)
 
 
-@pytest.mark.parametrize("n", range(12))
+@pytest.mark.parametrize("n", range(21))
 def test_partitions_of_matches_brute_force(n):
-    assert set(partitions_of(n)) == brute_force_partitions(n)
+    parts = partitions_of(n)
+    assert set(parts) == brute_force_partitions(n)
+    assert len(parts) == partition_count(n)
 
 
 def test_partitions_sorted_decreasing_lex():
-    for n in range(10):
+    for n in range(21):
         parts = partitions_of(n)
         assert parts == sorted(parts, reverse=True)
 
