@@ -25,7 +25,8 @@ expression verbs the schema is::
 It is written piece by piece, byte for byte ``json.dumps(payload)``: strings
 through the encoder ``json.dumps`` uses, the invariants by ``json.dumps``.  Each
 distinct component is rendered once, to ``{"factors": [...], "multiplicity": ``
-(or to its `` * `` text); an entry adds ``str(mult) + "}"``.
+(or to the pieces of its text line around the multiplicity); an entry adds
+``str(mult) + "}"``.
 """
 
 from __future__ import annotations
@@ -67,9 +68,16 @@ def _expression_json(text: str, expr: CatExpr, report: InvariantReport) -> str:
 
 
 def _write_entries(entries: ComponentList, tails: dict[Component, str]) -> None:
-    """One line per entry, each distinct component's text and tail rendered once."""
-    texts = {comp: " * ".join(map(render_text, comp.factors)) for comp in tails}
-    lines = (f"  {i}. {texts[c]}  x{mult}{tails[c]}\n" for i, (c, mult) in enumerate(entries, 1))
+    """One line per entry: each distinct component's text and tail are joined once
+    into the two pieces around the multiplicity, so an entry makes one lookup."""
+    pieces = {
+        comp: (" * ".join(map(render_text, comp.factors)) + "  x", tail + "\n")
+        for comp, tail in tails.items()
+    }
+    lines = []
+    for i, (comp, mult) in enumerate(entries, 1):
+        text, tail = pieces[comp]
+        lines.append(f"  {i}. {text}{mult}{tail}")
     sys.stdout.write("".join(lines))
 
 

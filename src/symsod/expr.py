@@ -27,8 +27,9 @@ and the parser in ``symsod.grammar`` reads nothing else about them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Hashable, Iterable, Optional, Union
 
 from .series import BettiVector
 
@@ -307,6 +308,17 @@ class Component:
         return " * ".join(str(a) for a in self.factors)
 
 
+def count_entries(entries: Iterable[tuple[Hashable, int]]) -> dict[Hashable, int]:
+    """The multiset of (key, multiplicity) entries: each distinct key's summed
+    multiplicity.  A multiplicity below 1 raises ``InternalInvariantError``."""
+    counts: defaultdict[Hashable, int] = defaultdict(int)
+    for key, mult in entries:
+        if mult < 1:
+            raise InternalInvariantError(f"multiplicity must be >= 1: {key} x {mult}")
+        counts[key] += mult
+    return dict(counts)
+
+
 @dataclass(frozen=True)
 class ComponentList:
     """An ordered list of (component, multiplicity) pairs.
@@ -314,19 +326,26 @@ class ComponentList:
     Multiplicity > 1 records completely orthogonal repetitions of the same
     component: the p(n) points of sym(n, pt), and products with them.
     Distinct entries may carry equal components when the blocks they came
-    from are only semi-orthogonal.  Construction is one counting pass: it checks
-    each multiplicity and sums it into the multiset that ``as_multiset`` copies.
+    from are only semi-orthogonal.  ``ComponentList(entries)`` counts the
+    multiset that ``as_multiset`` copies with :func:`count_entries`; the rewrite
+    engine counts its entries on its own keys with the same function and hands
+    the multiset over through ``_counted``.
     """
 
     entries: tuple[tuple[Component, int], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        counts: dict[Component, int] = {}
-        for comp, mult in self.entries:
-            if mult < 1:
-                raise InternalInvariantError(f"multiplicity must be >= 1: {comp} x {mult}")
-            counts[comp] = counts.get(comp, 0) + mult
-        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_counts", count_entries(self.entries))
+
+    @classmethod
+    def _counted(
+        cls, entries: tuple[tuple[Component, int], ...], counts: dict[Component, int]
+    ) -> "ComponentList":
+        """A list whose multiset ``counts`` the caller has counted and checked."""
+        made = object.__new__(cls)
+        object.__setattr__(made, "entries", entries)
+        object.__setattr__(made, "_counts", counts)
+        return made
 
     def total_multiplicity(self) -> int:
         return sum(self._counts.values())

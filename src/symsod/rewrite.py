@@ -21,6 +21,12 @@ Rules, applied until every component is a product of atoms:
       its arity.  Its base keeps its shape: R5, R6 and the point unit of a
       bullet apply at every level, then canonical form; nothing distributes.
 
+The walk works on interned atom ids: one expand call numbers each distinct atom
+the first time it meets it (a leaf, a curve power of R3, a sym-power atom of
+R7), so an entry is a sorted tuple of small ints, () for the point.  Only at
+the end are the entries counted, on those int tuples, and each distinct tuple
+built into one ``Component`` of the atoms it numbers.
+
 Everything is pure and deterministic.
 """
 
@@ -43,8 +49,8 @@ from .expr import (
     SymCurve,
     SymPower,
     canonicalize,
+    count_entries,
     is_atom,
-    sort_key,
 )
 from .partitions import multiplicity_vectors, partition_count
 
@@ -81,16 +87,17 @@ def _reduced(e: CatExpr) -> CatExpr:
     return e
 
 
-# Engine entries: (component as a sorted tuple of atoms, multiplicity); () is the point
-Entries = list[tuple[tuple[Atom, ...], int]]
+# Engine entries: (component as a sorted tuple of atom ids, multiplicity); () is
+# the point.  An id numbers an atom of one expand call; _components maps it back.
+Entries = list[tuple[tuple[int, ...], int]]
 
 
-def _join(a: tuple[Atom, ...], b: tuple[Atom, ...]) -> tuple[Atom, ...]:
+def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if not a:
         return b
     if not b:
         return a
-    return tuple(sorted(a + b, key=sort_key))
+    return tuple(sorted(a + b))
 
 
 _UNIT: Entries = [((), 1)]  # the point: _product returns the other operand, uncopied
@@ -106,15 +113,21 @@ def _product(left: Entries, right: Entries) -> Entries:
 
 
 class _Expansion:
-    """One expand call: its bracketing and a memo of the Sym nodes it expanded."""
+    """One expand call: its bracketing, its atom ids and a memo of the Sym nodes
+    it expanded."""
 
     def __init__(self, split_head: bool) -> None:
         self.split_head = split_head
         self.memo: dict[Sym, Entries] = {}
+        self.ids: dict[Atom, int] = {}  # in id order: the atom of id i is the i-th key
+
+    def _id(self, atom: Atom) -> int:
+        ids = self.ids
+        return ids.setdefault(atom, len(ids))
 
     def expand(self, e: CatExpr) -> Entries:
         if is_atom(e):
-            return [((), 1)] if isinstance(e, Point) else [((e,), 1)]
+            return [((), 1)] if isinstance(e, Point) else [((self._id(e),), 1)]
 
         if isinstance(e, Sod):
             return [entry for part in e.parts for entry in self.expand(part)]
@@ -141,15 +154,15 @@ class _Expansion:
             return [((), partition_count(n))]  # R2
         if isinstance(base, Curve):
             # R3: one component per multiplicity vector of weight n, the all-ones
-            # vector (the top power) first; ascending degrees are in sort_key order
+            # vector (the top power) first; sym^a(curve(g)) is interned once per degree a
             g = base.genus
-            degrees = (sorted(a for _, a in vec) for vec in reversed(multiplicity_vectors(n)))
-            return [
-                (tuple(Curve(g) if a == 1 else SymCurve(g, a) for a in ds), 1) for ds in degrees
-            ]
+            vectors = multiplicity_vectors(n)[::-1]
+            degrees = {a for vec in vectors for _, a in vec}
+            ids = {a: self._id(Curve(g) if a == 1 else SymCurve(g, a)) for a in degrees}
+            return [(tuple(sorted([ids[a] for _, a in vec])), 1) for vec in vectors]
         if base is not None:
             # R7: bullet and nested-sym bases and the remaining atoms stay opaque sym powers
-            return [((SymPower(n, _reduced(base)),), 1)]
+            return [((self._id(SymPower(n, _reduced(base))),), 1)]
 
         # R1: split off the parts from one end (head-first the first, tail-first
         # the last), then build the powers of each rest from the far end
@@ -172,11 +185,18 @@ def _blocks(first: list[Entries], second: list[Entries], m: int) -> Entries:
 
 
 def _components(e: CatExpr, split_head: bool) -> ComponentList:
-    """The engine's entries as a :class:`ComponentList`, one ``Component`` built per
-    distinct atom tuple: equal components in one expansion are one object."""
-    entries = _Expansion(split_head).expand(canonicalize(e))
-    made = {atoms: Component.of(atoms) for atoms in {atoms for atoms, _ in entries}}
-    return ComponentList(tuple((made[atoms], mult) for atoms, mult in entries))
+    """The engine's entries as a :class:`ComponentList`: counted on their id tuples,
+    then one ``Component`` built per distinct tuple, so equal components in one
+    expansion are one object."""
+    walk = _Expansion(split_head)
+    entries = walk.expand(canonicalize(e))
+    counts = count_entries(entries)
+    atoms = list(walk.ids)
+    made = {ids: Component.of([atoms[i] for i in ids]) for ids in counts}
+    return ComponentList._counted(
+        tuple([(made[ids], mult) for ids, mult in entries]),
+        {made[ids]: mult for ids, mult in counts.items()},
+    )
 
 
 def expand(e: CatExpr) -> ComponentList:

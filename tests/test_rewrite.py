@@ -3,11 +3,13 @@ import math
 
 import pytest
 
-from symsod import rewrite
+from symsod import cli, rewrite
 from symsod.expr import (
     Bullet,
     Component,
+    ComponentList,
     Curve,
+    InternalInvariantError,
     Opaque,
     PHANTOM,
     POINT,
@@ -15,6 +17,8 @@ from symsod.expr import (
     Sym,
     SymCurve,
     SymPower,
+    canonicalize,
+    sort_key,
 )
 from symsod.grammar import parse_expr, render_text
 from symsod.invariants import invariant_report
@@ -88,8 +92,9 @@ def _literal_product(left, right):
 
 def test_product_with_the_unit_makes_no_joins(monkeypatch):
     # a unit operand gives the other operand back; R1 multiplies by the unit in
-    # every block of sym(2, sod(pt x l)), which then needs no join at all
-    operands = [[((), 1)], [((), 3)], [((A,), 1), ((B, C), 2)], [((C,), 2), ((), 1)]]
+    # every block of sym(2, sod(pt x l)), which then needs no join at all; the
+    # engine's entries are sorted tuples of atom ids, () for the point
+    operands = [[((), 1)], [((), 3)], [((0,), 1), ((1, 2), 2)], [((2,), 2), ((), 1)]]
     for left, right in itertools.product(operands, repeat=2):
         assert rewrite._product(left, right) == _literal_product(left, right)
     exprs = [Sym(3, Sod((A, POINT, B))), Bullet((Sym(2, Sod((POINT, POINT))), Sym(2, Sod((A, B)))))]
@@ -258,3 +263,47 @@ def test_equal_components_of_one_expansion_are_one_object(monkeypatch, text):
     for comp, _ in components:
         assert first.setdefault(comp, comp) is comp
     assert len(first) == len(built) < len(components)
+
+
+@pytest.mark.parametrize("engine", [expand, expand_tail_first])
+def test_engine_multiset_is_the_public_recount(engine):
+    # the engine counts its entries on atom-id tuples; counting the same entries
+    # through the public constructor must give the same multiset
+    import random
+
+    from symsod.suites import gen_random_expr
+
+    rng = random.Random(5)
+    for _ in range(100):
+        e = gen_random_expr(rng, depth=3)
+        components = engine(e)
+        recount = ComponentList(components.entries)
+        assert recount.as_multiset() == components.as_multiset(), render_text(e)
+        assert recount.total_multiplicity() == components.total_multiplicity()
+        first = {}
+        for comp, _ in components:
+            assert first.setdefault(comp, comp) is comp, render_text(e)
+
+
+@pytest.mark.parametrize("engine", [expand, expand_tail_first])
+def test_factors_keep_sort_key_order_whichever_atom_is_met_first(engine):
+    e = parse_expr("bullet(sym(2, sod(curve(2), A)), sym(2, sod(A, curve(2))))")
+    walk = rewrite._Expansion(split_head=engine is expand)
+    walk.expand(canonicalize(e))
+    # head-first numbers curve(2) before A, tail-first A before curve(2)
+    assert (walk.ids[Curve(2)] < walk.ids[A]) == (engine is expand)
+    components = engine(e)
+    first = {}
+    for comp, _ in components:
+        assert list(comp.factors) == sorted(comp.factors, key=sort_key)
+        assert first.setdefault(comp, comp) is comp
+    assert Component((Curve(2), Curve(2), A, A)) in first
+    assert components.as_multiset() == expand_tail_first(e).as_multiset()
+
+
+def test_engine_keeps_its_multiplicity_check(monkeypatch, capsys):
+    monkeypatch.setattr(rewrite, "partition_count", lambda n: 0)
+    with pytest.raises(InternalInvariantError, match="multiplicity must be >= 1"):
+        expand(Sym(3, POINT))
+    assert cli.main(["decompose", "sym(3, pt)"]) == 3
+    assert "internal invariant violation" in capsys.readouterr().err
