@@ -16,21 +16,35 @@ What is validated, and where:
   calling it checks that its argument lies in 1..n.  Products and inverses
   of permutations skip the first check (a product of two permutations of
   equal degree always is one); the degree check stays.
-- :class:`PermModule` keeps a small generating subset of the group list it
-  is given as ``generators`` and checks the action on it: the identity
-  fixes every basis point, each generator maps the basis onto itself, and
-  the homomorphism identity holds for every ordered pair of generators on
+- :class:`PermModule` numbers its basis once (a repeated point is an
+  error) and keeps each element's action as a table of basis positions,
+  filled by one call of ``act`` per point the first time the element is
+  needed.  It keeps a small generating subset of the group list it is
+  given as ``generators`` and checks the action on it: the identity fixes
+  every basis point, each generator maps the basis onto itself, and the
+  homomorphism identity holds for every ordered pair of generators on
   every basis point.  For S_n the subset is the transposition (1 2) and the
   n-cycle (1 2 ... n), and for S_(n-i) x S_i at most such a pair per block,
   so on these groups the checks make at most 1 + 4 + 16 calls of ``act``
-  per basis point.
+  per basis point; their results are kept as the tables of the identity,
+  the generators and their pairwise products.
+- Every other element is trusted: it is never checked against the
+  generators.  A table made for it on first use only checks that its
+  images are basis points, and the Burnside side only counts its fixed
+  points, so an element outside the checked ones that sends points out of
+  the basis can go unnoticed.
 - :func:`invariant_dimension` checks that the module's group list is a
   whole group: no duplicates, the identity present, and the same set as
-  the group that ``generators`` generate (so it is closed).
+  the group that ``generators`` generate (so it is closed).  Its Burnside
+  sum calls ``act`` on the class representatives and reads no table, so
+  the two sides of :func:`induction_invariance_check` share no evaluated
+  action.
 - The induced module of :func:`induction_invariance_check` is given the
   transposition (1 2) and the n-cycle (1 2 ... n), which generate S_n, so it
   is checked on exactly those two, the generators its orbits are counted
-  under.
+  under.  Its basis is (coset index, basis position) and its action reads
+  the tables of ``m``; ``orbit_count`` walks the generators' tables and
+  calls no ``act``.
 
 Inside the hot loops permutations are plain image tuples; ``Permutation``
 objects appear only where user code sees them: group lists, the arguments
@@ -269,16 +283,21 @@ class PermModule:
     subset of ``group`` (``_generating_subset``): a transposition and a
     cycle per orbit where the list holds them, then the greedy scan; for a
     Young subgroup that is at most one transposition and one cycle per
-    block.  The module is validated once, on construction, on those
-    generators:
+    block.  The basis must not repeat a point; ``_index`` numbers it, and
+    ``_table(g)`` is g's action as a list of basis positions, made by one
+    ``act`` call per point on first use and kept under ``g.images``.  The
+    module is validated once, on construction, on those generators:
 
     - the identity fixes every basis point;
     - each generator maps the basis onto itself;
     - ``act(g * h, b) == act(g, act(h, b))`` for every ordered pair (g, h) of
       generators and every basis point b.
 
-    Elements other than the identity, the generators and their pairwise
-    products are trusted to act consistently with them.
+    What the validation evaluates becomes the tables of the identity, the
+    generators and their pairwise products.  ``orbit_count`` and the induced
+    module of :func:`induction_invariance_check` read tables;
+    ``fixed_points`` (the Burnside side) calls ``act``.  Every other element
+    is trusted to act consistently with the checked ones.
     """
 
     def __init__(
@@ -293,35 +312,58 @@ class PermModule:
             raise ValueError("module group must be non-empty")
         self.group = list(group)
         self.basis = list(basis)
+        self._index = {b: k for k, b in enumerate(self.basis)}
+        if len(self._index) != len(self.basis):
+            raise ValueError("module basis contains duplicates")
         self.act = act
+        self._tables: dict[tuple[int, ...], list[int]] = {}
         self.generators = _generating_subset(self.group)
         self._validate()
 
+    def _positions(self, g: Permutation) -> list[int | None]:
+        """The basis positions of g's images, ``None`` for an image outside the basis."""
+        index, act = self._index, self.act
+        return [index.get(act(g, b)) for b in self.basis]
+
+    def _table(self, g: Permutation) -> list[int]:
+        """g's action as basis positions: ``act`` is called once per point, on first use."""
+        table = self._tables.get(g.images)
+        if table is None:
+            table = self._positions(g)
+            if None in table:
+                raise ValueError(f"{g!r} does not permute the basis")
+            self._tables[g.images] = table
+        return table
+
     def _validate(self) -> None:
         identity = Permutation.identity(self.group[0].degree)
-        basis_set = set(self.basis)
         for b in self.basis:
             if self.act(identity, b) != b:
                 raise ValueError(f"identity does not fix basis point {b!r}")
-        images = []
+        size = len(self.basis)
+        self._tables[identity.images] = list(range(size))
+        tables = []
         for g in self.generators:
-            image = [self.act(g, b) for b in self.basis]
-            if set(image) != basis_set:
+            table = self._positions(g)
+            if None in table or len(set(table)) != size:
                 raise ValueError(f"{g!r} does not permute the basis")
-            images.append(dict(zip(self.basis, image)))
-        for g, g_image in zip(self.generators, images):
-            for h, h_image in zip(self.generators, images):
+            self._tables[g.images] = table
+            tables.append(table)
+        for g, tg in zip(self.generators, tables):
+            for h, th in zip(self.generators, tables):
                 gh = g * h
-                for b in self.basis:
-                    if self.act(gh, b) != g_image[h_image[b]]:
-                        raise ValueError("action is not a homomorphism on generators")
+                table = self._positions(gh)
+                if table != [tg[k] for k in th]:
+                    raise ValueError("action is not a homomorphism on generators")
+                self._tables[gh.images] = table
 
     def fixed_points(self, g: Permutation) -> int:
         return sum(1 for b in self.basis if self.act(g, b) == b)
 
     def orbit_count(self) -> int:
-        """Number of orbits of the group on the basis, walked under ``generators``."""
-        return len(_orbits(self.basis, self.generators, self.act))
+        """Number of orbits of the group on the basis, walked on the generators' tables."""
+        tables = [self._table(g) for g in self.generators]
+        return len(_orbits(range(len(self.basis)), tables, list.__getitem__))
 
 
 def trivial_module(group: Sequence[Permutation]) -> PermModule:
@@ -411,11 +453,13 @@ def induction_invariance_check(y: YoungPair, m: PermModule) -> InductionReport:
     """Frobenius reciprocity for the trivial character, made executable.
 
     The module ``m`` over H = S_{n-i} x S_i is induced up to G = S_n on the
-    basis {(coset j, b)}: for g in G and each summand index k, the elements
-    h in H and rep index j with ``g * g_k = g_j * h`` carry (k, b) to
-    (j, h.b).  The induced module is validated on, and its orbits are
-    counted under, the transposition (1 2) and the n-cycle (1 2 ... n),
-    which generate G.  The number of orbits, the dimension of the
+    basis {(coset j, basis position b of m)}: for g in G and each summand
+    index k, the element h in H and rep index j with ``g * g_k = g_j * h``
+    carry (k, b) to (j, h.b).  The move (j, h) is found once per (g, k), and
+    h.b is read from h's table in ``m``.  The induced module is validated
+    on, and its orbits are counted under, the transposition (1 2) and the
+    n-cycle (1 2 ... n), which generate G.  The number of orbits, the
+    dimension of the
     G-invariants, is compared with the Burnside dimension of the
     H-invariants of ``m``.
     """
@@ -428,19 +472,20 @@ def induction_invariance_check(y: YoungPair, m: PermModule) -> InductionReport:
     rep_inverses = [_inverse(r) for r in reps]
     top = range(n - y.i + 1, n + 1)
     rep_index = {frozenset(r[t - 1] for t in top): j for j, r in enumerate(reps)}
-    moves: dict[tuple[tuple[int, ...], int], tuple[int, Permutation]] = {}
+    moves: dict[tuple[tuple[int, ...], int], tuple[int, list[int]]] = {}
 
-    def induced_act(g: Permutation, point: tuple[int, Any]) -> tuple[int, Any]:
+    def induced_act(g: Permutation, point: tuple[int, int]) -> tuple[int, int]:
         k, b = point
         move = moves.get((g.images, k))
         if move is None:
             x = _compose(g.images, reps[k])  # g * g_k = g_j * h
             j = rep_index[frozenset(x[t - 1] for t in top)]
-            move = moves[g.images, k] = (j, h_by_images[_compose(rep_inverses[j], x)])
-        j, h = move
-        return (j, m.act(h, b))
+            h = h_by_images[_compose(rep_inverses[j], x)]
+            move = moves[g.images, k] = (j, m._table(h))
+        j, table = move
+        return (j, table[b])
 
-    induced_basis = [(j, b) for j in range(len(reps)) for b in m.basis]
+    induced_basis = [(j, b) for j in range(len(reps)) for b in range(len(m.basis))]
 
     # generators of S_n: a transposition and an n-cycle (n-dependent edge cases)
     if n <= 1:

@@ -282,3 +282,65 @@ def test_induction_check_scans_only_the_induced_module_for_generators(monkeypatc
     monkeypatch.setattr(symgroup, "_generating_subset", counted)
     assert induction_invariance_check(pair, module)
     assert [len(elements) for elements in scanned] == [2]  # (1 2) and (1 2 3 4)
+
+
+def test_perm_module_rejects_a_basis_with_a_repeated_point():
+    with pytest.raises(ValueError, match="duplicates"):
+        PermModule(symmetric_group(3), [1, 1, 2, 3], lambda g, b: g(b))
+
+
+@pytest.mark.parametrize("i, classes", [(0, 11), (3, 3 * 3)])
+def test_induction_check_calls_act_only_for_burnside(i, classes):
+    # the induced module reads the tables the regular module built while it was
+    # validated, so inside the check only the Burnside side calls act: once per
+    # class representative and basis point (p(6) = 11 classes of S_6, 3 * 3 of
+    # S_3 x S_3); the walk of orbit_count reads the generators' tables
+    pair = YoungPair(6, i)
+    calls = []
+
+    def counting(g, b):
+        calls.append(g)
+        return g * b
+
+    h = young_subgroup(pair)
+    module = PermModule(h, list(h), counting)
+    calls.clear()
+    assert induction_invariance_check(pair, module)
+    assert len(calls) == classes * len(h)
+    calls.clear()
+    assert module.orbit_count() == 1
+    assert calls == []
+
+
+def _literal_orbit_count(module):
+    # every element of the group list acts, through act itself, on every point reached
+    seen, orbits = set(), 0
+    for start in module.basis:
+        if start not in seen:
+            orbits += 1
+            seen.add(start)
+            frontier = [start]
+            while frontier:
+                b = frontier.pop()
+                for g in module.group:
+                    c = module.act(g, b)
+                    if c not in seen:
+                        seen.add(c)
+                        frontier.append(c)
+    return orbits
+
+
+def test_tables_and_orbit_count_agree_with_act_after_the_induction_check():
+    rng = random.Random(6)
+    for n in range(1, 6):
+        for i in range(n + 1):
+            pair = YoungPair(n, i)
+            h = young_subgroup(pair)
+            modules = [trivial_module(h), natural_module(h, n), regular_module(h)]
+            modules += [random_orbit_module(h, n, rng) for _ in range(2)]
+            for module in modules:
+                assert induction_invariance_check(pair, module)
+                for images, table in module._tables.items():
+                    g = Permutation(images)
+                    assert table == [module.basis.index(module.act(g, b)) for b in module.basis]
+                assert module.orbit_count() == _literal_orbit_count(module)
