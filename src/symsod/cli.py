@@ -37,9 +37,9 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str  # the string form json.dumps writes
-from typing import Optional
+from typing import Optional, Sequence
 
-from .expr import CatExpr, Component, ComponentList, InternalInvariantError
+from .expr import CatExpr, ComponentList, InternalInvariantError
 from .grammar import ParseError, parse_expr, render_text, uses_hilb_sugar
 from .invariants import InvariantReport, invariant_report
 from .partitions import q_length
@@ -57,26 +57,27 @@ _MCKAY_NOTE = (
 def _expression_json(text: str, expr: CatExpr, report: InvariantReport) -> str:
     """``json.dumps`` of the expression payload, written piece by piece."""
     prefix = f'{{"input": {_json_str(text)}, "canonical": {_json_str(render_text(expr))}'
-    entries = report.components.expansion
-    heads = {}
-    for comp in entries.as_multiset():
-        factors = ", ".join([_json_str(render_text(a)) for a in comp.factors])
-        heads[comp] = f'{{"factors": [{factors}], "multiplicity": '
-    components = ", ".join([f"{heads[comp]}{mult}}}" for comp, mult in entries])
+    expansion = report.expansion
+    heads = [
+        '{"factors": [' + ", ".join([_json_str(render_text(a)) for a in comp.factors])
+        + '], "multiplicity": '
+        for comp in expansion.distinct
+    ]
+    components = ", ".join([f"{heads[index]}{mult}}}" for index, mult in expansion.pairs])
     invariants = json.dumps(report.to_json_dict())
     return f'{prefix}, "components": [{components}], "invariants": {invariants}}}'
 
 
-def _write_entries(entries: ComponentList, tails: dict[Component, str]) -> None:
-    """One line per entry: each distinct component's text and tail are joined once
-    into the two pieces around the multiplicity, so an entry makes one lookup."""
-    pieces = {
-        comp: (" * ".join(map(render_text, comp.factors)) + "  x", tail + "\n")
-        for comp, tail in tails.items()
-    }
+def _write_entries(expansion: ComponentList, tails: Sequence[str]) -> None:
+    """One line per entry: each distinct component's text and tail (aligned with
+    ``distinct``) are joined once into the two pieces around the multiplicity."""
+    pieces = [
+        (" * ".join(map(render_text, comp.factors)) + "  x", tail + "\n")
+        for comp, tail in zip(expansion.distinct, tails)
+    ]
     lines = []
-    for i, (comp, mult) in enumerate(entries, 1):
-        text, tail = pieces[comp]
+    for i, (index, mult) in enumerate(expansion.pairs, 1):
+        text, tail = pieces[index]
         lines.append(f"  {i}. {text}{mult}{tail}")
     sys.stdout.write("".join(lines))
 
@@ -96,7 +97,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     entries = expand(expr)
     total = entries.total_multiplicity()
     print(f"components ({len(entries)} entries, total multiplicity {total}):")
-    _write_entries(entries, dict.fromkeys(entries.as_multiset(), ""))
+    _write_entries(entries, [""] * len(entries.distinct))
     return 0
 
 
@@ -113,9 +114,8 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     print(f"euler: {_shown(report.euler)}\nhh_total: {_shown(report.hh_total)}")
     print(f"exceptional_length: {'not purely exceptional' if length is None else length}")
     print("per-component:")
-    values = report.components.values.items()
-    tails = {comp: f"  euler={_shown(e)} hh={_shown(h)}" for comp, (e, h) in values}
-    _write_entries(report.components.expansion, tails)
+    tails = [f"  euler={_shown(e)} hh={_shown(h)}" for e, h in report.values]
+    _write_entries(report.expansion, tails)
     return 0
 
 

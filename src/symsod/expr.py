@@ -27,9 +27,8 @@ and the parser in ``symsod.grammar`` reads nothing else about them.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Optional, Union
+from dataclasses import dataclass
+from typing import Iterable, Optional, Union
 
 from .series import BettiVector
 
@@ -275,20 +274,9 @@ class Component:
 
     Point factors are the unit of the product: they are dropped when other
     atoms are present, and a pure-point product collapses to a single point.
-    The hash is computed once, when the component is built; it depends on the
-    process's hash seed, so pickling keeps only the factors.
     """
 
     factors: tuple[Atom, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.factors))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Component, (self.factors,)
 
     @classmethod
     def of(cls, atoms: Iterable[Atom]) -> "Component":
@@ -308,59 +296,54 @@ class Component:
         return " * ".join(str(a) for a in self.factors)
 
 
-def count_entries(entries: Iterable[tuple[Hashable, int]]) -> dict[Hashable, int]:
-    """The multiset of (key, multiplicity) entries: each distinct key's summed
-    multiplicity.  A multiplicity below 1 raises ``InternalInvariantError``."""
-    counts: defaultdict[Hashable, int] = defaultdict(int)
-    for key, mult in entries:
-        if mult < 1:
-            raise InternalInvariantError(f"multiplicity must be >= 1: {key} x {mult}")
-        counts[key] += mult
-    return dict(counts)
-
-
 @dataclass(frozen=True)
 class ComponentList:
-    """An ordered list of (component, multiplicity) pairs.
+    """An expansion: its distinct components, and its ordered entries pointing at them.
 
-    Multiplicity > 1 records completely orthogonal repetitions of the same
-    component: the p(n) points of sym(n, pt), and products with them.
-    Distinct entries may carry equal components when the blocks they came
-    from are only semi-orthogonal.  ``ComponentList(entries)`` counts the
-    multiset that ``as_multiset`` copies with :func:`count_entries`; the rewrite
-    engine counts its entries on its own keys with the same function and hands
-    the multiset over through ``_counted``.
+    ``distinct`` holds each component once, in first-seen order; ``pairs`` are
+    the entries as (index into ``distinct``, multiplicity).  Multiplicity > 1
+    records completely orthogonal repetitions of the same component: the p(n)
+    points of sym(n, pt), and products with them.  Distinct entries may point at
+    the same component when the blocks they came from are only semi-orthogonal.
+    The constructor sums ``counts``, the multiplicity of each distinct component,
+    and checks the layout in the same pass.  Iterating yields the entries as
+    (component, multiplicity).
     """
 
-    entries: tuple[tuple[Component, int], ...] = field(default_factory=tuple)
+    distinct: tuple[Component, ...] = ()
+    pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_counts", count_entries(self.entries))
-
-    @classmethod
-    def _counted(
-        cls, entries: tuple[tuple[Component, int], ...], counts: dict[Component, int]
-    ) -> "ComponentList":
-        """A list whose multiset ``counts`` the caller has counted and checked."""
-        made = object.__new__(cls)
-        object.__setattr__(made, "entries", entries)
-        object.__setattr__(made, "_counts", counts)
-        return made
+        distinct = self.distinct
+        counts = [0] * len(distinct)
+        for index, mult in self.pairs:
+            if not 0 <= index < len(distinct):
+                raise InternalInvariantError(f"entry index {index} outside 0..{len(counts) - 1}")
+            if mult < 1:
+                comp = distinct[index]
+                raise InternalInvariantError(f"multiplicity must be >= 1: {comp} x {mult}")
+            counts[index] += mult
+        if 0 in counts:
+            raise InternalInvariantError(f"no entry uses {distinct[counts.index(0)]}")
+        if len({comp.factors for comp in distinct}) < len(distinct):
+            raise InternalInvariantError("a distinct component repeats")
+        object.__setattr__(self, "counts", tuple(counts))
 
     def total_multiplicity(self) -> int:
-        return sum(self._counts.values())
+        return sum(self.counts)
 
     def as_multiset(self) -> dict[Component, int]:
-        return dict(self._counts)
+        return dict(zip(self.distinct, self.counts))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.pairs)
 
     def __iter__(self):
-        return iter(self.entries)
+        distinct = self.distinct
+        return iter([(distinct[index], mult) for index, mult in self.pairs])
 
     def __str__(self) -> str:
-        return "; ".join(f"{comp} x{mult}" for comp, mult in self.entries)
+        return "; ".join(f"{comp} x{mult}" for comp, mult in self)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 The Euler characteristic and the total Hochschild dimension of an
 expression are the sums over its expanded components (with multiplicity) of
 the products over atomic factors.  One report values each distinct atom
-once and takes each distinct component's product once; the totals are summed
-per distinct component of the expansion's multiset, its value times its
-total multiplicity; the per-entry rows are built only when first read.  The
+once and each distinct component of the expansion once, by its position in
+``ComponentList.distinct``; the totals are summed over the distinct
+components, each value times that component's total multiplicity.  The
 atoms sym^n(S) over one surface S read one evaluation of the invariant law
 (:func:`series.sym_power_totals`), to order the largest such n; Goettsche's
 series at z = -1 and z = 1 stays its independent check.  Atom values:
@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Callable, Collection, Iterable, NamedTuple, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Optional, Sequence
 
 from .expr import (
     Atom,
@@ -107,17 +107,18 @@ def _known(fold: Callable[[Sequence[int]], int], values: Sequence[Optional[int]]
     return None if None in values else fold(values)
 
 
-def _component_values(distinct: Collection[Component]) -> dict[Component, _Values]:
-    """(euler, hh_total) of each distinct component, each distinct atom evaluated once."""
+def _component_values(distinct: Sequence[Component]) -> tuple[_Values, ...]:
+    """(euler, hh_total) of each distinct component, in order, each distinct atom
+    evaluated once."""
     atoms = dict.fromkeys(atom for comp in distinct for atom in comp.factors)
     powers = [a for a in atoms if isinstance(a, SymPower) and isinstance(a.base, Surface)]
     tops = {a.base.betti: a.arity for a in sorted(powers, key=lambda a: a.arity)}  # largest last
     values = {atom: _atom_value(atom, tops) for atom in atoms}
-    products = {}
+    products = []
     for comp in distinct:
         eulers, hhs = zip(*(values[atom] for atom in comp.factors))
-        products[comp] = _known(math.prod, eulers), _known(math.prod, hhs)
-    return products
+        products.append((_known(math.prod, eulers), _known(math.prod, hhs)))
+    return tuple(products)
 
 
 def _weighted_sum(terms: Iterable[tuple[Optional[int], int]]) -> Optional[int]:
@@ -135,40 +136,16 @@ def hh_total_dim(e: CatExpr) -> Optional[int]:
     return invariant_report(e).hh_total
 
 
-class ComponentInvariants(NamedTuple):
-    """One report row, a plain tuple: an expansion entry and its component's values."""
-
-    component: Component
-    multiplicity: int
-    euler: Optional[int]
-    hh_total: Optional[int]
-
-
-class ComponentRows(Sequence[ComponentInvariants]):
-    """An expansion's rows, built when first read, and its components' ``values``."""
-
-    def __init__(self, expansion: ComponentList, values: dict[Component, _Values]) -> None:
-        self.expansion, self.values = expansion, values
-
-    @cached_property
-    def _rows(self) -> tuple[ComponentInvariants, ...]:
-        return tuple(ComponentInvariants(c, m, *self.values[c]) for c, m in self.expansion)
-
-    def __getitem__(self, index):
-        return self._rows[index]
-
-    def __len__(self) -> int:
-        return len(self.expansion)
-
-
 @dataclass(frozen=True)
 class InvariantReport:
-    """Invariants of an expression and its rows: a tuple, or :class:`ComponentRows`."""
+    """Invariants of an expression, its expansion, and the (euler, hh_total) of
+    each of the expansion's distinct components, aligned with ``distinct``."""
 
     euler: Optional[int]
     hh_total: Optional[int]
     exceptional_length: Optional[int]
-    components: Sequence[ComponentInvariants]
+    expansion: ComponentList
+    values: tuple[_Values, ...]
 
     def __post_init__(self) -> None:
         if self.exceptional_length is not None:
@@ -187,17 +164,18 @@ class InvariantReport:
 
 
 def invariant_report(e: CatExpr) -> InvariantReport:
-    """Expand ``e``; value and total each distinct component once; rows wait for a read."""
-    components = expand(e)
-    counts = components.as_multiset()
-    values = _component_values(counts)
+    """Expand ``e``; value and total each distinct component once."""
+    expansion = expand(e)
+    values = _component_values(expansion.distinct)
+    counts = expansion.counts
     return InvariantReport(
-        euler=_weighted_sum((values[comp][0], mult) for comp, mult in counts.items()),
-        hh_total=_weighted_sum((values[comp][1], mult) for comp, mult in counts.items()),
+        euler=_weighted_sum((euler, mult) for (euler, _), mult in zip(values, counts)),
+        hh_total=_weighted_sum((hh, mult) for (_, hh), mult in zip(values, counts)),
         exceptional_length=(
-            sum(counts.values()) if all(comp.is_point() for comp in counts) else None
+            sum(counts) if all(comp.is_point() for comp in expansion.distinct) else None
         ),
-        components=ComponentRows(components, values),
+        expansion=expansion,
+        values=values,
     )
 
 

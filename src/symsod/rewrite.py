@@ -23,9 +23,10 @@ Rules, applied until every component is a product of atoms:
 
 The walk works on interned atom ids: one expand call numbers each distinct atom
 the first time it meets it (a leaf, a curve power of R3, a sym-power atom of
-R7), so an entry is a sorted tuple of small ints, () for the point.  Only at
-the end are the entries counted, on those int tuples, and each distinct tuple
-built into one ``Component`` of the atoms it numbers.
+R7), so an entry is a sorted tuple of small ints, () for the point.  At the end
+each distinct tuple is numbered in first-seen order and built into one
+``Component`` of the atoms it numbers; an entry becomes (that number,
+multiplicity).
 
 Everything is pure and deterministic.
 """
@@ -49,7 +50,6 @@ from .expr import (
     SymCurve,
     SymPower,
     canonicalize,
-    count_entries,
     is_atom,
 )
 from .partitions import multiplicity_vectors, partition_count
@@ -185,18 +185,15 @@ def _blocks(first: list[Entries], second: list[Entries], m: int) -> Entries:
 
 
 def _components(e: CatExpr, split_head: bool) -> ComponentList:
-    """The engine's entries as a :class:`ComponentList`: counted on their id tuples,
-    then one ``Component`` built per distinct tuple, so equal components in one
-    expansion are one object."""
+    """The engine's entries as a :class:`ComponentList`: each distinct id tuple
+    numbered once, in first-seen order, and built into one ``Component``."""
     walk = _Expansion(split_head)
-    entries = walk.expand(canonicalize(e))
-    counts = count_entries(entries)
+    numbers: dict[tuple[int, ...], int] = {}
+    pairs = tuple([(numbers.setdefault(ids, len(numbers)), mult)
+                   for ids, mult in walk.expand(canonicalize(e))])
     atoms = list(walk.ids)
-    made = {ids: Component.of([atoms[i] for i in ids]) for ids in counts}
-    return ComponentList._counted(
-        tuple([(made[ids], mult) for ids, mult in entries]),
-        {made[ids]: mult for ids, mult in counts.items()},
-    )
+    distinct = tuple([Component.of([atoms[i] for i in ids]) for ids in numbers])
+    return ComponentList(distinct, pairs)
 
 
 def expand(e: CatExpr) -> ComponentList:

@@ -483,7 +483,7 @@ def _check_block_law(max_n: Optional[int], _seed: int) -> tuple[str, int]:
             for i in range(n + 1):
                 (head, mult_head), (tail, mult_tail) = _power(n - i, x), _power(i, y)
                 blocks.append((Component.of(head + tail), mult_head * mult_tail))
-            if components.entries != tuple(blocks):
+            if tuple(components) != tuple(blocks):
                 raise _Failed(f"sym({n}, sod({x}, {y})) = {components}")
     return (
         f"sym(n, sod(X, Y)) is the blocks sym^(n-i)X . sym^i Y, i = 0..n, with sym^k pt "

@@ -11,7 +11,7 @@ import pytest
 
 import symsod
 from symsod import cli, suites
-from symsod.expr import Bullet, Curve, Opaque, Sod, Sym
+from symsod.expr import Bullet, Component, Curve, Opaque, Sod, Sym
 from symsod.grammar import parse_expr, render_text
 from symsod.invariants import invariant_report
 from symsod.rewrite import expand
@@ -129,6 +129,26 @@ def test_invariants_text_renders_components_like_decompose(capsys):
     assert f"  1. {factor}  x1  euler=unknown hh=unknown" in capsys.readouterr().out.splitlines()
     assert run_cli("decompose", text) == 0
     assert f"  1. {factor}  x1" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("text", ["sym(2, sod(curve(1), pt, curve(1)))", "sym(10, fakeP2(2))"])
+def test_expression_verbs_hash_no_component(monkeypatch, capsys, text):
+    # both inputs repeat a component; the expression verbs reach each entry's
+    # distinct component by its index and never hash a Component
+    formats = ([], ["--format", "json"])
+    runs = [[verb, text, *fmt] for verb in ("decompose", "invariants") for fmt in formats]
+    expected = []
+    for argv in runs:
+        assert cli.main(argv) == 0
+        expected.append(capsys.readouterr().out)
+
+    def no_hash(self):
+        raise AssertionError(f"Component hashed: {self}")
+
+    monkeypatch.setattr(Component, "__hash__", no_hash)
+    for argv, out in zip(runs, expected):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_invariants_unknown(capsys):
@@ -338,19 +358,27 @@ def test_console_script_runs():
 
 
 def test_closed_stdout_exits_141_without_a_traceback():
-    # p(30) = 5,604 component lines, far more than a pipe buffer holds
-    proc = subprocess.Popen(
+    # the reader is gone before the child writes: its stdout is a pipe whose
+    # read end is already closed; p(30) = 5,604 component lines are far more
+    # than a pipe buffer holds, sym(3, curve(1)) fails only at the last flush
+    for text in ("sym(30, curve(1))", "sym(3, curve(1))"):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "symsod.cli", "invariants", text],
+                stdout=w, stderr=subprocess.PIPE, timeout=60,
+            )
+        finally:
+            os.close(w)
+        assert proc.returncode == 141, text
+        assert b"Traceback" not in proc.stderr, text
+    proc = subprocess.run(
         [sys.executable, "-m", "symsod.cli", "invariants", "sym(30, curve(1))"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
+        capture_output=True, timeout=60,
     )
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
-    assert first == b"canonical: sym(30, curve(1))\n"
-    assert b"Traceback" not in stderr
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(b"canonical: sym(30, curve(1))\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -72,10 +72,10 @@ def test_component_drops_point_units():
 
 def test_component_list_counts_and_checks_in_one_pass():
     curve, point = Component.of([Curve(1)]), Component.of([])
-    for bad in (0, -2):
-        with pytest.raises(InternalInvariantError, match="multiplicity must be >= 1"):
-            ComponentList(((curve, 1), (point, bad)))
-    components = ComponentList(((curve, 2), (point, 3), (curve, 1)))
+    components = ComponentList((curve, point), ((0, 2), (1, 3), (0, 1)))
+    assert components.counts == (3, 3)
+    assert list(components) == [(curve, 2), (point, 3), (curve, 1)]
+    assert len(components) == 3
     assert components.as_multiset() == {curve: 3, point: 3}
     assert list(components.as_multiset()) == [curve, point]  # first appearance
     assert components.total_multiplicity() == 6
@@ -87,6 +87,25 @@ def test_component_list_counts_and_checks_in_one_pass():
     assert components.as_multiset() == {curve: 3, point: 3}
     assert components.total_multiplicity() == 6
     assert ComponentList().as_multiset() == {}
+    assert len(ComponentList()) == ComponentList().total_multiplicity() == 0
+
+
+@pytest.mark.parametrize(
+    "distinct, pairs, message",
+    [
+        ((0, 1), ((0, 1), (1, 0)), "multiplicity must be >= 1"),
+        ((0, 1), ((0, 1), (1, -2)), "multiplicity must be >= 1"),
+        ((0, 1), ((0, 1), (-1, 1)), r"entry index -1 outside 0\.\.1"),  # would wrap around
+        ((0, 1), ((0, 1), (2, 1)), r"entry index 2 outside 0\.\.1"),
+        ((), ((0, 1),), r"entry index 0 outside 0\.\.-1"),
+        ((0, 1), ((0, 4),), "no entry uses pt"),  # would show up with count 0
+        ((0, 1, 0), ((0, 1), (1, 1), (2, 1)), "a distinct component repeats"),  # would drop counts
+    ],
+)
+def test_component_list_rejects_a_wrong_layout(distinct, pairs, message):
+    made = (Component.of([Curve(1)]), Component.of([]))
+    with pytest.raises(InternalInvariantError, match=message):
+        ComponentList(tuple(made[i] for i in distinct), pairs)
 
 
 def _run_with_hash_seed(seed: int, code: str, stdin: bytes = b"") -> bytes:
@@ -217,5 +236,5 @@ def test_blowup_stays_atomic_under_expansion():
 
     components = expand(blowup(make_preset("P2")))
     assert len(components) == 2
-    head = components.entries[0][0].factors[0]
+    head = tuple(components)[0][0].factors[0]
     assert isinstance(head, Surface)

@@ -6,6 +6,7 @@ import pytest
 from symsod import invariants
 from symsod.expr import (
     Bullet,
+    ComponentList,
     Curve,
     InternalInvariantError,
     Opaque,
@@ -83,8 +84,8 @@ def test_macdonald_series_once_per_degree(monkeypatch, evaluate):
 
 def test_report_breakdown_and_consistency():
     report = invariant_report(Sym(2, make_preset("P1")))
-    assert sum(r.multiplicity for r in report.components) == 5
-    assert all(r.euler == r.hh_total == 1 for r in report.components)
+    assert report.expansion.total_multiplicity() == 5
+    assert report.values == ((1, 1),)  # the one distinct component, the point
     assert report.to_json_dict() == {"euler": 5, "hh_total": 5, "exceptional_length": 5}
 
 
@@ -99,7 +100,9 @@ def test_report_unknowns_serialize_to_none():
 
 def test_report_rejects_inconsistent_totals():
     with pytest.raises(InternalInvariantError):
-        InvariantReport(euler=2, hh_total=3, exceptional_length=3, components=())
+        InvariantReport(
+            euler=2, hh_total=3, exceptional_length=3, expansion=ComponentList(), values=()
+        )
 
 
 def test_phantom_audit_fake_plane():
@@ -126,8 +129,8 @@ def test_declared_opaque_invariants_multiply():
     assert hh_total_dim(e) == 5 * 4
 
 
-def _weighted(values, rows):
-    return None if None in values else sum(v * row.multiplicity for v, row in zip(values, rows))
+def _weighted(values, mults):
+    return None if None in values else sum(v * mult for v, mult in zip(values, mults))
 
 
 def _factor_product(values):
@@ -144,19 +147,21 @@ def test_report_totals_are_the_weighted_sums_of_its_rows():
     unknown = 0
     for e in corpus:
         report = invariant_report(e)
-        rows = report.components
-        eulers, hhs = [row.euler for row in rows], [row.hh_total for row in rows]
-        assert (report.euler, report.hh_total) == (_weighted(eulers, rows), _weighted(hhs, rows))
+        distinct, counts = report.expansion.distinct, report.expansion.counts
+        assert len(report.values) == len(distinct)
+        eulers, hhs = zip(*report.values)
+        totals = (_weighted(eulers, counts), _weighted(hhs, counts))
+        assert (report.euler, report.hh_total) == totals
         assert (report.euler, report.hh_total) == (euler_char(e), hh_total_dim(e))
-        for row in rows:  # each factor valued on its own, with a series of its own order
-            factors = row.component.factors
-            assert row.euler == _factor_product([euler_char(f) for f in factors])
-            assert row.hh_total == _factor_product([hh_total_dim(f) for f in factors])
+        # each factor valued on its own, with a series of its own order
+        for comp, (euler, hh) in zip(distinct, report.values):
+            assert euler == _factor_product([euler_char(f) for f in comp.factors])
+            assert hh == _factor_product([hh_total_dim(f) for f in comp.factors])
         unknown += report.euler is None
     assert 0 < unknown < len(corpus)
     report = invariant_report(undeclared)
     assert (report.euler, report.hh_total) == (None, None)
-    assert [(row.euler, row.hh_total) for row in report.components] == [(0, 4), (None, None), (1, 1)]
+    assert report.values == ((0, 4), (None, None), (1, 1))
 
 
 def test_one_law_evaluation_per_surface(monkeypatch):
@@ -209,14 +214,15 @@ def test_one_law_evaluation_per_surface(monkeypatch):
 )
 def test_report_totals_over_repeated_components(e, distinct, rows, totals):
     # the totals are summed once per distinct component; they must equal the
-    # sums over the rows, weighted by each row's multiplicity
+    # sums over the entries, each entry's values weighted by its multiplicity
     report = invariant_report(e)
-    got = report.components
-    assert [(row.euler, row.hh_total) for row in got] == rows
-    assert len({row.component for row in got}) == distinct
-    eulers, hhs = [row.euler for row in got], [row.hh_total for row in got]
-    assert (report.euler, report.hh_total) == (_weighted(eulers, got), _weighted(hhs, got))
+    expansion = report.expansion
+    got = [report.values[index] for index, _ in expansion.pairs]
+    assert got == rows
+    assert len(expansion.distinct) == len(report.values) == distinct
+    eulers, hhs = zip(*got)
+    mults = [mult for _, mult in expansion.pairs]
+    assert (report.euler, report.hh_total) == (_weighted(eulers, mults), _weighted(hhs, mults))
     assert (report.euler, report.hh_total, report.exceptional_length) == totals
-    all_points = all(row.component.is_point() for row in got)
+    all_points = all(comp.is_point() for comp in expansion.distinct)
     assert (report.exceptional_length is None) == (not all_points)
-    assert got[0]._fields == ("component", "multiplicity", "euler", "hh_total")

@@ -7,7 +7,6 @@ from symsod import cli, rewrite
 from symsod.expr import (
     Bullet,
     Component,
-    ComponentList,
     Curve,
     InternalInvariantError,
     Opaque,
@@ -33,16 +32,16 @@ def point_entry(mult):
 
 
 def test_expand_atoms_and_trivial_sym():
-    assert expand(POINT).entries == (point_entry(1),)
-    assert expand(Sym(0, A)).entries == (point_entry(1),)
-    assert expand(Sym(1, A)).entries == ((Component.of([A]), 1),)
+    assert tuple(expand(POINT)) == (point_entry(1),)
+    assert tuple(expand(Sym(0, A))) == (point_entry(1),)
+    assert tuple(expand(Sym(1, A))) == ((Component.of([A]), 1),)
     a_then_b = ((Component.of([A]), 1), (Component.of([B]), 1))
-    assert expand(Sym(1, Sod((A, B)))).entries == expand(Sod((A, B))).entries == a_then_b
+    assert tuple(expand(Sym(1, Sod((A, B))))) == tuple(expand(Sod((A, B)))) == a_then_b
 
 
 def test_expand_sym2_of_curve():
     components = expand(Sym(2, Curve(1)))
-    assert components.entries == (
+    assert tuple(components) == (
         (Component.of([SymCurve(1, 2)]), 1),
         (Component.of([Curve(1)]), 1),
     )
@@ -54,13 +53,13 @@ def test_bullet_over_sods_expands_like_the_flat_sod():
     parts = ", ".join(f"bullet({x}, {y})" for x in "ABC" for y in "DE")
     flat = expand(parse_expr(f"sym(2, sod({parts}))"))
     assert len(nested) == 21
-    assert nested.entries == flat.entries
+    assert tuple(nested) == tuple(flat)
 
 
 def test_nested_sym_power_base_is_the_parsed_canonical_inner():
     # R7 keeps a nested sym(k >= 2, -) base as parsed: its bullet is not distributed
     inner = "sym(2, bullet(sod(A, B, C), sod(D, E)))"
-    ((component, _),) = expand(parse_expr(f"sym(2, {inner})")).entries
+    ((component, _),) = expand(parse_expr(f"sym(2, {inner})"))
     (atom,) = component.factors
     assert atom == SymPower(2, parse_expr(inner))
     assert parse_expr(render_text(atom.base)) == atom.base
@@ -100,8 +99,8 @@ def test_product_with_the_unit_makes_no_joins(monkeypatch):
     exprs = [Sym(3, Sod((A, POINT, B))), Bullet((Sym(2, Sod((POINT, POINT))), Sym(2, Sod((A, B)))))]
     with monkeypatch.context() as patch:
         patch.setattr(rewrite, "_product", _literal_product)
-        literal = [expand(e).entries for e in exprs]
-    assert [expand(e).entries for e in exprs] == literal
+        literal = [tuple(expand(e)) for e in exprs]
+    assert [tuple(expand(e)) for e in exprs] == literal
 
     joins = []
     real = rewrite._join
@@ -122,7 +121,7 @@ def test_long_sod_does_not_recurse_per_part():
 def test_bullet_distributes_over_sod():
     # bullet(sod(A, B), C) -> sod(bullet(A, C), bullet(B, C))
     components = expand(Bullet((Sod((A, B)), C)))
-    assert components.entries == (
+    assert tuple(components) == (
         (Component.of([A, C]), 1),
         (Component.of([B, C]), 1),
     )
@@ -138,12 +137,12 @@ def test_sym_of_distributed_bullet():
 def test_sym_of_plain_bullet_stays_opaque():
     inner = Bullet((Curve(1), Curve(2)))
     components = expand(Sym(2, inner))
-    assert components.entries == ((Component.of([SymPower(2, inner)]), 1),)
+    assert tuple(components) == ((Component.of([SymPower(2, inner)]), 1),)
 
 
 def test_sym_of_phantom_stays_opaque():
     components = expand(Sym(3, PHANTOM))
-    assert components.entries == ((Component.of([SymPower(3, PHANTOM)]), 1),)
+    assert tuple(components) == ((Component.of([SymPower(3, PHANTOM)]), 1),)
 
 
 def test_nested_trivial_syms_simplify():
@@ -209,12 +208,12 @@ def test_trivial_syms_are_transparent_anywhere():
     rng = random.Random(3)
     for _ in range(60):
         e = gen_random_expr(rng, depth=3)
-        entries, report = expand(e).entries, invariant_report(e)
+        entries, report = tuple(expand(e)), invariant_report(e)
         path = rng.choice(list(_wrappable_paths(e)))
         y = gen_random_expr(rng, depth=1)
         for wrap in (lambda x: Sym(1, x), lambda x: Bullet((x, Sym(0, y)))):
             wrapped = _with_subterm(e, path, wrap)
-            assert expand(wrapped).entries == entries, render_text(wrapped)
+            assert tuple(expand(wrapped)) == entries, render_text(wrapped)
             totals = invariant_report(wrapped)
             assert (totals.euler, totals.hh_total) == (report.euler, report.hh_total)
 
@@ -267,9 +266,11 @@ def test_equal_components_of_one_expansion_are_one_object(monkeypatch, text):
 
 @pytest.mark.parametrize("engine", [expand, expand_tail_first])
 def test_engine_multiset_is_the_public_recount(engine):
-    # the engine counts its entries on atom-id tuples; counting the same entries
-    # through the public constructor must give the same multiset
+    # the engine numbers its distinct components itself; recounting its entries
+    # must give the same multiset, and ``distinct`` must be the components in
+    # first-appearance order, each once
     import random
+    from collections import Counter
 
     from symsod.suites import gen_random_expr
 
@@ -277,9 +278,12 @@ def test_engine_multiset_is_the_public_recount(engine):
     for _ in range(100):
         e = gen_random_expr(rng, depth=3)
         components = engine(e)
-        recount = ComponentList(components.entries)
-        assert recount.as_multiset() == components.as_multiset(), render_text(e)
-        assert recount.total_multiplicity() == components.total_multiplicity()
+        recount = Counter()
+        for comp, mult in components:
+            recount[comp] += mult
+        assert components.as_multiset() == recount, render_text(e)
+        assert components.total_multiplicity() == sum(recount.values())
+        assert components.distinct == tuple(recount), render_text(e)
         first = {}
         for comp, _ in components:
             assert first.setdefault(comp, comp) is comp, render_text(e)
