@@ -11,8 +11,10 @@ Everything here is exact integer arithmetic.  The three quantities interlock:
 ``q(n; l)`` is the length of the full exceptional collection carried by the
 n-th symmetric product of a category with an exceptional collection of
 length ``l``; the rewrite engine reproduces it structurally and the series
-module reproduces it as a coefficient of an Euler product, so the counting
-here deliberately stays independent of both.
+module's binomial kernel as a coefficient of ``prod_k (1 - t^k)^(-l)``.
+:func:`q_length` reads that product by Euler's divisor-sum recurrence
+instead, so it stays independent of both; the literal composition sum is
+the test suite's reference.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import itertools
 import operator
 import threading
+
+from .expr import InternalInvariantError
 
 
 def partitions_of(n: int) -> list[tuple[int, ...]]:
@@ -102,13 +106,21 @@ def weak_compositions(n: int, l: int) -> list[tuple[int, ...]]:
 _Q_CACHE: dict[tuple[int, int], int] = {}
 
 
+def _divisor_sums(n: int) -> list[int]:
+    """``[sigma(1), ..., sigma(n)]``, sigma(j) the sum of the divisors of j."""
+    sigma = [0] * n
+    for d in range(1, n + 1):
+        sigma[d - 1 :: d] = [s + d for s in sigma[d - 1 :: d]]
+    return sigma
+
+
 def q_length(n: int, l: int) -> int:
     """``q(n; l)``: sum of ``p(i_1)*...*p(i_l)`` over weak compositions of n.
 
-    Computed literally, one term per composition: a depth-first walk over
-    the first l - 2 parts carries their product, and the inner loop sums the
-    last two.  The convolution recurrence and the Euler-product coefficient
-    stay independent cross-checks.
+    It is the t^n coefficient of ``prod_k (1 - t^k)^(-l)``, read by Euler's
+    logarithmic derivative: ``k q(k; l) = l * sum_{j=1..k} sigma(j) q(k-j; l)``.
+    One call fills the cache for every k <= n, O(n^2) integer steps whatever
+    l; a division by k that leaves a remainder raises InternalInvariantError.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -116,25 +128,16 @@ def q_length(n: int, l: int) -> int:
         raise ValueError(f"l must be >= 1, got {l}")
     if (n, l) in _Q_CACHE:
         return _Q_CACHE[n, l]
-    partition_count(n)  # warm the p table once
-    p = _P_TABLE[: n + 1]
-    backwards = p[::-1]
-    depth = l - 2
-    # rest[k], prod[k]: what the first k parts leave of n, and their p-product
-    rest, prod = [n] * (depth + 1) + [0], [1] * (depth + 1)
-    total = p[n] if l == 1 else 0
-    while l > 1:
-        total += prod[depth] * sum(map(operator.mul, p, backwards[n - rest[depth] :]))
-        k = rest.index(0) - 1  # the last part that can grow (rest falls to a closing 0)
-        if k < 1:
-            break
-        r = rest[k] - 1
-        f = prod[k - 1] * p[rest[k - 1] - r]
-        for j in range(k, depth + 1):  # later parts start again at 0
-            rest[j] = r
-            prod[j] = f
-    _Q_CACHE[n, l] = total
-    return total
+    sigma = _divisor_sums(n)
+    q = [_Q_CACHE.setdefault((0, l), 1)]
+    for k in range(1, n + 1):
+        if (k, l) not in _Q_CACHE:
+            value, rest = divmod(l * sum(map(operator.mul, sigma, reversed(q))), k)
+            if rest:
+                raise InternalInvariantError(f"q({k};{l}): the divisor sum leaves {rest} mod {k}")
+            _Q_CACHE[k, l] = value
+        q.append(_Q_CACHE[k, l])
+    return q[n]
 
 
 def multiplicity_vectors(n: int) -> list[tuple[tuple[int, int], ...]]:

@@ -10,11 +10,12 @@ from collections import Counter
 import pytest
 
 import symsod
-from symsod import cli, suites
+from symsod import cli, partitions, suites
 from symsod.expr import Bullet, Component, Curve, Opaque, Sod, Sym
 from symsod.grammar import parse_expr, render_text
 from symsod.invariants import invariant_report
 from symsod.rewrite import expand
+from symsod.series import eta_inverse_power
 from symsod.suites import frobenius_battery, gen_random_expr
 
 
@@ -210,11 +211,47 @@ def test_table_q_row(capsys):
 
 
 def test_table_q_with_a_very_long_collection(capsys):
-    # the composition walk is iterative: no recursion limit to hit
+    # l only scales the divisor-sum recurrence: nothing walks the l parts
     assert run_cli("table", "q", "--l", "2000", "--n", "1") == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[-1] == "1, 2000"
     assert captured.err == ""
+
+
+def test_table_q_with_twelve_objects_to_n_40(capsys):
+    # the literal composition sum ran past a 10 s timeout here
+    expected = [eta_inverse_power(12, 40).q_coefficient_at(n, 1) for n in range(41)]
+    assert expected[40] == 88421747636456646
+    assert run_cli("table", "q", "--l", "12", "--n", "40") == 0
+    assert capsys.readouterr().out == (
+        "q(n;12) for n = 0..40:\n" + ", ".join(map(str, expected)) + "\n"
+    )
+    assert run_cli("table", "q", "--l", "12", "--n", "40", "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["values"] == expected
+
+
+def test_table_q_calls_q_length_once_per_n(monkeypatch, capsys):
+    # the benchmark times table q at this call site (bench/spans.py's SPAN_SITES)
+    assert cli.q_length is partitions.q_length
+    calls = []
+
+    def spy(n, l):
+        calls.append((n, l))
+        return partitions.q_length(n, l)
+
+    monkeypatch.setattr(cli, "q_length", spy)
+    assert run_cli("table", "q", "--l", "3", "--n", "5") == 0
+    assert "1, 3, 9, 22, 51, 108" in capsys.readouterr().out
+    assert calls == [(n, 3) for n in range(6)]
+
+
+def test_table_q_exits_3_when_the_recurrence_leaves_a_remainder(monkeypatch, capsys):
+    monkeypatch.setattr(partitions, "_Q_CACHE", {})
+    monkeypatch.setattr(partitions, "_divisor_sums", lambda n: [1, 4, 4][:n])
+    assert run_cli("table", "q", "--l", "1", "--n", "2") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal invariant violation: q(2;1)" in captured.err
 
 
 def test_table_q_requires_l(capsys):

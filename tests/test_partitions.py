@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from symsod import partitions
+from symsod.expr import InternalInvariantError
 from symsod.partitions import (
     multiplicity_vectors,
     partition_count,
@@ -10,6 +12,7 @@ from symsod.partitions import (
     q_length,
     weak_compositions,
 )
+from symsod.series import eta_inverse_power
 
 
 def brute_force_partitions(n):
@@ -88,6 +91,48 @@ def test_q_length_is_the_literal_composition_sum():
             compositions = weak_compositions(n, l)
             literal = sum(math.prod(partition_count(i) for i in c) for c in compositions)
             assert q_length(n, l) == literal, (n, l)
+
+
+@pytest.mark.parametrize("l", [1, 2, 7, 12])
+def test_q_length_is_the_euler_product_coefficient(l):
+    # far past the literal sum's reach: C(211, 11) compositions at n = 200, l = 12
+    series = eta_inverse_power(l, 200)
+    assert [q_length(n, l) for n in range(201)] == [
+        series.q_coefficient_at(n, 1) for n in range(201)
+    ]
+
+
+def test_q_length_ignores_call_order_and_cache_contents(monkeypatch):
+    monkeypatch.setattr(partitions, "_Q_CACHE", {})
+    expected = {
+        (n, l): eta_inverse_power(l, 30).q_coefficient_at(n, 1)
+        for l in range(1, 6)
+        for n in range(31)
+    }
+    orders = {
+        "ascending": sorted(expected),
+        "descending": sorted(expected, reverse=True),
+        "interleaved l": sorted(expected, key=lambda key: (key[0], -key[1])),
+    }
+    for name, order in orders.items():
+        partitions._Q_CACHE.clear()
+        assert {key: q_length(*key) for key in order} == expected, name
+    # a warm cache holding rows of another order answers the same
+    assert {key: q_length(*key) for key in orders["ascending"]} == expected
+
+
+def test_q_length_raises_when_a_division_leaves_a_remainder(monkeypatch):
+    real = partitions._divisor_sums
+
+    def sigma_2_off_by_one(n):
+        sigma = real(n)
+        sigma[1] += 1  # sigma(2) = 4: 2 q(2; 1) = 1 + 4 is odd
+        return sigma
+
+    monkeypatch.setattr(partitions, "_Q_CACHE", {})
+    monkeypatch.setattr(partitions, "_divisor_sums", sigma_2_off_by_one)
+    with pytest.raises(InternalInvariantError, match=r"q\(2;1\)"):
+        q_length(2, 1)
 
 
 def test_weak_compositions_in_lexicographic_order():
