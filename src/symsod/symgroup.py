@@ -17,34 +17,26 @@ What is validated, and where:
   of permutations skip the first check (a product of two permutations of
   equal degree always is one); the degree check stays.
 - :class:`PermModule` numbers its basis once (a repeated point is an
-  error) and keeps each element's action as a table of basis positions,
-  filled by one call of ``act`` per point the first time the element is
-  needed.  It keeps a small generating subset of the group list it is
-  given as ``generators`` and checks the action on it: the identity fixes
-  every basis point, each generator maps the basis onto itself, and the
-  homomorphism identity holds for every ordered pair of generators on
-  every basis point.  For S_n the subset is the transposition (1 2) and the
-  n-cycle (1 2 ... n), and for S_(n-i) x S_i at most such a pair per block,
-  so on these groups the checks make at most 1 + 4 + 16 calls of ``act``
-  per basis point; their results are kept as the tables of the identity,
-  the generators and their pairwise products.
-- Every other element is trusted: it is never checked against the
-  generators.  A table made for it on first use only checks that its
-  images are basis points, and the Burnside side only counts its fixed
-  points, so an element outside the checked ones that sends points out of
-  the basis can go unnoticed.
+  error) and checks ``act`` on construction, on a small generating subset
+  of its group list ((1 2) and (1 2 ... n) for S_n, at most such a pair
+  per block of S_(n-i) x S_i): the identity, each generator and each
+  ordered pair of generators, at most 1 + 4 + 16 calls per basis point.
+- Every other element's table is composed from the generators' tables
+  along its path in the module's one walk of its group, with no ``act``
+  call.  Afterwards only ``fixed_points`` (the Burnside side) calls
+  ``act``, and it compares each value with the composed table ("action is
+  not a homomorphism" when they differ): every ``act`` value the layer
+  reads is compared.  Relations among the generators beyond their pairwise
+  products are not checked; an action that breaks one but agrees with
+  every composed table is left to Burnside's divisibility check.
 - :func:`invariant_dimension` checks that the module's group list is a
-  whole group: no duplicates, the identity present, and the same set as
-  the group that ``generators`` generate (so it is closed).  Its Burnside
-  sum calls ``act`` on the class representatives and reads no table, so
-  the two sides of :func:`induction_invariance_check` share no evaluated
-  action.
-- The induced module of :func:`induction_invariance_check` is given the
-  transposition (1 2) and the n-cycle (1 2 ... n), which generate S_n, so it
-  is checked on exactly those two, the generators its orbits are counted
-  under.  Its basis is (coset index, basis position) and its action reads
-  the tables of ``m``; ``orbit_count`` walks the generators' tables and
-  calls no ``act``.
+  whole group: no duplicates, the identity present, and the same set as the
+  module's walk of its generators (so it is closed).  It walks no closure.
+- The induced module of :func:`induction_invariance_check` is checked on,
+  and counts its orbits under, (1 2) and (1 2 ... n), which generate S_n.
+  Its basis is (coset index, basis position), its action reads the composed
+  tables of ``m``, and it needs no closure; ``orbit_count`` walks the
+  generators' tables.
 
 Inside the hot loops permutations are plain image tuples; ``Permutation``
 objects appear only where user code sees them: group lists, the arguments
@@ -116,33 +108,34 @@ def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _orbit(start: Any, gens: Sequence[Any], act: Callable[[Any, Any], Any]) -> set:
-    """The orbit of ``start`` under the group that ``gens`` generate.
+def _orbit(start: Any, gens: Sequence[Any], act: Callable[[Any, Any], Any]) -> dict:
+    """The orbit of ``start`` under the group that ``gens`` generate, walked breadth first.
 
-    ``act(g, x)`` is the image of the point x under the generator g.
+    Maps each point y to a pair (g, x), x reached before y, with
+    ``act(g, x) == y``, and ``start`` to ``None``; so the path back from any
+    point to ``start`` is no longer than the diameter of the Schreier graph.
     """
-    orbit = {start}
+    orbit: dict = {start: None}
     frontier = [start]
-    while frontier:
-        x = frontier.pop()
+    for x in frontier:
         for g in gens:
             y = act(g, x)
             if y not in orbit:
-                orbit.add(y)
+                orbit[y] = (g, x)
                 frontier.append(y)
     return orbit
 
 
 def _orbits(
     points: Iterable[Any], gens: Sequence[Any], act: Callable[[Any, Any], Any]
-) -> list[tuple[Any, set]]:
+) -> list[tuple[Any, dict]]:
     """(first point, orbit) for each orbit that meets ``points``, in the order of ``points``."""
     seen: set = set()
     orbits = []
     for x in points:
         if x not in seen:
             orbit = _orbit(x, gens, act)
-            seen |= orbit
+            seen.update(orbit)
             orbits.append((x, orbit))
     return orbits
 
@@ -207,20 +200,36 @@ def young_coset_reps(y: YoungPair) -> list[Permutation]:
     return reps
 
 
-def _generating_subset(elements: Sequence[Permutation]) -> list[Permutation]:
-    """A small generating subset of a (purported) subgroup given as a list.
+def _swap_and_cycle(points: Iterable[int], n: int) -> list[tuple[int, ...]]:
+    """The transposition of the two smallest ``points`` and their increasing cycle, on 1..n.
 
-    For each orbit of the listed elements on {1..n}, the seeds are the
-    transposition of the orbit's two smallest points and the cycle through
-    its points in increasing order, wherever the list holds them (they are
-    looked up in the list, not built).  These two generate the full
-    symmetric group on the orbit, so a product of full symmetric groups on
-    its orbits, such as S_n or a Young subgroup, gets at most two generators
-    per orbit.  It keeps the seeds, then scans the list in order and keeps
-    each element that the ones kept before it do not generate.  The closure
-    of the kept elements is recomputed only when an element not yet kept
-    has to be tested against it, so a list whose seeds generate it costs one
-    closure, and a list of seeds alone none.
+    The two generate the full symmetric group on ``points``; there is one
+    element for two points and none for fewer.
+    """
+    points = sorted(points)
+    if len(points) < 2:
+        return []
+    swap, cycle = list(range(1, n + 1)), list(range(1, n + 1))
+    swap[points[0] - 1], swap[points[1] - 1] = points[1], points[0]
+    for k, image in zip(points, points[1:] + points[:1]):
+        cycle[k - 1] = image
+    return list(dict.fromkeys((tuple(swap), tuple(cycle))))
+
+
+def _generating_subset(elements: Sequence[Permutation]) -> tuple[list[Permutation], dict | None]:
+    """A small generating subset of a (purported) subgroup given as a list, and its closure.
+
+    For each orbit of the listed elements on {1..n}, the seeds are
+    ``_swap_and_cycle`` of the orbit, wherever the list holds them (they are
+    looked up in the list, not built), so a product of full symmetric groups
+    on its orbits, such as S_n or a Young subgroup, gets at most two
+    generators per orbit.  It keeps the seeds, then scans the list in order
+    and keeps each element that the ones kept before it do not generate.
+    The closure of the kept elements (an ``_orbit`` of the identity under
+    ``_compose``) is recomputed only when an element not yet kept has to be
+    tested against it, so a list whose seeds generate it costs one closure,
+    and a list of seeds alone none.  The last closure is returned if it is
+    still the closure of the kept elements, and ``None`` otherwise.
     """
     n = elements[0].degree
     if any(p.degree != n for p in elements):
@@ -229,16 +238,10 @@ def _generating_subset(elements: Sequence[Permutation]) -> list[Permutation]:
     by_images = {p.images: p for p in elements}
     gens: dict[tuple[int, ...], Permutation] = {}
     for _, orbit in _orbits(range(1, n + 1), list(by_images), lambda g, k: g[k - 1]):
-        points = sorted(orbit)
-        if len(points) > 1:
-            swap, cycle = list(identity), list(identity)
-            swap[points[0] - 1], swap[points[1] - 1] = points[1], points[0]
-            for k, image in zip(points, points[1:] + points[:1]):
-                cycle[k - 1] = image
-            for g in (tuple(swap), tuple(cycle)):
-                if g in by_images:
-                    gens[g] = by_images[g]
-    closure = {identity}
+        for g in _swap_and_cycle(orbit, n):
+            if g in by_images:
+                gens[g] = by_images[g]
+    closure: dict = {identity: None}
     stale = bool(gens)
     for x in elements:
         if x.images in gens:
@@ -249,7 +252,7 @@ def _generating_subset(elements: Sequence[Permutation]) -> list[Permutation]:
         if x.images not in closure:
             gens[x.images] = x
             stale = True
-    return list(gens.values())
+    return list(gens.values()), None if stale else closure
 
 
 def _conjugate(
@@ -280,24 +283,22 @@ class PermModule:
     that generates the group (:func:`invariant_dimension` needs all of them).
     ``act(g, b)`` receives a ``Permutation`` of the group and a basis point
     and must return a basis point.  ``generators`` is a small generating
-    subset of ``group`` (``_generating_subset``): a transposition and a
-    cycle per orbit where the list holds them, then the greedy scan; for a
-    Young subgroup that is at most one transposition and one cycle per
-    block.  The basis must not repeat a point; ``_index`` numbers it, and
-    ``_table(g)`` is g's action as a list of basis positions, made by one
-    ``act`` call per point on first use and kept under ``g.images``.  The
-    module is validated once, on construction, on those generators:
+    subset of ``group`` (``_generating_subset``), for a Young subgroup at
+    most one transposition and one cycle per block.  The basis must not
+    repeat a point; ``_index`` numbers it.  Construction checks ``act`` on
+    the generators:
 
     - the identity fixes every basis point;
     - each generator maps the basis onto itself;
     - ``act(g * h, b) == act(g, act(h, b))`` for every ordered pair (g, h) of
       generators and every basis point b.
 
-    What the validation evaluates becomes the tables of the identity, the
-    generators and their pairwise products.  ``orbit_count`` and the induced
-    module of :func:`induction_invariance_check` read tables;
-    ``fixed_points`` (the Burnside side) calls ``act``.  Every other element
-    is trusted to act consistently with the checked ones.
+    ``_table(images)`` is an element's action as basis positions: the
+    generators' tables come from ``act``, every other table is composed along
+    the element's path in the closure of the generators (the one walk of the
+    group, handed over by ``_generating_subset`` or made when first needed).
+    ``fixed_points``, the Burnside side, is the only later caller of ``act``
+    and compares every value it gets with the composed table.
     """
 
     def __init__(
@@ -317,52 +318,64 @@ class PermModule:
             raise ValueError("module basis contains duplicates")
         self.act = act
         self._tables: dict[tuple[int, ...], list[int]] = {}
-        self.generators = _generating_subset(self.group)
+        self.generators, self._closure = _generating_subset(self.group)
         self._validate()
 
-    def _positions(self, g: Permutation) -> list[int | None]:
-        """The basis positions of g's images, ``None`` for an image outside the basis."""
-        index, act = self._index, self.act
-        return [index.get(act(g, b)) for b in self.basis]
+    def _checked(self, g: Permutation, table: list[int]) -> list[int | None]:
+        """``act``'s images of g as basis positions, checked against ``table``, which is kept."""
+        positions = [self._index.get(self.act(g, b)) for b in self.basis]
+        if positions != table:
+            raise ValueError(f"action is not a homomorphism: act of {g!r} contradicts its table")
+        self._tables[g.images] = table
+        return positions
 
-    def _table(self, g: Permutation) -> list[int]:
-        """g's action as basis positions: ``act`` is called once per point, on first use."""
-        table = self._tables.get(g.images)
-        if table is None:
-            table = self._positions(g)
-            if None in table:
-                raise ValueError(f"{g!r} does not permute the basis")
-            self._tables[g.images] = table
+    def _group_closure(self) -> dict:
+        """The ``_orbit`` of the identity under the generators and ``_compose``, made once."""
+        if self._closure is None:
+            identity = tuple(range(1, self.group[0].degree + 1))
+            self._closure = _orbit(identity, [g.images for g in self.generators], _compose)
+        return self._closure
+
+    def _table(self, images: tuple[int, ...]) -> list[int]:
+        """The action of the element with these images as basis positions, calling no ``act``.
+
+        A table not yet kept is composed from the generators' tables along
+        the element's path in the closure, and only the result is kept.
+        """
+        tables = self._tables
+        if images in tables:
+            return tables[images]
+        path, x = [], images
+        while x not in tables:
+            step = self._group_closure().get(x)
+            if step is None:
+                raise ValueError(f"Permutation{images} is not in the module's group")
+            path.append(tables[step[0]])
+            x = step[1]
+        table = tables[x]
+        for generator in reversed(path):
+            table = [generator[k] for k in table]
+        tables[images] = table
         return table
 
     def _validate(self) -> None:
-        identity = Permutation.identity(self.group[0].degree)
-        for b in self.basis:
-            if self.act(identity, b) != b:
-                raise ValueError(f"identity does not fix basis point {b!r}")
-        size = len(self.basis)
-        self._tables[identity.images] = list(range(size))
-        tables = []
+        self._checked(Permutation.identity(self.group[0].degree), list(range(len(self.basis))))
         for g in self.generators:
-            table = self._positions(g)
-            if None in table or len(set(table)) != size:
+            table = self._tables[g.images] = [self._index.get(self.act(g, b)) for b in self.basis]
+            if None in table or len(set(table)) != len(table):
                 raise ValueError(f"{g!r} does not permute the basis")
-            self._tables[g.images] = table
-            tables.append(table)
-        for g, tg in zip(self.generators, tables):
-            for h, th in zip(self.generators, tables):
-                gh = g * h
-                table = self._positions(gh)
-                if table != [tg[k] for k in th]:
-                    raise ValueError("action is not a homomorphism on generators")
-                self._tables[gh.images] = table
+        for g, h in itertools.product(self.generators, repeat=2):
+            tg, th = self._tables[g.images], self._tables[h.images]
+            self._checked(g * h, [tg[k] for k in th])
 
     def fixed_points(self, g: Permutation) -> int:
-        return sum(1 for b in self.basis if self.act(g, b) == b)
+        """How many basis points ``act`` says g fixes, each image compared with g's table first."""
+        positions = self._checked(g, self._table(g.images))
+        return sum(1 for k, position in enumerate(positions) if position == k)
 
     def orbit_count(self) -> int:
         """Number of orbits of the group on the basis, walked on the generators' tables."""
-        tables = [self._table(g) for g in self.generators]
+        tables = [self._table(g.images) for g in self.generators]
         return len(_orbits(range(len(self.basis)), tables, list.__getitem__))
 
 
@@ -411,13 +424,13 @@ def invariant_dimension(m: PermModule) -> int:
     """Dimension of the invariants of the linearized module under its group.
 
     Burnside: (1/|H|) * sum over h in H of the fixed-point count of h, for
-    H = ``m.group``.  The list is validated first: no duplicates, the
-    identity present, and the same set as the group that ``m.generators``
-    generate.  A fixed-point count is constant on each conjugacy class of H,
-    so the sum runs over the classes instead of the elements: class size
-    times the fixed points of one representative.  The classes are the
-    orbits of H on itself under conjugation by ``m.generators``.  The sum
-    must divide by |H|.
+    H = ``m.group``, which must be a whole group: no duplicates, the
+    identity present, and the same set as the module's closure of
+    ``m.generators``.  A fixed-point count is constant on each conjugacy
+    class of H, so the sum runs over the classes (the orbits of H on itself
+    under conjugation by ``m.generators``): class size times the fixed
+    points of one representative, each ``act`` value checked against its
+    composed table.  The sum must divide by |H|.
     """
     by_images = {h.images: h for h in m.group}
     if len(by_images) != len(m.group):
@@ -425,7 +438,7 @@ def invariant_dimension(m: PermModule) -> int:
     identity = tuple(range(1, m.group[0].degree + 1))
     if identity not in by_images:
         raise ValueError("group element list must contain the identity")
-    if _orbit(identity, [g.images for g in m.generators], _compose) != by_images.keys():
+    if m._group_closure().keys() != by_images.keys():
         raise ValueError("group element list is not closed under composition/inverse")
     classes = _conjugacy_classes(by_images, m.generators)
     total = sum(size * m.fixed_points(rep) for rep, size in classes)
@@ -459,13 +472,11 @@ def induction_invariance_check(y: YoungPair, m: PermModule) -> InductionReport:
     h.b is read from h's table in ``m``.  The induced module is validated
     on, and its orbits are counted under, the transposition (1 2) and the
     n-cycle (1 2 ... n), which generate G.  The number of orbits, the
-    dimension of the
-    G-invariants, is compared with the Burnside dimension of the
-    H-invariants of ``m``.
+    dimension of the G-invariants, is compared with the Burnside dimension
+    of the H-invariants of ``m``.
     """
     n = y.n
-    h_by_images = {h.images: h for h in m.group}
-    if h_by_images.keys() != set(_young_images(y)):
+    if {h.images for h in m.group} != set(_young_images(y)):
         raise ValueError("module is not defined over the Young subgroup of the given pair")
 
     reps = [r.images for r in young_coset_reps(y)]
@@ -480,22 +491,13 @@ def induction_invariance_check(y: YoungPair, m: PermModule) -> InductionReport:
         if move is None:
             x = _compose(g.images, reps[k])  # g * g_k = g_j * h
             j = rep_index[frozenset(x[t - 1] for t in top)]
-            h = h_by_images[_compose(rep_inverses[j], x)]
-            move = moves[g.images, k] = (j, m._table(h))
+            move = moves[g.images, k] = (j, m._table(_compose(rep_inverses[j], x)))
         j, table = move
         return (j, table[b])
 
     induced_basis = [(j, b) for j in range(len(reps)) for b in range(len(m.basis))]
-
-    # generators of S_n: a transposition and an n-cycle (n-dependent edge cases)
-    if n <= 1:
-        gens = [Permutation.identity(n)]
-    else:
-        gens = [Permutation((2, 1) + tuple(range(3, n + 1)))]
-        if n > 2:
-            gens.append(Permutation(tuple(range(2, n + 1)) + (1,)))
-
-    induced = PermModule(gens, induced_basis, induced_act)
+    gens = [Permutation(g) for g in _swap_and_cycle(range(1, n + 1), n)]
+    induced = PermModule(gens or [Permutation.identity(n)], induced_basis, induced_act)
     induced_dim = induced.orbit_count()
     subgroup_dim = invariant_dimension(m)
     return InductionReport(

@@ -78,6 +78,22 @@ def _closure(gens, n):
     return closure
 
 
+def test_orbit_is_walked_breadth_first_with_a_parent_per_point():
+    # (g, x) with g * x = y for every y but the start, and each point's path back
+    # to the start is a shortest one: no edge of the Cayley graph of S_5 climbs
+    # more than one level
+    gens = [(2, 1, 3, 4, 5), (2, 3, 4, 5, 1)]
+    identity = (1, 2, 3, 4, 5)
+    closure = symgroup._orbit(identity, gens, symgroup._compose)
+    depth = {identity: 0}
+    for y, step in closure.items():
+        if step is not None:
+            assert symgroup._compose(*step) == y
+            depth[y] = depth[step[1]] + 1
+    assert closure[identity] is None and len(closure) == 120
+    assert all(depth[symgroup._compose(g, y)] <= depth[y] + 1 for y in closure for g in gens)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_young_subgroup_generators_are_a_transposition_and_a_cycle_per_block(n):
     for i in range(n + 1):
@@ -131,12 +147,29 @@ def test_invariant_dimension_rejects_a_group_list_that_is_not_a_group():
 
 def test_invariant_dimension_rejects_a_fixed_point_sum_that_does_not_divide():
     # (1 2)(3 4) is neither a generator of S_4 nor a product of two, so acting by
-    # (1 2) passes construction; it is first in its class of 3, which then adds
-    # 3 * 2 fixed points, and Burnside sums 30 over 24 elements
+    # (1 2) passes construction; it is first in its class of 3, so the Burnside
+    # side calls act on it, and act disagrees with the table composed from the
+    # generators before the wrong count can reach the sum
     s4 = symmetric_group(4)
     wrong, swap = Permutation((2, 1, 4, 3)), Permutation((2, 1, 3, 4))
     module = PermModule(s4, [1, 2, 3, 4], lambda g, b: swap(b) if g == wrong else g(b))
     assert wrong not in module.generators
+    with pytest.raises(ValueError, match="action is not a homomorphism"):
+        invariant_dimension(module)
+    # C_4 = <c> acting through c -> (1 2 3): construction checks the identity, c and
+    # c * c, not c^4 = 1, and every act value agrees with the tables composed from c
+    # along the shortest paths c^k, k < 4; only Burnside's 3 + 0 + 0 + 3 over 4 is
+    # left to catch it
+    cycle, rotation = Permutation((2, 3, 4, 1)), Permutation((2, 3, 1))
+    cyclic = [Permutation.identity(4), cycle, cycle * cycle, cycle * cycle * cycle]
+
+    def through_c3(g, b):
+        for _ in range(cyclic.index(g)):
+            b = rotation(b)
+        return b
+
+    module = PermModule(cyclic, [1, 2, 3], through_c3)
+    assert module.generators == [cycle]
     with pytest.raises(ValueError, match="not an integer"):
         invariant_dimension(module)
 
@@ -282,6 +315,60 @@ def test_induction_check_scans_only_the_induced_module_for_generators(monkeypatc
     monkeypatch.setattr(symgroup, "_generating_subset", counted)
     assert induction_invariance_check(pair, module)
     assert [len(elements) for elements in scanned] == [2]  # (1 2) and (1 2 3 4)
+
+
+def test_induction_check_reads_no_act_value_it_does_not_compare():
+    # one element at a time outside the identity, the generators and their
+    # pairwise products acts as the identity; either a side reads its act value
+    # and the comparison with its composed table fails, or no side reads it
+    outcomes = {"raised": 0, "unread": 0}
+    for n in range(1, 5):
+        for i in range(n + 1):
+            pair = YoungPair(n, i)
+            h = young_subgroup(pair)
+            natural = (list(range(1, n + 1)), lambda g, b: g(b))
+            regular = (list(h), lambda g, b: g * b)
+            for basis, act in (natural, regular):
+                module = PermModule(h, basis, act)
+                gens = module.generators
+                checked = {h[0], *gens, *(g * k for g in gens for k in gens)}
+                report = induction_invariance_check(pair, module)
+                for wrong in (g for g in h if g not in checked):
+                    corrupted = PermModule(
+                        h, basis, lambda g, b, wrong=wrong, act=act: b if g == wrong else act(g, b))
+                    try:
+                        assert induction_invariance_check(pair, corrupted) == report
+                        outcomes["unread"] += 1
+                    except ValueError as error:
+                        assert "action is not a homomorphism" in str(error)
+                        outcomes["raised"] += 1
+    assert outcomes == {"raised": 8, "unread": 64}
+
+
+def test_invariant_dimension_walks_no_second_closure(monkeypatch):
+    # construction closes the generators of the Young subgroup once and the module
+    # keeps that closure; the check walks only conjugacy classes and orbits
+    walks = []
+    orbit = symgroup._orbit
+
+    def recorded(start, gens, act):
+        walks.append(act)
+        return orbit(start, gens, act)
+
+    monkeypatch.setattr(symgroup, "_orbit", recorded)
+    pair = YoungPair(5, 2)
+    h = young_subgroup(pair)
+    module = regular_module(h)
+    assert walks.count(symgroup._compose) == 1
+    walks.clear()
+    assert induction_invariance_check(pair, module)
+    assert invariant_dimension(module) == 1
+    assert walks and symgroup._compose not in walks
+    outside = Permutation((1, 2, 4, 3, 5))  # moves 3 across the blocks
+    with pytest.raises(ValueError, match="not in the module's group"):
+        module.fixed_points(outside)
+    with pytest.raises(ValueError, match="not in the module's group"):
+        module._table(outside.images)
 
 
 def test_perm_module_rejects_a_basis_with_a_repeated_point():
