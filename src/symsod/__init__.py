@@ -46,7 +46,6 @@ from .partitions import (
 from .rewrite import expand, expand_tail_first
 from .series import (
     BettiVector,
-    TruncatedSeries,
     eta_inverse_power,
     gottsche_series,
     macdonald_poincare,
@@ -70,7 +69,7 @@ __all__ = [
     "BettiVector", "Bullet", "CatExpr", "Component", "ComponentList", "Curve",
     "InvariantReport", "Opaque", "ParseError", "PermModule", "Permutation",
     "PHANTOM", "Phantom", "POINT", "Point", "Sod", "Surface", "Sym", "SymCurve",
-    "SymPower", "TruncatedSeries", "YoungPair", "betti_of", "blowup",
+    "SymPower", "YoungPair", "betti_of", "blowup",
     "canonicalize", "cycle_type", "eta_inverse_power",
     "euler_char", "expand", "expand_tail_first",
     "gottsche_series", "hh_total_dim", "induction_invariance_check",

@@ -158,10 +158,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    series = gottsche_series(betti, max(top, 1))
+    polys = gottsche_series(betti, max(top, 1))
     rows = []
-    for n in range(top + 1):
-        poly = series.q_coefficient(n)
+    for n, poly in enumerate(polys[: top + 1]):
         rows.append(
             {
                 "n": n,

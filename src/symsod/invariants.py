@@ -221,11 +221,11 @@ def phantom_audit(l: int, n_max: int) -> PhantomAuditReport:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     betti = fake_plane_betti(l)
-    series = gottsche_series(betti, n_max)
+    polys = gottsche_series(betti, n_max)
     rows = tuple(
         PhantomAuditRow(
             n=n,
-            hilb_total_betti=series.q_coefficient_at(n, 1),
+            hilb_total_betti=poly_eval(polys[n], 1),
             q_value=q_length(n, l + 2),
         )
         for n in range(1, n_max + 1)

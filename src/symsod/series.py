@@ -1,20 +1,16 @@
-"""Truncated bivariate power series with exact integer coefficients.
+"""Exact generating functions, returned as plain rows.
 
-A :class:`TruncatedSeries` is a polynomial in the weight variable ``q``
-truncated at a fixed order ``N``, whose q-coefficients are Laurent
-polynomials in a second variable ``z`` (stored as ``{z_exponent: int}``
-dicts; negative z-exponents are allowed so the same carrier serves graded
-invariants).
-
-On top of the ring operations the module provides three generating
-functions used as analytic oracles by the rest of the package, and the
-z-free law that values the symmetric powers of a category.  The products
-share one kernel, ``_rows``, that applies one binomial factor at a time, in
-place, to packed rows: row n is a single integer, its z^e coefficient the
-signed digit e in base 2^W (Kronecker substitution), so one step of a factor
-is one big-integer shift-and-add.  The law runs it at W = 0, one plain
-integer per row; ``_product`` takes W from a z-free majorant of the product
-and decodes each row in one linear pass.
+The package's analytic oracles are products of binomial factors
+``(1 + s z^a q^m)^e``, truncated at q^trunc.  Each is returned as its rows
+0..trunc: a z-free product as a list of integers, a bivariate one as a list
+of Laurent polynomials in z (``{z_exponent: int}`` dicts holding no zero
+coefficient).  The products share one kernel, ``_rows``, that applies one
+factor at a time, in place, to packed rows: row n is a single integer, its
+z^e coefficient the signed digit e in base 2^W (Kronecker substitution), so
+one step of a factor is one big-integer shift-and-add.  A z-free product is
+``_rows`` at W = 0, one plain integer per row with nothing to decode; only
+Goettsche's series packs, through ``_product``, which takes W from a z-free
+majorant of the product and decodes each row in one linear pass.
 
 * :func:`eta_inverse_power` -- the Euler product ``prod (1 - q^m)^(-l)``
   whose q^n coefficient is ``q(n; l)``,
@@ -38,17 +34,15 @@ LaurentPoly = dict[int, int]
 
 
 def poly_eval(poly: LaurentPoly, z: int) -> int:
-    """Evaluate a Laurent polynomial at an integer z (z = +-1 in practice).
+    """Evaluate a Laurent polynomial at z = 1 or z = -1.
 
     At z = 1 it is the coefficient sum, and at z = -1 that sum less twice the
     odd-exponent coefficients: no powers are taken.
     """
-    if z in (1, -1):
-        total = sum(poly.values())
-        return total if z == 1 else total - 2 * sum(c for e, c in poly.items() if e & 1)
-    if z == 0 and any(e < 0 for e in poly):
-        raise ZeroDivisionError("Laurent polynomial with negative exponents at z=0")
-    return sum(c * z**e for e, c in poly.items())
+    if z not in (1, -1):
+        raise ValueError(f"poly_eval takes z = 1 or z = -1, got {z}")
+    total = sum(poly.values())
+    return total if z == 1 else total - 2 * sum(c for e, c in poly.items() if e & 1)
 
 
 def poly_str(poly: LaurentPoly) -> str:
@@ -93,73 +87,6 @@ class BettiVector:
     def euler(self) -> int:
         return self.b0 - self.b1 + self.b2 - self.b3 + self.b4
 
-    def poincare_poly(self) -> LaurentPoly:
-        return {i: b for i, b in enumerate(self.as_tuple()) if b != 0}
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Integer series in q (truncated at order ``trunc``) and Laurent z."""
-
-    trunc: int
-    coeffs: dict[int, LaurentPoly]
-
-    def __post_init__(self) -> None:
-        if self.trunc < 0:
-            raise ValueError("truncation order must be >= 0")
-        if any(n < 0 or n > self.trunc for n in self.coeffs):
-            raise ValueError("stored q-degrees must lie in [0, trunc]")
-        clean = {n: {e: c for e, c in poly.items() if c} for n, poly in self.coeffs.items()}
-        object.__setattr__(self, "coeffs", {n: poly for n, poly in clean.items() if poly})
-
-    @classmethod
-    def one(cls, trunc: int) -> "TruncatedSeries":
-        return cls(trunc, {0: {0: 1}})
-
-    def _row(self, n: int) -> LaurentPoly:
-        if n < 0 or n > self.trunc:
-            raise ValueError(f"q-degree {n} outside truncation order {self.trunc}")
-        return self.coeffs.get(n, {})
-
-    def q_coefficient(self, n: int) -> LaurentPoly:
-        """The coefficient of q^n, as a fresh Laurent-polynomial dict."""
-        return dict(self._row(n))
-
-    def q_coefficient_at(self, n: int, z: int) -> int:
-        """The coefficient of q^n evaluated at z; like :meth:`q_coefficient`,
-        it raises ValueError for n outside [0, trunc]."""
-        return poly_eval(self._row(n), z)
-
-    def _require_same_trunc(self, other: "TruncatedSeries") -> None:
-        if self.trunc != other.trunc:
-            raise ValueError(
-                f"mismatched truncation orders: {self.trunc} vs {other.trunc}"
-            )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_same_trunc(other)
-        coeffs = {n: dict(p) for n, p in self.coeffs.items()}
-        for n, poly in other.coeffs.items():
-            tgt = coeffs.setdefault(n, {})
-            for e, c in poly.items():
-                tgt[e] = tgt.get(e, 0) + c
-        return TruncatedSeries(self.trunc, coeffs)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_same_trunc(other)
-        coeffs: dict[int, LaurentPoly] = {}
-        for n1, p1 in self.coeffs.items():
-            for n2, p2 in other.coeffs.items():
-                n = n1 + n2
-                if n > self.trunc:
-                    continue
-                tgt = coeffs.setdefault(n, {})
-                for e1, c1 in p1.items():
-                    for e2, c2 in p2.items():
-                        e = e1 + e2
-                        tgt[e] = tgt.get(e, 0) + c1 * c2
-        return TruncatedSeries(self.trunc, coeffs)
-
 
 def _rows(trunc: int, factors: Iterable[tuple[int, ...]], width: int) -> list[int]:
     """Rows 0..trunc of the product of ``(1 + s z^a q^m)^e``, each packed as the
@@ -188,7 +115,7 @@ def _rows(trunc: int, factors: Iterable[tuple[int, ...]], width: int) -> list[in
     return rows
 
 
-def _product(trunc: int, z_slope: int, factors: Iterable[tuple[int, ...]]) -> TruncatedSeries:
+def _product(trunc: int, z_slope: int, factors: Iterable[tuple[int, ...]]) -> list[LaurentPoly]:
     """The product of ``(1 + s z^a q^m)^e`` over ``(a, m, s, e)``, s = +-1.
 
     Row n holds the z^0..z^(z_slope n) coefficients of q^n (so a <= z_slope m)
@@ -198,7 +125,8 @@ def _product(trunc: int, z_slope: int, factors: Iterable[tuple[int, ...]]) -> Tr
     :func:`_rows` computes at shift 0; W is its largest bit length plus 2, in
     whole bytes, so every digit lies in (-2^(W-1), 2^(W-1)).  A row decodes in
     one linear pass: adding 2^(W-1) to each digit makes them all non-negative,
-    so one ``int.to_bytes`` call lays them out W/8 bytes apiece.
+    so one ``int.to_bytes`` call lays them out W/8 bytes apiece; zero
+    coefficients are dropped.
     """
     factors = list(factors)
     weights = [0] * (trunc + 1)
@@ -208,25 +136,26 @@ def _product(trunc: int, z_slope: int, factors: Iterable[tuple[int, ...]]) -> Tr
     size = (max(majorant).bit_length() + 9) // 8  # W / 8
     half = 1 << (8 * size - 1)
     digit_bias = bytes(size - 1) + b"\x80"  # 2^(W-1), little-endian
-    coeffs = {}
+    polys = []
     for n, row in enumerate(_rows(trunc, factors, 8 * size)):
         digits = z_slope * n + 1
         biased = row + int.from_bytes(digit_bias * digits, "little")
         raw = biased.to_bytes(digits * size, "little")
-        coeffs[n] = {
-            e: int.from_bytes(raw[e * size : e * size + size], "little") - half
+        polys.append({
+            e: c
             for e in range(digits)
-        }
-    return TruncatedSeries(trunc, coeffs)
+            if (c := int.from_bytes(raw[e * size : e * size + size], "little") - half)
+        })
+    return polys
 
 
-def euler_product_power(c: int, trunc: int) -> TruncatedSeries:
-    """``prod_{m=1..trunc} (1 - q^m)^(-c)`` for any integer c (z-free)."""
-    return _product(trunc, 0, ((0, m, -1, -c) for m in range(1, trunc + 1)))
+def euler_product_power(c: int, trunc: int) -> list[int]:
+    """Rows 0..trunc of ``prod_{m=1..trunc} (1 - q^m)^(-c)`` for any integer c."""
+    return _rows(trunc, ((0, m, -1, -c) for m in range(1, trunc + 1)), 0)
 
 
-def eta_inverse_power(l: int, trunc: int) -> TruncatedSeries:
-    """``prod_{m=1..trunc} (1 - q^m)^(-l)``; q^n coefficient equals q(n; l)."""
+def eta_inverse_power(l: int, trunc: int) -> list[int]:
+    """Rows 0..trunc of ``prod_{m=1..trunc} (1 - q^m)^(-l)``; row n equals q(n; l)."""
     if l < 0:
         raise ValueError(f"l must be >= 0, got {l}")
     if trunc < 1:
@@ -239,7 +168,7 @@ def sym_power_totals(h_plus: int, h_minus: int, trunc: int) -> tuple[tuple[int, 
     homology has h_plus even and h_minus odd dimensions.
 
     The law reads them off two z-free products, built by :func:`_rows` at
-    width 0 (one integer per row, nothing to decode)::
+    width 0 (the first is :func:`euler_product_power`)::
 
         sum_n euler(sym^n D) t^n = prod_k (1 - t^k)^(-(h_plus - h_minus))
         sum_n hh(sym^n D) t^n    = prod_k (1 + t^k)^h_minus (1 - t^k)^(-h_plus)
@@ -249,21 +178,21 @@ def sym_power_totals(h_plus: int, h_minus: int, trunc: int) -> tuple[tuple[int, 
     z = 1; that series stays the independent check of the law.
     """
     ks = range(1, trunc + 1)
-    eulers = _rows(trunc, ((0, k, -1, h_minus - h_plus) for k in ks), 0)
+    eulers = euler_product_power(h_plus - h_minus, trunc)
     hhs = _rows(trunc, ((0, k, s, e) for k in ks for s, e in ((1, h_minus), (-1, -h_plus))), 0)
     return tuple(zip(eulers, hhs))
 
 
-def gottsche_series(b: BettiVector, trunc: int) -> TruncatedSeries:
+def gottsche_series(b: BettiVector, trunc: int) -> list[LaurentPoly]:
     """Goettsche's Betti-number generating function for Hilbert schemes.
 
     sum_n P(Hilb^n S, z) q^n =
         prod_{m>=1} (1 + z^(2m-1) q^m)^b1 (1 + z^(2m+1) q^m)^b3
                     / [(1 - z^(2m-2) q^m)^b0 (1 - z^2m q^m)^b2 (1 - z^(2m+2) q^m)^b4]
 
-    The q^n coefficient is the Poincare polynomial of Hilb^n(S) for a surface
-    S with Betti vector ``b``.  This formula is imported from the classical
-    literature; nothing in this package rederives it.
+    Row n, for n = 0..trunc, is the Poincare polynomial of Hilb^n(S) for a
+    surface S with Betti vector ``b``.  This formula is imported from the
+    classical literature; nothing in this package rederives it.
     """
     if trunc < 1:
         raise ValueError(f"truncation order must be >= 1, got {trunc}")

@@ -49,10 +49,10 @@ from .partitions import (
 )
 from .series import (
     BettiVector,
-    TruncatedSeries,
     eta_inverse_power,
     euler_product_power,
     gottsche_series,
+    poly_eval,
 )
 
 
@@ -164,40 +164,11 @@ def _check_exact_integers(_max_n: Optional[int], _seed: int) -> tuple[str, int]:
 # series
 
 
-def _random_series(rng: random.Random, trunc: int) -> TruncatedSeries:
-    coeffs = {}
-    for n in range(trunc + 1):
-        if rng.random() < 0.7:
-            coeffs[n] = {
-                rng.randint(-3, 4): rng.randint(-5, 5) for _ in range(rng.randint(1, 3))
-            }
-    return TruncatedSeries(trunc, coeffs)
-
-
-@_check("series", "ring-axioms")
-def _check_ring_axioms(_max_n: Optional[int], seed: int) -> tuple[str, int]:
-    rng = random.Random(seed)
-    for _ in range(40):
-        trunc = rng.randint(1, 6)
-        a, b, c = (_random_series(rng, trunc) for _ in range(3))
-        if a * b != b * a:
-            raise _Failed("commutativity failed")
-        if (a * b) * c != a * (b * c):
-            raise _Failed("associativity failed")
-        if a * (b + c) != a * b + a * c:
-            raise _Failed("distributivity failed")
-        if a * TruncatedSeries.one(trunc) != a:
-            raise _Failed("unit failed")
-    return "commutativity, associativity, distributivity, unit on 40 random series", 40
-
-
 @_check("series", "eta-euler-product")
 def _check_eta_euler_product(max_n: Optional[int], _seed: int) -> tuple[str, int]:
     top = _bound(20, max_n)
     for l in range(0, 7):
-        series = eta_inverse_power(l, max(top, 1))
-        for n in range(top + 1):
-            coeff = series.q_coefficient_at(n, 1)
+        for n, coeff in enumerate(eta_inverse_power(l, max(top, 1))[: top + 1]):
             expected = q_length(n, l) if l >= 1 else (1 if n == 0 else 0)
             if coeff != expected:
                 raise _Failed(
@@ -222,7 +193,7 @@ def _check_gottsche_euler(max_n: Optional[int], _seed: int) -> tuple[str, int]:
         hilb = gottsche_series(b, top)
         chi = euler_product_power(b.euler(), top)
         for n in range(top + 1):
-            if hilb.q_coefficient_at(n, -1) != chi.q_coefficient_at(n, 1):
+            if poly_eval(hilb[n], -1) != chi[n]:
                 raise _Failed(f"z=-1 specialization fails for betti {b.as_tuple()} at n={n}")
     return (
         f"z=-1 specialization matches prod (1-q^m)^(-chi) for n <= {top}",
@@ -234,9 +205,7 @@ def _check_gottsche_euler(max_n: Optional[int], _seed: int) -> tuple[str, int]:
 def _check_gottsche_palindromic(max_n: Optional[int], _seed: int) -> tuple[str, int]:
     top = _bound(8, max_n)
     for b in _SUITE_BETTIS:
-        series = gottsche_series(b, top)
-        for n in range(top + 1):
-            poly = series.q_coefficient(n)
+        for n, poly in enumerate(gottsche_series(b, top)):
             if any(poly.get(e, 0) != poly.get(4 * n - e, 0) for e in range(0, 4 * n + 1)):
                 raise _Failed(f"q^{n} coefficient not palindromic for betti {b.as_tuple()}")
     return (
@@ -551,12 +520,12 @@ def _check_goettsche_two_path(max_n: Optional[int], seed: int) -> tuple[str, int
     bases += surfaces + [make_preset("blowup", surfaces[1])]
     bases += [surface_literal(b) for b in _law_surfaces(random.Random(seed))]
     for base in bases:
-        series = gottsche_series(betti_of(base), top)
+        polys = gottsche_series(betti_of(base), top)
         for n in range(1, top + 1):
             e = Sym(n, base)
             report = invariants.invariant_report(e)
             expanded = (report.euler, report.hh_total)
-            analytic = (series.q_coefficient_at(n, -1), series.q_coefficient_at(n, 1))
+            analytic = (poly_eval(polys[n], -1), poly_eval(polys[n], 1))
             if expanded != analytic:
                 raise _Failed(f"{e}: expansion (euler, hh) {expanded} != Goettsche {analytic}")
     return (

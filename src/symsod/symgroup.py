@@ -27,8 +27,10 @@ What is validated, and where:
   ``act``, and it compares each value with the composed table ("action is
   not a homomorphism" when they differ): every ``act`` value the layer
   reads is compared.  Relations among the generators beyond their pairwise
-  products are not checked; an action that breaks one but agrees with
-  every composed table is left to Burnside's divisibility check.
+  products are not checked one by one; an action that breaks one but agrees
+  with every composed table is left to :func:`invariant_dimension`, whose
+  Burnside average must divide and must equal the orbit count.  A break
+  that keeps both counts equal still passes.
 - :func:`invariant_dimension` checks that the module's group list is a
   whole group: no duplicates, the identity present, and the same set as the
   module's walk of its generators (so it is closed).  It walks no closure.
@@ -430,7 +432,11 @@ def invariant_dimension(m: PermModule) -> int:
     class of H, so the sum runs over the classes (the orbits of H on itself
     under conjugation by ``m.generators``): class size times the fixed
     points of one representative, each ``act`` value checked against its
-    composed table.  The sum must divide by |H|.
+    composed table.  The sum must divide by |H|, and the quotient must equal
+    ``m.orbit_count()``, the orbits walked on the generators' tables: an
+    action that breaks a relation among the generators while agreeing with
+    every composed table fails one of the two, unless it keeps both counts
+    equal, which still passes.
     """
     by_images = {h.images: h for h in m.group}
     if len(by_images) != len(m.group):
@@ -445,6 +451,8 @@ def invariant_dimension(m: PermModule) -> int:
     dim, remainder = divmod(total, len(m.group))
     if remainder:
         raise ValueError("fixed-point average is not an integer; not a group action?")
+    if dim != m.orbit_count():
+        raise ValueError("fixed-point average differs from the orbit count; not a group action?")
     return dim
 
 

@@ -99,9 +99,9 @@ def test_cli_stdout_digest(text):
 
 # SHA-256 of the ``verify`` stdout, with the exit code it comes with.
 VERIFY_DIGESTS = {
-    "--max-n 3": (0, "d2b7682140eb902679f8420ab72629d00dda90d03303108ec24d505508a0241d"),
+    "--max-n 3": (0, "55453087622d31c22ce4fb55725072cd08c1d83f5a7198b79dcc4fc0e2044137"),
     "--max-n 3 --format json": (
-        0, "f6e567f76c7a4c944786b641e4121477be854adfa8b566b2284425f57b0f17e9"
+        0, "22b89f28339c502919f5cedb16be4710d7c9d1d48d24540f3ad348f6d2b070ba"
     ),
     # block-law examines no case under a cap of 1 and fails
     "--suite rewrite --max-n 1": (

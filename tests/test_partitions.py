@@ -96,18 +96,15 @@ def test_q_length_is_the_literal_composition_sum():
 @pytest.mark.parametrize("l", [1, 2, 7, 12])
 def test_q_length_is_the_euler_product_coefficient(l):
     # far past the literal sum's reach: C(211, 11) compositions at n = 200, l = 12
-    series = eta_inverse_power(l, 200)
-    assert [q_length(n, l) for n in range(201)] == [
-        series.q_coefficient_at(n, 1) for n in range(201)
-    ]
+    assert [q_length(n, l) for n in range(201)] == eta_inverse_power(l, 200)
 
 
 def test_q_length_ignores_call_order_and_cache_contents(monkeypatch):
     monkeypatch.setattr(partitions, "_Q_CACHE", {})
     expected = {
-        (n, l): eta_inverse_power(l, 30).q_coefficient_at(n, 1)
+        (n, l): coeff
         for l in range(1, 6)
-        for n in range(31)
+        for n, coeff in enumerate(eta_inverse_power(l, 30))
     }
     orders = {
         "ascending": sorted(expected),

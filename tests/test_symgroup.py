@@ -145,6 +145,26 @@ def test_invariant_dimension_rejects_a_group_list_that_is_not_a_group():
         invariant_dimension(trivial_module(s3[1:]))
 
 
+def _c4_acting_through(rotation, basis):
+    """C_4 = <c>, c = (1 2 3 4), acting on ``basis`` by c^k -> rotation^k.
+
+    With rotation of order 3, c^4 = 1 is broken, yet construction checks only
+    the identity, c and c * c, and every ``act`` value agrees with the tables
+    composed from c along the shortest paths c^k, k < 4.
+    """
+    c = Permutation((2, 3, 4, 1))
+    cyclic = [Permutation.identity(4), c, c * c, c * c * c]
+
+    def act(g, b):
+        for _ in range(cyclic.index(g)):
+            b = rotation(b)
+        return b
+
+    module = PermModule(cyclic, basis, act)
+    assert module.generators == [c]
+    return module
+
+
 def test_invariant_dimension_rejects_a_fixed_point_sum_that_does_not_divide():
     # (1 2)(3 4) is neither a generator of S_4 nor a product of two, so acting by
     # (1 2) passes construction; it is first in its class of 3, so the Burnside
@@ -156,21 +176,19 @@ def test_invariant_dimension_rejects_a_fixed_point_sum_that_does_not_divide():
     assert wrong not in module.generators
     with pytest.raises(ValueError, match="action is not a homomorphism"):
         invariant_dimension(module)
-    # C_4 = <c> acting through c -> (1 2 3): construction checks the identity, c and
-    # c * c, not c^4 = 1, and every act value agrees with the tables composed from c
-    # along the shortest paths c^k, k < 4; only Burnside's 3 + 0 + 0 + 3 over 4 is
-    # left to catch it
-    cycle, rotation = Permutation((2, 3, 4, 1)), Permutation((2, 3, 1))
-    cyclic = [Permutation.identity(4), cycle, cycle * cycle, cycle * cycle * cycle]
-
-    def through_c3(g, b):
-        for _ in range(cyclic.index(g)):
-            b = rotation(b)
-        return b
-
-    module = PermModule(cyclic, [1, 2, 3], through_c3)
-    assert module.generators == [cycle]
+    # C_4 acting on three points through c -> (1 2 3): only Burnside's
+    # 3 + 0 + 0 + 3 over 4 is left to catch it
+    module = _c4_acting_through(Permutation((2, 3, 1)), [1, 2, 3])
     with pytest.raises(ValueError, match="not an integer"):
+        invariant_dimension(module)
+
+
+def test_invariant_dimension_rejects_an_average_that_differs_from_the_orbit_count():
+    # C_4 acting on {1..6} through c -> (1 2 3)(4 5 6): the Burnside sum
+    # 6 + 0 + 0 + 6 divides by 4, but the average 3 is not the 2 orbits
+    module = _c4_acting_through(Permutation((2, 3, 1, 5, 6, 4)), [1, 2, 3, 4, 5, 6])
+    assert module.orbit_count() == 2
+    with pytest.raises(ValueError, match="differs from the orbit count"):
         invariant_dimension(module)
 
 
