@@ -7,8 +7,11 @@ once and each distinct component of the expansion once, by its position in
 ``ComponentList.distinct``; the totals are summed over the distinct
 components, each value times that component's total multiplicity.  The
 atoms sym^n(S) over one surface S read one evaluation of the invariant law
-(:func:`series.sym_power_totals`), to order the largest such n; Goettsche's
-series at z = -1 and z = 1 stays its independent check.  Atom values:
+(:func:`series.sym_power_totals`, Euler's divisor-sum recurrence), to order
+the largest such n; Goettsche's series at z = -1 and z = 1, built by the
+binomial kernel, stays its independent check.  The phantom audit sets that
+series against q(n; l) (:func:`partitions.q_length`, the same recurrence).
+Atom values:
 
 ====================  ===========================  =========================
 atom                  euler                        hh_total

@@ -13,17 +13,17 @@ n-th symmetric product of a category with an exceptional collection of
 length ``l``; the rewrite engine reproduces it structurally and the series
 module's binomial kernel as a coefficient of ``prod_k (1 - t^k)^(-l)``.
 :func:`q_length` reads that product by Euler's divisor-sum recurrence
-instead, so it stays independent of both; the literal composition sum is
-the test suite's reference.
+(``series._divisor_sum_rows``, which also values the invariant law), never
+by the kernel, so it stays independent of both; the literal composition sum
+is the test suite's reference.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import threading
 
-from .expr import InternalInvariantError
+from .series import _divisor_sum_rows, _divisor_sums
 
 
 def partitions_of(n: int) -> list[tuple[int, ...]]:
@@ -106,21 +106,14 @@ def weak_compositions(n: int, l: int) -> list[tuple[int, ...]]:
 _Q_CACHE: dict[tuple[int, int], int] = {}
 
 
-def _divisor_sums(n: int) -> list[int]:
-    """``[sigma(1), ..., sigma(n)]``, sigma(j) the sum of the divisors of j."""
-    sigma = [0] * n
-    for d in range(1, n + 1):
-        sigma[d - 1 :: d] = [s + d for s in sigma[d - 1 :: d]]
-    return sigma
-
-
 def q_length(n: int, l: int) -> int:
     """``q(n; l)``: sum of ``p(i_1)*...*p(i_l)`` over weak compositions of n.
 
     It is the t^n coefficient of ``prod_k (1 - t^k)^(-l)``, read by Euler's
-    logarithmic derivative: ``k q(k; l) = l * sum_{j=1..k} sigma(j) q(k-j; l)``.
-    One call fills the cache for every k <= n, O(n^2) integer steps whatever
-    l; a division by k that leaves a remainder raises InternalInvariantError.
+    logarithmic derivative: ``k q(k; l) = l * sum_{j=1..k} sigma(j) q(k-j; l)``
+    (:func:`series._divisor_sum_rows` with b_j = l sigma(j)).  One call extends
+    the cached rows of l to every k <= n, O(n^2) integer steps whatever l; a
+    division by k that leaves a remainder raises InternalInvariantError.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -128,15 +121,16 @@ def q_length(n: int, l: int) -> int:
         raise ValueError(f"l must be >= 1, got {l}")
     if (n, l) in _Q_CACHE:
         return _Q_CACHE[n, l]
-    sigma = _divisor_sums(n)
     q = [_Q_CACHE.setdefault((0, l), 1)]
-    for k in range(1, n + 1):
-        if (k, l) not in _Q_CACHE:
-            value, rest = divmod(l * sum(map(operator.mul, sigma, reversed(q))), k)
-            if rest:
-                raise InternalInvariantError(f"q({k};{l}): the divisor sum leaves {rest} mod {k}")
-            _Q_CACHE[k, l] = value
-        q.append(_Q_CACHE[k, l])
+    for k in range(1, n):
+        row = _Q_CACHE.get((k, l))
+        if row is None:
+            break
+        q.append(row)
+    known = len(q)
+    _divisor_sum_rows(q, [l * s for s in _divisor_sums(n)], n, f"q({{}};{l})")
+    for k in range(known, n + 1):
+        _Q_CACHE[k, l] = q[k]
     return q[n]
 
 

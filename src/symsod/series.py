@@ -4,13 +4,26 @@ The package's analytic oracles are products of binomial factors
 ``(1 + s z^a q^m)^e``, truncated at q^trunc.  Each is returned as its rows
 0..trunc: a z-free product as a list of integers, a bivariate one as a list
 of Laurent polynomials in z (``{z_exponent: int}`` dicts holding no zero
-coefficient).  The products share one kernel, ``_rows``, that applies one
-factor at a time, in place, to packed rows: row n is a single integer, its
-z^e coefficient the signed digit e in base 2^W (Kronecker substitution), so
-one step of a factor is one big-integer shift-and-add.  A z-free product is
-``_rows`` at W = 0, one plain integer per row with nothing to decode; only
-Goettsche's series packs, through ``_product``, which takes W from a z-free
-majorant of the product and decodes each row in one linear pass.
+coefficient).  Two routes build them.
+
+* The binomial kernel, ``_rows``, applies one factor at a time, in place, to
+  packed rows: row n is a single integer, its z^e coefficient the signed
+  digit e in base 2^W (Kronecker substitution), so one step of a factor is
+  one big-integer shift-and-add.  :func:`eta_inverse_power` and
+  :func:`euler_product_power` run it at W = 0, one plain integer per row;
+  Goettsche's series packs, through ``_product``, which takes W from a
+  z-free majorant of the product and decodes each row in one linear pass.
+  Its cost grows with the exponents.
+* Euler's logarithmic derivative, ``_divisor_sum_rows``, reads a z-free
+  product whose t F'/F has divisor-sum coefficients b_k:
+  n f_n = sum_{k=1..n} b_k f_(n-k), exact, O(n) integer steps per row
+  whatever the exponents.  :func:`sym_power_totals` runs it, and so does
+  :func:`partitions.q_length`.
+
+So the checks against the law (``invariants:goettsche-two-path``) and
+against q(n; l) (``series:eta-euler-product``, ``invariants:phantom-audit``)
+each set the kernel against the recurrence; ``series:gottsche-euler`` sets
+the packed kernel against the kernel at W = 0.  The functions:
 
 * :func:`eta_inverse_power` -- the Euler product ``prod (1 - q^m)^(-l)``
   whose q^n coefficient is ``q(n; l)``,
@@ -27,8 +40,9 @@ majorant of the product and decodes each row in one linear pass.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 LaurentPoly = dict[int, int]
 
@@ -149,6 +163,37 @@ def _product(trunc: int, z_slope: int, factors: Iterable[tuple[int, ...]]) -> li
     return polys
 
 
+def _divisor_sums(n: int) -> list[int]:
+    """``[sigma(1), ..., sigma(n)]``, sigma(j) the sum of the divisors of j."""
+    sigma = list(range(1, n + 1))  # j divides j
+    for d in range(1, n // 2 + 1):
+        for j in range(2 * d, n + 1, d):
+            sigma[j - 1] += d
+    return sigma
+
+
+def _divisor_sum_rows(rows: list[int], b: Sequence[int], top: int, label: str) -> list[int]:
+    """Extend ``rows``, the known prefix f_0..f_m of a series F with f_0 = 1, in
+    place to f_top.
+
+    ``b[k - 1]`` is b_k, the t^k coefficient of t F'/F; for
+    prod_k (1 - t^k)^(-c) it is the divisor sum c sigma(k).  Euler's
+    logarithmic derivative gives n f_n = sum_{k=1..n} b_k f_(n-k), one row in
+    O(n) integer steps.  A division by n that leaves a remainder raises
+    InternalInvariantError, its message ``label`` with n in place of ``{}``.
+    """
+    for n in range(len(rows), top + 1):
+        f, rest = divmod(sum(map(operator.mul, b, reversed(rows))), n)
+        if rest:
+            from .expr import InternalInvariantError  # expr imports this module
+
+            raise InternalInvariantError(
+                f"{label.format(n)}: the divisor sum leaves {rest} mod {n}"
+            )
+        rows.append(f)
+    return rows
+
+
 def euler_product_power(c: int, trunc: int) -> list[int]:
     """Rows 0..trunc of ``prod_{m=1..trunc} (1 - q^m)^(-c)`` for any integer c."""
     return _rows(trunc, ((0, m, -1, -c) for m in range(1, trunc + 1)), 0)
@@ -167,20 +212,25 @@ def sym_power_totals(h_plus: int, h_minus: int, trunc: int) -> tuple[tuple[int, 
     """(euler, hh) of sym^n D for n = 0..trunc, for a category D whose Hochschild
     homology has h_plus even and h_minus odd dimensions.
 
-    The law reads them off two z-free products, built by :func:`_rows` at
-    width 0 (the first is :func:`euler_product_power`)::
+    The law reads them off two z-free products::
 
         sum_n euler(sym^n D) t^n = prod_k (1 - t^k)^(-(h_plus - h_minus))
         sum_n hh(sym^n D) t^n    = prod_k (1 + t^k)^h_minus (1 - t^k)^(-h_plus)
 
-    For a surface with Betti vector b, h_plus = b0 + b2 + b4 and
-    h_minus = b1 + b3, and these are :func:`gottsche_series` at z = -1 and
-    z = 1; that series stays the independent check of the law.
+    both by :func:`_divisor_sum_rows`, with b_k = (h_plus - h_minus) sigma(k) and
+    b_k = (h_plus + h_minus) sigma(k) - 2 h_minus sigma(k/2), the last term for
+    even k only: O(trunc^2) integer steps whatever the exponents.  For a
+    surface with Betti vector b, h_plus = b0 + b2 + b4 and h_minus = b1 + b3,
+    and these are :func:`gottsche_series` at z = -1 and z = 1; that series,
+    built by the binomial kernel, stays the independent check of the law.
     """
-    ks = range(1, trunc + 1)
-    eulers = euler_product_power(h_plus - h_minus, trunc)
-    hhs = _rows(trunc, ((0, k, s, e) for k in ks for s, e in ((1, h_minus), (-1, -h_plus))), 0)
-    return tuple(zip(eulers, hhs))
+    sigma = _divisor_sums(trunc)
+    where = f" of sym^{{}} of (h+, h-) = ({h_plus}, {h_minus})"
+    b_euler = [(h_plus - h_minus) * s for s in sigma]
+    b_hh = [(h_plus + h_minus) * s for s in sigma]
+    b_hh[1::2] = [b - 2 * h_minus * s for b, s in zip(b_hh[1::2], sigma)]  # k = 2j: sigma(j)
+    eulers = _divisor_sum_rows([1], b_euler, trunc, "euler" + where)
+    return tuple(zip(eulers, _divisor_sum_rows([1], b_hh, trunc, "hh" + where)))
 
 
 def gottsche_series(b: BettiVector, trunc: int) -> list[LaurentPoly]:

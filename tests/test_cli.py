@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 import symsod
-from symsod import cli, partitions, suites
+from symsod import cli, partitions, series, suites
 from symsod.expr import Bullet, Component, Curve, Opaque, Sod, Sym
 from symsod.grammar import parse_expr, render_text
 from symsod.invariants import invariant_report
@@ -252,6 +252,25 @@ def test_table_q_exits_3_when_the_recurrence_leaves_a_remainder(monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal invariant violation: q(2;1)" in captured.err
+
+
+def test_invariants_exit_3_when_the_law_leaves_a_remainder(monkeypatch, capsys):
+    # sigma(2) reads 4; the preset P2 is sod(pt, pt, pt) and never reaches the
+    # law, so the surface literal with P2's Betti numbers stands in for it
+    real = series._divisor_sums
+
+    def corrupted(n):
+        return [s + (k == 2) for k, s in enumerate(real(n), 1)]
+
+    monkeypatch.setattr(series, "_divisor_sums", corrupted)
+    symsod.invariants._hilb_poincare_value.cache_clear()
+    assert run_cli("invariants", "hilb(3, surface(1,0,1,0,1))") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal invariant violation: "
+        "euler of sym^2 of (h+, h-) = (3, 0): the divisor sum leaves 1 mod 2\n"
+    )
 
 
 def test_table_q_requires_l(capsys):

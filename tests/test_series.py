@@ -3,15 +3,20 @@ import random
 
 import pytest
 
+from symsod import partitions, series
+from symsod.expr import InternalInvariantError
+from symsod.partitions import q_length
 from symsod.series import (
     BettiVector,
     _product,
+    _rows,
     eta_inverse_power,
     euler_product_power,
     gottsche_series,
     macdonald_poincare,
     poly_eval,
     poly_str,
+    sym_power_totals,
 )
 
 
@@ -158,3 +163,54 @@ def test_packed_kernel_decodes_signed_and_wide_coefficients():
         assert product == _product_by_mul(trunc, factors), (trunc, z_slope, factors)
         signed += any(c < 0 for poly in product for c in poly.values())
     assert signed >= 20
+
+
+def _law_by_the_kernel(h_plus, h_minus, trunc):
+    """The invariant law's two products, built by the binomial kernel at width 0."""
+    ks = range(1, trunc + 1)
+    hh_factors = ((0, k, s, e) for k in ks for s, e in ((1, h_minus), (-1, -h_plus)))
+    return tuple(zip(euler_product_power(h_plus - h_minus, trunc), _rows(trunc, hh_factors, 0)))
+
+
+def test_invariant_law_equals_the_kernel_route():
+    rng = random.Random(0)
+    cases = [(rng.randint(0, 300), rng.randint(0, 40), rng.randint(0, 40)) for _ in range(200)]
+    cases += [(0, 0, 0), (0, 0, 20), (3, 0, 0), (2, 7, 0), (0, 40, 40), (5, 6, 33), (1, 0, 40)]
+    assert sum(h_plus < h_minus for h_plus, h_minus, _ in cases) >= 10
+    for case in cases:
+        assert sym_power_totals(*case) == _law_by_the_kernel(*case), case
+
+
+def test_invariant_law_raises_when_a_division_leaves_a_remainder(monkeypatch):
+    # sigma(2) reads 4: at (h+, h-) = (3, 0), 2 euler(sym^2) = 3 * 3 + 3 * 4 is odd
+    assert sym_power_totals(3, 0, 2) == ((1, 1), (3, 3), (9, 9))
+    real = series._divisor_sums
+
+    def corrupted(n):
+        return [s + (k == 2) for k, s in enumerate(real(n), 1)]
+
+    monkeypatch.setattr(series, "_divisor_sums", corrupted)
+    assert sym_power_totals(3, 0, 1) == ((1, 1), (3, 3))  # no row reads sigma(2)
+    with pytest.raises(InternalInvariantError, match=r"^euler of sym\^2 of \(h\+, h-\) = \(3, 0\)"):
+        sym_power_totals(3, 0, 2)
+
+
+def test_the_law_and_q_length_never_run_the_kernel(monkeypatch):
+    # eta_inverse_power, euler_product_power and gottsche_series are the other
+    # side of the checks that compare them with the law or with q(n; l), so
+    # each check compares two routes, never the recurrence with itself
+    def no_kernel(*args):
+        raise AssertionError("the binomial kernel ran")
+
+    monkeypatch.setattr(series, "_rows", no_kernel)
+    monkeypatch.setattr(partitions, "_Q_CACHE", {})
+    hilb_p2 = [1, 3, 9, 22, 51]  # euler = total Betti of Hilb^n(P2), = q(n; 3)
+    assert sym_power_totals(3, 0, 4) == tuple(zip(hilb_p2, hilb_p2))
+    assert [q_length(n, 3) for n in range(5)] == hilb_p2
+    for route in (
+        lambda: eta_inverse_power(3, 4),
+        lambda: euler_product_power(3, 4),
+        lambda: gottsche_series(BettiVector(1, 0, 1, 0, 1), 4),
+    ):
+        with pytest.raises(AssertionError, match="kernel ran"):
+            route()
