@@ -222,10 +222,25 @@ def _check_gottsche_palindromic(max_n: Optional[int], _seed: int) -> tuple[str, 
 def _check_class_counts(max_n: Optional[int], _seed: int) -> tuple[str, int]:
     top = _bound(7, max_n)
     for n in range(1, top + 1):
-        types = {symgroup.cycle_type(p) for p in symgroup.symmetric_group(n)}
-        if len(types) != partition_count(n):
-            raise _Failed(f"exhaustive classification of S_{n} found {len(types)} types")
-    return f"S_n has p(n) cycle types by exhaustive classification for n <= {top}", top
+        classes = symgroup.class_table([tuple(range(1, n + 1))])
+        types = set()
+        for (shape,), word, _ in classes:
+            element = symgroup.Permutation.identity(n)
+            for letter in word:
+                element = element * symgroup.Permutation(letter)
+            if symgroup.cycle_type(element) != shape:
+                raise _Failed(f"the word of the {shape} class of S_{n} has cycle type "
+                              f"{symgroup.cycle_type(element)}")
+            types.add(shape)
+        if len(classes) != len(types) or len(types) != partition_count(n):
+            raise _Failed(f"the class table of S_{n} has {len(classes)} classes")
+        if sum(size for _, _, size in classes) != math.factorial(n):
+            raise _Failed(f"the class sizes of S_{n} do not sum to {n}!")
+    return (
+        f"Burnside's class table of S_n has one word per cycle type, with sizes summing "
+        f"to n!, for n <= {top}",
+        top,
+    )
 
 
 @_check("symgroup", "coset-reps")

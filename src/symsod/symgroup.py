@@ -1,8 +1,11 @@
 """Symmetric-group bookkeeping: cycle types, Young cosets, induced modules.
 
-Groups are handled at desk scale (degree <= 7, so at most 5040 elements) and
-always as explicit element lists; exhaustive verification beats generality
-here.  The centrepiece is :func:`induction_invariance_check`, a
+Groups are handled at desk scale (degree <= 7, so at most 5040 elements)
+and handed in as explicit element lists.  Every module is checked on the
+Coxeter presentation of its group (Moore 1897; Coxeter-Moser, "Generators
+and Relations for Discrete Groups", 1957) and summed over one word per
+conjugacy class, so no code walks a group's closure or conjugates its
+elements.  The centrepiece is :func:`induction_invariance_check`, a
 decategorified Frobenius-reciprocity test: the dimension of the invariants
 of a module induced from a Young subgroup, computed by direct orbit
 counting, must equal the dimension of the subgroup invariants of the
@@ -16,42 +19,50 @@ What is validated, and where:
   calling it checks that its argument lies in 1..n.  Products and inverses
   of permutations skip the first check (a product of two permutations of
   equal degree always is one); the degree check stays.
-- :class:`PermModule` numbers its basis once (a repeated point is an
-  error) and checks ``act`` on construction, on a small generating subset
-  of its group list ((1 2) and (1 2 ... n) for S_n, at most such a pair
-  per block of S_(n-i) x S_i): the identity, each generator and each
-  ordered pair of generators, at most 1 + 4 + 16 calls per basis point.
-- Every other element's table is composed from the generators' tables
-  along its path in the module's one walk of its group, with no ``act``
-  call.  Afterwards only ``fixed_points`` (the Burnside side) calls
-  ``act``, and it compares each value with the composed table ("action is
-  not a homomorphism" when they differ): every ``act`` value the layer
-  reads is compared.  Relations among the generators beyond their pairwise
-  products are not checked one by one; an action that breaks one but agrees
-  with every composed table is left to :func:`invariant_dimension`, whose
-  Burnside average must divide and must equal the orbit count.  A break
-  that keeps both counts equal still passes.
-- :func:`invariant_dimension` checks that the module's group list is a
-  whole group: no duplicates, the identity present, and the same set as the
-  module's walk of its generators (so it is closed).  It walks no closure.
-- The induced module of :func:`induction_invariance_check` is checked on,
-  and counts its orbits under, (1 2) and (1 2 ... n), which generate S_n.
-  Its basis is (coset index, basis position), its action reads the composed
-  tables of ``m``, and it needs no closure; ``orbit_count`` walks the
-  generators' tables.
+- :class:`PermModule` accepts a group list only if it is exactly the
+  product of the symmetric groups Sym(B) on its blocks B: the block of a
+  point k is the set of its images g(k) over the list, the blocks must
+  partition {1..n} with each point in its own block, and the list must
+  hold prod |B|! distinct elements.  A cyclic or alternating group, a
+  list that is not closed, and a list with a repeat are all refused.
+- The module numbers its basis once (a repeated point is an error) and
+  calls ``act`` on the identity, which must fix every point, and on the
+  adjacent transpositions (b_k b_(k+1)) of each block, each of which must
+  permute the basis.  Their tables (actions by basis position) must
+  satisfy the Coxeter relations: s^2 = 1, (s t)^3 = 1 when s and t share
+  a point, and (s t)^2 = 1 for every other pair, across blocks too.  These
+  present prod Sym(B), so an accepted module's tables define a genuine
+  action of its group.
+- :func:`invariant_dimension` sums over :func:`class_table`: one word in
+  the adjacent transpositions per class, of size prod |B|!/z_lambda
+  (Macdonald, "Symmetric Functions and Hall Polynomials", 1995, ch. I).
+  It calls ``act`` on each class's representative and compares the result
+  with the table composed along its word ("action is not a
+  homomorphism"), so every ``act`` value the layer reads is compared with
+  a table.  The sum must divide by the group order, and the quotient must
+  equal ``orbit_count()``, a walk over the generators' tables.
+- :func:`induction_invariance_check` builds the induced module's tables
+  for the n - 1 adjacent transpositions s of S_n straight from the
+  module's generator tables: the coset representatives are minimal, so
+  s * g_k = g_j * h with h the identity or an adjacent transposition of
+  the subgroup, and any other h raises.  The induced tables must satisfy
+  the Coxeter relations of S_n; their orbits are counted by the same walk.
 
 Inside the hot loops permutations are plain image tuples; ``Permutation``
 objects appear only where user code sees them: group lists, the arguments
 of ``act`` callables, and the basis of :func:`regular_module`.  One walk,
-``_orbit``, finds every orbit here: group closures, conjugacy classes,
-module orbits and cycles.
+``_orbit``, finds every orbit here: module orbits and cycles.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
+
+from .partitions import partitions_of
 
 
 @dataclass(frozen=True)
@@ -110,42 +121,37 @@ def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _orbit(start: Any, gens: Sequence[Any], act: Callable[[Any, Any], Any]) -> dict:
-    """The orbit of ``start`` under the group that ``gens`` generate, walked breadth first.
-
-    Maps each point y to a pair (g, x), x reached before y, with
-    ``act(g, x) == y``, and ``start`` to ``None``; so the path back from any
-    point to ``start`` is no longer than the diameter of the Schreier graph.
-    """
-    orbit: dict = {start: None}
+def _orbit(start: Any, gens: Sequence[Any], act: Callable[[Any, Any], Any]) -> set:
+    """The orbit of ``start`` under the group that ``gens`` generate: every point reached."""
+    orbit = {start}
     frontier = [start]
     for x in frontier:
         for g in gens:
             y = act(g, x)
             if y not in orbit:
-                orbit[y] = (g, x)
+                orbit.add(y)
                 frontier.append(y)
     return orbit
 
 
 def _orbits(
     points: Iterable[Any], gens: Sequence[Any], act: Callable[[Any, Any], Any]
-) -> list[tuple[Any, dict]]:
-    """(first point, orbit) for each orbit that meets ``points``, in the order of ``points``."""
+) -> list[set]:
+    """Each orbit that meets ``points``, in the order of ``points``."""
     seen: set = set()
     orbits = []
     for x in points:
         if x not in seen:
             orbit = _orbit(x, gens, act)
-            seen.update(orbit)
-            orbits.append((x, orbit))
+            seen |= orbit
+            orbits.append(orbit)
     return orbits
 
 
 def cycle_type(p: Permutation) -> tuple[int, ...]:
     """The cycle lengths of ``p``, weakly decreasing: a partition of its degree."""
     cycles = _orbits(range(1, p.degree + 1), [p], Permutation.__call__)
-    return tuple(sorted((len(cycle) for _, cycle in cycles), reverse=True))
+    return tuple(sorted(map(len, cycles), reverse=True))
 
 
 @dataclass(frozen=True)
@@ -162,18 +168,20 @@ class YoungPair:
         if not (0 <= self.i <= self.n):
             raise ValueError(f"need 0 <= i <= n, got n={self.n}, i={self.i}")
 
-
-def _young_images(y: YoungPair) -> list[tuple[int, ...]]:
-    """The one-line forms of the elements of S_{n-i} x S_i."""
-    n, i = y.n, y.i
-    first = list(itertools.permutations(range(1, n - i + 1)))
-    second = list(itertools.permutations(range(n - i + 1, n + 1)))
-    return [a + b for a in first for b in second]
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The non-empty blocks {1..n-i} and {n-i+1..n}."""
+        n, i = self.n, self.i
+        return tuple(block for block in (tuple(range(1, n - i + 1)), tuple(range(n - i + 1, n + 1)))
+                     if block)
 
 
 def young_subgroup(y: YoungPair) -> list[Permutation]:
     """All elements of S_{n-i} x S_i as permutations of {1..n}, in lexicographic order."""
-    return [Permutation(images) for images in _young_images(y)]
+    n, i = y.n, y.i
+    first = list(itertools.permutations(range(1, n - i + 1)))
+    second = list(itertools.permutations(range(n - i + 1, n + 1)))
+    return [Permutation(a + b) for a in first for b in second]
 
 
 def symmetric_group(n: int) -> list[Permutation]:
@@ -202,105 +210,121 @@ def young_coset_reps(y: YoungPair) -> list[Permutation]:
     return reps
 
 
-def _swap_and_cycle(points: Iterable[int], n: int) -> list[tuple[int, ...]]:
-    """The transposition of the two smallest ``points`` and their increasing cycle, on 1..n.
+def _blocks(group: Sequence[Permutation]) -> tuple[tuple[int, ...], ...]:
+    """The blocks of a group list that is exactly a product of symmetric groups, else ValueError.
 
-    The two generate the full symmetric group on ``points``; there is one
-    element for two points and none for fewer.
+    The block of a point k is the set of its images g(k) over the list.  If
+    each point lies in its own block and the blocks partition {1..n}, every
+    listed element permutes each block; prod |B|! distinct elements are
+    then all of prod Sym(B).  The blocks are returned sorted, each as its
+    sorted points.
     """
-    points = sorted(points)
-    if len(points) < 2:
-        return []
-    swap, cycle = list(range(1, n + 1)), list(range(1, n + 1))
-    swap[points[0] - 1], swap[points[1] - 1] = points[1], points[0]
-    for k, image in zip(points, points[1:] + points[:1]):
-        cycle[k - 1] = image
-    return list(dict.fromkeys((tuple(swap), tuple(cycle))))
-
-
-def _generating_subset(elements: Sequence[Permutation]) -> tuple[list[Permutation], dict | None]:
-    """A small generating subset of a (purported) subgroup given as a list, and its closure.
-
-    For each orbit of the listed elements on {1..n}, the seeds are
-    ``_swap_and_cycle`` of the orbit, wherever the list holds them (they are
-    looked up in the list, not built), so a product of full symmetric groups
-    on its orbits, such as S_n or a Young subgroup, gets at most two
-    generators per orbit.  It keeps the seeds, then scans the list in order
-    and keeps each element that the ones kept before it do not generate.
-    The closure of the kept elements (an ``_orbit`` of the identity under
-    ``_compose``) is recomputed only when an element not yet kept has to be
-    tested against it, so a list whose seeds generate it costs one closure,
-    and a list of seeds alone none.  The last closure is returned if it is
-    still the closure of the kept elements, and ``None`` otherwise.
-    """
-    n = elements[0].degree
-    if any(p.degree != n for p in elements):
+    n = group[0].degree
+    images = [g.images for g in group]
+    if any(len(x) != n for x in images):
         raise ValueError("group elements have mixed degrees")
-    identity = tuple(range(1, n + 1))
-    by_images = {p.images: p for p in elements}
-    gens: dict[tuple[int, ...], Permutation] = {}
-    for _, orbit in _orbits(range(1, n + 1), list(by_images), lambda g, k: g[k - 1]):
-        for g in _swap_and_cycle(orbit, n):
-            if g in by_images:
-                gens[g] = by_images[g]
-    closure: dict = {identity: None}
-    stale = bool(gens)
-    for x in elements:
-        if x.images in gens:
-            continue
-        if stale:
-            closure = _orbit(identity, list(gens), _compose)
-            stale = False
-        if x.images not in closure:
-            gens[x.images] = x
-            stale = True
-    return list(gens.values()), None if stale else closure
+    columns = [frozenset(column) for column in zip(*images)]
+    blocks = sorted({tuple(sorted(column)) for column in columns})
+    if (
+        any(k not in column for k, column in enumerate(columns, start=1))
+        or sum(map(len, blocks)) != n
+        or len(set(images)) != len(images)
+        or len(images) != math.prod(math.factorial(len(block)) for block in blocks)
+    ):
+        raise ValueError("group list is not the product of the symmetric groups on its blocks")
+    return tuple(blocks)
 
 
-def _conjugate(
-    pair: tuple[tuple[int, ...], tuple[int, ...]], x: tuple[int, ...]
-) -> tuple[int, ...]:
-    """g * x * g^-1 for the pair (g, g^-1) of image tuples."""
-    g, g_inv = pair
-    return tuple([g[x[j - 1] - 1] for j in g_inv])
+def _adjacent_transpositions(blocks: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The transpositions (b_k b_(k+1)) of consecutive points of each block, as image tuples."""
+    n = sum(map(len, blocks))
+    gens = []
+    for block in blocks:
+        for a, b in zip(block, block[1:]):
+            images = list(range(1, n + 1))
+            images[a - 1], images[b - 1] = b, a
+            gens.append(tuple(images))
+    return gens
 
 
-def _conjugacy_classes(
-    by_images: dict[tuple[int, ...], Permutation], gens: Sequence[Permutation]
-) -> list[tuple[Permutation, int]]:
-    """(representative, size) for each conjugacy class of a group keyed by image tuples.
+def _coxeter_matrix(gens: Sequence[tuple[int, ...]]) -> list[tuple[int, int, int]]:
+    """(j, k, m) for j <= k: the relation (s_j s_k)^m = 1 among adjacent transpositions.
 
-    ``gens`` must generate the group.  The classes are the orbits of the
-    group on itself under conjugation by the generators; each representative
-    is the first element of its class in key order.
+    m is 1 for j = k (s^2 = 1), 3 when s_j and s_k share a point and 2
+    otherwise; with these relations the adjacent transpositions of the
+    blocks present the product of the symmetric groups on them.
     """
-    conjugators = [(g.images, _inverse(g.images)) for g in gens]
-    return [(by_images[h], len(cls)) for h, cls in _orbits(by_images, conjugators, _conjugate)]
+    moved = [{k for k, image in enumerate(g, start=1) if image != k} for g in gens]
+    return [(j, k, 1 if j == k else 3 if moved[j] & moved[k] else 2)
+            for j in range(len(gens)) for k in range(j, len(gens))]
+
+
+def _check_relations(gens: Sequence[tuple[int, ...]], tables: Sequence[list[int]]) -> None:
+    """Raise unless the tables of the adjacent transpositions ``gens`` satisfy their relations."""
+    if not tables:
+        return
+    identity = list(range(len(tables[0])))
+    for j, k, m in _coxeter_matrix(gens):
+        product = [tables[j][x] for x in tables[k]]
+        power = product
+        for _ in range(m - 1):
+            power = [product[x] for x in power]
+        if power != identity:
+            relation = f"{Permutation(gens[j])!r}^2" if j == k else (
+                f"({Permutation(gens[j])!r} {Permutation(gens[k])!r})^{m}")
+            raise ValueError(f"action is not a homomorphism: it breaks {relation} = 1")
+
+
+def class_table(
+    blocks: Sequence[Sequence[int]],
+) -> list[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int]]:
+    """(cycle types, word, size) for each conjugacy class of the product of Sym(B) over ``blocks``.
+
+    The cycle types are one partition per block; the word is a tuple of
+    adjacent transpositions of the blocks (image tuples) whose product lies
+    in the class; the size is prod |B|!/z_lambda, z_lambda = prod_k
+    k^(m_k) m_k! for a partition with m_k parts k.  A part l takes the next
+    l points p, q, ..., r of its block, and its cycle (p q ... r) is the
+    product (p q)(q ...)...(... r) of the transpositions along it.
+    """
+    gens = iter(_adjacent_transpositions(blocks))
+    per_block = []
+    for block in blocks:
+        letters = [next(gens) for _ in block[1:]]
+        entries = []
+        for shape in partitions_of(len(block)):
+            word, start = [], 0
+            for part in shape:
+                word += letters[start:start + part - 1]
+                start += part
+            z = math.prod(k**m * math.factorial(m) for k, m in Counter(shape).items())
+            entries.append((shape, tuple(word), math.factorial(len(block)) // z))
+        per_block.append(entries)
+    return [
+        (tuple(shape for shape, _, _ in combo), sum((word for _, word, _ in combo), ()),
+         math.prod(size for _, _, size in combo))
+        for combo in itertools.product(*per_block)
+    ]
 
 
 class PermModule:
     """A finite permutation module: a basis with a group acting on it.
 
-    ``group`` lists elements of the acting group: all of them, or any list
-    that generates the group (:func:`invariant_dimension` needs all of them).
-    ``act(g, b)`` receives a ``Permutation`` of the group and a basis point
-    and must return a basis point.  ``generators`` is a small generating
-    subset of ``group`` (``_generating_subset``), for a Young subgroup at
-    most one transposition and one cycle per block.  The basis must not
-    repeat a point; ``_index`` numbers it.  Construction checks ``act`` on
-    the generators:
+    ``group`` lists every element of the acting group, which must be a
+    product of symmetric groups on the blocks of {1..n} (``_blocks``), for
+    instance a Young subgroup.  ``act(g, b)`` receives a ``Permutation`` of
+    the group and a basis point and must return a basis point.  The basis
+    must not repeat a point; ``_index`` numbers it.  ``generators`` are the
+    adjacent transpositions of the blocks; construction calls ``act`` only
+    on the identity and on them, and checks that
 
     - the identity fixes every basis point;
     - each generator maps the basis onto itself;
-    - ``act(g * h, b) == act(g, act(h, b))`` for every ordered pair (g, h) of
-      generators and every basis point b.
+    - the generators' tables satisfy the Coxeter relations
+      (``_coxeter_matrix``).
 
-    ``_table(images)`` is an element's action as basis positions: the
-    generators' tables come from ``act``, every other table is composed along
-    the element's path in the closure of the generators (the one walk of the
-    group, handed over by ``_generating_subset`` or made when first needed).
-    ``fixed_points``, the Burnside side, is the only later caller of ``act``
-    and compares every value it gets with the composed table.
+    ``_tables`` maps the images of the identity and of each generator to
+    its table, its action as basis positions; nothing else is kept.
     """
 
     def __init__(
@@ -319,65 +343,42 @@ class PermModule:
         if len(self._index) != len(self.basis):
             raise ValueError("module basis contains duplicates")
         self.act = act
-        self._tables: dict[tuple[int, ...], list[int]] = {}
-        self.generators, self._closure = _generating_subset(self.group)
-        self._validate()
-
-    def _checked(self, g: Permutation, table: list[int]) -> list[int | None]:
-        """``act``'s images of g as basis positions, checked against ``table``, which is kept."""
-        positions = [self._index.get(self.act(g, b)) for b in self.basis]
-        if positions != table:
-            raise ValueError(f"action is not a homomorphism: act of {g!r} contradicts its table")
-        self._tables[g.images] = table
-        return positions
-
-    def _group_closure(self) -> dict:
-        """The ``_orbit`` of the identity under the generators and ``_compose``, made once."""
-        if self._closure is None:
-            identity = tuple(range(1, self.group[0].degree + 1))
-            self._closure = _orbit(identity, [g.images for g in self.generators], _compose)
-        return self._closure
-
-    def _table(self, images: tuple[int, ...]) -> list[int]:
-        """The action of the element with these images as basis positions, calling no ``act``.
-
-        A table not yet kept is composed from the generators' tables along
-        the element's path in the closure, and only the result is kept.
-        """
-        tables = self._tables
-        if images in tables:
-            return tables[images]
-        path, x = [], images
-        while x not in tables:
-            step = self._group_closure().get(x)
-            if step is None:
-                raise ValueError(f"Permutation{images} is not in the module's group")
-            path.append(tables[step[0]])
-            x = step[1]
-        table = tables[x]
-        for generator in reversed(path):
-            table = [generator[k] for k in table]
-        tables[images] = table
-        return table
-
-    def _validate(self) -> None:
-        self._checked(Permutation.identity(self.group[0].degree), list(range(len(self.basis))))
+        self.blocks = _blocks(self.group)
+        identity = Permutation._unchecked(tuple(range(1, self.group[0].degree + 1)))
+        self._tables = {identity.images: self._checked(identity, list(range(len(self.basis))))}
+        gens = _adjacent_transpositions(self.blocks)
+        self.generators = [Permutation._unchecked(g) for g in gens]
         for g in self.generators:
-            table = self._tables[g.images] = [self._index.get(self.act(g, b)) for b in self.basis]
+            table = self._tables[g.images] = self._positions(g)
             if None in table or len(set(table)) != len(table):
                 raise ValueError(f"{g!r} does not permute the basis")
-        for g, h in itertools.product(self.generators, repeat=2):
-            tg, th = self._tables[g.images], self._tables[h.images]
-            self._checked(g * h, [tg[k] for k in th])
+        _check_relations(gens, [self._tables[g] for g in gens])
 
-    def fixed_points(self, g: Permutation) -> int:
-        """How many basis points ``act`` says g fixes, each image compared with g's table first."""
-        positions = self._checked(g, self._table(g.images))
-        return sum(1 for k, position in enumerate(positions) if position == k)
+    def _positions(self, g: Permutation) -> list[int | None]:
+        """``act``'s images of g as basis positions (None for a point outside the basis)."""
+        index, act = self._index.get, self.act
+        return [index(act(g, b)) for b in self.basis]
+
+    def _checked(self, g: Permutation, table: list[int]) -> list[int]:
+        """``table``, once ``act``'s images of g are found to agree with it."""
+        if self._positions(g) != table:
+            raise ValueError(f"action is not a homomorphism: act of {g!r} contradicts its table")
+        return table
+
+    def _word_fixed_points(self, word: Sequence[tuple[int, ...]]) -> int:
+        """How many basis points the product of ``word`` fixes, read from the table composed
+        along the word once ``act`` on the product agrees with it."""
+        images = identity = tuple(range(1, self.group[0].degree + 1))
+        table = self._tables[identity]
+        for letter in word:
+            images = _compose(images, letter)
+            table = [table[x] for x in self._tables[letter]]
+        table = self._checked(Permutation._unchecked(images), table)
+        return sum(1 for k, position in enumerate(table) if position == k)
 
     def orbit_count(self) -> int:
         """Number of orbits of the group on the basis, walked on the generators' tables."""
-        tables = [self._table(g.images) for g in self.generators]
+        tables = [self._tables[g.images] for g in self.generators]
         return len(_orbits(range(len(self.basis)), tables, list.__getitem__))
 
 
@@ -423,31 +424,16 @@ def random_orbit_module(group: Sequence[Permutation], n: int, rng) -> PermModule
 
 
 def invariant_dimension(m: PermModule) -> int:
-    """Dimension of the invariants of the linearized module under its group.
+    """Dimension of the invariants of the linearized module under its group H.
 
-    Burnside: (1/|H|) * sum over h in H of the fixed-point count of h, for
-    H = ``m.group``, which must be a whole group: no duplicates, the
-    identity present, and the same set as the module's closure of
-    ``m.generators``.  A fixed-point count is constant on each conjugacy
-    class of H, so the sum runs over the classes (the orbits of H on itself
-    under conjugation by ``m.generators``): class size times the fixed
-    points of one representative, each ``act`` value checked against its
-    composed table.  The sum must divide by |H|, and the quotient must equal
-    ``m.orbit_count()``, the orbits walked on the generators' tables: an
-    action that breaks a relation among the generators while agreeing with
-    every composed table fails one of the two, unless it keeps both counts
-    equal, which still passes.
+    Burnside: (1/|H|) * sum over h in H of the fixed-point count of h.  A
+    fixed-point count is constant on each conjugacy class, so the sum runs
+    over :func:`class_table`: class size times the fixed points of the
+    class's word, ``act`` on its product checked against the table composed
+    along the word.  The sum must divide by |H|, and the quotient must
+    equal ``m.orbit_count()``, the orbits walked on the generators' tables.
     """
-    by_images = {h.images: h for h in m.group}
-    if len(by_images) != len(m.group):
-        raise ValueError("group element list contains duplicates")
-    identity = tuple(range(1, m.group[0].degree + 1))
-    if identity not in by_images:
-        raise ValueError("group element list must contain the identity")
-    if m._group_closure().keys() != by_images.keys():
-        raise ValueError("group element list is not closed under composition/inverse")
-    classes = _conjugacy_classes(by_images, m.generators)
-    total = sum(size * m.fixed_points(rep) for rep, size in classes)
+    total = sum(size * m._word_fixed_points(word) for _, word, size in class_table(m.blocks))
     dim, remainder = divmod(total, len(m.group))
     if remainder:
         raise ValueError("fixed-point average is not an integer; not a group action?")
@@ -474,44 +460,44 @@ def induction_invariance_check(y: YoungPair, m: PermModule) -> InductionReport:
     """Frobenius reciprocity for the trivial character, made executable.
 
     The module ``m`` over H = S_{n-i} x S_i is induced up to G = S_n on the
-    basis {(coset j, basis position b of m)}: for g in G and each summand
-    index k, the element h in H and rep index j with ``g * g_k = g_j * h``
-    carry (k, b) to (j, h.b).  The move (j, h) is found once per (g, k), and
-    h.b is read from h's table in ``m``.  The induced module is validated
-    on, and its orbits are counted under, the transposition (1 2) and the
-    n-cycle (1 2 ... n), which generate G.  The number of orbits, the
-    dimension of the G-invariants, is compared with the Burnside dimension
-    of the H-invariants of ``m``.
+    basis {(coset k, basis position b of m)}, numbered k * |basis| + b.  For
+    each adjacent transposition s of G and each coset representative g_k,
+    ``s * g_k = g_j * h`` carries (k, b) to (j, h.b).  The lex-minimal
+    representatives are minimal in length, so h is the identity or an
+    adjacent transposition of H, and h.b is read from m's table for it;
+    any other h raises.  The induced tables must satisfy the Coxeter
+    relations of G, and their orbits, the dimension of the G-invariants,
+    are compared with the Burnside dimension of the H-invariants of ``m``.
     """
-    n = y.n
-    if {h.images for h in m.group} != set(_young_images(y)):
+    if m.blocks != y.blocks:
         raise ValueError("module is not defined over the Young subgroup of the given pair")
-
+    n, size = y.n, len(m.basis)
     reps = [r.images for r in young_coset_reps(y)]
     rep_inverses = [_inverse(r) for r in reps]
     top = range(n - y.i + 1, n + 1)
     rep_index = {frozenset(r[t - 1] for t in top): j for j, r in enumerate(reps)}
-    moves: dict[tuple[tuple[int, ...], int], tuple[int, list[int]]] = {}
-
-    def induced_act(g: Permutation, point: tuple[int, int]) -> tuple[int, int]:
-        k, b = point
-        move = moves.get((g.images, k))
-        if move is None:
-            x = _compose(g.images, reps[k])  # g * g_k = g_j * h
+    gens = _adjacent_transpositions([range(1, n + 1)])
+    tables = []
+    for s in gens:
+        table = []
+        for r in reps:
+            x = _compose(s, r)  # s * g_k = g_j * h
             j = rep_index[frozenset(x[t - 1] for t in top)]
-            move = moves[g.images, k] = (j, m._table(_compose(rep_inverses[j], x)))
-        j, table = move
-        return (j, table[b])
-
-    induced_basis = [(j, b) for j in range(len(reps)) for b in range(len(m.basis))]
-    gens = [Permutation(g) for g in _swap_and_cycle(range(1, n + 1), n)]
-    induced = PermModule(gens or [Permutation.identity(n)], induced_basis, induced_act)
-    induced_dim = induced.orbit_count()
+            h = _compose(rep_inverses[j], x)
+            h_table = m._tables.get(h)
+            if h_table is None:
+                raise ValueError(f"s * g_k = g_j * h with h = {Permutation(h)!r}, "
+                                 "which is neither 1 nor a generator of the subgroup")
+            offset = j * size
+            table += [offset + b for b in h_table]
+        tables.append(table)
+    _check_relations(gens, tables)
+    induced_dim = len(_orbits(range(len(reps) * size), tables, list.__getitem__))
     subgroup_dim = invariant_dimension(m)
     return InductionReport(
         ok=induced_dim == subgroup_dim,
         pair=y,
         induced_invariant_dim=induced_dim,
         subgroup_invariant_dim=subgroup_dim,
-        induced_basis_size=len(induced_basis),
+        induced_basis_size=len(reps) * size,
     )

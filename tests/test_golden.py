@@ -99,9 +99,9 @@ def test_cli_stdout_digest(text):
 
 # SHA-256 of the ``verify`` stdout, with the exit code it comes with.
 VERIFY_DIGESTS = {
-    "--max-n 3": (0, "55453087622d31c22ce4fb55725072cd08c1d83f5a7198b79dcc4fc0e2044137"),
+    "--max-n 3": (0, "4061705e99fb191d01c3a949613b2d58994bb104c9bfb96e86fe7e5844d33777"),
     "--max-n 3 --format json": (
-        0, "22b89f28339c502919f5cedb16be4710d7c9d1d48d24540f3ad348f6d2b070ba"
+        0, "c7879edf0597554689a2862c411a33e83093409045d7a6d547417784c80763e6"
     ),
     # block-law examines no case under a cap of 1 and fails
     "--suite rewrite --max-n 1": (

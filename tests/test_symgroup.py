@@ -67,55 +67,54 @@ def test_young_subgroup_order():
     assert len(young_subgroup(YoungPair(5, 0))) == math.factorial(5)
 
 
-def _closure(gens, n):
-    closure, frontier = {Permutation.identity(n)}, [Permutation.identity(n)]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            if g * x not in closure:
-                closure.add(g * x)
-                frontier.append(g * x)
-    return closure
+def _transposition(a, b, n):
+    images = list(range(1, n + 1))
+    images[a - 1], images[b - 1] = b, a
+    return Permutation(tuple(images))
 
 
-def test_orbit_is_walked_breadth_first_with_a_parent_per_point():
-    # (g, x) with g * x = y for every y but the start, and each point's path back
-    # to the start is a shortest one: no edge of the Cayley graph of S_5 climbs
-    # more than one level
-    gens = [(2, 1, 3, 4, 5), (2, 3, 4, 5, 1)]
-    identity = (1, 2, 3, 4, 5)
-    closure = symgroup._orbit(identity, gens, symgroup._compose)
-    depth = {identity: 0}
-    for y, step in closure.items():
-        if step is not None:
-            assert symgroup._compose(*step) == y
-            depth[y] = depth[step[1]] + 1
-    assert closure[identity] is None and len(closure) == 120
-    assert all(depth[symgroup._compose(g, y)] <= depth[y] + 1 for y in closure for g in gens)
+def _word_element(word, n):
+    element = Permutation.identity(n)
+    for letter in word:
+        element = element * Permutation(letter)
+    return element
+
+
+def test_orbit_is_the_set_of_points_reached():
+    # the 2-subsets of {1..5} under (1 2) and (1 2 3 4 5) form one orbit, and the
+    # cycles of (1 2)(4 5) are walked from their first points in order
+    swap, cycle = Permutation((2, 1, 3, 4, 5)), Permutation((2, 3, 4, 5, 1))
+    orbit = symgroup._orbit(frozenset({1, 2}), [swap, cycle], _subset_act)
+    assert orbit == {frozenset(c) for c in itertools.combinations(range(1, 6), 2)}
+    cycles = symgroup._orbits(range(1, 6), [Permutation((2, 1, 3, 5, 4))], Permutation.__call__)
+    assert cycles == [{1, 2}, {3}, {4, 5}]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_young_subgroup_generators_are_a_transposition_and_a_cycle_per_block(n):
+    # a module checks the adjacent transpositions (a a+1) of each block; they are the
+    # conjugates c^j (lo lo+1) c^-j of the block's first transposition by powers of
+    # its cycle c = (lo ... hi), so one transposition and one cycle per block (what
+    # bench/workloads.py walks for its orbit oracle) generate the same Young subgroup
     for i in range(n + 1):
-        h = young_subgroup(YoungPair(n, i))
-        gens = trivial_module(h).generators
-        assert set(gens) <= set(h)
-        assert _closure(gens, n) == set(h)
-        moved = {g: {k for k in range(1, n + 1) if g(k) != k} for g in gens}
-        for block in ({*range(1, n - i + 1)}, {*range(n - i + 1, n + 1)}):
-            on_block = [g for g in gens if moved[g] & block]
-            assert all(moved[g] <= block and max(cycle_type(g)) == len(moved[g]) for g in on_block)
-            sizes = sorted(len(moved[g]) for g in on_block)
-            assert sizes == ([] if len(block) < 2 else [2] if len(block) == 2 else [2, len(block)])
-    if n >= 3:
-        swap = Permutation((2, 1) + tuple(range(3, n + 1)))
-        cycle = Permutation(tuple(range(2, n + 1)) + (1,))
-        assert trivial_module(symmetric_group(n)).generators == [swap, cycle]
+        pair = YoungPair(n, i)
+        gens = trivial_module(young_subgroup(pair)).generators
+        expected = []
+        for block in pair.blocks:
+            lo, hi = block[0], block[-1]
+            cycle = Permutation(tuple(range(1, lo)) + tuple(range(lo + 1, hi + 1)) + (lo,)
+                                + tuple(range(hi + 1, n + 1)))
+            conjugate = _transposition(lo, lo + 1, n) if hi > lo else None
+            for a in block[:-1]:
+                assert conjugate == _transposition(a, a + 1, n)
+                expected.append(conjugate)
+                conjugate = cycle * conjugate * cycle.inverse()
+        assert gens == expected
+        assert len(gens) == n - len(pair.blocks)
 
 
-def test_regular_module_of_s6_validates_on_two_generators(monkeypatch):
-    # the identity, then each of (1 2) and (1 2 3 4 5 6), then each ordered pair of
-    # them, on each of the 720 basis points
+def test_regular_module_of_s6_validates_on_the_adjacent_transpositions(monkeypatch):
+    # the identity, then each of (1 2), (2 3), ..., (5 6), on each of the 720 basis points
     calls = []
     init = PermModule.__init__
 
@@ -128,68 +127,89 @@ def test_regular_module_of_s6_validates_on_two_generators(monkeypatch):
 
     monkeypatch.setattr(PermModule, "__init__", counted)
     regular_module(symmetric_group(6))
-    assert len(calls) == 720 * (1 + 2 + 4)
+    acted = [Permutation.identity(6)] + [_transposition(a, a + 1, 6) for a in range(1, 6)]
+    assert calls == [g for g in acted for _ in range(720)]
 
 
 def test_invariant_dimension_rejects_a_group_list_that_is_not_a_group():
-    good = trivial_module(young_subgroup(YoungPair(3, 1)))
-    assert good.generators == [Permutation((2, 1, 3))]
-    bad = trivial_module([Permutation.identity(3), Permutation((2, 3, 1))])  # no inverse closure
-    assert bad.generators == [Permutation((2, 3, 1))]
-    with pytest.raises(ValueError, match="not closed"):
-        invariant_dimension(bad)
+    # construction takes only a whole product of symmetric groups on the blocks
+    # that the list's point images make, so invariant_dimension never sees another
     s3 = symmetric_group(3)
-    with pytest.raises(ValueError, match="duplicates"):
-        invariant_dimension(trivial_module(s3 + [s3[1]]))
-    with pytest.raises(ValueError, match="identity"):
-        invariant_dimension(trivial_module(s3[1:]))
+    not_groups = [
+        [Permutation.identity(3), Permutation((2, 3, 1))],  # not closed
+        s3 + [s3[1]],  # a repeat
+        s3[1:],  # no identity
+        [Permutation((2, 1))],  # its point images {2}, {1} miss their own points
+    ]
+    for group in not_groups:
+        for basis, act in ((["*"], lambda g, b: b), ([1, 2, 3, 4][: group[0].degree], _point_act)):
+            with pytest.raises(ValueError, match="not the product of the symmetric groups"):
+                invariant_dimension(PermModule(group, basis, act))
+    with pytest.raises(ValueError, match="mixed degrees"):
+        trivial_module([Permutation.identity(3), Permutation.identity(4)])
+    # Sym({1, 3}) x Sym({2}) is such a product, though not a Young subgroup
+    module = natural_module([Permutation.identity(3), Permutation((3, 2, 1))], 3)
+    assert module.blocks == ((1, 3), (2,))
+    assert module.generators == [Permutation((3, 2, 1))]
+    assert invariant_dimension(module) == 2
 
 
-def _c4_acting_through(rotation, basis):
-    """C_4 = <c>, c = (1 2 3 4), acting on ``basis`` by c^k -> rotation^k.
-
-    With rotation of order 3, c^4 = 1 is broken, yet construction checks only
-    the identity, c and c * c, and every ``act`` value agrees with the tables
-    composed from c along the shortest paths c^k, k < 4.
-    """
-    c = Permutation((2, 3, 4, 1))
-    cyclic = [Permutation.identity(4), c, c * c, c * c * c]
-
-    def act(g, b):
-        for _ in range(cyclic.index(g)):
-            b = rotation(b)
-        return b
-
-    module = PermModule(cyclic, basis, act)
-    assert module.generators == [c]
-    return module
+def _point_act(g, b):
+    return g(b)
 
 
-def test_invariant_dimension_rejects_a_fixed_point_sum_that_does_not_divide():
-    # (1 2)(3 4) is neither a generator of S_4 nor a product of two, so acting by
-    # (1 2) passes construction; it is first in its class of 3, so the Burnside
-    # side calls act on it, and act disagrees with the table composed from the
-    # generators before the wrong count can reach the sum
+def test_invariant_dimension_rejects_a_fixed_point_sum_that_does_not_divide(monkeypatch):
+    # (1 2)(3 4) is the product of the word (1 2)(3 4) of its class, so acting by
+    # (1 2) instead passes construction and fails the Burnside side's comparison
     s4 = symmetric_group(4)
     wrong, swap = Permutation((2, 1, 4, 3)), Permutation((2, 1, 3, 4))
     module = PermModule(s4, [1, 2, 3, 4], lambda g, b: swap(b) if g == wrong else g(b))
-    assert wrong not in module.generators
     with pytest.raises(ValueError, match="action is not a homomorphism"):
         invariant_dimension(module)
-    # C_4 acting on three points through c -> (1 2 3): only Burnside's
-    # 3 + 0 + 0 + 3 over 4 is left to catch it
-    module = _c4_acting_through(Permutation((2, 3, 1)), [1, 2, 3])
+    # accepted tables are a genuine action, so only a wrong class table reaches the
+    # sum: without the class of (1 2) (6 elements fixing 2 points each) the natural
+    # module of S_4 sums to 24 - 12
+    table = symgroup.class_table
+    monkeypatch.setattr(symgroup, "class_table",
+                        lambda blocks: [c for c in table(blocks) if c[0] != ((2, 1, 1),)])
     with pytest.raises(ValueError, match="not an integer"):
-        invariant_dimension(module)
+        invariant_dimension(natural_module(s4, 4))
 
 
-def test_invariant_dimension_rejects_an_average_that_differs_from_the_orbit_count():
-    # C_4 acting on {1..6} through c -> (1 2 3)(4 5 6): the Burnside sum
-    # 6 + 0 + 0 + 6 divides by 4, but the average 3 is not the 2 orbits
-    module = _c4_acting_through(Permutation((2, 3, 1, 5, 6, 4)), [1, 2, 3, 4, 5, 6])
-    assert module.orbit_count() == 2
+def test_invariant_dimension_rejects_an_average_that_differs_from_the_orbit_count(monkeypatch):
+    # with every class size doubled the natural module of S_4 sums to 48, which
+    # divides by 24, but the average 2 is not its 1 orbit
+    table = symgroup.class_table
+    monkeypatch.setattr(symgroup, "class_table",
+                        lambda blocks: [(t, w, 2 * size) for t, w, size in table(blocks)])
+    module = natural_module(symmetric_group(4), 4)
+    assert module.orbit_count() == 1
     with pytest.raises(ValueError, match="differs from the orbit count"):
         invariant_dimension(module)
+
+
+def test_perm_module_rejects_an_action_that_breaks_a_braid_relation():
+    # (1 2) and (2 3) act by the involutions (a b) and (c d): each permutes the basis
+    # and squares to 1, but their product has order 2, not 3
+    s1, s2 = Permutation((2, 1, 3)), Permutation((1, 3, 2))
+    swaps = {s1: {"a": "b", "b": "a"}, s2: {"c": "d", "d": "c"}}
+    broken = r"breaks \(Permutation\(2, 1, 3\) Permutation\(1, 3, 2\)\)\^3 = 1"
+    with pytest.raises(ValueError, match=broken):
+        PermModule(symmetric_group(3), ["a", "b", "c", "d"],
+                   lambda g, b: swaps.get(g, {}).get(b, b))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_relators_checked_on_a_module_present_the_symmetric_group(n):
+    # Todd-Coxeter coset enumeration on the relators PermModule checks for S_n
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.free_groups import free_group
+
+    free, *letters = free_group(" ".join(f"s{k}" for k in range(1, n)))
+    gens = symgroup._adjacent_transpositions([tuple(range(1, n + 1))])
+    relators = [(letters[j] * letters[k]) ** m for j, k, m in symgroup._coxeter_matrix(gens)]
+    assert len(relators) == n * (n - 1) // 2
+    assert FpGroup(free, relators).order() == math.factorial(n)
 
 
 def test_perm_module_validation_rejects_non_action():
@@ -205,36 +225,42 @@ def _subset_act(g, subset):
 @pytest.mark.parametrize("n, i", [(3, 1), (4, 2), (5, 2)])
 def test_perm_module_rejects_induced_action_wrong_on_n_cycle(n, i):
     # The permutation module on i-subsets is the trivial module of S_(n-i) x S_i
-    # induced up to S_n, given by the two generators the induction check uses.
-    swap = Permutation((2, 1) + tuple(range(3, n + 1)))
-    cycle = Permutation(tuple(range(2, n + 1)) + (1,))
+    # induced up to S_n.  Construction reads no n-cycle, but (1 2 ... n) is the
+    # product of the word (1 2)(2 3)...(n-1 n) of its class, so the Burnside side
+    # calls act on it and compares the value with the table composed along the word.
+    group = symmetric_group(n)
     subsets = [frozenset(c) for c in itertools.combinations(range(1, n + 1), i)]
-    assert PermModule([swap, cycle], subsets, _subset_act).orbit_count() == 1
+    module = PermModule(group, subsets, _subset_act)
+    pair = YoungPair(n, i)
+    induced = induction_invariance_check(pair, trivial_module(young_subgroup(pair)))
+    assert invariant_dimension(module) == induced.induced_invariant_dim == 1
+    assert induced.induced_basis_size == len(subsets)
+    cycle = Permutation(tuple(range(2, n + 1)) + (1,))
 
     def backwards_on_cycle(g, subset):
         return _subset_act(g.inverse() if g == cycle else g, subset)
 
-    with pytest.raises(ValueError, match="homomorphism"):
-        PermModule([swap, cycle], subsets, backwards_on_cycle)
-
     def collapses_on_cycle(g, subset):
         return subsets[0] if g == cycle else _subset_act(g, subset)
 
-    with pytest.raises(ValueError, match="permute"):
-        PermModule([swap, cycle], subsets, collapses_on_cycle)
+    for act in (backwards_on_cycle, collapses_on_cycle):
+        with pytest.raises(ValueError, match="homomorphism"):
+            invariant_dimension(PermModule(group, subsets, act))
 
 
 def test_perm_module_rejects_anti_action_on_young_generators():
-    # g acting by g^-1 lets the identity fix every point and permutes the points,
-    # so only the homomorphism identity on the generators of S_3 x S_2 catches it.
+    # g acting by g^-1 agrees with the action on every involution, so the identity
+    # and the adjacent transpositions of S_3 x S_2 pass with every relation; the
+    # class word (1 2)(2 3) has product (1 2 3), on which act gives its inverse
     h = young_subgroup(YoungPair(5, 2))
-    natural_module(h, 5)
+    module = PermModule(h, list(range(1, 6)), lambda g, b: g.inverse()(b))
     with pytest.raises(ValueError, match="homomorphism"):
-        PermModule(h, list(range(1, 6)), lambda g, b: g.inverse()(b))
+        invariant_dimension(module)
 
 
 def _literal_burnside(module, subgroup):
-    total = sum(module.fixed_points(h) for h in subgroup)
+    # every element of the group list, through act itself
+    total = sum(module.act(h, b) == b for h in subgroup for b in module.basis)
     assert total % len(subgroup) == 0
     return total // len(subgroup)
 
@@ -243,7 +269,13 @@ def test_invariant_dimension_by_classes_equals_literal_burnside():
     rng = random.Random(3)
     for n in range(1, 6):
         for i in range(n + 1):
-            h = young_subgroup(YoungPair(n, i))
+            pair = YoungPair(n, i)
+            h = young_subgroup(pair)
+            classes = symgroup.class_table(pair.blocks)
+            assert sum(size for _, _, size in classes) == len(h)
+            for types, word, size in classes:
+                assert _block_cycle_types(_word_element(word, n), pair) == types
+                assert sum(_block_cycle_types(g, pair) == types for g in h) == size
             modules = [trivial_module(h), natural_module(h, n), regular_module(h)]
             modules += [random_orbit_module(h, n, rng) for _ in range(3)]
             for module in modules:
@@ -251,22 +283,88 @@ def test_invariant_dimension_by_classes_equals_literal_burnside():
 
 
 def test_invariant_dimension_by_classes_on_groups_with_non_involution_generators():
-    # A Young subgroup is generated by a transposition and a cycle per block; a
-    # cyclic and an alternating group, which are not full symmetric groups on
-    # their orbits, keep the greedy generators, a 4-cycle and a 3-cycle with
-    # (1 2)(3 4), so the class search conjugates by other shapes.
+    # a cyclic and an alternating group on {1, 2, 3, 4} have no generating set of
+    # involutions of the kind the class table is built on: each has the one block
+    # {1, 2, 3, 4} but not its 4! elements, so every module over them is refused
+    # at construction.  S_4, the symmetric group on that block, is valued by classes.
     cycle = Permutation((2, 3, 4, 1))
     cyclic = [Permutation.identity(4), cycle, cycle * cycle, cycle * cycle * cycle]
     alternating = [p for p in symmetric_group(4) if (4 - len(cycle_type(p))) % 2 == 0]
-    assert trivial_module(cyclic).generators == [cycle]
-    assert trivial_module(alternating).generators == [
-        Permutation((1, 3, 4, 2)), Permutation((2, 1, 4, 3))]
     rng = random.Random(4)
-    for h in (cyclic, alternating):
-        modules = [natural_module(h, 4), regular_module(h)]
-        modules += [random_orbit_module(h, 4, rng) for _ in range(3)]
-        for module in modules:
-            assert invariant_dimension(module) == _literal_burnside(module, h)
+    for h in (cyclic, alternating, symmetric_group(4)):
+        makers = [lambda: natural_module(h, 4), lambda: regular_module(h)]
+        makers += [lambda: random_orbit_module(h, 4, rng)] * 3
+        for make in makers:
+            if len(h) < 24:
+                with pytest.raises(ValueError, match="not the product of the symmetric groups"):
+                    make()
+            else:
+                module = make()
+                assert module.blocks == ((1, 2, 3, 4),)
+                assert invariant_dimension(module) == _literal_burnside(module, h)
+
+
+def _block_cycle_types(g, pair):
+    # the cycle type of g on each block, which determines its class in the subgroup
+    types = []
+    for block in pair.blocks:
+        position = {k: j for j, k in enumerate(block, start=1)}
+        types.append(cycle_type(Permutation(tuple(position[g(k)] for k in block))))
+    return tuple(types)
+
+
+def _order_divides(table, m):
+    power = table
+    for _ in range(m - 1):
+        power = [table[x] for x in power]
+    return power == list(range(len(table)))
+
+
+def _relations_hold(tables, gens):
+    # (s t)^m = 1 with m = 1 for s = t, 3 for transpositions sharing a point, else 2
+    for (s, ts), (t, tt) in itertools.product(zip(gens, tables), repeat=2):
+        shared = len({*s} & {*t})
+        m = 1 if s == t else 3 if shared else 2
+        if not _order_divides([ts[x] for x in tt], m):
+            return False
+    return True
+
+
+def test_corrupted_generator_is_rejected_or_a_genuine_action():
+    # swap the images of the first basis point and one other under one adjacent
+    # transposition; the module and its check must raise, or the corrupted act must
+    # be a genuine action (its tables satisfy every relation) whose invariants are
+    # its orbits under the adjacent transpositions, counted here from act's images.
+    # S_2 has no relation but s^2 = 1, which every swap keeps, so only n >= 3 rejects
+    rejected = {}
+    for n in range(2, 6):
+        for i in range(n + 1):
+            pair = YoungPair(n, i)
+            h = young_subgroup(pair)
+            gens = [(a, a + 1) for block in pair.blocks for a in block[:-1]]
+            perms = [_transposition(a, b, n) for a, b in gens]
+            for kind, basis, act in (("natural", list(range(1, n + 1)), _point_act),
+                                     ("regular", list(h), lambda g, b: g * b)):
+                rejected.setdefault((n, kind), 0)
+                for s in perms:
+                    for other in basis[1:]:
+                        swapped = {basis[0]: act(s, other), other: act(s, basis[0])}
+
+                        def corrupted(g, b, s=s, swapped=swapped, act=act):
+                            return swapped[b] if g == s and b in swapped else act(g, b)
+
+                        try:
+                            report = induction_invariance_check(
+                                pair, PermModule(h, basis, corrupted))
+                        except ValueError:
+                            rejected[n, kind] += 1
+                            continue
+                        index = {b: k for k, b in enumerate(basis)}
+                        tables = [[index[corrupted(g, b)] for b in basis] for g in perms]
+                        assert _relations_hold(tables, gens)
+                        assert report.ok
+                        assert report.subgroup_invariant_dim == _act_orbits(basis, perms, corrupted)
+    assert [key for key, count in rejected.items() if (count > 0) != (key[0] > 2)] == [], rejected
 
 
 def test_invariant_dimension_examples():
@@ -302,10 +400,11 @@ def test_induction_check_rejects_wrong_group():
             induction_invariance_check(pair, trivial_module(symmetric_group(n)))
 
 
+
 def test_induction_check_reuses_the_module_group(monkeypatch):
-    # the S_6 regular-module operation: 721 permutations build the module,
-    # 4 the check (a coset representative, the two generators of S_6 and an
-    # identity); building the Young subgroup again would add 720
+    # the S_6 regular-module operation: 720 permutations build the Young subgroup
+    # and 1 the check (its one coset representative); the module's identity,
+    # generators and class-word products are built from known images, unchecked
     built = []
     post_init = Permutation.__post_init__
 
@@ -316,77 +415,68 @@ def test_induction_check_reuses_the_module_group(monkeypatch):
     monkeypatch.setattr(Permutation, "__post_init__", counted)
     pair = YoungPair(6, 0)
     assert induction_invariance_check(pair, regular_module(young_subgroup(pair)))
-    assert len(built) == 725
+    assert len(built) == 721
 
 
-def test_induction_check_scans_only_the_induced_module_for_generators(monkeypatch):
-    # the module keeps its generators, so the check's Burnside side does not rescan m.group
-    pair = YoungPair(4, 2)
-    module = natural_module(young_subgroup(pair), 4)
-    scanned = []
-    scan = symgroup._generating_subset
-
-    def counted(elements):
-        scanned.append(list(elements))
-        return scan(elements)
-
-    monkeypatch.setattr(symgroup, "_generating_subset", counted)
-    assert induction_invariance_check(pair, module)
-    assert [len(elements) for elements in scanned] == [2]  # (1 2) and (1 2 3 4)
+def test_induction_check_rejects_coset_representatives_that_are_not_minimal(monkeypatch):
+    # (4 3 1 2) = (1 3 4 2) * (1 3) represents the coset of (1 3 4 2) with more
+    # inversions, so a move through it needs h = (1 3), not a generator of S_3 x S_1
+    pair = YoungPair(4, 1)
+    reps = symgroup.young_coset_reps(pair)
+    longer = {Permutation((1, 3, 4, 2)): Permutation((4, 3, 1, 2))}
+    monkeypatch.setattr(symgroup, "young_coset_reps", lambda y: [longer.get(r, r) for r in reps])
+    with pytest.raises(ValueError, match=r"h = Permutation\(3, 2, 1, 4\), which is neither 1 nor"):
+        induction_invariance_check(pair, natural_module(young_subgroup(pair), 4))
 
 
 def test_induction_check_reads_no_act_value_it_does_not_compare():
-    # one element at a time outside the identity, the generators and their
-    # pairwise products acts as the identity; either a side reads its act value
-    # and the comparison with its composed table fails, or no side reads it
+    # one element at a time outside the identity and the generators acts as the
+    # identity; the Burnside side reads act on the product of each class word and
+    # compares it with the table composed along the word, so a corrupted product
+    # raises, and no side reads any other element
     outcomes = {"raised": 0, "unread": 0}
     for n in range(1, 5):
         for i in range(n + 1):
             pair = YoungPair(n, i)
             h = young_subgroup(pair)
-            natural = (list(range(1, n + 1)), lambda g, b: g(b))
+            words = {_word_element(word, n) for _, word, _ in symgroup.class_table(pair.blocks)}
+            natural = (list(range(1, n + 1)), _point_act)
             regular = (list(h), lambda g, b: g * b)
             for basis, act in (natural, regular):
                 module = PermModule(h, basis, act)
-                gens = module.generators
-                checked = {h[0], *gens, *(g * k for g in gens for k in gens)}
+                checked = {h[0], *module.generators}
                 report = induction_invariance_check(pair, module)
                 for wrong in (g for g in h if g not in checked):
                     corrupted = PermModule(
                         h, basis, lambda g, b, wrong=wrong, act=act: b if g == wrong else act(g, b))
                     try:
                         assert induction_invariance_check(pair, corrupted) == report
+                        assert wrong not in words
                         outcomes["unread"] += 1
                     except ValueError as error:
                         assert "action is not a homomorphism" in str(error)
+                        assert wrong in words
                         outcomes["raised"] += 1
-    assert outcomes == {"raised": 8, "unread": 64}
+    assert outcomes == {"raised": 22, "unread": 84}
 
 
 def test_invariant_dimension_walks_no_second_closure(monkeypatch):
-    # construction closes the generators of the Young subgroup once and the module
-    # keeps that closure; the check walks only conjugacy classes and orbits
+    # no code walks a group: construction reads the blocks off the list, and every
+    # walk of the check counts orbits on basis positions through tables
     walks = []
     orbit = symgroup._orbit
 
     def recorded(start, gens, act):
-        walks.append(act)
+        walks.append((start, act))
         return orbit(start, gens, act)
 
     monkeypatch.setattr(symgroup, "_orbit", recorded)
     pair = YoungPair(5, 2)
-    h = young_subgroup(pair)
-    module = regular_module(h)
-    assert walks.count(symgroup._compose) == 1
-    walks.clear()
+    module = regular_module(young_subgroup(pair))
+    assert walks == []
     assert induction_invariance_check(pair, module)
     assert invariant_dimension(module) == 1
-    assert walks and symgroup._compose not in walks
-    outside = Permutation((1, 2, 4, 3, 5))  # moves 3 across the blocks
-    with pytest.raises(ValueError, match="not in the module's group"):
-        module.fixed_points(outside)
-    with pytest.raises(ValueError, match="not in the module's group"):
-        module._table(outside.images)
+    assert walks and all(type(start) is int and act is list.__getitem__ for start, act in walks)
 
 
 def test_perm_module_rejects_a_basis_with_a_repeated_point():
@@ -417,18 +507,18 @@ def test_induction_check_calls_act_only_for_burnside(i, classes):
     assert calls == []
 
 
-def _literal_orbit_count(module):
-    # every element of the group list acts, through act itself, on every point reached
+def _act_orbits(basis, elements, act):
+    # orbits of the listed elements acting, through act itself, on every point reached
     seen, orbits = set(), 0
-    for start in module.basis:
+    for start in basis:
         if start not in seen:
             orbits += 1
             seen.add(start)
             frontier = [start]
             while frontier:
                 b = frontier.pop()
-                for g in module.group:
-                    c = module.act(g, b)
+                for g in elements:
+                    c = act(g, b)
                     if c not in seen:
                         seen.add(c)
                         frontier.append(c)
@@ -448,4 +538,4 @@ def test_tables_and_orbit_count_agree_with_act_after_the_induction_check():
                 for images, table in module._tables.items():
                     g = Permutation(images)
                     assert table == [module.basis.index(module.act(g, b)) for b in module.basis]
-                assert module.orbit_count() == _literal_orbit_count(module)
+                assert module.orbit_count() == _act_orbits(module.basis, module.group, module.act)
