@@ -15,10 +15,13 @@ deliberately different algorithms.
 
 What is validated, and where:
 
-- ``Permutation(images)`` checks that the images are a permutation, and
-  calling it checks that its argument lies in 1..n.  Products and inverses
-  of permutations skip the first check (a product of two permutations of
-  equal degree always is one); the degree check stays.
+- ``Permutation(images)`` stores ``tuple(images)`` and checks that it is a
+  permutation, and calling it checks that its argument lies in 1..n.
+  Products and inverses of permutations skip the first check (a product of
+  two permutations of equal degree always is one); the degree check stays.
+  :func:`young_subgroup` skips it too: its elements are the
+  ``itertools.permutations`` of each block, permutations by construction,
+  and the module checks the list as a whole, as it checks any other.
 - :class:`PermModule` accepts a group list only if it is exactly the
   product of the symmetric groups Sym(B) on its blocks B: the block of a
   point k is the set of its images g(k) over the list, the blocks must
@@ -36,11 +39,14 @@ What is validated, and where:
 - :func:`invariant_dimension` sums over :func:`class_table`: one word in
   the adjacent transpositions per class, of size prod |B|!/z_lambda
   (Macdonald, "Symmetric Functions and Hall Polynomials", 1995, ch. I).
-  It calls ``act`` on each class's representative and compares the result
-  with the table composed along its word ("action is not a
-  homomorphism"), so every ``act`` value the layer reads is compared with
-  a table.  The sum must divide by the group order, and the quotient must
-  equal ``orbit_count()``, a walk over the generators' tables.
+  It calls ``act`` on the representative of each class whose word has
+  length 2 or more and compares the result with the table composed along
+  the word ("action is not a homomorphism").  The words of length 0 and 1
+  are the identity and a generator, whose tables construction compared
+  with ``act`` already, so their fixed points are read from those tables.
+  Every ``act`` value the layer reads is thus compared with a table, once.
+  The sum must divide by the group order, and the quotient must equal
+  ``orbit_count()``, a walk over the generators' tables.
 - :func:`induction_invariance_check` builds the induced module's tables
   for the n - 1 adjacent transpositions s of S_n straight from the
   module's generator tables: the coset representatives are minimal, so
@@ -65,11 +71,26 @@ from typing import Any, Callable, Iterable, Sequence
 from .partitions import partitions_of
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1, ..., n} in one-line form: images[k-1] = image of k."""
+# object's own allocator and setter, bound once: Permutation refuses attribute
+# assignment, so its constructors fill its slot through them
+_new = object.__new__
+_set = object.__setattr__
 
-    images: tuple[int, ...]
+
+class Permutation:
+    """A permutation of {1, ..., n} in one-line form: images[k-1] = image of k.
+
+    Immutable, with equality and hash read from ``images`` alone, so equal
+    images give equal keys however the object was made.  ``Permutation(images)``
+    stores ``tuple(images)`` and calls ``__post_init__``, the one validating
+    hook; ``_unchecked``, products and inverses skip it.
+    """
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: Iterable[int]) -> None:
+        _set(self, "images", tuple(images))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = len(self.images)
@@ -78,10 +99,29 @@ class Permutation:
 
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
-        """A permutation from images already known to be one; skips ``__post_init__``."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
+        """A permutation from an image tuple already known to be one; skips ``__post_init__``."""
+        p = _new(cls)
+        _set(p, "images", images)
         return p
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"Permutation is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Permutation is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Permutation:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.images)
+
+    def __reduce__(self):
+        """Pickle and copy through ``Permutation(images)``; restoring the slot
+        directly would go through the refused ``__setattr__``."""
+        return Permutation, (self.images,)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -98,9 +138,12 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition (self * other)(k) = self(other(k))."""
-        if len(self.images) != len(other.images):
+        a, b = self.images, other.images
+        if len(a) != len(b):
             raise ValueError("cannot compose permutations of different degrees")
-        return Permutation._unchecked(_compose(self.images, other.images))
+        p = _new(Permutation)
+        _set(p, "images", tuple([a[j - 1] for j in b]))
+        return p
 
     def inverse(self) -> "Permutation":
         return Permutation._unchecked(_inverse(self.images))
@@ -177,11 +220,15 @@ class YoungPair:
 
 
 def young_subgroup(y: YoungPair) -> list[Permutation]:
-    """All elements of S_{n-i} x S_i as permutations of {1..n}, in lexicographic order."""
+    """All elements of S_{n-i} x S_i as permutations of {1..n}, in lexicographic order.
+
+    Built with ``Permutation._unchecked``: each is a permutation of the first
+    block followed by one of the second.
+    """
     n, i = y.n, y.i
     first = list(itertools.permutations(range(1, n - i + 1)))
     second = list(itertools.permutations(range(n - i + 1, n + 1)))
-    return [Permutation(a + b) for a in first for b in second]
+    return [Permutation._unchecked(a + b) for a in first for b in second]
 
 
 def symmetric_group(n: int) -> list[Permutation]:
@@ -367,13 +414,16 @@ class PermModule:
 
     def _word_fixed_points(self, word: Sequence[tuple[int, ...]]) -> int:
         """How many basis points the product of ``word`` fixes, read from the table composed
-        along the word once ``act`` on the product agrees with it."""
+        along the word.  For a word of length 2 or more, ``act`` on the product must agree
+        with it first; a shorter word is the identity or a generator, whose table
+        construction compared with ``act``."""
         images = identity = tuple(range(1, self.group[0].degree + 1))
         table = self._tables[identity]
         for letter in word:
             images = _compose(images, letter)
             table = [table[x] for x in self._tables[letter]]
-        table = self._checked(Permutation._unchecked(images), table)
+        if len(word) > 1:
+            table = self._checked(Permutation._unchecked(images), table)
         return sum(1 for k, position in enumerate(table) if position == k)
 
     def orbit_count(self) -> int:
@@ -429,9 +479,12 @@ def invariant_dimension(m: PermModule) -> int:
     Burnside: (1/|H|) * sum over h in H of the fixed-point count of h.  A
     fixed-point count is constant on each conjugacy class, so the sum runs
     over :func:`class_table`: class size times the fixed points of the
-    class's word, ``act`` on its product checked against the table composed
-    along the word.  The sum must divide by |H|, and the quotient must
-    equal ``m.orbit_count()``, the orbits walked on the generators' tables.
+    class's word, read from the table composed along the word.  ``act`` on
+    the product of each word of length 2 or more is checked against that
+    table; the identity and the generators, the words of length 0 and 1,
+    were checked at construction.  The sum must divide by |H|, and the
+    quotient must equal ``m.orbit_count()``, the orbits walked on the
+    generators' tables.
     """
     total = sum(size * m._word_fixed_points(word) for _, word, size in class_table(m.blocks))
     dim, remainder = divmod(total, len(m.group))

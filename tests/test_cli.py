@@ -510,6 +510,22 @@ def test_benchmark_module_ops_run_and_check(monkeypatch):
         assert workloads.check(op, workloads.run_module(symsod, op))
 
 
+@pytest.mark.parametrize("i", [0, 6])
+def test_benchmark_largest_module_ops_run_and_check(monkeypatch, i):
+    # the regular modules of S_6 (720 basis points, one coset) and of S_0 x S_6
+    # are the battery's largest cells; the benchmark's oracle checks their reports
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    [op] = [op for op in workloads.frobenius_round(0, 0) if op.params[:3] == (6, i, "regular")]
+    module, report = workloads.run_module(symsod, op)
+    assert len(module.basis) == 720 and report.induced_basis_size == 720
+    assert workloads.check(op, (module, report))
+
+
 def test_console_script_parse_error_code():
     proc = subprocess.run(
         [sys.executable, "-m", "symsod.cli", "decompose", "sod(pt"],

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -45,6 +47,73 @@ def test_permutation_basics():
     assert (p * p.inverse()) == Permutation.identity(3)
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))
+
+
+def test_permutation_stores_its_images_as_a_tuple():
+    # list images are stored as a tuple, so the permutation hashes and compares
+    # like the one built from a tuple
+    p = Permutation([2, 1])
+    assert p.images == (2, 1) and type(p.images) is tuple
+    assert p == Permutation((2, 1)) and hash(p) == hash(Permutation((2, 1)))
+    assert repr(p) == "Permutation(2, 1)"
+    assert {p: "swap"}[Permutation(iter((2, 1)))] == "swap"
+
+
+def test_equal_images_give_equal_permutations_however_made():
+    p = Permutation((2, 3, 1))
+    made = [
+        Permutation._unchecked((2, 3, 1)),
+        Permutation((3, 1, 2)) * Permutation((3, 1, 2)),
+        Permutation((3, 1, 2)).inverse(),
+        Permutation((2, 1, 3)) * Permutation((1, 3, 2)),
+        pickle.loads(pickle.dumps(p)),
+        copy.deepcopy(p),
+    ]
+    for q in made:
+        assert type(q) is Permutation and q == p and not q != p and hash(q) == hash(p)
+    assert len({p, *made}) == 1
+    assert p != Permutation((1, 3, 2)) and p != Permutation((2, 3, 1, 4))
+
+
+def test_permutation_is_never_equal_to_its_images():
+    p = Permutation((2, 1))
+    assert p != (2, 1) and (2, 1) != p and p != [2, 1]
+    assert {(2, 1): "tuple"}.get(p) is None and {p: "perm"}.get((2, 1)) is None
+
+
+def test_permutation_is_immutable():
+    p = Permutation((2, 1))
+    for name in ("images", "degree", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, (1, 2))
+    with pytest.raises(AttributeError):
+        del p.images
+    assert p.images == (2, 1) and not hasattr(p, "__dict__")
+
+
+def test_permutation_validates_checked_construction_and_products():
+    for images in ((1, 1), (0, 1), (1, 3), (2, 2, 1)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(images)
+    for p, q in ((Permutation((2, 1)), Permutation((1, 3, 2))),
+                 (Permutation._unchecked((2, 3, 1)), Permutation._unchecked((1,)))):
+        with pytest.raises(ValueError, match="different degrees"):
+            p * q
+    assert repr(Permutation((3, 1, 2))) == "Permutation(3, 1, 2)"
+    assert repr(Permutation.identity(1)) == "Permutation(1,)"
+
+
+def test_young_subgroup_lists_the_validated_permutations_in_lex_order():
+    # built unchecked from itertools.permutations of each block, the elements equal
+    # their validated rebuilds, in the same lexicographic order of one-line forms
+    for n in range(1, 7):
+        for i in range(n + 1):
+            h = young_subgroup(YoungPair(n, i))
+            rebuilt = [Permutation(g.images) for g in h]
+            assert h == rebuilt
+            assert [g.images for g in h] == sorted(g.images for g in h)
+            assert all(type(g) is Permutation and type(g.images) is tuple for g in h)
+            assert len(set(h)) == math.factorial(n - i) * math.factorial(i)
 
 
 def test_permutation_rejects_points_outside_its_degree():
@@ -258,6 +327,33 @@ def test_perm_module_rejects_anti_action_on_young_generators():
         invariant_dimension(module)
 
 
+def test_act_corrupted_on_any_class_word_is_rejected():
+    # construction compares act on the identity and the generators, the products of
+    # the class words of length 0 and 1; the Burnside side compares act on every
+    # longer word's product with its composed table.  act collapsing the basis on
+    # one class word's product raises at one of the two
+    late = 0
+    for n in range(2, 6):
+        for i in range(n + 1):
+            pair = YoungPair(n, i)
+            h, basis = young_subgroup(pair), list(range(1, n + 1))
+            for _, word, _ in symgroup.class_table(pair.blocks):
+                product = _word_element(word, n)
+
+                def collapsed(g, b, product=product):
+                    return 1 if g == product else g(b)
+
+                if len(word) < 2:
+                    with pytest.raises(ValueError, match="homomorphism|does not permute"):
+                        PermModule(h, basis, collapsed)
+                    continue
+                module = PermModule(h, basis, collapsed)
+                with pytest.raises(ValueError, match="not a homomorphism"):
+                    invariant_dimension(module)
+                late += 1
+    assert late == 33
+
+
 def _literal_burnside(module, subgroup):
     # every element of the group list, through act itself
     total = sum(module.act(h, b) == b for h in subgroup for b in module.basis)
@@ -402,8 +498,8 @@ def test_induction_check_rejects_wrong_group():
 
 
 def test_induction_check_reuses_the_module_group(monkeypatch):
-    # the S_6 regular-module operation: 720 permutations build the Young subgroup
-    # and 1 the check (its one coset representative); the module's identity,
+    # the S_6 regular-module operation: 1 validated permutation, the check's one
+    # coset representative; the Young subgroup's elements, the module's identity,
     # generators and class-word products are built from known images, unchecked
     built = []
     post_init = Permutation.__post_init__
@@ -415,7 +511,7 @@ def test_induction_check_reuses_the_module_group(monkeypatch):
     monkeypatch.setattr(Permutation, "__post_init__", counted)
     pair = YoungPair(6, 0)
     assert induction_invariance_check(pair, regular_module(young_subgroup(pair)))
-    assert len(built) == 721
+    assert len(built) == 1
 
 
 def test_induction_check_rejects_coset_representatives_that_are_not_minimal(monkeypatch):
@@ -488,8 +584,10 @@ def test_perm_module_rejects_a_basis_with_a_repeated_point():
 def test_induction_check_calls_act_only_for_burnside(i, classes):
     # the induced module reads the tables the regular module built while it was
     # validated, so inside the check only the Burnside side calls act: once per
-    # class representative and basis point (p(6) = 11 classes of S_6, 3 * 3 of
-    # S_3 x S_3); the walk of orbit_count reads the generators' tables
+    # basis point and class whose word has length 2 or more.  Of the p(6) = 11
+    # classes of S_6 that leaves out the identity and (1 2), of the 3 * 3 of
+    # S_3 x S_3 the identity, (1 2) and (4 5): construction compared the identity
+    # and the generators already.  The walk of orbit_count reads the generators' tables
     pair = YoungPair(6, i)
     calls = []
 
@@ -501,7 +599,8 @@ def test_induction_check_calls_act_only_for_burnside(i, classes):
     module = PermModule(h, list(h), counting)
     calls.clear()
     assert induction_invariance_check(pair, module)
-    assert len(calls) == classes * len(h)
+    short_words = {0: 2, 3: 3}[i]  # the identity and one transposition per block
+    assert len(calls) == (classes - short_words) * len(h)
     calls.clear()
     assert module.orbit_count() == 1
     assert calls == []
