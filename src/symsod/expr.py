@@ -54,8 +54,8 @@ class Curve(_Rendered):
     genus: int
 
     def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise ValueError(f"genus must be >= 0, got {self.genus}")
+        if type(self.genus) is not int or self.genus < 0:
+            raise ValueError(f"genus must be an integer >= 0, got {self.genus!r}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,9 @@ class SymCurve(_Rendered):
     degree: int
 
     def __post_init__(self) -> None:
-        if self.genus < 0 or self.degree < 0:
-            raise ValueError(f"need genus >= 0 and degree >= 0: {self}")
+        g, a = self.genus, self.degree
+        if type(g) is not int or type(a) is not int or g < 0 or a < 0:
+            raise ValueError(f"need integers genus >= 0 and degree >= 0, got {g!r} and {a!r}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,8 @@ class SymPower(_Rendered):
     base: "CatExpr"
 
     def __post_init__(self) -> None:
+        if type(self.arity) is not int:
+            raise ValueError(f"sym-power arity must be an integer, got {self.arity!r}")
         if self.arity < 2:
             raise ValueError("sym powers of arity < 2 should have been simplified away")
 
@@ -147,8 +150,8 @@ class Sym(_Rendered):
     inner: "CatExpr"
 
     def __post_init__(self) -> None:
-        if self.arity < 0:
-            raise ValueError(f"sym arity must be >= 0, got {self.arity}")
+        if type(self.arity) is not int or self.arity < 0:
+            raise ValueError(f"sym arity must be an integer >= 0, got {self.arity!r}")
 
 
 Atom = Union[Point, Curve, SymCurve, Surface, Phantom, Opaque, SymPower]

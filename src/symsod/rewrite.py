@@ -4,7 +4,9 @@ Rules, applied until every component is a product of atoms:
 
 * R1  sym(n, sod(A_1..A_l)) has one block per weak composition (i_1..i_l)
       of n, the product of the sym(i_j, A_j); head-first, i_1 = n..0 varies
-      slowest.  Each sym(i, A_j) and sym(m, sod(A_j..A_l)) is expanded once.
+      slowest.  The powers sym(0..n, A) of each distinct part A are built once
+      per R1 node, however often A repeats, and each sym(m, sod(A_j..A_l)) is
+      one list comprehension over its blocks.
 * R2  sym(n, pt) is p(n) completely orthogonal copies of the point,
       aggregated into a single entry with multiplicity p(n).
 * R3  sym(n, curve(g)) gives one component per multiplicity vector
@@ -91,25 +93,18 @@ def _reduced(e: CatExpr) -> CatExpr:
 # the point.  An id numbers an atom of one expand call; _components maps it back.
 Entries = list[tuple[tuple[int, ...], int]]
 
-
-def _join(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a:
-        return b
-    if not b:
-        return a
-    return tuple(sorted(a + b))
-
-
 _UNIT: Entries = [((), 1)]  # the point: _product returns the other operand, uncopied
 
 
 def _product(left: Entries, right: Entries) -> Entries:
-    """Every product of an entry of ``left`` with one of ``right``; left varies slowest."""
+    """Every product of an entry of ``left`` with one of ``right``; left varies
+    slowest.  A unit operand returns the other; otherwise this is the single
+    block of :func:`_blocks` at m = 0, which holds the join."""
     if left == _UNIT:
         return right
     if right == _UNIT:
         return left
-    return [(_join(a, b), mult_a * mult_b) for a, mult_a in left for b, mult_b in right]
+    return _blocks([left], [right], 0)
 
 
 class _Expansion:
@@ -165,9 +160,11 @@ class _Expansion:
             return [((self._id(SymPower(n, _reduced(base))),), 1)]
 
         # R1: split off the parts from one end (head-first the first, tail-first
-        # the last), then build the powers of each rest from the far end
+        # the last), then build the powers of each rest from the far end; the
+        # powers of a repeated part are built once, in first-seen order
         ends = parts if self.split_head else parts[::-1]
-        powers = [[self.expand(Sym(m, p)) for m in range(n + 1)] for p in ends]
+        of = {p: [self.expand(Sym(m, p)) for m in range(n + 1)] for p in dict.fromkeys(ends)}
+        powers = [of[p] for p in ends]
         acc = powers[-1]
         for k in range(len(ends) - 2, -1, -1):
             first, second = (powers[k], acc) if self.split_head else (acc, powers[k])
@@ -177,11 +174,13 @@ class _Expansion:
 
 
 def _blocks(first: list[Entries], second: list[Entries], m: int) -> Entries:
-    """sym(m) of a two-term SOD from its terms' powers; block i is first[m-i] * second[i]."""
-    entries: Entries = []
-    for i in range(m + 1):
-        entries += _product(first[m - i], second[i])
-    return entries
+    """sym(m) of a two-term SOD from its terms' powers, as one comprehension:
+    block i is first[m-i] * second[i], i = 0..m, and within a block the entries
+    of first vary slowest; the id tuples are joined inline, () for the point."""
+    return [(b if not a else a if not b else tuple(sorted(a + b)), mult_a * mult_b)
+            for i in range(m + 1)
+            for a, mult_a in first[m - i]
+            for b, mult_b in second[i]]
 
 
 def _components(e: CatExpr, split_head: bool) -> ComponentList:

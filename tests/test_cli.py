@@ -510,6 +510,22 @@ def test_benchmark_module_ops_run_and_check(monkeypatch):
         assert workloads.check(op, workloads.run_module(symsod, op))
 
 
+def test_benchmark_decompose_ops_run_and_check(monkeypatch):
+    # the exceptional-decompose workload checks every decompose against the
+    # benchmark's oracle; an R1 change that breaks those checks would otherwise
+    # fail only the benchmark's own run
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    ops = workloads.exceptional_round(0, 0)
+    assert {op.family for op in ops} == {"points", "fake-plane", "product"}
+    for op in ops:
+        assert workloads.check(op, workloads.run_cli(symsod, op)), op.argv
+
+
 @pytest.mark.parametrize("i", [0, 6])
 def test_benchmark_largest_module_ops_run_and_check(monkeypatch, i):
     # the regular modules of S_6 (720 basis points, one coset) and of S_0 x S_6

@@ -19,6 +19,7 @@ from symsod.expr import (
     Surface,
     Sym,
     SymCurve,
+    SymPower,
     betti_of,
     blowup,
     canonicalize,
@@ -210,6 +211,38 @@ def test_hilb_preset_is_sym_sugar():
 def test_unknown_preset():
     with pytest.raises(ValueError):
         make_preset("P3")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Sym(2.0, Sod((Opaque("A"), POINT))),
+        lambda: Sym(True, Opaque("A")),
+        lambda: Curve(1.5),
+        lambda: Curve(False),
+        lambda: SymCurve(1, 2.0),
+        lambda: SymCurve(True, 2),
+        lambda: SymPower(3.0, Opaque("A")),
+        lambda: SymPower(True, Opaque("A")),
+    ],
+    ids=["sym-float", "sym-bool", "curve-float", "curve-bool", "symcurve-float", "symcurve-bool",
+         "sympower-float", "sympower-bool"],
+)
+def test_natural_number_fields_reject_bool_and_float(build):
+    # a bool or float arity, genus or degree used to build, then die in the walk
+    # or render a text (sym(True, A), curve(1.5)) that the parser refuses
+    with pytest.raises(ValueError, match="integer"):
+        build()
+
+
+def test_natural_number_fields_accept_plain_ints():
+    from symsod.grammar import parse_expr, render_text
+
+    for e in (Sym(2, Sod((Opaque("A"), POINT))), Sym(0, Curve(0)), Curve(3)):
+        assert parse_expr(render_text(e)) == e
+    assert (SymCurve(1, 0).degree, SymPower(2, Curve(1)).arity) == (0, 2)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        make_preset("sym", True, Opaque("A"))
 
 
 def test_surface_atom_enforces_duality():

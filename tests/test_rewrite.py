@@ -86,28 +86,77 @@ def test_one_expand_call_expands_each_power_once(monkeypatch, engine):
 
 
 def _literal_product(left, right):
-    return [(rewrite._join(a, b), ma * mb) for a, ma in left for b, mb in right]
+    # the engine's entries are sorted tuples of atom ids, () for the point
+    return [(tuple(sorted(a + b)), ma * mb) for a, ma in left for b, mb in right]
 
 
-def test_product_with_the_unit_makes_no_joins(monkeypatch):
-    # a unit operand gives the other operand back; R1 multiplies by the unit in
-    # every block of sym(2, sod(pt x l)), which then needs no join at all; the
-    # engine's entries are sorted tuples of atom ids, () for the point
-    operands = [[((), 1)], [((), 3)], [((0,), 1), ((1, 2), 2)], [((2,), 2), ((), 1)]]
+def test_product_and_blocks_are_the_literal_product(monkeypatch):
+    # _product and _blocks join inline; both must equal the literal product on
+    # unit, point-only and mixed operands, and a unit operand comes back as the
+    # other operand itself
+    unit = [((), 1)]
+    operands = [unit, [((), 3)], [((), 1), ((), 2)], [((0,), 1), ((1, 2), 2)], [((2,), 2), ((), 1)]]
     for left, right in itertools.product(operands, repeat=2):
         assert rewrite._product(left, right) == _literal_product(left, right)
+    for other in operands[1:]:
+        assert rewrite._product(list(unit), other) is other
+        assert rewrite._product(other, list(unit)) is other
+    for r, s in itertools.product(range(len(operands)), repeat=2):
+        first, second = operands[r:] + operands[:r], operands[s:] + operands[:s]
+        for m in range(5):
+            literal = [entry for i in range(m + 1) for entry in _literal_product(first[m - i], second[i])]
+            assert rewrite._blocks(first, second, m) == literal, (r, s, m)
+
     exprs = [Sym(3, Sod((A, POINT, B))), Bullet((Sym(2, Sod((POINT, POINT))), Sym(2, Sod((A, B)))))]
     with monkeypatch.context() as patch:
         patch.setattr(rewrite, "_product", _literal_product)
         literal = [tuple(expand(e)) for e in exprs]
     assert [tuple(expand(e)) for e in exprs] == literal
-
-    joins = []
-    real = rewrite._join
-    monkeypatch.setattr(rewrite, "_join", lambda a, b: joins.append((a, b)) or real(a, b))
     components = expand(Sym(2, Sod((POINT,) * 60)))
-    assert joins == []
     assert components.total_multiplicity() == q_length(2, 60)
+
+
+def _r1_reference(n, parts, head_first):
+    """sym(n, sod(parts)) from the two-term rule, one block per weak composition:
+    sym^n(X, Y) is sym^i(X) * sym^(n-i)(Y) for i = n..0, the entries of X varying
+    slowest.  Head-first X is the first part and Y the rest; tail-first X is all
+    but the last part and Y the last.  Each power of a single part is the public
+    ``expand(Sym(i, part))``."""
+    if len(parts) == 1:
+        return list(expand(Sym(n, parts[0])))
+    if head_first:
+        first = lambda i: expand(Sym(i, parts[0]))
+        second = lambda j: _r1_reference(j, parts[1:], head_first)
+    else:
+        first = lambda i: _r1_reference(i, parts[:-1], head_first)
+        second = lambda j: expand(Sym(j, parts[-1]))
+    return [
+        (Component.of(c.factors + d.factors), mc * md)
+        for i in range(n, -1, -1)
+        for c, mc in first(i)
+        for d, md in second(n - i)
+    ]
+
+
+@pytest.mark.parametrize("engine", [expand, expand_tail_first])
+@pytest.mark.parametrize(
+    "text, parts",
+    [
+        ("sod(A, B, A)", [A, B, A]),
+        ("sod(pt, curve(1), pt, phantom)", [POINT, Curve(1), POINT, PHANTOM]),
+        ("P2", [POINT] * 3),
+        ("fakeP2(2)", [POINT] * 4 + [PHANTOM]),
+        ("sod(A, bullet(P1, curve(1)), A)", [A, Curve(1), Curve(1), A]),
+    ],
+)
+def test_r1_entries_follow_the_weak_compositions_in_order(engine, text, parts):
+    # R1 builds the powers of a repeated part once; its entries, their order and
+    # the first-seen order of ``distinct`` must be those of the literal rule
+    for n in range(7):
+        components = engine(parse_expr(f"sym({n}, {text})"))
+        reference = _r1_reference(n, parts, head_first=engine is expand)
+        assert list(components) == reference, (text, n)
+        assert components.distinct == tuple(dict.fromkeys(comp for comp, _ in reference)), (text, n)
 
 
 def test_long_sod_does_not_recurse_per_part():
