@@ -52,18 +52,25 @@ What is validated, and where:
   module's generator tables: the coset representatives are minimal, so
   s * g_k = g_j * h with h the identity or an adjacent transposition of
   the subgroup, and any other h raises.  The induced tables must satisfy
-  the Coxeter relations of S_n; their orbits are counted by the same walk.
+  the Coxeter relations of S_n, which with one coset (i = 0 or i = n) they
+  do already: they are then the module's generator tables, checked at
+  construction.  Their orbits are counted by the same walk.
 
 Inside the hot loops permutations are plain image tuples; ``Permutation``
 objects appear only where user code sees them: group lists, the arguments
-of ``act`` callables, and the basis of :func:`regular_module`.  One walk,
-``_orbit``, finds every orbit here: module orbits and cycles.
+of ``act`` callables, and the basis of :func:`regular_module`.  That
+module's ``act`` composes image tuples and returns the group's own listed
+element, so the basis index finds the very object it stores: no
+``Permutation`` is built and no ``__eq__`` runs per call.  The natural
+module's ``act`` is ``Permutation.__call__`` itself.  One walk, ``_orbit``,
+finds every orbit here: module orbits and cycles.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -208,8 +215,11 @@ class YoungPair:
     i: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.i <= self.n):
-            raise ValueError(f"need 0 <= i <= n, got n={self.n}, i={self.i}")
+        n, i = self.n, self.i
+        if type(n) is not int or type(i) is not int:
+            raise ValueError(f"need integers n and i, got n={n!r}, i={i!r}")
+        if not (0 <= i <= n):
+            raise ValueError(f"need 0 <= i <= n, got n={n}, i={i}")
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -424,7 +434,7 @@ class PermModule:
             table = [table[x] for x in self._tables[letter]]
         if len(word) > 1:
             table = self._checked(Permutation._unchecked(images), table)
-        return sum(1 for k, position in enumerate(table) if position == k)
+        return sum(map(operator.eq, table, range(len(table))))
 
     def orbit_count(self) -> int:
         """Number of orbits of the group on the basis, walked on the generators' tables."""
@@ -437,11 +447,24 @@ def trivial_module(group: Sequence[Permutation]) -> PermModule:
 
 
 def natural_module(group: Sequence[Permutation], n: int) -> PermModule:
-    return PermModule(group, list(range(1, n + 1)), lambda g, b: g(b))
+    return PermModule(group, list(range(1, n + 1)), Permutation.__call__)
 
 
 def regular_module(group: Sequence[Permutation]) -> PermModule:
-    return PermModule(group, list(group), lambda g, b: g * b)
+    """The group acting on its own list by left multiplication, g . b = g * b.
+
+    ``act`` returns the listed element whose images are those of g * b, so
+    the basis index finds the very object it stores, with no ``Permutation``
+    built and no ``__eq__`` call; a product outside the list (g not in the
+    group, or of another degree) is ``g * b`` itself.
+    """
+    own = {h.images: h for h in group}.get
+
+    def act(g: Permutation, b: Permutation) -> Permutation:
+        a, images = g.images, b.images
+        return len(a) == len(images) and own(tuple([a[j - 1] for j in images])) or g * b
+
+    return PermModule(group, list(group), act)
 
 
 _RANDOM_ORBIT_MAX_POINTS = 12
@@ -544,7 +567,10 @@ def induction_invariance_check(y: YoungPair, m: PermModule) -> InductionReport:
             offset = j * size
             table += [offset + b for b in h_table]
         tables.append(table)
-    _check_relations(gens, tables)
+    if len(reps) > 1:
+        # with one coset (i = 0 or i = n) the induced tables are m's generator
+        # tables, which construction checked against these very relations
+        _check_relations(gens, tables)
     induced_dim = len(_orbits(range(len(reps) * size), tables, list.__getitem__))
     subgroup_dim = invariant_dimension(m)
     return InductionReport(

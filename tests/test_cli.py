@@ -231,7 +231,8 @@ def test_table_q_with_twelve_objects_to_n_40(capsys):
 
 
 def test_table_q_calls_q_length_once_per_n(monkeypatch, capsys):
-    # the benchmark times table q at this call site (bench/spans.py's SPAN_SITES)
+    # the benchmark times table q at this call site (bench/spans.py's SPAN_SITES);
+    # top comes first, so its call fills the cache and every later one is a hit
     assert cli.q_length is partitions.q_length
     calls = []
 
@@ -242,7 +243,23 @@ def test_table_q_calls_q_length_once_per_n(monkeypatch, capsys):
     monkeypatch.setattr(cli, "q_length", spy)
     assert run_cli("table", "q", "--l", "3", "--n", "5") == 0
     assert "1, 3, 9, 22, 51, 108" in capsys.readouterr().out
-    assert calls == [(n, 3) for n in range(6)]
+    assert calls == [(n, 3) for n in range(5, -1, -1)]
+
+
+def test_table_q_builds_the_divisor_sums_once(monkeypatch, capsys):
+    # one recurrence run to top; each row below it is then a cache hit
+    monkeypatch.setattr(partitions, "_Q_CACHE", {})
+    built = []
+    divisor_sums = partitions._divisor_sums
+
+    def counted(n):
+        built.append(n)
+        return divisor_sums(n)
+
+    monkeypatch.setattr(partitions, "_divisor_sums", counted)
+    assert run_cli("table", "q", "--l", "3", "--n", "40", "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out)["values"] == eta_inverse_power(3, 40)
+    assert built == [40]
 
 
 def test_table_q_exits_3_when_the_recurrence_leaves_a_remainder(monkeypatch, capsys):

@@ -200,6 +200,99 @@ def test_regular_module_of_s6_validates_on_the_adjacent_transpositions(monkeypat
     assert calls == [g for g in acted for _ in range(720)]
 
 
+def test_regular_module_acts_by_the_groups_own_elements():
+    # act returns the listed element equal to g * b, so the basis index finds the
+    # object it stores; a g outside the group leaves the basis, as g * b does
+    h = young_subgroup(YoungPair(4, 2))
+    for group in (symmetric_group(3), h):
+        module = regular_module(group)
+        for g in group:
+            for b in group:
+                product = module.act(g, b)
+                assert product == g * b
+                assert any(product is element for element in group)
+    module = regular_module(h)
+    for g in (g for g in symmetric_group(4) if g not in h):
+        assert [module.act(g, b) for b in h] == [g * b for b in h]
+        assert module._positions(g) == [None] * len(h)
+    with pytest.raises(ValueError, match="different degrees"):
+        module.act(Permutation.identity(3), h[0])
+
+
+def test_natural_module_acts_by_calling_the_permutation():
+    module = natural_module(young_subgroup(YoungPair(4, 2)), 4)
+    assert module.act is Permutation.__call__
+    with pytest.raises(ValueError, match="is not a point"):
+        module.act(Permutation.identity(4), 5)
+
+
+def test_young_pair_takes_integers_only():
+    for n, i in ((True, 0), (2.0, 1), (2, 1.0), (3, False), ("3", 1), (None, 0)):
+        with pytest.raises(ValueError, match="need integers n and i"):
+            YoungPair(n, i)
+    with pytest.raises(ValueError, match="need 0 <= i <= n"):
+        YoungPair(2, 3)
+    assert YoungPair(2, 1).blocks == ((1,), (2,))
+
+
+def test_one_coset_induction_checks_the_relations_once(monkeypatch):
+    # with one coset the induced tables are the module's generator tables, which
+    # construction checked against the same relations; with more the check runs again
+    checks = []
+    check_relations = symgroup._check_relations
+
+    def counted(gens, tables):
+        checks.append(len(gens))
+        check_relations(gens, tables)
+
+    monkeypatch.setattr(symgroup, "_check_relations", counted)
+    for (n, i), expected in (((4, 0), [3]), ((4, 4), [3]), ((4, 2), [2, 3])):
+        checks.clear()
+        pair = YoungPair(n, i)
+        assert induction_invariance_check(pair, natural_module(young_subgroup(pair), n))
+        assert checks == expected
+
+
+def test_induction_check_rejects_tables_that_break_the_relations():
+    # over S_2 x S_2, a (1 2) table of order 3 makes the induced tables break s^2 = 1
+    pair = YoungPair(4, 2)
+    module = natural_module(young_subgroup(pair), 4)
+    module._tables[(2, 1, 3, 4)] = [1, 2, 0, 3]
+    with pytest.raises(ValueError, match=r"it breaks Permutation\(2, 1, 3, 4\)\^2 = 1"):
+        induction_invariance_check(pair, module)
+
+
+def test_construction_and_induction_check_read_each_act_value_once(monkeypatch):
+    # construction reads the identity and each generator on every basis point, the
+    # Burnside side each class word of length 2 or more; nothing else calls act
+    pair = YoungPair(4, 2)
+    h = young_subgroup(pair)
+    calls = []
+    init = PermModule.__init__
+
+    def counted(self, group, basis, act):
+        def counting(g, b):
+            calls.append(g)
+            return act(g, b)
+
+        init(self, group, basis, counting)
+
+    monkeypatch.setattr(PermModule, "__init__", counted)
+    long_words = sum(len(word) >= 2 for _, word, _ in symgroup.class_table(pair.blocks))
+    assert long_words == 1  # (1 2)(3 4)
+    builders = {
+        "trivial": lambda: trivial_module(h),
+        "natural": lambda: natural_module(h, 4),
+        "regular": lambda: regular_module(h),
+        "random-orbit": lambda: random_orbit_module(h, 4, random.Random(3)),
+    }
+    for kind, build in builders.items():
+        calls.clear()
+        module = build()
+        assert induction_invariance_check(pair, module)
+        assert len(calls) == (1 + len(module.generators) + long_words) * len(module.basis), kind
+
+
 def test_invariant_dimension_rejects_a_group_list_that_is_not_a_group():
     # construction takes only a whole product of symmetric groups on the blocks
     # that the list's point images make, so invariant_dimension never sees another
