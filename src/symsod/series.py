@@ -13,7 +13,10 @@ coefficient).  Two routes build them.
   :func:`euler_product_power` run it at W = 0, one plain integer per row;
   Goettsche's series packs, through ``_product``, which takes W from a
   z-free majorant of the product and decodes each row in one linear pass.
-  Its cost grows with the exponents.
+  In u = z^2 q its b2 family is the z-free ``prod (1 - u^m)^(-b2)``, built at
+  W = 0 and placed as a seed, a_n at z^(2n), so only the b0, b1, b3 and b4
+  families are packed; rows pack z^d for d the gcd of the z-exponents (2 when
+  b1 = b3 = 0).  Its cost grows with the exponents.
 * Euler's logarithmic derivative, ``_divisor_sum_rows``, reads a z-free
   product whose t F'/F has divisor-sum coefficients b_k:
   n f_n = sum_{k=1..n} b_k f_(n-k), exact, O(n) integer steps per row
@@ -85,8 +88,8 @@ class BettiVector:
     b4: int
 
     def __post_init__(self) -> None:
-        if any(b < 0 for b in self.as_tuple()):
-            raise ValueError(f"Betti numbers must be >= 0: {self.as_tuple()}")
+        if not all(type(b) is int and b >= 0 for b in self.as_tuple()):
+            raise ValueError(f"Betti numbers must be integers >= 0: {self.as_tuple()!r}")
         if self.b0 != self.b4 or self.b1 != self.b3:
             raise ValueError(
                 f"Betti vector {self.as_tuple()} is not Poincare-dual (b0=b4, b1=b3 required)"
@@ -102,9 +105,12 @@ class BettiVector:
         return self.b0 - self.b1 + self.b2 - self.b3 + self.b4
 
 
-def _rows(trunc: int, factors: Iterable[tuple[int, ...]], width: int) -> list[int]:
+def _rows(
+    trunc: int, factors: Iterable[tuple[int, ...]], width: int, rows: list[int] | None = None
+) -> list[int]:
     """Rows 0..trunc of the product of ``(1 + s z^a q^m)^e``, each packed as the
-    integer value of its z-polynomial at z = 2^width.
+    integer value of its z-polynomial at z = 2^width; ``rows``, if given, holds
+    the packed rows of a series to multiply and is multiplied in place.
 
     A factor with e >= 0 multiplies the rows in place from the top down, so
     that a row reads only rows not yet multiplied; one with e < 0 divides them
@@ -112,7 +118,8 @@ def _rows(trunc: int, factors: Iterable[tuple[int, ...]], width: int) -> list[in
     already divided.  Packing is a ring map, so every step is exact whatever
     the width; the width only decides whether the digits can be read back.
     """
-    rows = [1] + [0] * trunc
+    if rows is None:
+        rows = [1] + [0] * trunc
     for a, m, s, e in factors:
         sign = -1 if e < 0 else 1
         steps = [
@@ -129,34 +136,50 @@ def _rows(trunc: int, factors: Iterable[tuple[int, ...]], width: int) -> list[in
     return rows
 
 
-def _product(trunc: int, z_slope: int, factors: Iterable[tuple[int, ...]]) -> list[LaurentPoly]:
-    """The product of ``(1 + s z^a q^m)^e`` over ``(a, m, s, e)``, s = +-1.
+def _product(
+    trunc: int,
+    z_slope: int,
+    factors: Iterable[tuple[int, ...]],
+    seed: tuple[int, list[int]] | None = None,
+) -> list[LaurentPoly]:
+    """The product of ``(1 + s z^a q^m)^e`` over ``(a, m, s, e)``, s = +-1, times
+    ``sum_n f_n z^(k n) q^n`` for ``seed = (k, [f_0, ..., f_trunc])`` (by
+    default 1).
 
-    Row n holds the z^0..z^(z_slope n) coefficients of q^n (so a <= z_slope m)
-    as one integer, ``sum_e c_e 2^(W e)``, built by :func:`_rows`.  The sum of
-    |c_e| over row n is at most the q^n coefficient of the z-free majorant
-    ``prod_m (1 - q^m)^(-E_m)``, E_m the sum of |e| over the factors at m, which
-    :func:`_rows` computes at shift 0; W is its largest bit length plus 2, in
-    whole bytes, so every digit lies in (-2^(W-1), 2^(W-1)).  A row decodes in
-    one linear pass: adding 2^(W-1) to each digit makes them all non-negative,
-    so one ``int.to_bytes`` call lays them out W/8 bytes apiece; zero
-    coefficients are dropped.
+    Row n holds the z^0..z^(z_slope n) coefficients of q^n (so a <= z_slope m
+    and k <= z_slope) as one integer built by :func:`_rows`.  Every exponent is
+    a multiple of the z-step d, the gcd of k and the factors' a, so the row
+    packs z^d, not z: ``sum_e c_(d e) 2^(W e)``, from the seed rows
+    ``f_n 2^(W k n / d)``; factors with e = 0 are dropped.  The sum of |c| over
+    row n is at most the q^n coefficient of the z-free majorant
+    ``sum_n |f_n| q^n prod_m (1 - q^m)^(-E_m)``, E_m the sum of |e| over the
+    factors at m, which :func:`_rows` computes at shift 0 from a copy of the
+    seed; W is its largest bit length plus 2, in whole bytes, so every digit
+    lies in (-2^(W-1), 2^(W-1)).  A row decodes in one linear pass: adding
+    2^(W-1) to each digit makes them all non-negative, so one ``int.to_bytes``
+    call lays them out W/8 bytes apiece; zero coefficients are dropped.
     """
-    factors = list(factors)
+    factors = [f for f in factors if f[3]]
+    k, seed_rows = seed or (0, [1] + [0] * trunc)
+    step = math.gcd(k, *(f[0] for f in factors)) or 1
     weights = [0] * (trunc + 1)
     for _, m, _, e in factors:
         weights[m] += abs(e)
-    majorant = _rows(trunc, [(0, m, -1, -w) for m, w in enumerate(weights) if w], 0)
+    majorant = [abs(f) for f in seed_rows]
+    _rows(trunc, [(0, m, -1, -w) for m, w in enumerate(weights) if w], 0, majorant)
     size = (max(majorant).bit_length() + 9) // 8  # W / 8
     half = 1 << (8 * size - 1)
     digit_bias = bytes(size - 1) + b"\x80"  # 2^(W-1), little-endian
+    shift = k // step * 8 * size
+    rows = [f << shift * n for n, f in enumerate(seed_rows)]
+    _rows(trunc, [(a // step, m, s, e) for a, m, s, e in factors], 8 * size, rows)
     polys = []
-    for n, row in enumerate(_rows(trunc, factors, 8 * size)):
-        digits = z_slope * n + 1
+    for n, row in enumerate(rows):
+        digits = z_slope * n // step + 1
         biased = row + int.from_bytes(digit_bias * digits, "little")
         raw = biased.to_bytes(digits * size, "little")
         polys.append({
-            e: c
+            step * e: c
             for e in range(digits)
             if (c := int.from_bytes(raw[e * size : e * size + size], "little") - half)
         })
@@ -194,17 +217,24 @@ def _divisor_sum_rows(rows: list[int], b: Sequence[int], top: int, label: str) -
     return rows
 
 
+def _check_trunc(trunc: int, least: int = 1) -> None:
+    if type(trunc) is not int or trunc < least:
+        raise ValueError(f"truncation order must be an integer >= {least}, got {trunc!r}")
+
+
 def euler_product_power(c: int, trunc: int) -> list[int]:
     """Rows 0..trunc of ``prod_{m=1..trunc} (1 - q^m)^(-c)`` for any integer c."""
+    if type(c) is not int:
+        raise ValueError(f"the power must be an integer, got {c!r}")
+    _check_trunc(trunc, 0)
     return _rows(trunc, ((0, m, -1, -c) for m in range(1, trunc + 1)), 0)
 
 
 def eta_inverse_power(l: int, trunc: int) -> list[int]:
     """Rows 0..trunc of ``prod_{m=1..trunc} (1 - q^m)^(-l)``; row n equals q(n; l)."""
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
-    if trunc < 1:
-        raise ValueError(f"truncation order must be >= 1, got {trunc}")
+    if type(l) is not int or l < 0:
+        raise ValueError(f"l must be an integer >= 0, got {l!r}")
+    _check_trunc(trunc)
     return euler_product_power(l, trunc)
 
 
@@ -243,16 +273,19 @@ def gottsche_series(b: BettiVector, trunc: int) -> list[LaurentPoly]:
     Row n, for n = 0..trunc, is the Poincare polynomial of Hilb^n(S) for a
     surface S with Betti vector ``b``.  This formula is imported from the
     classical literature; nothing in this package rederives it.
+
+    In u = z^2 q the b2 family is the z-free ``prod_m (1 - u^m)^(-b2)``: its
+    rows a_n come from :func:`euler_product_power` on small integers and seed
+    the packed product at z^(2n), which then runs over b0, b1, b3 and b4 only.
     """
-    if trunc < 1:
-        raise ValueError(f"truncation order must be >= 1, got {trunc}")
-    # b0..b4 come with z^(2m-2)..z^(2m+2); b0, b2, b4 are in the denominator
+    _check_trunc(trunc)
+    # b0, b1, b3, b4 come with z^(2m-2), z^(2m-1), z^(2m+1), z^(2m+2); b0 and b4
+    # are in the denominator
+    families = ((-2, -1, b.b0), (-1, 1, b.b1), (1, 1, b.b3), (2, -1, b.b4))
     factors = (
-        (a, m, s, s * power)
-        for m in range(1, trunc + 1)
-        for a, s, power in zip(range(2 * m - 2, 2 * m + 3), (-1, 1, -1, 1, -1), b.as_tuple())
+        (2 * m + da, m, s, s * power) for m in range(1, trunc + 1) for da, s, power in families
     )
-    return _product(trunc, 4, factors)
+    return _product(trunc, 4, factors, (2, euler_product_power(b.b2, trunc)))
 
 
 def macdonald_poincare(g: int, a: int) -> LaurentPoly:

@@ -543,6 +543,24 @@ def test_benchmark_decompose_ops_run_and_check(monkeypatch):
         assert workloads.check(op, workloads.run_cli(symsod, op)), op.argv
 
 
+def test_benchmark_table_ops_run_and_check(monkeypatch):
+    # the oracle-tables workload checks every q and Goettsche table against the
+    # benchmark's oracle; a broken packing of the Goettsche rows would otherwise
+    # fail only the benchmark's own run
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    ops = workloads.tables_round(0, 0)
+    odd = [op.params[1][1] > 0 for op in ops if op.family == "table-gottsche"]
+    assert {op.family for op in ops} == {"table-q", "table-gottsche"}
+    assert sorted(odd) == [False] * 8 + [True] * 8  # z-step 2 and z-step 1 tables
+    for op in ops:
+        assert workloads.check(op, workloads.run_cli(symsod, op)), op.argv
+
+
 @pytest.mark.parametrize("i", [0, 6])
 def test_benchmark_largest_module_ops_run_and_check(monkeypatch, i):
     # the regular modules of S_6 (720 basis points, one coset) and of S_0 x S_6

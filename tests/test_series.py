@@ -35,6 +35,38 @@ def test_betti_vector_duality_validation():
     assert BettiVector(1, 0, 1, 0, 1).euler() == 3
 
 
+@pytest.mark.parametrize(
+    "b", [(1, 0, 1.5, 0, 1), (True, 0, 1, 0, True), (1, 0, 1, 0, 1.0), (1, 0, -1, 0, 1)]
+)
+def test_betti_vector_refuses_non_integers_and_negatives(b):
+    with pytest.raises(ValueError, match="must be integers >= 0"):
+        BettiVector(*b)
+
+
+@pytest.mark.parametrize(
+    "route, args",
+    [
+        pytest.param(euler_product_power, (2, -1), id="euler-order-minus-1"),
+        pytest.param(euler_product_power, (2, 3.0), id="euler-float-order"),
+        pytest.param(euler_product_power, (2.5, 3), id="euler-float-power"),
+        pytest.param(euler_product_power, (True, 3), id="euler-bool-power"),
+        pytest.param(eta_inverse_power, (2, True), id="eta-bool-order"),
+        pytest.param(eta_inverse_power, (2, 0), id="eta-order-0"),
+        pytest.param(eta_inverse_power, (2.0, 3), id="eta-float-l"),
+        pytest.param(gottsche_series, (BettiVector(1, 0, 1, 0, 1), 0), id="gottsche-order-0"),
+        pytest.param(gottsche_series, (BettiVector(1, 0, 1, 0, 1), 2.0), id="gottsche-float-order"),
+        pytest.param(gottsche_series, (BettiVector(1, 0, 1, 0, 1), True), id="gottsche-bool-order"),
+    ],
+)
+def test_series_entry_points_refuse_non_integer_or_short_orders(route, args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        route(*args)
+
+
+def test_euler_product_power_to_order_zero_is_the_unit():
+    assert euler_product_power(5, 0) == [1]
+
+
 def test_gottsche_low_coefficients():
     rows = gottsche_series(BettiVector(1, 0, 1, 0, 1), 4)
     assert len(rows) == 5 and rows[0] == {0: 1}
@@ -124,6 +156,8 @@ def _product_by_mul(trunc, factors):
 def test_product_kernel_equals_the_generic_product():
     rng = random.Random(0)
     vectors = [(0, 0, 0, 0, 0), (0, 3, 0, 3, 0), (2, 1, 5, 1, 2), (1, 0, 60, 0, 1)]
+    # only the z-free b2 family (no packed factor); z-step 2 with no seed; odd only
+    vectors += [(0, 0, 7, 0, 0), (1, 0, 0, 0, 1), (3, 0, 0, 0, 3), (0, 2, 0, 2, 0)]
     vectors += [(1, b1, rng.randint(0, 60), b1, 1) for b1 in (0, 0, 1, 2, 3)]
     vectors += [(1, 0, 10**6, 0, 1), (1, 2, 10**6, 2, 1)]  # packed digits many bytes wide
     for b in vectors:
@@ -163,6 +197,58 @@ def test_packed_kernel_decodes_signed_and_wide_coefficients():
         assert product == _product_by_mul(trunc, factors), (trunc, z_slope, factors)
         signed += any(c < 0 for poly in product for c in poly.values())
     assert signed >= 20
+    # every z-exponent a multiple of step, so rows pack z^step; every other list
+    # is seeded with signed rows f_n at z^(k n), k a multiple of step too
+    for step in (2, 3):
+        signed = 0
+        for case in range(40):
+            trunc = rng.randint(1, 14)
+            z_slope = step * rng.randint(1, 2)
+            largest = 10**6 if case % 5 == 0 else 4
+            factors = [
+                (step * rng.randint(0, z_slope * m // step), m, rng.choice((-1, 1)), e)
+                for m, e in (
+                    (rng.randint(1, trunc), rng.choice((-1, 1)) * rng.randint(0, largest))
+                    for _ in range(rng.randint(0, 4))
+                )
+            ]
+            expected = _product_by_mul(trunc, factors)
+            seed = None
+            if case % 2:
+                k = step * rng.randint(0, z_slope // step)
+                seed = (k, [1] + [rng.randint(-largest, largest) for _ in range(trunc)])
+                expected = _mul(expected, [{k * n: f} if f else {} for n, f in enumerate(seed[1])])
+            product = _product(trunc, z_slope, factors, seed)
+            assert product == expected, (trunc, z_slope, factors, seed)
+            assert all(e % step == 0 for poly in product for e in poly)
+            signed += any(c < 0 for poly in product for c in poly.values())
+        assert signed >= 10, step
+
+
+def test_gottsche_packs_only_the_b0_b1_b3_b4_families(monkeypatch):
+    # the b2 family is z-free in u = z^2 q: it runs at width 0 only, as the
+    # seed, and never reaches the packed-width call; with b1 = b3 = 0 the
+    # packed factors carry z^2, so their exponents are halved
+    calls = []
+    real = series._rows
+
+    def spy(trunc, factors, width, rows=None):
+        factors = list(factors)
+        calls.append((width, factors))
+        return real(trunc, factors, width, rows)
+
+    monkeypatch.setattr(series, "_rows", spy)
+    for b, step in (((2, 1, 7, 1, 2), 1), ((3, 0, 7, 0, 3), 2), ((0, 0, 7, 0, 0), 2)):
+        calls.clear()
+        gottsche_series(BettiVector(*b), 6)
+        [packed] = [factors for width, factors in calls if width]
+        assert all(abs(e) in (b[0], b[1]) for _, _, _, e in packed), b
+        pairs = {(a, m) for a, m, _, _ in packed}
+        assert pairs == {
+            (a // step, m) for m in range(1, 7) for a, betti in
+            zip((2 * m - 2, 2 * m - 1, 2 * m + 1, 2 * m + 2), (b[0], b[1], b[3], b[4])) if betti
+        }, b
+        assert (0, [(0, m, -1, -7) for m in range(1, 7)]) in calls, b
 
 
 def _law_by_the_kernel(h_plus, h_minus, trunc):
