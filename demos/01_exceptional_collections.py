@@ -11,7 +11,7 @@ from symsod import (
     POINT,
     Sod,
     Sym,
-    eta_inverse_power,
+    euler_product_power,
     expand,
     parse_expr,
     partition_count,
@@ -39,7 +39,7 @@ for l in (2, 3):
 
 print()
 print("=== road 3: the Euler product ===")
-print("coefficients of prod (1-q^m)^(-3):", eta_inverse_power(3, 6))
+print("coefficients of prod (1-q^m)^(-3):", euler_product_power(3, 6))
 
 print()
 print("All three agree; `symsod verify --suite rewrite` checks this up to n = 12.")

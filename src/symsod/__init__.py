@@ -41,12 +41,11 @@ from .partitions import (
     partition_count,
     partitions_of,
     q_length,
-    weak_compositions,
 )
 from .rewrite import expand, expand_tail_first
 from .series import (
     BettiVector,
-    eta_inverse_power,
+    euler_product_power,
     gottsche_series,
     macdonald_poincare,
 )
@@ -57,7 +56,6 @@ from .symgroup import (
     cycle_type,
     induction_invariance_check,
     invariant_dimension,
-    symmetric_group,
     young_coset_reps,
     young_subgroup,
 )
@@ -69,13 +67,11 @@ __all__ = [
     "BettiVector", "Bullet", "CatExpr", "Component", "ComponentList", "Curve",
     "InvariantReport", "Opaque", "ParseError", "PermModule", "Permutation",
     "PHANTOM", "Phantom", "POINT", "Point", "Sod", "Surface", "Sym", "SymCurve",
-    "SymPower", "YoungPair", "betti_of", "blowup",
-    "canonicalize", "cycle_type", "eta_inverse_power",
-    "euler_char", "expand", "expand_tail_first",
+    "SymPower", "YoungPair", "betti_of", "blowup", "canonicalize", "cycle_type",
+    "euler_char", "euler_product_power", "expand", "expand_tail_first",
     "gottsche_series", "hh_total_dim", "induction_invariance_check",
     "invariant_dimension", "invariant_report", "macdonald_poincare", "make_preset",
     "multiplicity_vectors", "parse_expr", "partition_count", "partitions_of",
     "phantom_audit", "q_length", "render_text", "run_suites", "surface_literal",
-    "symmetric_group", "weak_compositions", "young_coset_reps",
-    "young_subgroup",
+    "young_coset_reps", "young_subgroup",
 ]

@@ -1,12 +1,11 @@
-"""Integer partitions, weak compositions, and the length-weighted count q(n; l).
+"""Integer partitions and the length-weighted count q(n; l).
 
-Everything here is exact integer arithmetic.  The three quantities interlock:
+Everything here is exact integer arithmetic.  The quantities interlock:
 
 * ``p(n)`` -- the number of partitions of ``n``,
-* weak compositions -- length-``l`` tuples of non-negative integers summing
-  to ``n``,
-* ``q(n; l)`` -- the sum over all weak compositions ``(i_1, ..., i_l)`` of
-  ``n`` of the product ``p(i_1) * ... * p(i_l)``.
+* ``q(n; l)`` -- the sum, over the weak compositions ``(i_1, ..., i_l)`` of
+  ``n`` (length-``l`` tuples of non-negative integers summing to ``n``), of
+  the product ``p(i_1) * ... * p(i_l)``.
 
 ``q(n; l)`` is the length of the full exceptional collection carried by the
 n-th symmetric product of a category with an exceptional collection of
@@ -14,13 +13,12 @@ length ``l``; the rewrite engine reproduces it structurally and the series
 module's binomial kernel as a coefficient of ``prod_k (1 - t^k)^(-l)``.
 :func:`q_length` reads that product by Euler's divisor-sum recurrence
 (``series._divisor_sum_rows``, which also values the invariant law), never
-by the kernel, so it stays independent of both; the literal composition sum
-is the test suite's reference.
+by the kernel, so it stays independent of both.  No code here enumerates a
+composition: the literal composition sum is the test suite's reference.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 
 from .series import _divisor_sum_rows, _divisor_sums
@@ -86,28 +84,12 @@ def partition_count(n: int) -> int:
     return _P_TABLE[n]
 
 
-def weak_compositions(n: int, l: int) -> list[tuple[int, ...]]:
-    """All length-``l`` weak compositions of ``n``, lexicographically ordered.
-
-    There are ``C(n + l - 1, l - 1)`` of them.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    # stars and bars: lexicographic bar positions give lexicographic compositions
-    ends = n + l - 1
-    return [
-        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, ends)))
-        for bars in itertools.combinations(range(ends), l - 1)
-    ]
-
-
 _Q_CACHE: dict[tuple[int, int], int] = {}
 
 
 def q_length(n: int, l: int) -> int:
-    """``q(n; l)``: sum of ``p(i_1)*...*p(i_l)`` over weak compositions of n.
+    """``q(n; l)``: sum of ``p(i_1)*...*p(i_l)`` over weak compositions of n;
+    ``n`` and ``l`` must be ``int`` (not ``bool``), else ValueError.
 
     It is the t^n coefficient of ``prod_k (1 - t^k)^(-l)``, read by Euler's
     logarithmic derivative: ``k q(k; l) = l * sum_{j=1..k} sigma(j) q(k-j; l)``
@@ -115,6 +97,8 @@ def q_length(n: int, l: int) -> int:
     the cached rows of l to every k <= n, O(n^2) integer steps whatever l; a
     division by k that leaves a remainder raises InternalInvariantError.
     """
+    if type(n) is not int or type(l) is not int:  # 3.0 would hash as 3 in the cache
+        raise ValueError(f"n and l must be integers, got n={n!r}, l={l!r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if l < 1:

@@ -9,8 +9,8 @@ coefficient).  Two routes build them.
 * The binomial kernel, ``_rows``, applies one factor at a time, in place, to
   packed rows: row n is a single integer, its z^e coefficient the signed
   digit e in base 2^W (Kronecker substitution), so one step of a factor is
-  one big-integer shift-and-add.  :func:`eta_inverse_power` and
-  :func:`euler_product_power` run it at W = 0, one plain integer per row;
+  one big-integer shift-and-add.  :func:`euler_product_power` runs it at
+  W = 0, one plain integer per row;
   Goettsche's series packs, through ``_product``, which takes W from a
   z-free majorant of the product and decodes each row in one linear pass.
   In u = z^2 q its b2 family is the z-free ``prod (1 - u^m)^(-b2)``, built at
@@ -28,8 +28,8 @@ against q(n; l) (``series:eta-euler-product``, ``invariants:phantom-audit``)
 each set the kernel against the recurrence; ``series:gottsche-euler`` sets
 the packed kernel against the kernel at W = 0.  The functions:
 
-* :func:`eta_inverse_power` -- the Euler product ``prod (1 - q^m)^(-l)``
-  whose q^n coefficient is ``q(n; l)``,
+* :func:`euler_product_power` -- the Euler product ``prod (1 - q^m)^(-c)``
+  for any integer c; for c = l >= 1 its q^n coefficient is ``q(n; l)``,
 * :func:`sym_power_totals` -- the Euler numbers and total Hochschild
   dimensions of the symmetric powers of a category, from its even and odd
   Hochschild dimensions,
@@ -173,15 +173,16 @@ def _product(
     shift = k // step * 8 * size
     rows = [f << shift * n for n, f in enumerate(seed_rows)]
     _rows(trunc, [(a // step, m, s, e) for a, m, s, e in factors], 8 * size, rows)
+    from_bytes = int.from_bytes
     polys = []
     for n, row in enumerate(rows):
         digits = z_slope * n // step + 1
-        biased = row + int.from_bytes(digit_bias * digits, "little")
+        biased = row + from_bytes(digit_bias * digits, "little")
         raw = biased.to_bytes(digits * size, "little")
         polys.append({
             step * e: c
-            for e in range(digits)
-            if (c := int.from_bytes(raw[e * size : e * size + size], "little") - half)
+            for e, at in enumerate(range(0, digits * size, size))
+            if (c := from_bytes(raw[at : at + size], "little") - half)
         })
     return polys
 
@@ -228,14 +229,6 @@ def euler_product_power(c: int, trunc: int) -> list[int]:
         raise ValueError(f"the power must be an integer, got {c!r}")
     _check_trunc(trunc, 0)
     return _rows(trunc, ((0, m, -1, -c) for m in range(1, trunc + 1)), 0)
-
-
-def eta_inverse_power(l: int, trunc: int) -> list[int]:
-    """Rows 0..trunc of ``prod_{m=1..trunc} (1 - q^m)^(-l)``; row n equals q(n; l)."""
-    if type(l) is not int or l < 0:
-        raise ValueError(f"l must be an integer >= 0, got {l!r}")
-    _check_trunc(trunc)
-    return euler_product_power(l, trunc)
 
 
 def sym_power_totals(h_plus: int, h_minus: int, trunc: int) -> tuple[tuple[int, int], ...]:

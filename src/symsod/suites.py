@@ -45,11 +45,9 @@ from .partitions import (
     partition_count,
     partitions_of,
     q_length,
-    weak_compositions,
 )
 from .series import (
     BettiVector,
-    eta_inverse_power,
     euler_product_power,
     gottsche_series,
     poly_eval,
@@ -141,18 +139,6 @@ def _check_q_recurrence(max_n: Optional[int], _seed: int) -> tuple[str, int]:
     return f"q(n;l+1) = sum p(i) q(n-i;l) for n <= {top}, l <= 6", 6 * (top + 1)
 
 
-@_check("combinatorics", "weak-composition-counts")
-def _check_weak_composition_counts(max_n: Optional[int], _seed: int) -> tuple[str, int]:
-    top = _bound(15, max_n)
-    for n in range(top + 1):
-        for l in range(1, 7):
-            count = len(weak_compositions(n, l))
-            expected = math.comb(n + l - 1, l - 1)
-            if count != expected:
-                raise _Failed(f"({n},{l}): {count} != C({n + l - 1},{l - 1}) = {expected}")
-    return f"|compositions(n,l)| = C(n+l-1,l-1) for n <= {top}, l <= 6", 6 * (top + 1)
-
-
 @_check("combinatorics", "exact-integers")
 def _check_exact_integers(_max_n: Optional[int], _seed: int) -> tuple[str, int]:
     if partition_count(100) != 190569292:
@@ -168,7 +154,7 @@ def _check_exact_integers(_max_n: Optional[int], _seed: int) -> tuple[str, int]:
 def _check_eta_euler_product(max_n: Optional[int], _seed: int) -> tuple[str, int]:
     top = _bound(20, max_n)
     for l in range(0, 7):
-        for n, coeff in enumerate(eta_inverse_power(l, max(top, 1))[: top + 1]):
+        for n, coeff in enumerate(euler_product_power(l, top)):
             expected = q_length(n, l) if l >= 1 else (1 if n == 0 else 0)
             if coeff != expected:
                 raise _Failed(

@@ -241,30 +241,21 @@ def young_subgroup(y: YoungPair) -> list[Permutation]:
     return [Permutation._unchecked(a + b) for a in first for b in second]
 
 
-def symmetric_group(n: int) -> list[Permutation]:
-    """All of S_n in lexicographic one-line order (n <= 7 intended)."""
-    return young_subgroup(YoungPair(n, 0))
-
-
 def young_coset_reps(y: YoungPair) -> list[Permutation]:
     """Lex-minimal representatives of the left cosets S_n / (S_{n-i} x S_i).
 
-    A left coset is determined by where it sends the top block
-    {n-i+1, ..., n}; for each i-subset T the lex-minimal one-line form places
-    the complement of T in increasing order on positions 1..n-i and T in
-    increasing order on the remaining positions.  There are C(n, i)
-    representatives; the identity represents its own coset.  The list is
-    sorted by one-line form.
+    A left coset is determined by where it sends the head block {1, ..., n-i};
+    for each (n-i)-subset H the lex-minimal one-line form places H in
+    increasing order on positions 1..n-i and the rest in increasing order on
+    the remaining positions.  There are C(n, i) representatives; the identity
+    represents its own coset.  The heads come in lexicographic order, so the
+    list is sorted by one-line form.
     """
-    n, i = y.n, y.i
-    universe = range(1, n + 1)
-    reps = []
-    for subset in itertools.combinations(universe, i):
-        chosen = set(subset)
-        complement = tuple(k for k in universe if k not in chosen)
-        reps.append(Permutation(complement + subset))
-    reps.sort(key=lambda p: p.images)
-    return reps
+    universe = range(1, y.n + 1)
+    return [
+        Permutation(head + tuple(k for k in universe if k not in head))
+        for head in itertools.combinations(universe, y.n - y.i)
+    ]
 
 
 def _blocks(group: Sequence[Permutation]) -> tuple[tuple[int, ...], ...]:

@@ -15,7 +15,7 @@ from symsod.expr import Bullet, Component, Curve, Opaque, Sod, Sym
 from symsod.grammar import parse_expr, render_text
 from symsod.invariants import invariant_report
 from symsod.rewrite import expand
-from symsod.series import eta_inverse_power
+from symsod.series import euler_product_power
 from symsod.suites import frobenius_battery, gen_random_expr
 
 
@@ -220,7 +220,7 @@ def test_table_q_with_a_very_long_collection(capsys):
 
 def test_table_q_with_twelve_objects_to_n_40(capsys):
     # the literal composition sum ran past a 10 s timeout here
-    expected = eta_inverse_power(12, 40)
+    expected = euler_product_power(12, 40)
     assert expected[40] == 88421747636456646
     assert run_cli("table", "q", "--l", "12", "--n", "40") == 0
     assert capsys.readouterr().out == (
@@ -258,7 +258,7 @@ def test_table_q_builds_the_divisor_sums_once(monkeypatch, capsys):
 
     monkeypatch.setattr(partitions, "_divisor_sums", counted)
     assert run_cli("table", "q", "--l", "3", "--n", "40", "--format", "json") == 0
-    assert json.loads(capsys.readouterr().out)["values"] == eta_inverse_power(3, 40)
+    assert json.loads(capsys.readouterr().out)["values"] == euler_product_power(3, 40)
     assert built == [40]
 
 
@@ -351,7 +351,7 @@ def test_verify_single_suite(capsys):
     assert run_cli("verify", "--suite", "combinatorics", "--max-n", "8") == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out
-    assert "passed 4/4 checks" in out
+    assert "passed 3/3 checks" in out
 
 
 def test_verify_frobenius_scaled(capsys):
@@ -377,17 +377,17 @@ def test_verify_fails_a_check_that_examines_no_case(capsys):
 
 
 def test_verify_reports_a_broken_law(monkeypatch, capsys):
-    real = suites.weak_compositions
+    real = suites.multiplicity_vectors
 
-    def drops_one(n, l):
-        compositions = real(n, l)
-        return compositions[1:] if (n, l) == (2, 2) else compositions
+    def drops_one(n):
+        vectors = real(n)
+        return vectors[1:] if n == 2 else vectors
 
-    monkeypatch.setattr(suites, "weak_compositions", drops_one)
+    monkeypatch.setattr(suites, "multiplicity_vectors", drops_one)
     assert run_cli("verify", "--suite", "combinatorics") == 1
     out = capsys.readouterr().out
-    assert "[FAIL] combinatorics:weak-composition-counts -- (2,2): 2 != C(3,1) = 3\n" in out
-    assert "passed 3/4 checks" in out
+    assert "[FAIL] combinatorics:partition-counts -- mismatch at n=2: 2 vs 2 vs 1\n" in out
+    assert "passed 2/3 checks" in out
 
 
 def test_verify_reports_a_check_that_raises(monkeypatch, capsys):
@@ -398,7 +398,7 @@ def test_verify_reports_a_check_that_raises(monkeypatch, capsys):
     assert run_cli("verify", "--suite", "combinatorics") == 1
     captured = capsys.readouterr()
     assert "[FAIL] combinatorics:q-recurrence -- ValueError: boom\n" in captured.out
-    assert "passed 3/4 checks" in captured.out
+    assert "passed 2/3 checks" in captured.out
     assert captured.err == ""
 
 

@@ -99,9 +99,9 @@ def test_cli_stdout_digest(text):
 
 # SHA-256 of the ``verify`` stdout, with the exit code it comes with.
 VERIFY_DIGESTS = {
-    "--max-n 3": (0, "4061705e99fb191d01c3a949613b2d58994bb104c9bfb96e86fe7e5844d33777"),
+    "--max-n 3": (0, "150426bb61da08c0862ada46290d49496acb62b2735ec9302637209964c53777"),
     "--max-n 3 --format json": (
-        0, "c7879edf0597554689a2862c411a33e83093409045d7a6d547417784c80763e6"
+        0, "13a8975aaad9a68869a5183a10b5e01b30ec3938073f1f581bd8e41c7a45897c"
     ),
     # block-law examines no case under a cap of 1 and fails
     "--suite rewrite --max-n 1": (

@@ -1,0 +1,43 @@
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "symsod"
+
+# names a module imports only to pass on: grammar re-exports render_text,
+# as its docstring says (``__init__.py`` is skipped as a whole)
+REEXPORTS = {("grammar.py", "render_text")}
+
+
+def _unread_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """The names a module's imports bind but no expression reads, with their lines."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported.setdefault(name, node.lineno)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [(name, line) for name, line in imported.items() if name not in read]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+)
+def test_every_imported_name_is_read(module):
+    tree = ast.parse((PACKAGE / module).read_text())
+    unread = [(name, line) for name, line in _unread_imports(tree)
+              if (module, name) not in REEXPORTS]
+    assert not unread, f"{module} imports names it never reads (name, line): {unread}"
+
+
+def test_the_check_sees_an_unread_import():
+    tree = ast.parse("import itertools\nimport math\nfrom .x import y as z\nmath.pi\n")
+    assert _unread_imports(tree) == [("itertools", 1), ("z", 3)]

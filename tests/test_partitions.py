@@ -10,9 +10,8 @@ from symsod.partitions import (
     partition_count,
     partitions_of,
     q_length,
-    weak_compositions,
 )
-from symsod.series import eta_inverse_power
+from symsod.series import euler_product_power
 
 
 def brute_force_partitions(n):
@@ -59,18 +58,6 @@ def test_partition_count_values():
     assert partition_count(10) == 42
 
 
-def test_weak_compositions_trivial():
-    assert weak_compositions(0, 3) == [(0, 0, 0)]
-    assert weak_compositions(5, 1) == [(5,)]
-
-
-def test_weak_compositions_2_3():
-    got = weak_compositions(2, 3)
-    assert len(got) == 6  # C(4, 2)
-    assert got == sorted(got)
-    assert set(got) == {(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)}
-
-
 def test_q_length_degenerate_cases():
     for n in range(10):
         assert q_length(n, 1) == partition_count(n)
@@ -88,7 +75,13 @@ def test_q_length_2_3_by_hand():
 def test_q_length_is_the_literal_composition_sum():
     for n in range(13):
         for l in range(1, 7):
-            compositions = weak_compositions(n, l)
+            # stars and bars: l - 1 bars among n + l - 1 slots cut n into l parts
+            ends = n + l - 1
+            compositions = [
+                [b - a - 1 for a, b in zip((-1, *bars), (*bars, ends))]
+                for bars in itertools.combinations(range(ends), l - 1)
+            ]
+            assert len(compositions) == math.comb(ends, l - 1)
             literal = sum(math.prod(partition_count(i) for i in c) for c in compositions)
             assert q_length(n, l) == literal, (n, l)
 
@@ -96,7 +89,7 @@ def test_q_length_is_the_literal_composition_sum():
 @pytest.mark.parametrize("l", [1, 2, 7, 12])
 def test_q_length_is_the_euler_product_coefficient(l):
     # far past the literal sum's reach: C(211, 11) compositions at n = 200, l = 12
-    assert [q_length(n, l) for n in range(201)] == eta_inverse_power(l, 200)
+    assert [q_length(n, l) for n in range(201)] == euler_product_power(l, 200)
 
 
 def test_q_length_ignores_call_order_and_cache_contents(monkeypatch):
@@ -104,7 +97,7 @@ def test_q_length_ignores_call_order_and_cache_contents(monkeypatch):
     expected = {
         (n, l): coeff
         for l in range(1, 6)
-        for n, coeff in enumerate(eta_inverse_power(l, 30))
+        for n, coeff in enumerate(euler_product_power(l, 30))
     }
     orders = {
         "ascending": sorted(expected),
@@ -132,11 +125,16 @@ def test_q_length_raises_when_a_division_leaves_a_remainder(monkeypatch):
         q_length(2, 1)
 
 
-def test_weak_compositions_in_lexicographic_order():
-    for n in range(6):
-        for l in range(1, 5):
-            expected = [c for c in itertools.product(range(n + 1), repeat=l) if sum(c) == n]
-            assert weak_compositions(n, l) == expected
+@pytest.mark.parametrize("n, l", [(6, 3.0), (6.0, 3), (True, 3), (6, True)])
+def test_q_length_refuses_non_integers_before_touching_the_cache(monkeypatch, n, l):
+    # (6, 3.0) hashes as (6, 3): a float l would leave float rows for l = 3
+    monkeypatch.setattr(partitions, "_Q_CACHE", {})
+    with pytest.raises(ValueError, match="must be integers"):
+        q_length(n, l)
+    assert [q_length(k, 3) for k in range(7)] == [1, 3, 9, 22, 51, 108, 221]
+    assert all(
+        type(x) is int for key, value in partitions._Q_CACHE.items() for x in (*key, value)
+    )
 
 
 def test_multiplicity_vectors_weight_2():

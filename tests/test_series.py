@@ -10,7 +10,6 @@ from symsod.series import (
     BettiVector,
     _product,
     _rows,
-    eta_inverse_power,
     euler_product_power,
     gottsche_series,
     macdonald_poincare,
@@ -24,7 +23,7 @@ def test_euler_product_negative_power():
     # prod (1-q^m)^2 for chi = -2 is the inverse of the l = 2 product: their
     # convolution is 1 to order 8
     pos = euler_product_power(-2, 8)
-    inv = eta_inverse_power(2, 8)
+    inv = euler_product_power(2, 8)
     assert [sum(pos[k] * inv[n - k] for k in range(n + 1)) for n in range(9)] == [1] + [0] * 8
 
 
@@ -50,9 +49,7 @@ def test_betti_vector_refuses_non_integers_and_negatives(b):
         pytest.param(euler_product_power, (2, 3.0), id="euler-float-order"),
         pytest.param(euler_product_power, (2.5, 3), id="euler-float-power"),
         pytest.param(euler_product_power, (True, 3), id="euler-bool-power"),
-        pytest.param(eta_inverse_power, (2, True), id="eta-bool-order"),
-        pytest.param(eta_inverse_power, (2, 0), id="eta-order-0"),
-        pytest.param(eta_inverse_power, (2.0, 3), id="eta-float-l"),
+        pytest.param(euler_product_power, (2, True), id="euler-bool-order"),
         pytest.param(gottsche_series, (BettiVector(1, 0, 1, 0, 1), 0), id="gottsche-order-0"),
         pytest.param(gottsche_series, (BettiVector(1, 0, 1, 0, 1), 2.0), id="gottsche-float-order"),
         pytest.param(gottsche_series, (BettiVector(1, 0, 1, 0, 1), True), id="gottsche-bool-order"),
@@ -282,9 +279,9 @@ def test_invariant_law_raises_when_a_division_leaves_a_remainder(monkeypatch):
 
 
 def test_the_law_and_q_length_never_run_the_kernel(monkeypatch):
-    # eta_inverse_power, euler_product_power and gottsche_series are the other
-    # side of the checks that compare them with the law or with q(n; l), so
-    # each check compares two routes, never the recurrence with itself
+    # euler_product_power and gottsche_series are the other side of the checks
+    # that compare them with the law or with q(n; l), so each check compares
+    # two routes, never the recurrence with itself
     def no_kernel(*args):
         raise AssertionError("the binomial kernel ran")
 
@@ -294,7 +291,6 @@ def test_the_law_and_q_length_never_run_the_kernel(monkeypatch):
     assert sym_power_totals(3, 0, 4) == tuple(zip(hilb_p2, hilb_p2))
     assert [q_length(n, 3) for n in range(5)] == hilb_p2
     for route in (
-        lambda: eta_inverse_power(3, 4),
         lambda: euler_product_power(3, 4),
         lambda: gottsche_series(BettiVector(1, 0, 1, 0, 1), 4),
     ):

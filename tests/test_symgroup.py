@@ -17,14 +17,13 @@ from symsod.symgroup import (
     natural_module,
     random_orbit_module,
     regular_module,
-    symmetric_group,
     trivial_module,
     young_subgroup,
 )
 
 
 def test_unchecked_product_and_inverse_equal_validated_construction():
-    s4 = symmetric_group(4)
+    s4 = young_subgroup(YoungPair(4, 0))
     for p in s4:
         inverse = p.inverse()
         expected = [0] * 4
@@ -122,7 +121,7 @@ def test_permutation_rejects_points_outside_its_degree():
         with pytest.raises(ValueError, match="not a point"):
             p(k)
     with pytest.raises(ValueError, match="not a point"):
-        natural_module(symmetric_group(3), 4)
+        natural_module(young_subgroup(YoungPair(3, 0)), 4)
 
 
 def test_cycle_type_examples():
@@ -195,7 +194,7 @@ def test_regular_module_of_s6_validates_on_the_adjacent_transpositions(monkeypat
         init(self, group, basis, counting)
 
     monkeypatch.setattr(PermModule, "__init__", counted)
-    regular_module(symmetric_group(6))
+    regular_module(young_subgroup(YoungPair(6, 0)))
     acted = [Permutation.identity(6)] + [_transposition(a, a + 1, 6) for a in range(1, 6)]
     assert calls == [g for g in acted for _ in range(720)]
 
@@ -204,7 +203,7 @@ def test_regular_module_acts_by_the_groups_own_elements():
     # act returns the listed element equal to g * b, so the basis index finds the
     # object it stores; a g outside the group leaves the basis, as g * b does
     h = young_subgroup(YoungPair(4, 2))
-    for group in (symmetric_group(3), h):
+    for group in (young_subgroup(YoungPair(3, 0)), h):
         module = regular_module(group)
         for g in group:
             for b in group:
@@ -212,7 +211,7 @@ def test_regular_module_acts_by_the_groups_own_elements():
                 assert product == g * b
                 assert any(product is element for element in group)
     module = regular_module(h)
-    for g in (g for g in symmetric_group(4) if g not in h):
+    for g in (g for g in young_subgroup(YoungPair(4, 0)) if g not in h):
         assert [module.act(g, b) for b in h] == [g * b for b in h]
         assert module._positions(g) == [None] * len(h)
     with pytest.raises(ValueError, match="different degrees"):
@@ -296,7 +295,7 @@ def test_construction_and_induction_check_read_each_act_value_once(monkeypatch):
 def test_invariant_dimension_rejects_a_group_list_that_is_not_a_group():
     # construction takes only a whole product of symmetric groups on the blocks
     # that the list's point images make, so invariant_dimension never sees another
-    s3 = symmetric_group(3)
+    s3 = young_subgroup(YoungPair(3, 0))
     not_groups = [
         [Permutation.identity(3), Permutation((2, 3, 1))],  # not closed
         s3 + [s3[1]],  # a repeat
@@ -323,7 +322,7 @@ def _point_act(g, b):
 def test_invariant_dimension_rejects_a_fixed_point_sum_that_does_not_divide(monkeypatch):
     # (1 2)(3 4) is the product of the word (1 2)(3 4) of its class, so acting by
     # (1 2) instead passes construction and fails the Burnside side's comparison
-    s4 = symmetric_group(4)
+    s4 = young_subgroup(YoungPair(4, 0))
     wrong, swap = Permutation((2, 1, 4, 3)), Permutation((2, 1, 3, 4))
     module = PermModule(s4, [1, 2, 3, 4], lambda g, b: swap(b) if g == wrong else g(b))
     with pytest.raises(ValueError, match="action is not a homomorphism"):
@@ -344,7 +343,7 @@ def test_invariant_dimension_rejects_an_average_that_differs_from_the_orbit_coun
     table = symgroup.class_table
     monkeypatch.setattr(symgroup, "class_table",
                         lambda blocks: [(t, w, 2 * size) for t, w, size in table(blocks)])
-    module = natural_module(symmetric_group(4), 4)
+    module = natural_module(young_subgroup(YoungPair(4, 0)), 4)
     assert module.orbit_count() == 1
     with pytest.raises(ValueError, match="differs from the orbit count"):
         invariant_dimension(module)
@@ -357,7 +356,7 @@ def test_perm_module_rejects_an_action_that_breaks_a_braid_relation():
     swaps = {s1: {"a": "b", "b": "a"}, s2: {"c": "d", "d": "c"}}
     broken = r"breaks \(Permutation\(2, 1, 3\) Permutation\(1, 3, 2\)\)\^3 = 1"
     with pytest.raises(ValueError, match=broken):
-        PermModule(symmetric_group(3), ["a", "b", "c", "d"],
+        PermModule(young_subgroup(YoungPair(3, 0)), ["a", "b", "c", "d"],
                    lambda g, b: swaps.get(g, {}).get(b, b))
 
 
@@ -375,7 +374,7 @@ def test_relators_checked_on_a_module_present_the_symmetric_group(n):
 
 
 def test_perm_module_validation_rejects_non_action():
-    group = symmetric_group(3)
+    group = young_subgroup(YoungPair(3, 0))
     with pytest.raises(ValueError):
         PermModule(group, [1, 2, 3], lambda g, b: 1)  # identity does not fix 2
 
@@ -390,7 +389,7 @@ def test_perm_module_rejects_induced_action_wrong_on_n_cycle(n, i):
     # induced up to S_n.  Construction reads no n-cycle, but (1 2 ... n) is the
     # product of the word (1 2)(2 3)...(n-1 n) of its class, so the Burnside side
     # calls act on it and compares the value with the table composed along the word.
-    group = symmetric_group(n)
+    group = young_subgroup(YoungPair(n, 0))
     subsets = [frozenset(c) for c in itertools.combinations(range(1, n + 1), i)]
     module = PermModule(group, subsets, _subset_act)
     pair = YoungPair(n, i)
@@ -478,9 +477,9 @@ def test_invariant_dimension_by_classes_on_groups_with_non_involution_generators
     # at construction.  S_4, the symmetric group on that block, is valued by classes.
     cycle = Permutation((2, 3, 4, 1))
     cyclic = [Permutation.identity(4), cycle, cycle * cycle, cycle * cycle * cycle]
-    alternating = [p for p in symmetric_group(4) if (4 - len(cycle_type(p))) % 2 == 0]
+    alternating = [p for p in young_subgroup(YoungPair(4, 0)) if (4 - len(cycle_type(p))) % 2 == 0]
     rng = random.Random(4)
-    for h in (cyclic, alternating, symmetric_group(4)):
+    for h in (cyclic, alternating, young_subgroup(YoungPair(4, 0))):
         makers = [lambda: natural_module(h, 4), lambda: regular_module(h)]
         makers += [lambda: random_orbit_module(h, 4, rng)] * 3
         for make in makers:
@@ -557,7 +556,7 @@ def test_corrupted_generator_is_rejected_or_a_genuine_action():
 
 
 def test_invariant_dimension_examples():
-    s4 = symmetric_group(4)
+    s4 = young_subgroup(YoungPair(4, 0))
     assert invariant_dimension(trivial_module(s4)) == 1
     assert invariant_dimension(natural_module(s4, 4)) == 1
     h = young_subgroup(YoungPair(4, 2))
@@ -586,7 +585,7 @@ def test_induction_check_natural_module_4_2():
 def test_induction_check_rejects_wrong_group():
     for pair, n in ((YoungPair(4, 2), 4), (YoungPair(3, 1), 3)):
         with pytest.raises(ValueError):
-            induction_invariance_check(pair, trivial_module(symmetric_group(n)))
+            induction_invariance_check(pair, trivial_module(young_subgroup(YoungPair(n, 0))))
 
 
 
@@ -670,7 +669,7 @@ def test_invariant_dimension_walks_no_second_closure(monkeypatch):
 
 def test_perm_module_rejects_a_basis_with_a_repeated_point():
     with pytest.raises(ValueError, match="duplicates"):
-        PermModule(symmetric_group(3), [1, 1, 2, 3], lambda g, b: g(b))
+        PermModule(young_subgroup(YoungPair(3, 0)), [1, 1, 2, 3], lambda g, b: g(b))
 
 
 @pytest.mark.parametrize("i, classes", [(0, 11), (3, 3 * 3)])
