@@ -139,7 +139,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             print("error: table q needs --l", file=sys.stderr)
             return 2
         try:
-            # top first: its call caches every row below it, so sigma(1..top) is built once
+            # top first: its call caches every row below it, so b_1..b_top are built once
             values = [q_length(n, args.l) for n in range(top, -1, -1)][::-1]
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -11,9 +11,9 @@ Everything here is exact integer arithmetic.  The quantities interlock:
 n-th symmetric product of a category with an exceptional collection of
 length ``l``; the rewrite engine reproduces it structurally and the series
 module's binomial kernel as a coefficient of ``prod_k (1 - t^k)^(-l)``.
-:func:`q_length` reads that product by Euler's divisor-sum recurrence
-(``series._divisor_sum_rows``, which also values the invariant law), never
-by the kernel, so it stays independent of both.  No code here enumerates a
+:func:`q_length` reads that product from its Adams operations psi^r = l
+(``series._law_rows``, which also values the invariant law), never by the
+kernel, so it stays independent of both.  No code here enumerates a
 composition: the literal composition sum is the test suite's reference.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 
-from .series import _divisor_sum_rows, _divisor_sums
+from .series import _law_rows
 
 
 def partitions_of(n: int) -> list[tuple[int, ...]]:
@@ -31,8 +31,8 @@ def partitions_of(n: int) -> list[tuple[int, ...]]:
     The order starts with ``(n,)`` and ends with ``(1, 1, ..., 1)``, e.g. for
     n=4: (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1).
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
     # Zoghbi and Stojmenovic's ZS1: lower the last part above 1, refill greedily.
     # x[:m + 1] is the partition, x[h] its last part above 1, x[m + 1:] all 1
     x, m, h, result = [n] + [1] * (n - 1), 0, 0, [(n,) if n else ()]
@@ -61,8 +61,8 @@ _P_LOCK = threading.Lock()
 
 def partition_count(n: int) -> int:
     """The partition number ``p(n)``; memoized in a process-wide table."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
     if n < len(_P_TABLE):
         return _P_TABLE[n]
     with _P_LOCK:
@@ -93,9 +93,9 @@ def q_length(n: int, l: int) -> int:
 
     It is the t^n coefficient of ``prod_k (1 - t^k)^(-l)``, read by Euler's
     logarithmic derivative: ``k q(k; l) = l * sum_{j=1..k} sigma(j) q(k-j; l)``
-    (:func:`series._divisor_sum_rows` with b_j = l sigma(j)).  One call extends
-    the cached rows of l to every k <= n, O(n^2) integer steps whatever l; a
-    division by k that leaves a remainder raises InternalInvariantError.
+    (:func:`series._law_rows` with psi(r) = l, so b_j = l sigma(j)).  One call
+    extends the cached rows of l to every k <= n, O(n^2) integer steps whatever
+    l; a division by k that leaves a remainder raises InternalInvariantError.
     """
     if type(n) is not int or type(l) is not int:  # 3.0 would hash as 3 in the cache
         raise ValueError(f"n and l must be integers, got n={n!r}, l={l!r}")
@@ -112,7 +112,7 @@ def q_length(n: int, l: int) -> int:
             break
         q.append(row)
     known = len(q)
-    _divisor_sum_rows(q, [l * s for s in _divisor_sums(n)], n, f"q({{}};{l})")
+    _law_rows(q, lambda r: l, n, f"q({{}};{l})")
     for k in range(known, n + 1):
         _Q_CACHE[k, l] = q[k]
     return q[n]

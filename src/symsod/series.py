@@ -17,11 +17,12 @@ coefficient).  Two routes build them.
   W = 0 and placed as a seed, a_n at z^(2n), so only the b0, b1, b3 and b4
   families are packed; rows pack z^d for d the gcd of the z-exponents (2 when
   b1 = b3 = 0).  Its cost grows with the exponents.
-* Euler's logarithmic derivative, ``_divisor_sum_rows``, reads a z-free
-  product whose t F'/F has divisor-sum coefficients b_k:
-  n f_n = sum_{k=1..n} b_k f_(n-k), exact, O(n) integer steps per row
-  whatever the exponents.  :func:`sym_power_totals` runs it, and so does
-  :func:`partitions.q_length`.
+* Euler's logarithmic derivative, ``_law_rows``, reads a z-free series F of
+  symmetric powers from the Adams operations psi^r of its generator: t F'/F
+  has b_N = sum_{r | N} (N/r) psi^r at t^N, and n f_n = sum_{k=1..n} b_k f_(n-k),
+  O(n) integer steps per row whatever the exponents.  psi^r = l reads q(n; l)
+  (:func:`partitions.q_length`); h+ - h- and h+ + (-1)^(r+1) h- read the Euler
+  numbers and total Hochschild dimensions (:func:`sym_power_totals`).
 
 So the checks against the law (``invariants:goettsche-two-path``) and
 against q(n; l) (``series:eta-euler-product``, ``invariants:phantom-audit``)
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 LaurentPoly = dict[int, int]
 
@@ -187,25 +188,20 @@ def _product(
     return polys
 
 
-def _divisor_sums(n: int) -> list[int]:
-    """``[sigma(1), ..., sigma(n)]``, sigma(j) the sum of the divisors of j."""
-    sigma = list(range(1, n + 1))  # j divides j
-    for d in range(1, n // 2 + 1):
-        for j in range(2 * d, n + 1, d):
-            sigma[j - 1] += d
-    return sigma
-
-
-def _divisor_sum_rows(rows: list[int], b: Sequence[int], top: int, label: str) -> list[int]:
+def _law_rows(rows: list[int], psi: Callable[[int], int], top: int, label: str) -> list[int]:
     """Extend ``rows``, the known prefix f_0..f_m of a series F with f_0 = 1, in
-    place to f_top.
+    place to f_top, from the Adams operations ``psi(r)`` of F's generator.
 
-    ``b[k - 1]`` is b_k, the t^k coefficient of t F'/F; for
-    prod_k (1 - t^k)^(-c) it is the divisor sum c sigma(k).  Euler's
-    logarithmic derivative gives n f_n = sum_{k=1..n} b_k f_(n-k), one row in
-    O(n) integer steps.  A division by n that leaves a remainder raises
+    t F'/F has b_N = sum_{r | N} (N/r) psi(r) at t^N (the lambda-ring law), built
+    once for N <= top with one ``psi`` call per r, and Euler's logarithmic
+    derivative gives n f_n = sum_{k=1..n} b_k f_(n-k), one row in O(n) integer
+    steps.  A division by n that leaves a remainder raises
     InternalInvariantError, its message ``label`` with n in place of ``{}``.
     """
+    b = [psi(r) for r in range(1, top + 1)]  # r = N
+    for r, p in enumerate(b[: top // 2], 1):  # r < N: N = q r, q >= 2
+        for q, at in enumerate(range(2 * r - 1, top, r), 2):
+            b[at] += q * p
     for n in range(len(rows), top + 1):
         f, rest = divmod(sum(map(operator.mul, b, reversed(rows))), n)
         if rest:
@@ -240,20 +236,19 @@ def sym_power_totals(h_plus: int, h_minus: int, trunc: int) -> tuple[tuple[int, 
         sum_n euler(sym^n D) t^n = prod_k (1 - t^k)^(-(h_plus - h_minus))
         sum_n hh(sym^n D) t^n    = prod_k (1 + t^k)^h_minus (1 - t^k)^(-h_plus)
 
-    both by :func:`_divisor_sum_rows`, with b_k = (h_plus - h_minus) sigma(k) and
-    b_k = (h_plus + h_minus) sigma(k) - 2 h_minus sigma(k/2), the last term for
-    even k only: O(trunc^2) integer steps whatever the exponents.  For a
-    surface with Betti vector b, h_plus = b0 + b2 + b4 and h_minus = b1 + b3,
+    both by :func:`_law_rows`, with psi(r) = h_plus - h_minus and
+    h_plus + (-1)^(r+1) h_minus: O(trunc^2) integer steps whatever the exponents.
+    For a surface with Betti vector b, h_plus = b0 + b2 + b4 and h_minus = b1 + b3,
     and these are :func:`gottsche_series` at z = -1 and z = 1; that series,
     built by the binomial kernel, stays the independent check of the law.
     """
-    sigma = _divisor_sums(trunc)
+    if type(h_plus) is not int or type(h_minus) is not int:
+        raise ValueError(f"each of h+ and h- must be an integer, got ({h_plus!r}, {h_minus!r})")
+    _check_trunc(trunc, 0)
     where = f" of sym^{{}} of (h+, h-) = ({h_plus}, {h_minus})"
-    b_euler = [(h_plus - h_minus) * s for s in sigma]
-    b_hh = [(h_plus + h_minus) * s for s in sigma]
-    b_hh[1::2] = [b - 2 * h_minus * s for b, s in zip(b_hh[1::2], sigma)]  # k = 2j: sigma(j)
-    eulers = _divisor_sum_rows([1], b_euler, trunc, "euler" + where)
-    return tuple(zip(eulers, _divisor_sum_rows([1], b_hh, trunc, "hh" + where)))
+    eulers = _law_rows([1], lambda r: h_plus - h_minus, trunc, "euler" + where)
+    hhs = _law_rows([1], lambda r: h_plus + (-1) ** (r + 1) * h_minus, trunc, "hh" + where)
+    return tuple(zip(eulers, hhs))
 
 
 def gottsche_series(b: BettiVector, trunc: int) -> list[LaurentPoly]:
@@ -287,8 +282,9 @@ def macdonald_poincare(g: int, a: int) -> LaurentPoly:
     Coefficient of t^a in Macdonald's generating function
     ``(1 + z t)^(2g) / ((1 - t)(1 - z^2 t))`` (classical; imported).
     """
-    if g < 0 or a < 0:
-        raise ValueError(f"need g >= 0 and a >= 0, got g={g}, a={a}")
+    if type(g) is not int or g < 0:
+        raise ValueError(f"the genus must be an integer >= 0, got {g!r}")
+    _check_trunc(a, 0)
     poly: LaurentPoly = {}
     for k in range(0, min(2 * g, a) + 1):
         c = math.comb(2 * g, k)

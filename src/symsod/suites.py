@@ -578,11 +578,11 @@ def _check_parse_render(_max_n: Optional[int], seed: int) -> tuple[str, int]:
 def run_suites(name: str = "all", max_n: Optional[int] = None, seed: int = 0) -> list[CheckResult]:
     """Run one named suite, or all of them in a fixed order.
 
-    ``max_n`` caps the exhaustive ranges and must be at least 1: a smaller
-    cap would leave checks with no case to examine.
+    ``max_n`` caps the exhaustive ranges and must be an ``int`` (not ``bool``)
+    of at least 1: a smaller cap would leave checks with no case to examine.
     """
-    if max_n is not None and max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    if max_n is not None and (type(max_n) is not int or max_n < 1):
+        raise ValueError(f"max_n must be >= 1, got {max_n!r}")
     if name == "all":
         checks = [check for suite in SUITES.values() for check in suite.values()]
     elif name in SUITES:

@@ -247,24 +247,37 @@ def test_table_q_calls_q_length_once_per_n(monkeypatch, capsys):
 
 
 def test_table_q_builds_the_divisor_sums_once(monkeypatch, capsys):
-    # one recurrence run to top; each row below it is then a cache hit
+    # one recurrence run to top, reading psi once per r; each row below it is
+    # then a cache hit
     monkeypatch.setattr(partitions, "_Q_CACHE", {})
-    built = []
-    divisor_sums = partitions._divisor_sums
+    built, read = [], []
+    law_rows = partitions._law_rows
 
-    def counted(n):
-        built.append(n)
-        return divisor_sums(n)
+    def counted(rows, psi, top, label):
+        built.append(top)
+        return law_rows(rows, lambda r: read.append(r) or psi(r), top, label)
 
-    monkeypatch.setattr(partitions, "_divisor_sums", counted)
+    monkeypatch.setattr(partitions, "_law_rows", counted)
     assert run_cli("table", "q", "--l", "3", "--n", "40", "--format", "json") == 0
     assert json.loads(capsys.readouterr().out)["values"] == euler_product_power(3, 40)
     assert built == [40]
+    assert read == list(range(1, 41))
+
+
+def _psi_2_off_by_one(module, monkeypatch):
+    """Patch ``module._law_rows`` so that psi(2) reads one more than it is."""
+    law_rows = module._law_rows
+
+    def corrupted(rows, psi, top, label):
+        return law_rows(rows, lambda r: psi(r) + (r == 2), top, label)
+
+    monkeypatch.setattr(module, "_law_rows", corrupted)
 
 
 def test_table_q_exits_3_when_the_recurrence_leaves_a_remainder(monkeypatch, capsys):
+    # psi(2) reads 2: b_2 = 2 psi(1) + psi(2) = 4, and 2 q(2; 1) = 1 + 4 is odd
     monkeypatch.setattr(partitions, "_Q_CACHE", {})
-    monkeypatch.setattr(partitions, "_divisor_sums", lambda n: [1, 4, 4][:n])
+    _psi_2_off_by_one(partitions, monkeypatch)
     assert run_cli("table", "q", "--l", "1", "--n", "2") == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -272,14 +285,9 @@ def test_table_q_exits_3_when_the_recurrence_leaves_a_remainder(monkeypatch, cap
 
 
 def test_invariants_exit_3_when_the_law_leaves_a_remainder(monkeypatch, capsys):
-    # sigma(2) reads 4; the preset P2 is sod(pt, pt, pt) and never reaches the
+    # psi(2) reads 4; the preset P2 is sod(pt, pt, pt) and never reaches the
     # law, so the surface literal with P2's Betti numbers stands in for it
-    real = series._divisor_sums
-
-    def corrupted(n):
-        return [s + (k == 2) for k, s in enumerate(real(n), 1)]
-
-    monkeypatch.setattr(series, "_divisor_sums", corrupted)
+    _psi_2_off_by_one(series, monkeypatch)
     symsod.invariants._hilb_poincare_value.cache_clear()
     assert run_cli("invariants", "hilb(3, surface(1,0,1,0,1))") == 3
     captured = capsys.readouterr()
@@ -366,6 +374,14 @@ def test_verify_rejects_max_n_below_1(capsys, suite, max_n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "max_n must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("max_n", [2.5, True])
+def test_run_suites_refuses_a_cap_that_is_not_an_integer_of_at_least_1(monkeypatch, max_n):
+    # 2.5 failed two checks with a TypeError; True ran as 1 and printed "n <= True"
+    monkeypatch.setattr(suites, "SUITES", {"boom": {"check": lambda *args: 1 / 0}})
+    with pytest.raises(ValueError, match="max_n must be >= 1"):
+        suites.run_suites(max_n=max_n)
 
 
 def test_verify_fails_a_check_that_examines_no_case(capsys):

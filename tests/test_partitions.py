@@ -112,15 +112,14 @@ def test_q_length_ignores_call_order_and_cache_contents(monkeypatch):
 
 
 def test_q_length_raises_when_a_division_leaves_a_remainder(monkeypatch):
-    real = partitions._divisor_sums
+    law_rows = partitions._law_rows
 
-    def sigma_2_off_by_one(n):
-        sigma = real(n)
-        sigma[1] += 1  # sigma(2) = 4: 2 q(2; 1) = 1 + 4 is odd
-        return sigma
+    def psi_2_off_by_one(rows, psi, top, label):
+        # psi(2) = 2: b_2 = 2 psi(1) + psi(2) = 4, and 2 q(2; 1) = 1 + 4 is odd
+        return law_rows(rows, lambda r: psi(r) + (r == 2), top, label)
 
     monkeypatch.setattr(partitions, "_Q_CACHE", {})
-    monkeypatch.setattr(partitions, "_divisor_sums", sigma_2_off_by_one)
+    monkeypatch.setattr(partitions, "_law_rows", psi_2_off_by_one)
     with pytest.raises(InternalInvariantError, match=r"q\(2;1\)"):
         q_length(2, 1)
 
@@ -135,6 +134,23 @@ def test_q_length_refuses_non_integers_before_touching_the_cache(monkeypatch, n,
     assert all(
         type(x) is int for key, value in partitions._Q_CACHE.items() for x in (*key, value)
     )
+
+
+@pytest.mark.parametrize(
+    "route, n",
+    [
+        (partition_count, 5.0),
+        (partition_count, True),
+        (partition_count, -1),
+        (partitions_of, 3.0),
+        (partitions_of, False),
+        (multiplicity_vectors, 2.0),
+    ],
+)
+def test_partition_routes_refuse_non_integers_and_negatives(route, n):
+    # 5.0 and 3.0 leaked a TypeError from deep inside; True counted as p(1) = 1
+    with pytest.raises(ValueError, match="must be an integer >= 0"):
+        route(n)
 
 
 def test_multiplicity_vectors_weight_2():

@@ -53,6 +53,15 @@ def test_betti_vector_refuses_non_integers_and_negatives(b):
         pytest.param(gottsche_series, (BettiVector(1, 0, 1, 0, 1), 0), id="gottsche-order-0"),
         pytest.param(gottsche_series, (BettiVector(1, 0, 1, 0, 1), 2.0), id="gottsche-float-order"),
         pytest.param(gottsche_series, (BettiVector(1, 0, 1, 0, 1), True), id="gottsche-bool-order"),
+        pytest.param(sym_power_totals, (3.0, 0, 2), id="totals-float-h-plus"),
+        pytest.param(sym_power_totals, (3, True, 2), id="totals-bool-h-minus"),
+        pytest.param(sym_power_totals, (3, 0, -1), id="totals-order-minus-1"),
+        pytest.param(sym_power_totals, (3, 0, 2.0), id="totals-float-order"),
+        pytest.param(macdonald_poincare, (1.5, 2), id="macdonald-float-genus"),
+        pytest.param(macdonald_poincare, (True, 2), id="macdonald-bool-genus"),
+        pytest.param(macdonald_poincare, (-1, 2), id="macdonald-genus-minus-1"),
+        pytest.param(macdonald_poincare, (1, -1), id="macdonald-power-minus-1"),
+        pytest.param(macdonald_poincare, (1, 2.0), id="macdonald-float-power"),
     ],
 )
 def test_series_entry_points_refuse_non_integer_or_short_orders(route, args):
@@ -265,15 +274,16 @@ def test_invariant_law_equals_the_kernel_route():
 
 
 def test_invariant_law_raises_when_a_division_leaves_a_remainder(monkeypatch):
-    # sigma(2) reads 4: at (h+, h-) = (3, 0), 2 euler(sym^2) = 3 * 3 + 3 * 4 is odd
+    # psi(2) reads 4: at (h+, h-) = (3, 0), b_2 = 2 * 3 + 4 and
+    # 2 euler(sym^2) = 3 * 3 + 10 is odd
     assert sym_power_totals(3, 0, 2) == ((1, 1), (3, 3), (9, 9))
-    real = series._divisor_sums
+    law_rows = series._law_rows
 
-    def corrupted(n):
-        return [s + (k == 2) for k, s in enumerate(real(n), 1)]
+    def corrupted(rows, psi, top, label):
+        return law_rows(rows, lambda r: psi(r) + (r == 2), top, label)
 
-    monkeypatch.setattr(series, "_divisor_sums", corrupted)
-    assert sym_power_totals(3, 0, 1) == ((1, 1), (3, 3))  # no row reads sigma(2)
+    monkeypatch.setattr(series, "_law_rows", corrupted)
+    assert sym_power_totals(3, 0, 1) == ((1, 1), (3, 3))  # no row reads psi(2)
     with pytest.raises(InternalInvariantError, match=r"^euler of sym\^2 of \(h\+, h-\) = \(3, 0\)"):
         sym_power_totals(3, 0, 2)
 
