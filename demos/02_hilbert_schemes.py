@@ -32,7 +32,7 @@ print()
 print("=== the projective plane ===")
 print("n, total Betti of Hilb^n(P2), q(n;3):")
 for n, poincare in enumerate(gottsche_series(BettiVector(1, 0, 1, 0, 1), 6)):
-    print(f"  {n}: {sum(poincare.values()):6d}  {q_length(n, 3):6d}")
+    print(f"  {n}: {sum(poincare):6d}  {q_length(n, 3):6d}")
 
 print()
 print("=== ruled surfaces ===")

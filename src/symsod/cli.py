@@ -44,7 +44,7 @@ from .grammar import ParseError, parse_expr, render_text, uses_hilb_sugar
 from .invariants import InvariantReport, invariant_report
 from .partitions import q_length
 from .rewrite import expand
-from .series import BettiVector, gottsche_series, poly_eval, poly_str
+from .series import BettiVector, gottsche_series, poly_eval, poly_strs
 from .suites import SUITES, run_suites
 
 _MCKAY_NOTE = (
@@ -159,17 +159,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    polys = gottsche_series(betti, max(top, 1))
-    rows = []
-    for n, poly in enumerate(polys[: top + 1]):
-        rows.append(
-            {
-                "n": n,
-                "poincare": poly_str(poly),
-                "total_betti": poly_eval(poly, 1),
-                "euler": poly_eval(poly, -1),
-            }
-        )
+    polys = gottsche_series(betti, max(top, 1))[: top + 1]
+    rows = [
+        {"n": n, "poincare": text, "total_betti": poly_eval(poly, 1), "euler": poly_eval(poly, -1)}
+        for n, (poly, text) in enumerate(zip(polys, poly_strs(polys)))
+    ]
     if args.format == "json":
         print(
             json.dumps(

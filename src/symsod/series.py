@@ -3,8 +3,8 @@
 The package's analytic oracles are products of binomial factors
 ``(1 + s z^a q^m)^e``, truncated at q^trunc.  Each is returned as its rows
 0..trunc: a z-free product as a list of integers, a bivariate one as a list
-of Laurent polynomials in z (``{z_exponent: int}`` dicts holding no zero
-coefficient).  Two routes build them.
+of dense rows, ``row[e]`` the coefficient of z^e (zeros included, so row n of
+Goettsche's series has 4n + 1 entries).  Two routes build them.
 
 * The binomial kernel, ``_rows``, applies one factor at a time, in place, to
   packed rows: row n is a single integer, its z^e coefficient the signed
@@ -12,7 +12,8 @@ coefficient).  Two routes build them.
   one big-integer shift-and-add.  :func:`euler_product_power` runs it at
   W = 0, one plain integer per row;
   Goettsche's series packs, through ``_product``, which takes W from a
-  z-free majorant of the product and decodes each row in one linear pass.
+  z-free majorant of the product and decodes each row with one ``memoryview``
+  cast (or, for digits over 8 bytes, one slice a digit).
   In u = z^2 q its b2 family is the z-free ``prod (1 - u^m)^(-b2)``, built at
   W = 0 and placed as a seed, a_n at z^(2n), so only the b0, b1, b3 and b4
   families are packed; rows pack z^d for d the gcd of the z-exponents (2 when
@@ -45,37 +46,38 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-LaurentPoly = dict[int, int]
+_CASTS = {1: "b", 2: "h", 4: "i", 8: "q"}  # memoryview formats by item size
 
 
-def poly_eval(poly: LaurentPoly, z: int) -> int:
-    """Evaluate a Laurent polynomial at z = 1 or z = -1.
+def poly_eval(row: list[int], z: int) -> int:
+    """Evaluate a dense row (``row[e]`` the z^e coefficient) at z = 1 or z = -1.
 
     At z = 1 it is the coefficient sum, and at z = -1 that sum less twice the
     odd-exponent coefficients: no powers are taken.
     """
     if z not in (1, -1):
         raise ValueError(f"poly_eval takes z = 1 or z = -1, got {z}")
-    total = sum(poly.values())
-    return total if z == 1 else total - 2 * sum(c for e, c in poly.items() if e & 1)
+    total = sum(row)
+    return total if z == 1 else total - 2 * sum(row[1::2])
 
 
-def poly_str(poly: LaurentPoly) -> str:
-    """Render a Laurent polynomial as e.g. ``1 + 2*z^2 + z^4``."""
-    if not poly:
-        return "0"
-    pieces = []
-    for e in sorted(poly):
-        c = poly[e]
-        if e == 0:
-            pieces.append(str(c))
-        else:
-            var = "z" if e == 1 else f"z^{e}"
-            pieces.append(var if c == 1 else f"{c}*{var}")
-    return " + ".join(pieces)
+def poly_strs(rows: list[list[int]]) -> list[str]:
+    """Render dense rows, each as e.g. ``1 + z^2 + 3*z^4`` (``0`` if it is zero).
+
+    The names z, z^2, ... are built once per call, for the longest row.
+    """
+    names = ["", "z"] + [f"z^{e}" for e in range(2, max(map(len, rows), default=0))]
+    texts = []
+    for row in rows:
+        pieces = [name if c == 1 else f"{c}*{name}" for c, name in zip(row, names) if c]
+        if row and row[0]:
+            pieces[0] = str(row[0])  # z^0 has no name
+        texts.append(" + ".join(pieces) or "0")
+    return texts
 
 
 @dataclass(frozen=True)
@@ -142,23 +144,26 @@ def _product(
     z_slope: int,
     factors: Iterable[tuple[int, ...]],
     seed: tuple[int, list[int]] | None = None,
-) -> list[LaurentPoly]:
+) -> list[list[int]]:
     """The product of ``(1 + s z^a q^m)^e`` over ``(a, m, s, e)``, s = +-1, times
     ``sum_n f_n z^(k n) q^n`` for ``seed = (k, [f_0, ..., f_trunc])`` (by
-    default 1).
+    default 1), as dense rows: row n is the list of the z^0..z^(z_slope n)
+    coefficients of q^n (so a <= z_slope m and k <= z_slope), zeros included.
 
-    Row n holds the z^0..z^(z_slope n) coefficients of q^n (so a <= z_slope m
-    and k <= z_slope) as one integer built by :func:`_rows`.  Every exponent is
-    a multiple of the z-step d, the gcd of k and the factors' a, so the row
+    Row n is built by :func:`_rows` as one integer.  Every exponent is a
+    multiple of the z-step d, the gcd of k and the factors' a, so the row
     packs z^d, not z: ``sum_e c_(d e) 2^(W e)``, from the seed rows
     ``f_n 2^(W k n / d)``; factors with e = 0 are dropped.  The sum of |c| over
     row n is at most the q^n coefficient of the z-free majorant
     ``sum_n |f_n| q^n prod_m (1 - q^m)^(-E_m)``, E_m the sum of |e| over the
     factors at m, which :func:`_rows` computes at shift 0 from a copy of the
     seed; W is its largest bit length plus 2, in whole bytes, so every digit
-    lies in (-2^(W-1), 2^(W-1)).  A row decodes in one linear pass: adding
-    2^(W-1) to each digit makes them all non-negative, so one ``int.to_bytes``
-    call lays them out W/8 bytes apiece; zero coefficients are dropped.
+    lies in (-2^(W-1), 2^(W-1)).  A W of at most 8 bytes is rounded up to 1,
+    2, 4 or 8.  Adding 2^(W-1) to each digit and flipping that bit again,
+    ``(row + B) ^ B``, leaves each digit in two's complement, so one
+    ``int.to_bytes`` lays the row out W/8 bytes a digit; one ``memoryview``
+    cast reads them all, or, for W over 8 bytes, one signed slice a digit.
+    A z-step d > 1 spreads them to every d-th entry.
     """
     factors = [f for f in factors if f[3]]
     k, seed_rows = seed or (0, [1] + [0] * trunc)
@@ -169,22 +174,30 @@ def _product(
     majorant = [abs(f) for f in seed_rows]
     _rows(trunc, [(0, m, -1, -w) for m, w in enumerate(weights) if w], 0, majorant)
     size = (max(majorant).bit_length() + 9) // 8  # W / 8
-    half = 1 << (8 * size - 1)
-    digit_bias = bytes(size - 1) + b"\x80"  # 2^(W-1), little-endian
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * (z_slope * trunc // step + 1), "little")
     shift = k // step * 8 * size
     rows = [f << shift * n for n, f in enumerate(seed_rows)]
     _rows(trunc, [(a // step, m, s, e) for a, m, s, e in factors], 8 * size, rows)
-    from_bytes = int.from_bytes
-    polys = []
+    cast, order, polys = _CASTS.get(size), sys.byteorder, []
     for n, row in enumerate(rows):
-        digits = z_slope * n // step + 1
-        biased = row + from_bytes(digit_bias * digits, "little")
-        raw = biased.to_bytes(digits * size, "little")
-        polys.append({
-            step * e: c
-            for e, at in enumerate(range(0, digits * size, size))
-            if (c := from_bytes(raw[at : at + size], "little") - half)
-        })
+        length = z_slope * n // step * size + size
+        raw = ((row + bias) ^ bias).to_bytes(length, order)
+        if cast:
+            digits = memoryview(raw).cast(cast).tolist()
+        else:
+            digits = [
+                int.from_bytes(raw[at : at + size], order, signed=True)
+                for at in range(0, length, size)
+            ]
+        if order == "big":
+            digits.reverse()
+        if step > 1:
+            dense = [0] * (z_slope * n + 1)
+            dense[::step] = digits
+            digits = dense
+        polys.append(digits)
     return polys
 
 
@@ -251,7 +264,7 @@ def sym_power_totals(h_plus: int, h_minus: int, trunc: int) -> tuple[tuple[int, 
     return tuple(zip(eulers, hhs))
 
 
-def gottsche_series(b: BettiVector, trunc: int) -> list[LaurentPoly]:
+def gottsche_series(b: BettiVector, trunc: int) -> list[list[int]]:
     """Goettsche's Betti-number generating function for Hilbert schemes.
 
     sum_n P(Hilb^n S, z) q^n =
@@ -276,8 +289,9 @@ def gottsche_series(b: BettiVector, trunc: int) -> list[LaurentPoly]:
     return _product(trunc, 4, factors, (2, euler_product_power(b.b2, trunc)))
 
 
-def macdonald_poincare(g: int, a: int) -> LaurentPoly:
-    """Poincare polynomial of Sym^a(C) for a curve C of genus g.
+def macdonald_poincare(g: int, a: int) -> list[int]:
+    """Poincare polynomial of Sym^a(C) for a curve C of genus g, as the dense
+    row of its z^0..z^(2a) coefficients.
 
     Coefficient of t^a in Macdonald's generating function
     ``(1 + z t)^(2g) / ((1 - t)(1 - z^2 t))`` (classical; imported).
@@ -285,10 +299,9 @@ def macdonald_poincare(g: int, a: int) -> LaurentPoly:
     if type(g) is not int or g < 0:
         raise ValueError(f"the genus must be an integer >= 0, got {g!r}")
     _check_trunc(a, 0)
-    poly: LaurentPoly = {}
+    row = [0] * (2 * a + 1)
     for k in range(0, min(2 * g, a) + 1):
         c = math.comb(2 * g, k)
-        for j in range(0, a - k + 1):
-            e = k + 2 * j
-            poly[e] = poly.get(e, 0) + c
-    return {e: c for e, c in poly.items() if c != 0}
+        for e in range(k, 2 * a - k + 1, 2):
+            row[e] += c
+    return row

@@ -418,6 +418,41 @@ def test_verify_reports_a_check_that_raises(monkeypatch, capsys):
     assert captured.err == ""
 
 
+def _moved_row_1(row):
+    # one unit of z^2 moves to z^1: the total Betti number stays, the Euler number drops
+    return [row[0], row[1] + 1, row[2] - 1, *row[3:]]
+
+
+def _padded_row_1(row):
+    # two zeros at each end: still a palindrome with the same values at z = +-1, but 9 long
+    return [0, 0, *row, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "corrupt, failing",
+    [
+        (_moved_row_1, ["gottsche-euler", "gottsche-palindromic"]),
+        (_padded_row_1, ["gottsche-palindromic"]),
+    ],
+)
+def test_verify_catches_a_moved_goettsche_coefficient(monkeypatch, capsys, corrupt, failing):
+    real = suites.gottsche_series
+
+    def corrupted(b, top):
+        rows = real(b, top)
+        return [rows[0], corrupt(rows[1]), *rows[2:]]
+
+    monkeypatch.setattr(suites, "gottsche_series", corrupted)
+    assert run_cli("verify", "--suite", "series") == 1
+    out = capsys.readouterr().out
+    for name in failing:
+        assert f"[FAIL] series:{name} -- " in out
+    assert "for betti (1, 0, 1, 0, 1)" in out
+    assert f"passed {3 - len(failing)}/3 checks" in out
+    results = {r.name: r.ok for r in suites.run_suites("series")}
+    assert [name for name, ok in results.items() if not ok] == failing
+
+
 def test_frobenius_battery_fails_when_it_compares_nothing():
     result = frobenius_battery(max_n=0, seed=0)
     assert not result.ok

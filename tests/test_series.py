@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -14,7 +15,7 @@ from symsod.series import (
     gottsche_series,
     macdonald_poincare,
     poly_eval,
-    poly_str,
+    poly_strs,
     sym_power_totals,
 )
 
@@ -75,34 +76,63 @@ def test_euler_product_power_to_order_zero_is_the_unit():
 
 def test_gottsche_low_coefficients():
     rows = gottsche_series(BettiVector(1, 0, 1, 0, 1), 4)
-    assert len(rows) == 5 and rows[0] == {0: 1}
-    assert rows[1] == {0: 1, 2: 1, 4: 1}  # Hilb^1 = the surface
-    # a zero Betti number leaves no zero coefficient in the row
-    assert gottsche_series(BettiVector(1, 2, 0, 2, 1), 1)[1] == {0: 1, 1: 2, 3: 2, 4: 1}
+    assert len(rows) == 5 and rows[0] == [1]
+    assert rows[1] == [1, 0, 1, 0, 1]  # Hilb^1 = the surface
+    assert [len(row) for row in rows] == [1, 5, 9, 13, 17]  # z^0..z^(4n), zeros kept
+    assert gottsche_series(BettiVector(1, 2, 0, 2, 1), 1)[1] == [1, 2, 0, 2, 1]
 
 
 def test_macdonald_trivial_and_known():
-    assert macdonald_poincare(3, 0) == {0: 1}
-    assert macdonald_poincare(1, 1) == {0: 1, 1: 2, 2: 1}
-    assert macdonald_poincare(0, 3) == {0: 1, 2: 1, 4: 1, 6: 1}  # Sym^3 P^1 = P^3
+    assert macdonald_poincare(3, 0) == [1]
+    assert macdonald_poincare(1, 1) == [1, 2, 1]
+    assert macdonald_poincare(0, 3) == [1, 0, 1, 0, 1, 0, 1]  # Sym^3 P^1 = P^3
+    # 2a + 1 entries whatever the genus: z^(2a) is the top class
+    assert all(len(macdonald_poincare(g, a)) == 2 * a + 1 for g in range(5) for a in range(7))
 
 
 def test_poly_helpers():
-    assert poly_str({}) == "0"
-    assert poly_str({0: 1, 2: 1, 4: 3}) == "1 + z^2 + 3*z^4"
-    assert poly_eval({0: 2, 1: 3}, -1) == -1
+    assert poly_strs([]) == []
+    assert poly_strs([[], [0, 0], [1, 0, 1, 0, 3]]) == ["0", "0", "1 + z^2 + 3*z^4"]
+    assert poly_strs([[5, -1, 0, 2], [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]]) == [
+        "5 + -1*z + 2*z^3",
+        "z + z^11",
+    ]
+    assert poly_eval([2, 3], -1) == -1
+
+
+def _poly_str(row):
+    """The rendering of one dense row, term by term."""
+    terms = [
+        str(c) if e == 0 else f"{'' if c == 1 else f'{c}*'}{'z' if e == 1 else f'z^{e}'}"
+        for e, c in enumerate(row)
+        if c
+    ]
+    return " + ".join(terms) or "0"
+
+
+def test_poly_strs_renders_each_row_as_alone():
+    # the names are built once for the longest row; every row reads as if
+    # rendered by itself
+    rng = random.Random(2)
+    for _ in range(100):
+        rows = [
+            [rng.choice((0, 0, 1, -1, rng.randint(-99, 99))) for _ in range(rng.randint(0, 14))]
+            for _ in range(rng.randint(0, 6))
+        ]
+        assert poly_strs(rows) == [_poly_str(row) for row in rows], rows
+        assert [poly_strs([row])[0] for row in rows] == [_poly_str(row) for row in rows]
 
 
 def test_poly_eval_at_plus_minus_one_is_the_power_sum():
-    # z = +-1 take the parity-sum path; negative exponents included
+    # z = +-1 take the parity-sum path
     rng = random.Random(0)
     for _ in range(200):
-        poly = {rng.randint(-9, 9): rng.randint(-50, 50) for _ in range(rng.randint(0, 8))}
+        row = [rng.randint(-50, 50) for _ in range(rng.randint(0, 12))]
         for z in (1, -1):
-            assert poly_eval(poly, z) == sum(c * z**e for e, c in poly.items())
+            assert poly_eval(row, z) == sum(c * z**e for e, c in enumerate(row))
     for z in (2, 0, -2):
         with pytest.raises(ValueError, match="z = 1 or z = -1"):
-            poly_eval({0: 1, 2: 5}, z)
+            poly_eval([1, 0, 5], z)
 
 
 def test_gottsche_k3_hilbert_square_anchor():
@@ -111,7 +141,7 @@ def test_gottsche_k3_hilbert_square_anchor():
     poly = gottsche_series(BettiVector(1, 0, 22, 0, 1), 2)[2]
     assert poly_eval(poly, 1) == 324
     assert poly_eval(poly, -1) == 324
-    assert poly[0] == 1 and poly[2] == 23 and poly[4] == 276
+    assert poly == [1, 0, 23, 0, 276, 0, 23, 0, 1]
 
 
 def test_macdonald_euler_generating_identity():
@@ -147,6 +177,12 @@ def _factor(trunc, z_exp, q_exp, coefficient):
     return rows
 
 
+def _dense(rows, z_slope):
+    """Dict rows as dense rows: row n lists its z^0..z^(z_slope n) coefficients."""
+    assert all(0 <= e <= z_slope * n for n, row in enumerate(rows) for e in row)
+    return [[row.get(e, 0) for e in range(z_slope * n + 1)] for n, row in enumerate(rows)]
+
+
 def _product_by_mul(trunc, factors):
     """The product of (1 + sign z^a q^m)^power over (a, m, sign, power), by _mul."""
     result = [{0: 1}] + [{} for _ in range(trunc)]
@@ -173,7 +209,7 @@ def test_product_kernel_equals_the_generic_product():
                 for m in range(1, trunc + 1)
                 for a, sign, betti in zip(range(2 * m - 2, 2 * m + 3), (-1, 1, -1, 1, -1), b)
             ]
-            expected = _product_by_mul(trunc, factors)
+            expected = _dense(_product_by_mul(trunc, factors), 4)
             assert gottsche_series(BettiVector(*b), trunc) == expected, (b, trunc)
     for c in range(-4, 9):
         for trunc in range(1, 13):
@@ -200,8 +236,8 @@ def test_packed_kernel_decodes_signed_and_wide_coefficients():
             )
         ]
         product = _product(trunc, z_slope, factors)
-        assert product == _product_by_mul(trunc, factors), (trunc, z_slope, factors)
-        signed += any(c < 0 for poly in product for c in poly.values())
+        assert product == _dense(_product_by_mul(trunc, factors), z_slope), (trunc, factors)
+        signed += any(c < 0 for row in product for c in row)
     assert signed >= 20
     # every z-exponent a multiple of step, so rows pack z^step; every other list
     # is seeded with signed rows f_n at z^(k n), k a multiple of step too
@@ -225,10 +261,72 @@ def test_packed_kernel_decodes_signed_and_wide_coefficients():
                 seed = (k, [1] + [rng.randint(-largest, largest) for _ in range(trunc)])
                 expected = _mul(expected, [{k * n: f} if f else {} for n, f in enumerate(seed[1])])
             product = _product(trunc, z_slope, factors, seed)
-            assert product == expected, (trunc, z_slope, factors, seed)
-            assert all(e % step == 0 for poly in product for e in poly)
-            signed += any(c < 0 for poly in product for c in poly.values())
+            assert product == _dense(expected, z_slope), (trunc, z_slope, factors, seed)
+            assert not any(c for row in product for e, c in enumerate(row) if e % step)
+            signed += any(c < 0 for row in product for c in row)
         assert signed >= 10, step
+
+
+def test_packed_rows_decode_by_cast_and_by_slice(monkeypatch):
+    # digits of 1, 2, 4 or 8 bytes are read by one memoryview cast, wider ones
+    # by one signed slice each; both against the generic product, with signed
+    # digits, seeded rows and z-steps 1-3, and row n always z_slope n + 1 long
+    widths = []
+    real = series._rows
+
+    def spy(trunc, factors, width, rows=None):
+        widths.append(width)
+        return real(trunc, factors, width, rows)
+
+    monkeypatch.setattr(series, "_rows", spy)
+    rng = random.Random(3)
+    signed = {}
+    for largest, top in ((1, 3), (3, 6), (40, 8), (10**5, 8), (10**12, 8), (10**30, 6)):
+        for step in (1, 2, 3):
+            for case in range(8):
+                trunc = rng.randint(1, top)
+                z_slope = step * rng.randint(1, 2)
+                factors = [
+                    (step * rng.randint(0, z_slope * m // step), m, rng.choice((-1, 1)), e)
+                    for m, e in (
+                        (rng.randint(1, trunc), rng.choice((-1, 1)) * rng.randint(1, largest))
+                        for _ in range(rng.randint(1, 3))
+                    )
+                ]
+                expected = _product_by_mul(trunc, factors)
+                seed = None
+                if case % 2:
+                    k = step * rng.randint(0, z_slope // step)
+                    seed = (k, [1] + [rng.randint(-largest, largest) for _ in range(trunc)])
+                    expected = _mul(expected, [{k * n: f} if f else {} for n, f in enumerate(seed[1])])
+                widths.clear()
+                product = _product(trunc, z_slope, factors, seed)
+                assert product == _dense(expected, z_slope), (trunc, z_slope, factors, seed)
+                assert [len(row) for row in product] == [z_slope * n + 1 for n in range(trunc + 1)]
+                [width] = widths[1:]  # the majorant runs first, at width 0
+                negative = any(c < 0 for row in product for c in row)
+                signed[width] = signed.get(width, 0) + negative
+    cast = {8 * size for size in series._CASTS}
+    assert cast == {8, 16, 32, 64}
+    assert {width for width in signed if width <= 64} == cast  # no 3-, 5-, 6- or 7-byte digit
+    assert any(width > 64 for width in signed)
+    assert all(signed[width] >= 2 for width in signed if width in cast), signed
+    assert sum(signed[width] for width in signed if width > 64) >= 2, signed
+
+
+def test_cast_formats_have_the_item_sizes_they_are_keyed_by():
+    # the formats are native: pin their sizes on this host
+    for size, fmt in series._CASTS.items():
+        assert memoryview(bytes(8)).cast(fmt).itemsize == size, fmt
+
+
+def test_wide_digits_decode_in_either_byte_order(monkeypatch):
+    # the slice branch reads whatever order the row was laid out in; on a
+    # big-endian host the digits come out last first and are turned round
+    b = BettiVector(1, 2, 10**6, 2, 1)
+    expected = gottsche_series(b, 5)
+    monkeypatch.setattr(sys, "byteorder", "big")
+    assert gottsche_series(b, 5) == expected
 
 
 def test_gottsche_packs_only_the_b0_b1_b3_b4_families(monkeypatch):
