@@ -3,6 +3,10 @@
 The package expands symmetric powers of expression trees over category
 atoms into fully atomic components, and cross-checks the expansions against
 exact combinatorial, generating-function, and character-theoretic oracles.
+
+Its records are immutable slotted classes (``symsod._record.Record``).  The
+verification suites load on first use: ``symsod.run_suites`` and
+``symsod verify`` import ``symsod.suites`` only when they run.
 """
 
 from .expr import (
@@ -59,7 +63,6 @@ from .symgroup import (
     young_coset_reps,
     young_subgroup,
 )
-from .suites import run_suites
 
 __version__ = "0.1.0"
 
@@ -75,3 +78,12 @@ __all__ = [
     "phantom_audit", "q_length", "render_text", "run_suites", "surface_literal",
     "young_coset_reps", "young_subgroup",
 ]
+
+
+def __getattr__(name: str):
+    """``run_suites``, importing ``symsod.suites`` on first use (PEP 562)."""
+    if name == "run_suites":
+        from .suites import run_suites
+
+        return run_suites
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,9 +27,9 @@ and the parser in ``symsod.grammar`` reads nothing else about them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
+from ._record import Record, _set
 from .series import BettiVector
 
 
@@ -37,28 +37,30 @@ class InternalInvariantError(AssertionError):
     """A structural invariant of the engine failed; maps to CLI exit 3."""
 
 
-class _Rendered:
+class _Rendered(Record):
     """Base of the expression classes: ``str(e)`` is ``render_text(e)``."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return render_text(self)
 
 
-@dataclass(frozen=True)
 class Point(_Rendered):
     """The point: one exceptional object, and the unit of the bullet product."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Curve(_Rendered):
-    genus: int
+    __slots__ = ("genus",)
 
-    def __post_init__(self) -> None:
-        if type(self.genus) is not int or self.genus < 0:
-            raise ValueError(f"genus must be an integer >= 0, got {self.genus!r}")
+    def __init__(self, genus: int) -> None:
+        if type(genus) is not int or genus < 0:
+            raise ValueError(f"genus must be an integer >= 0, got {genus!r}")
+        _set(self, "genus", genus)
 
 
-@dataclass(frozen=True)
 class SymCurve(_Rendered):
     """Fully expanded curve power: the a-th symmetric power of a genus-g curve.
 
@@ -67,16 +69,16 @@ class SymCurve(_Rendered):
     invariants are evaluated through Macdonald's series instead.
     """
 
-    genus: int
-    degree: int
+    __slots__ = ("genus", "degree")
 
-    def __post_init__(self) -> None:
-        g, a = self.genus, self.degree
+    def __init__(self, genus: int, degree: int) -> None:
+        g, a = genus, degree
         if type(g) is not int or type(a) is not int or g < 0 or a < 0:
             raise ValueError(f"need integers genus >= 0 and degree >= 0, got {g!r} and {a!r}")
+        _set(self, "genus", g)
+        _set(self, "degree", a)
 
 
-@dataclass(frozen=True)
 class Surface(_Rendered):
     """A surface atom with known Betti numbers.
 
@@ -84,74 +86,74 @@ class Surface(_Rendered):
     literal so that the canonical text stays inside the grammar.
     """
 
-    name: str
-    betti: BettiVector
+    __slots__ = ("name", "betti")
 
 
-@dataclass(frozen=True)
 class Phantom(_Rendered):
     """An admissible piece with vanishing total Hochschild homology."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Opaque(_Rendered):
     """A named category we know nothing about beyond optionally declared invariants.
 
     Declared values must be some category's: hh >= |euler|, of the same parity.
     """
 
-    name: str
-    euler: Optional[int] = None
-    hh: Optional[int] = None
+    __slots__ = ("name", "euler", "hh")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, euler: Optional[int] = None, hh: Optional[int] = None) -> None:
+        if not name:
             raise ValueError("opaque atom needs a non-empty name")
-        e, h = self.euler, self.hh
+        e, h = euler, hh
         if h is not None and (h < abs(e or 0) or (e is not None and (h - e) % 2)):
-            raise ValueError(f"opaque atom {self.name}: no category has euler={e} and hh={h}")
+            raise ValueError(f"opaque atom {name}: no category has euler={e} and hh={h}")
+        _set(self, "name", name)
+        _set(self, "euler", euler)
+        _set(self, "hh", hh)
 
 
-@dataclass(frozen=True)
 class SymPower(_Rendered):
     """An unexpanded symmetric power kept as an opaque leaf, arity attached."""
 
-    arity: int
-    base: "CatExpr"
+    __slots__ = ("arity", "base")
 
-    def __post_init__(self) -> None:
-        if type(self.arity) is not int:
-            raise ValueError(f"sym-power arity must be an integer, got {self.arity!r}")
-        if self.arity < 2:
+    def __init__(self, arity: int, base: "CatExpr") -> None:
+        if type(arity) is not int:
+            raise ValueError(f"sym-power arity must be an integer, got {arity!r}")
+        if arity < 2:
             raise ValueError("sym powers of arity < 2 should have been simplified away")
+        _set(self, "arity", arity)
+        _set(self, "base", base)
 
 
-@dataclass(frozen=True)
 class Sod(_Rendered):
-    parts: tuple["CatExpr", ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __init__(self, parts: tuple["CatExpr", ...]) -> None:
+        if not parts:
             raise ValueError("SOD must have at least one component")
+        _set(self, "parts", parts)
 
 
-@dataclass(frozen=True)
 class Bullet(_Rendered):
-    factors: tuple["CatExpr", ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        if not self.factors:
+    def __init__(self, factors: tuple["CatExpr", ...]) -> None:
+        if not factors:
             raise ValueError("bullet product must have at least one factor")
+        _set(self, "factors", factors)
 
 
-@dataclass(frozen=True)
 class Sym(_Rendered):
-    arity: int
-    inner: "CatExpr"
+    __slots__ = ("arity", "inner")
 
-    def __post_init__(self) -> None:
-        if type(self.arity) is not int or self.arity < 0:
-            raise ValueError(f"sym arity must be an integer >= 0, got {self.arity!r}")
+    def __init__(self, arity: int, inner: "CatExpr") -> None:
+        if type(arity) is not int or arity < 0:
+            raise ValueError(f"sym arity must be an integer >= 0, got {arity!r}")
+        _set(self, "arity", arity)
+        _set(self, "inner", inner)
 
 
 Atom = Union[Point, Curve, SymCurve, Surface, Phantom, Opaque, SymPower]
@@ -271,15 +273,17 @@ def render_text(e: CatExpr) -> str:
 # Fully expanded components
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """A product of atoms, stored as a sorted tuple (a canonical multiset).
 
     Point factors are the unit of the product: they are dropped when other
     atoms are present, and a pure-point product collapses to a single point.
     """
 
-    factors: tuple[Atom, ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[Atom, ...]) -> None:
+        _set(self, "factors", factors)
 
     @classmethod
     def of(cls, atoms: Iterable[Atom]) -> "Component":
@@ -299,8 +303,7 @@ class Component:
         return " * ".join(str(a) for a in self.factors)
 
 
-@dataclass(frozen=True)
-class ComponentList:
+class ComponentList(Record, derived=("counts",)):
     """An expansion: its distinct components, and its ordered entries pointing at them.
 
     ``distinct`` holds each component once, in first-seen order; ``pairs`` are
@@ -313,13 +316,13 @@ class ComponentList:
     (component, multiplicity).
     """
 
-    distinct: tuple[Component, ...] = ()
-    pairs: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("distinct", "pairs", "counts")
 
-    def __post_init__(self) -> None:
-        distinct = self.distinct
+    def __init__(
+        self, distinct: tuple[Component, ...] = (), pairs: tuple[tuple[int, int], ...] = ()
+    ) -> None:
         counts = [0] * len(distinct)
-        for index, mult in self.pairs:
+        for index, mult in pairs:
             if not 0 <= index < len(distinct):
                 raise InternalInvariantError(f"entry index {index} outside 0..{len(counts) - 1}")
             if mult < 1:
@@ -330,7 +333,9 @@ class ComponentList:
             raise InternalInvariantError(f"no entry uses {distinct[counts.index(0)]}")
         if len({comp.factors for comp in distinct}) < len(distinct):
             raise InternalInvariantError("a distinct component repeats")
-        object.__setattr__(self, "counts", tuple(counts))
+        _set(self, "distinct", distinct)
+        _set(self, "pairs", pairs)
+        _set(self, "counts", tuple(counts))
 
     def total_multiplicity(self) -> int:
         return sum(self.counts)

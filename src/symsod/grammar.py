@@ -32,7 +32,6 @@ canonical expression built from the grammar.  ``render_text`` lives in
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .expr import CONSTRUCTORS, EXPRS, NAT, CatExpr, Opaque, canonicalize, make_preset, render_text
 
@@ -45,12 +44,8 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "nat" | "punct" | "end"
-    text: str
-    pos: int
-
+# A token is a plain (kind, text, pos) tuple; kind is "ident", "nat", "punct" or "end".
+_Token = tuple[str, str, int]
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<nat>\d+)|(?P<punct>[(),]))")
 
@@ -67,9 +62,9 @@ def _tokenize(text: str) -> list[_Token]:
             bad_pos = len(text) - len(stripped)
             raise ParseError(f"unexpected character {stripped[0]!r}", bad_pos)
         kind = m.lastgroup  # the one named group that matched
-        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -93,37 +88,36 @@ class _Parser:
         self.index += 1
         return tok
 
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.advance()
-        if tok.kind != "punct" or tok.text != ch:
-            raise ParseError(f"expected {ch!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return tok
+    def expect_punct(self, ch: str) -> int:
+        """Read the punctuation ``ch`` and return its position."""
+        kind, text, pos = self.advance()
+        if kind != "punct" or text != ch:
+            raise ParseError(f"expected {ch!r}, found {text or 'end of input'!r}", pos)
+        return pos
 
     def expect_nat(self) -> int:
-        tok = self.advance()
-        if tok.kind != "nat":
+        kind, text, pos = self.advance()
+        if kind != "nat":
             raise ParseError(
-                f"expected a non-negative integer, found {tok.text or 'end of input'!r}", tok.pos
+                f"expected a non-negative integer, found {text or 'end of input'!r}", pos
             )
-        return int(tok.text)
+        return int(text)
 
     def parse_expr(self) -> CatExpr:
         if self.nesting > MAX_NESTING:
-            raise ParseError(
-                f"more than {MAX_NESTING} nested constructor calls", self.peek().pos
-            )
+            raise ParseError(f"more than {MAX_NESTING} nested constructor calls", self.peek()[2])
         self.nesting += 1
         expr = self._parse_one()
         self.nesting -= 1
         return expr
 
     def _parse_one(self) -> CatExpr:
-        tok = self.advance()
-        if tok.kind != "ident":
-            raise ParseError(f"expected an expression, found {tok.text or 'end of input'!r}", tok.pos)
-        if tok.text not in CONSTRUCTORS:
-            return Opaque(tok.text)
-        kinds, _ = CONSTRUCTORS[tok.text]
+        kind, name, pos = self.advance()
+        if kind != "ident":
+            raise ParseError(f"expected an expression, found {name or 'end of input'!r}", pos)
+        if name not in CONSTRUCTORS:
+            return Opaque(name)
+        kinds, _ = CONSTRUCTORS[name]
         args: list = []
         if kinds:
             self.expect_punct("(")
@@ -131,28 +125,28 @@ class _Parser:
                 if i:
                     self.expect_punct(",")
                 args.append(self.expect_nat() if kind == NAT else self.parse_expr())
-            while kinds == (EXPRS,) and self.peek().text == ",":
+            while kinds == (EXPRS,) and self.peek()[1] == ",":
                 self.advance()
                 args.append(self.parse_expr())
             closing = self.expect_punct(")")
             if kinds == (EXPRS,) and len(args) < 2:
-                raise ParseError(f"expected at least 2 arguments, got {len(args)}", closing.pos)
+                raise ParseError(f"expected at least 2 arguments, got {len(args)}", closing)
         try:
-            return make_preset(tok.text, *args)
+            return make_preset(name, *args)
         except ValueError as exc:
-            raise ParseError(str(exc), tok.pos) from exc
+            raise ParseError(str(exc), pos) from exc
 
 
 def parse_expr(text: str) -> CatExpr:
     """Parse an expression and return it in canonical form."""
     parser = _Parser(text)
     expr = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.pos)
+    kind, tail, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {tail!r}", pos)
     return canonicalize(expr)
 
 
 def uses_hilb_sugar(text: str) -> bool:
     """Whether the source text invoked the Hilbert-scheme sugar anywhere."""
-    return any(t.kind == "ident" and t.text == "hilb" for t in _tokenize(text))
+    return any(kind == "ident" and name == "hilb" for kind, name, _ in _tokenize(text))

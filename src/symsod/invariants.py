@@ -37,10 +37,10 @@ not determine its grading in general, and nothing here needs it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
+from ._record import Record
 from .expr import (
     Atom,
     CatExpr,
@@ -139,24 +139,27 @@ def hh_total_dim(e: CatExpr) -> Optional[int]:
     return invariant_report(e).hh_total
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     """Invariants of an expression, its expansion, and the (euler, hh_total) of
     each of the expansion's distinct components, aligned with ``distinct``."""
 
-    euler: Optional[int]
-    hh_total: Optional[int]
-    exceptional_length: Optional[int]
-    expansion: ComponentList
-    values: tuple[_Values, ...]
+    __slots__ = ("euler", "hh_total", "exceptional_length", "expansion", "values")
 
-    def __post_init__(self) -> None:
-        if self.exceptional_length is not None:
-            if self.exceptional_length != self.euler or self.exceptional_length != self.hh_total:
+    def __init__(
+        self,
+        euler: Optional[int],
+        hh_total: Optional[int],
+        exceptional_length: Optional[int],
+        expansion: ComponentList,
+        values: tuple[_Values, ...],
+    ) -> None:
+        if exceptional_length is not None:
+            if exceptional_length != euler or exceptional_length != hh_total:
                 raise InternalInvariantError(
                     "exceptional length must match euler and hh totals: "
-                    f"{self.exceptional_length} vs {self.euler} vs {self.hh_total}"
+                    f"{exceptional_length} vs {euler} vs {hh_total}"
                 )
+        Record.__init__(self, euler, hh_total, exceptional_length, expansion, values)
 
     def to_json_dict(self) -> dict:
         return {
@@ -182,19 +185,15 @@ def invariant_report(e: CatExpr) -> InvariantReport:
     )
 
 
-@dataclass(frozen=True)
-class PhantomAuditRow:
-    n: int
-    hilb_total_betti: int
-    q_value: int
+class PhantomAuditRow(Record):
+    __slots__ = ("n", "hilb_total_betti", "q_value")
 
     @property
     def equal(self) -> bool:
         return self.hilb_total_betti == self.q_value
 
 
-@dataclass(frozen=True)
-class PhantomAuditReport:
+class PhantomAuditReport(Record):
     """Outcome of the quasi-phantom counting audit for one surface family.
 
     For the surface with Betti numbers (1, 0, l, 0, 1) and decomposition
@@ -205,9 +204,7 @@ class PhantomAuditReport:
     sym^i(phantom) piece (i >= 1) to vanish: the pieces are phantoms too.
     """
 
-    l: int
-    n_max: int
-    rows: tuple[PhantomAuditRow, ...]
+    __slots__ = ("l", "n_max", "rows")
 
     @property
     def all_equal(self) -> bool:
@@ -226,11 +223,6 @@ def phantom_audit(l: int, n_max: int) -> PhantomAuditReport:
     betti = fake_plane_betti(l)
     polys = gottsche_series(betti, n_max)
     rows = tuple(
-        PhantomAuditRow(
-            n=n,
-            hilb_total_betti=poly_eval(polys[n], 1),
-            q_value=q_length(n, l + 2),
-        )
-        for n in range(1, n_max + 1)
+        PhantomAuditRow(n, poly_eval(polys[n], 1), q_length(n, l + 2)) for n in range(1, n_max + 1)
     )
-    return PhantomAuditReport(l=l, n_max=n_max, rows=rows)
+    return PhantomAuditReport(l, n_max, rows)

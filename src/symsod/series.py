@@ -12,8 +12,9 @@ Goettsche's series has 4n + 1 entries).  Two routes build them.
   one big-integer shift-and-add.  :func:`euler_product_power` runs it at
   W = 0, one plain integer per row;
   Goettsche's series packs, through ``_product``, which takes W from a
-  z-free majorant of the product and decodes each row with one ``memoryview``
-  cast (or, for digits over 8 bytes, one slice a digit).
+  z-free majorant of the product (``_majorant``, by Euler's logarithmic
+  derivative below) and decodes each row with one ``memoryview`` cast (or,
+  for digits over 8 bytes, one slice a digit).
   In u = z^2 q its b2 family is the z-free ``prod (1 - u^m)^(-b2)``, built at
   W = 0 and placed as a seed, a_n at z^(2n), so only the b0, b1, b3 and b4
   families are packed; rows pack z^d for d the gcd of the z-exponents (2 when
@@ -47,8 +48,9 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable
+
+from ._record import Record
 
 _CASTS = {1: "b", 2: "h", 4: "i", 8: "q"}  # memoryview formats by item size
 
@@ -80,23 +82,18 @@ def poly_strs(rows: list[list[int]]) -> list[str]:
     return texts
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class BettiVector(Record):
     """Betti numbers (b0, b1, b2, b3, b4) of a surface; always Poincare-dual."""
 
-    b0: int
-    b1: int
-    b2: int
-    b3: int
-    b4: int
+    __slots__ = ("b0", "b1", "b2", "b3", "b4")
 
-    def __post_init__(self) -> None:
-        if not all(type(b) is int and b >= 0 for b in self.as_tuple()):
-            raise ValueError(f"Betti numbers must be integers >= 0: {self.as_tuple()!r}")
-        if self.b0 != self.b4 or self.b1 != self.b3:
-            raise ValueError(
-                f"Betti vector {self.as_tuple()} is not Poincare-dual (b0=b4, b1=b3 required)"
-            )
+    def __init__(self, b0: int, b1: int, b2: int, b3: int, b4: int) -> None:
+        betti = (b0, b1, b2, b3, b4)
+        if not all(type(b) is int and b >= 0 for b in betti):
+            raise ValueError(f"Betti numbers must be integers >= 0: {betti!r}")
+        if b0 != b4 or b1 != b3:
+            raise ValueError(f"Betti vector {betti} is not Poincare-dual (b0=b4, b1=b3 required)")
+        Record.__init__(self, *betti)
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.b0, self.b1, self.b2, self.b3, self.b4)
@@ -156,24 +153,18 @@ def _product(
     ``f_n 2^(W k n / d)``; factors with e = 0 are dropped.  The sum of |c| over
     row n is at most the q^n coefficient of the z-free majorant
     ``sum_n |f_n| q^n prod_m (1 - q^m)^(-E_m)``, E_m the sum of |e| over the
-    factors at m, which :func:`_rows` computes at shift 0 from a copy of the
-    seed; W is its largest bit length plus 2, in whole bytes, so every digit
-    lies in (-2^(W-1), 2^(W-1)).  A W of at most 8 bytes is rounded up to 1,
-    2, 4 or 8.  Adding 2^(W-1) to each digit and flipping that bit again,
-    ``(row + B) ^ B``, leaves each digit in two's complement, so one
-    ``int.to_bytes`` lays the row out W/8 bytes a digit; one ``memoryview``
-    cast reads them all, or, for W over 8 bytes, one signed slice a digit.
-    A z-step d > 1 spreads them to every d-th entry.
+    factors at m (:func:`_majorant`); W is its largest bit length plus 2, in
+    whole bytes, so every digit lies in (-2^(W-1), 2^(W-1)).  A W of at most
+    8 bytes is rounded up to 1, 2, 4 or 8.  Adding 2^(W-1) to each digit and
+    flipping that bit again, ``(row + B) ^ B``, leaves each digit in two's
+    complement, so one ``int.to_bytes`` lays the row out W/8 bytes a digit;
+    one ``memoryview`` cast reads them all, or, for W over 8 bytes, one signed
+    slice a digit.  A z-step d > 1 spreads them to every d-th entry.
     """
     factors = [f for f in factors if f[3]]
     k, seed_rows = seed or (0, [1] + [0] * trunc)
     step = math.gcd(k, *(f[0] for f in factors)) or 1
-    weights = [0] * (trunc + 1)
-    for _, m, _, e in factors:
-        weights[m] += abs(e)
-    majorant = [abs(f) for f in seed_rows]
-    _rows(trunc, [(0, m, -1, -w) for m, w in enumerate(weights) if w], 0, majorant)
-    size = (max(majorant).bit_length() + 9) // 8  # W / 8
+    size = (max(_majorant(trunc, factors, seed_rows)).bit_length() + 9) // 8  # W / 8
     if size <= 8:
         size = 1 << (size - 1).bit_length()
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * (z_slope * trunc // step + 1), "little")
@@ -199,6 +190,24 @@ def _product(
             digits = dense
         polys.append(digits)
     return polys
+
+
+def _majorant(trunc: int, factors: list[tuple[int, ...]], seed_rows: list[int]) -> list[int]:
+    """Rows 0..trunc of ``sum_n |f_n| q^n prod_m (1 - q^m)^(-E_m)``, E_m the sum
+    of |e| over the factors ``(a, m, s, e)`` at m, by Euler's logarithmic
+    derivative: b_N = sum_{m | N} m E_m, n a_n = sum_{k=1..n} b_k a_(n-k), then
+    the convolution of a with the |f_n|.  It only sizes the digits of
+    :func:`_product`, so the kernel stays the independent side of every check.
+    """
+    b = [0] * trunc  # b[N - 1] is b_N
+    for _, m, _, e in factors:
+        for at in range(m - 1, trunc, m):
+            b[at] += m * abs(e)
+    a = [1]
+    for n in range(1, trunc + 1):
+        a.append(sum(map(operator.mul, b, reversed(a))) // n)
+    seed = [abs(f) for f in seed_rows]
+    return [sum(map(operator.mul, seed, reversed(a[: n + 1]))) for n in range(trunc + 1)]
 
 
 def _law_rows(rows: list[int], psi: Callable[[int], int], top: int, label: str) -> list[int]:

@@ -19,10 +19,10 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import grammar, invariants, rewrite, symgroup
+from ._record import Record
 from .expr import (
     Bullet,
     CatExpr,
@@ -54,14 +54,10 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one check."""
 
-    suite: str
-    name: str
-    ok: bool
-    detail: str
+    __slots__ = ("suite", "name", "ok", "detail")
 
 
 Check = Callable[[Optional[int], int], CheckResult]

@@ -72,16 +72,15 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
+from ._record import Record, _set
 from .partitions import partitions_of
 
 
-# object's own allocator and setter, bound once: Permutation refuses attribute
-# assignment, so its constructors fill its slot through them
+# object's own allocator, bound once: Permutation refuses attribute assignment,
+# so its constructors fill its slot through it and ``_set``
 _new = object.__new__
-_set = object.__setattr__
 
 
 class Permutation:
@@ -204,22 +203,20 @@ def cycle_type(p: Permutation) -> tuple[int, ...]:
     return tuple(sorted(map(len, cycles), reverse=True))
 
 
-@dataclass(frozen=True)
-class YoungPair:
+class YoungPair(Record):
     """The block embedding S_{n-i} x S_i inside S_n.
 
     The first factor permutes {1, ..., n-i}, the second {n-i+1, ..., n}.
     """
 
-    n: int
-    i: int
+    __slots__ = ("n", "i")
 
-    def __post_init__(self) -> None:
-        n, i = self.n, self.i
+    def __init__(self, n: int, i: int) -> None:
         if type(n) is not int or type(i) is not int:
             raise ValueError(f"need integers n and i, got n={n!r}, i={i!r}")
         if not (0 <= i <= n):
             raise ValueError(f"need 0 <= i <= n, got n={n}, i={i}")
+        Record.__init__(self, n, i)
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -509,15 +506,12 @@ def invariant_dimension(m: PermModule) -> int:
     return dim
 
 
-@dataclass(frozen=True)
-class InductionReport:
+class InductionReport(Record):
     """Outcome of the induced-invariants vs. subgroup-invariants comparison."""
 
-    ok: bool
-    pair: YoungPair
-    induced_invariant_dim: int
-    subgroup_invariant_dim: int
-    induced_basis_size: int
+    __slots__ = (
+        "ok", "pair", "induced_invariant_dim", "subgroup_invariant_dim", "induced_basis_size"
+    )
 
     def __bool__(self) -> bool:
         return self.ok
@@ -565,9 +559,5 @@ def induction_invariance_check(y: YoungPair, m: PermModule) -> InductionReport:
     induced_dim = len(_orbits(range(len(reps) * size), tables, list.__getitem__))
     subgroup_dim = invariant_dimension(m)
     return InductionReport(
-        ok=induced_dim == subgroup_dim,
-        pair=y,
-        induced_invariant_dim=induced_dim,
-        subgroup_invariant_dim=subgroup_dim,
-        induced_basis_size=len(reps) * size,
+        induced_dim == subgroup_dim, y, induced_dim, subgroup_dim, len(reps) * size
     )

@@ -460,7 +460,9 @@ def test_frobenius_battery_fails_when_it_compares_nothing():
 
 
 def test_verify_unknown_suite(capsys):
-    assert run_cli("verify", "--suite", "bogus") == 2
+    assert run_cli("verify", "--suite", "nope") == 2
+    err = capsys.readouterr().err
+    assert "unknown suite 'nope'" in err and all(name in err for name in suites.SUITES)
 
 
 def test_verify_json(capsys):

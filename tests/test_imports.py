@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -41,3 +44,26 @@ def test_every_imported_name_is_read(module):
 def test_the_check_sees_an_unread_import():
     tree = ast.parse("import itertools\nimport math\nfrom .x import y as z\nmath.pi\n")
     assert _unread_imports(tree) == [("itertools", 1), ("z", 3)]
+
+
+_PROBE = """
+import sys
+import symsod.cli
+symsod.cli.build_parser()
+print(sorted(m for m in ("dataclasses", "symsod.suites", "symsod.symgroup") if m in sys.modules))
+from symsod import run_suites
+print(all(result.ok for result in run_suites("combinatorics", max_n=3)))
+sys.exit(symsod.cli.main(["verify", "--suite", "combinatorics", "--max-n", "3"]))
+"""
+
+
+def test_the_cli_imports_no_dataclasses_and_loads_the_suites_only_for_verify():
+    # a fresh interpreter: building the parser leaves dataclasses and the suites
+    # unloaded, and the S_n layer loaded; run_suites and verify still load them
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE], capture_output=True, text=True, env=env, timeout=120
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["['symsod.symgroup']", "True"], proc.stderr
+    assert proc.returncode == 0 and lines[-1] == "passed 3/3 checks", proc.stdout

@@ -303,7 +303,7 @@ def test_packed_rows_decode_by_cast_and_by_slice(monkeypatch):
                 product = _product(trunc, z_slope, factors, seed)
                 assert product == _dense(expected, z_slope), (trunc, z_slope, factors, seed)
                 assert [len(row) for row in product] == [z_slope * n + 1 for n in range(trunc + 1)]
-                [width] = widths[1:]  # the majorant runs first, at width 0
+                [width] = widths  # one kernel pass: the majorant does not run it
                 negative = any(c < 0 for row in product for c in row)
                 signed[width] = signed.get(width, 0) + negative
     cast = {8 * size for size in series._CASTS}
@@ -312,6 +312,24 @@ def test_packed_rows_decode_by_cast_and_by_slice(monkeypatch):
     assert any(width > 64 for width in signed)
     assert all(signed[width] >= 2 for width in signed if width in cast), signed
     assert sum(signed[width] for width in signed if width > 64) >= 2, signed
+
+
+def test_majorant_equals_the_kernel_at_width_0():
+    # the log-derivative majorant against the binomial kernel at W = 0 on the
+    # same z-free product: several factors share an m, with weights of mixed
+    # size and sign (|e| counts), and the seeds are signed (|f_n| counts)
+    rng = random.Random(5)
+    for case in range(80):
+        trunc = rng.randint(0, 20)
+        largest = 10**6 if case % 5 == 0 else 6
+        factors = [
+            (rng.randint(0, 4 * m), m, rng.choice((-1, 1)), rng.randint(-largest, largest))
+            for m in (rng.randint(1, max(1, trunc // 3)) for _ in range(rng.randint(0, 8)))
+        ]
+        seed = [rng.randint(-largest, largest) for _ in range(trunc + 1)]
+        expected = [abs(f) for f in seed]
+        _rows(trunc, [(0, m, -1, -abs(e)) for _, m, _, e in factors], 0, expected)
+        assert series._majorant(trunc, factors, seed) == expected, (trunc, factors, seed)
 
 
 def test_cast_formats_have_the_item_sizes_they_are_keyed_by():
