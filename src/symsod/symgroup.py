@@ -16,7 +16,8 @@ deliberately different algorithms.
 What is validated, and where:
 
 - ``Permutation(images)`` stores ``tuple(images)`` and checks that it is a
-  permutation, and calling it checks that its argument lies in 1..n.
+  permutation of ``int`` images, and calling it checks that its argument
+  is an ``int`` in 1..n (a float or bool would pass as the int it equals).
   Products and inverses of permutations skip the first check (a product of
   two permutations of equal degree always is one); the degree check stays.
   :func:`young_subgroup` skips it too: its elements are the
@@ -59,11 +60,12 @@ What is validated, and where:
 Inside the hot loops permutations are plain image tuples; ``Permutation``
 objects appear only where user code sees them: group lists, the arguments
 of ``act`` callables, and the basis of :func:`regular_module`.  That
-module's ``act`` composes image tuples and returns the group's own listed
-element, so the basis index finds the very object it stores: no
-``Permutation`` is built and no ``__eq__`` runs per call.  The natural
+module's ``act`` applies one ``operator.itemgetter`` per listed b to the
+images of g and returns the listed element g * b, so the basis index finds
+the very object it stores.  Tables and image tuples compose by ``map`` over
+``__getitem__``: the per-element loops run in C builtins.  The natural
 module's ``act`` is ``Permutation.__call__`` itself.  One walk, ``_orbit``,
-finds every orbit here: module orbits and cycles.
+finds every orbit here, by subscript: module orbits and cycles.
 """
 
 from __future__ import annotations
@@ -99,9 +101,11 @@ class Permutation:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+        images = self.images
+        n = len(images)
+        # a float or bool image would sort and compare like the int it equals
+        if set(map(type, images)) - {int} or sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images}")
 
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
@@ -138,9 +142,9 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, k: int) -> int:
-        if 1 <= k <= len(self.images):
+        if type(k) is int and 1 <= k <= len(self.images):
             return self.images[k - 1]
-        raise ValueError(f"{k} is not a point of 1..{len(self.images)}")
+        raise ValueError(f"{k!r} is not a point of 1..{len(self.images)}")
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition (self * other)(k) = self(other(k))."""
@@ -148,7 +152,7 @@ class Permutation:
         if len(a) != len(b):
             raise ValueError("cannot compose permutations of different degrees")
         p = _new(Permutation)
-        _set(p, "images", tuple([a[j - 1] for j in b]))
+        _set(p, "images", _compose(a, b))
         return p
 
     def inverse(self) -> "Permutation":
@@ -160,7 +164,7 @@ class Permutation:
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """One-line images of a * b, for image tuples of equal degree."""
-    return tuple([a[j - 1] for j in b])
+    return tuple(map(((0,) + a).__getitem__, b))
 
 
 def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -170,28 +174,27 @@ def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _orbit(start: Any, gens: Sequence[Any], act: Callable[[Any, Any], Any]) -> set:
-    """The orbit of ``start`` under the group that ``gens`` generate: every point reached."""
+def _orbit(start: int, tables: Sequence[Sequence[int]]) -> set[int]:
+    """The orbit of ``start`` under the group that ``tables`` generate: every point reached.
+    A table sends x to ``table[x]``, a plain subscript with no call per step."""
     orbit = {start}
     frontier = [start]
     for x in frontier:
-        for g in gens:
-            y = act(g, x)
+        for table in tables:
+            y = table[x]
             if y not in orbit:
                 orbit.add(y)
                 frontier.append(y)
     return orbit
 
 
-def _orbits(
-    points: Iterable[Any], gens: Sequence[Any], act: Callable[[Any, Any], Any]
-) -> list[set]:
+def _orbits(points: Iterable[int], tables: Sequence[Sequence[int]]) -> list[set[int]]:
     """Each orbit that meets ``points``, in the order of ``points``."""
     seen: set = set()
     orbits = []
     for x in points:
         if x not in seen:
-            orbit = _orbit(x, gens, act)
+            orbit = _orbit(x, tables)
             seen |= orbit
             orbits.append(orbit)
     return orbits
@@ -199,7 +202,7 @@ def _orbits(
 
 def cycle_type(p: Permutation) -> tuple[int, ...]:
     """The cycle lengths of ``p``, weakly decreasing: a partition of its degree."""
-    cycles = _orbits(range(1, p.degree + 1), [p], Permutation.__call__)
+    cycles = _orbits(range(1, p.degree + 1), [(0,) + p.images])
     return tuple(sorted(map(len, cycles), reverse=True))
 
 
@@ -229,13 +232,19 @@ class YoungPair(Record):
 def young_subgroup(y: YoungPair) -> list[Permutation]:
     """All elements of S_{n-i} x S_i as permutations of {1..n}, in lexicographic order.
 
-    Built with ``Permutation._unchecked``: each is a permutation of the first
-    block followed by one of the second.
+    Filled through ``_new`` and ``_set``, as ``Permutation._unchecked`` is, with
+    no Python call per element: each is a permutation of the first block
+    followed by one of the second.
     """
     n, i = y.n, y.i
-    first = list(itertools.permutations(range(1, n - i + 1)))
     second = list(itertools.permutations(range(n - i + 1, n + 1)))
-    return [Permutation._unchecked(a + b) for a in first for b in second]
+    group = []
+    for a in itertools.permutations(range(1, n - i + 1)):
+        for b in second:
+            p = _new(Permutation)
+            _set(p, "images", a + b)
+            group.append(p)
+    return group
 
 
 def young_coset_reps(y: YoungPair) -> list[Permutation]:
@@ -264,9 +273,9 @@ def _blocks(group: Sequence[Permutation]) -> tuple[tuple[int, ...], ...]:
     then all of prod Sym(B).  The blocks are returned sorted, each as its
     sorted points.
     """
-    n = group[0].degree
-    images = [g.images for g in group]
-    if any(len(x) != n for x in images):
+    images = list(map(operator.attrgetter("images"), group))
+    n = len(images[0])
+    if set(map(len, images)) != {n}:
         raise ValueError("group elements have mixed degrees")
     columns = [frozenset(column) for column in zip(*images)]
     blocks = sorted({tuple(sorted(column)) for column in columns})
@@ -310,10 +319,10 @@ def _check_relations(gens: Sequence[tuple[int, ...]], tables: Sequence[list[int]
         return
     identity = list(range(len(tables[0])))
     for j, k, m in _coxeter_matrix(gens):
-        product = [tables[j][x] for x in tables[k]]
+        product = list(map(tables[j].__getitem__, tables[k]))
         power = product
         for _ in range(m - 1):
-            power = [product[x] for x in power]
+            power = list(map(product.__getitem__, power))
         if power != identity:
             relation = f"{Permutation(gens[j])!r}^2" if j == k else (
                 f"({Permutation(gens[j])!r} {Permutation(gens[k])!r})^{m}")
@@ -419,7 +428,7 @@ class PermModule:
         table = self._tables[identity]
         for letter in word:
             images = _compose(images, letter)
-            table = [table[x] for x in self._tables[letter]]
+            table = list(map(table.__getitem__, self._tables[letter]))
         if len(word) > 1:
             table = self._checked(Permutation._unchecked(images), table)
         return sum(map(operator.eq, table, range(len(table))))
@@ -427,7 +436,7 @@ class PermModule:
     def orbit_count(self) -> int:
         """Number of orbits of the group on the basis, walked on the generators' tables."""
         tables = [self._tables[g.images] for g in self.generators]
-        return len(_orbits(range(len(self.basis)), tables, list.__getitem__))
+        return len(_orbits(range(len(self.basis)), tables))
 
 
 def trivial_module(group: Sequence[Permutation]) -> PermModule:
@@ -443,14 +452,20 @@ def regular_module(group: Sequence[Permutation]) -> PermModule:
 
     ``act`` returns the listed element whose images are those of g * b, so
     the basis index finds the very object it stores, with no ``Permutation``
-    built and no ``__eq__`` call; a product outside the list (g not in the
-    group, or of another degree) is ``g * b`` itself.
+    built and no ``__eq__`` call; a product outside the list (g or b not in
+    the group, or of another degree) is ``g * b`` itself.
     """
     own = {h.images: h for h in group}.get
+    # right multiplication by each listed h on image tuples: (g * h).images is
+    # right(h.images)(g.images); below degree 2 h is the identity, and a getter
+    # of one index would return a scalar
+    right = {h.images: operator.itemgetter(*[j - 1 for j in h.images])
+             if len(h.images) > 1 else tuple for h in group}.get
 
     def act(g: Permutation, b: Permutation) -> Permutation:
         a, images = g.images, b.images
-        return len(a) == len(images) and own(tuple([a[j - 1] for j in images])) or g * b
+        take = len(a) == len(images) and right(images)
+        return take and own(take(a)) or g * b
 
     return PermModule(group, list(group), act)
 
@@ -535,28 +550,27 @@ def induction_invariance_check(y: YoungPair, m: PermModule) -> InductionReport:
     n, size = y.n, len(m.basis)
     reps = [r.images for r in young_coset_reps(y)]
     rep_inverses = [_inverse(r) for r in reps]
-    top = range(n - y.i + 1, n + 1)
-    rep_index = {frozenset(r[t - 1] for t in top): j for j, r in enumerate(reps)}
+    head = n - y.i  # a coset is read off the images of the tail block, positions head + 1..n
+    rep_index = {frozenset(r[head:]): j for j, r in enumerate(reps)}
     gens = _adjacent_transpositions([range(1, n + 1)])
     tables = []
     for s in gens:
         table = []
         for r in reps:
             x = _compose(s, r)  # s * g_k = g_j * h
-            j = rep_index[frozenset(x[t - 1] for t in top)]
+            j = rep_index[frozenset(x[head:])]
             h = _compose(rep_inverses[j], x)
             h_table = m._tables.get(h)
             if h_table is None:
                 raise ValueError(f"s * g_k = g_j * h with h = {Permutation(h)!r}, "
                                  "which is neither 1 nor a generator of the subgroup")
-            offset = j * size
-            table += [offset + b for b in h_table]
+            table += map((j * size).__add__, h_table)
         tables.append(table)
     if len(reps) > 1:
         # with one coset (i = 0 or i = n) the induced tables are m's generator
         # tables, which construction checked against these very relations
         _check_relations(gens, tables)
-    induced_dim = len(_orbits(range(len(reps) * size), tables, list.__getitem__))
+    induced_dim = len(_orbits(range(len(reps) * size), tables))
     subgroup_dim = invariant_dimension(m)
     return InductionReport(
         induced_dim == subgroup_dim, y, induced_dim, subgroup_dim, len(reps) * size

@@ -91,7 +91,9 @@ def test_permutation_is_immutable():
 
 
 def test_permutation_validates_checked_construction_and_products():
-    for images in ((1, 1), (0, 1), (1, 3), (2, 2, 1)):
+    # a float or bool image equals an int one, so it must be refused by type
+    for images in ((1, 1), (0, 1), (1, 3), (2, 2, 1), (1.0, 2.0), [1.0, 2.0], (True, 2),
+                   (2, True), (1, 2.0, 3)):
         with pytest.raises(ValueError, match="not a permutation"):
             Permutation(images)
     for p, q in ((Permutation((2, 1)), Permutation((1, 3, 2))),
@@ -117,7 +119,7 @@ def test_young_subgroup_lists_the_validated_permutations_in_lex_order():
 
 def test_permutation_rejects_points_outside_its_degree():
     p = Permutation((2, 3, 1))
-    for k in (0, -1, 4):
+    for k in (0, -1, 4, 1.0, 2.5, True, False, "1", None):
         with pytest.raises(ValueError, match="not a point"):
             p(k)
     with pytest.raises(ValueError, match="not a point"):
@@ -149,12 +151,16 @@ def _word_element(word, n):
 
 
 def test_orbit_is_the_set_of_points_reached():
-    # the 2-subsets of {1..5} under (1 2) and (1 2 3 4 5) form one orbit, and the
-    # cycles of (1 2)(4 5) are walked from their first points in order
+    # the 2-subsets of {1..5} under (1 2) and (1 2 3 4 5) form one orbit, walked on
+    # the tables of their action on the subsets' positions, and the cycles of
+    # (1 2)(4 5) are walked from their first points in order
     swap, cycle = Permutation((2, 1, 3, 4, 5)), Permutation((2, 3, 4, 5, 1))
-    orbit = symgroup._orbit(frozenset({1, 2}), [swap, cycle], _subset_act)
-    assert orbit == {frozenset(c) for c in itertools.combinations(range(1, 6), 2)}
-    cycles = symgroup._orbits(range(1, 6), [Permutation((2, 1, 3, 5, 4))], Permutation.__call__)
+    subsets = [frozenset(c) for c in itertools.combinations(range(1, 6), 2)]
+    tables = [[subsets.index(_subset_act(g, c)) for c in subsets] for g in (swap, cycle)]
+    assert symgroup._orbit(subsets.index(frozenset({1, 2})), tables) == set(range(10))
+    assert symgroup._orbit(0, [[0, 2, 1, 3]]) == {0}
+    assert symgroup._orbit(1, [[0, 2, 1, 3], [0, 1, 3, 2]]) == {1, 2, 3}
+    cycles = symgroup._orbits(range(1, 6), [(0, 2, 1, 3, 5, 4)])
     assert cycles == [{1, 2}, {3}, {4, 5}]
 
 
@@ -201,9 +207,11 @@ def test_regular_module_of_s6_validates_on_the_adjacent_transpositions(monkeypat
 
 def test_regular_module_acts_by_the_groups_own_elements():
     # act returns the listed element equal to g * b, so the basis index finds the
-    # object it stores; a g outside the group leaves the basis, as g * b does
+    # object it stores; a g outside the group leaves the basis, as g * b does.
+    # S_1 is the degree where a getter of one index would return a scalar
     h = young_subgroup(YoungPair(4, 2))
-    for group in (young_subgroup(YoungPair(3, 0)), h):
+    pairs = (YoungPair(1, 0), YoungPair(3, 0), YoungPair(3, 1))
+    for group in (*map(young_subgroup, pairs), h):
         module = regular_module(group)
         for g in group:
             for b in group:
@@ -213,9 +221,12 @@ def test_regular_module_acts_by_the_groups_own_elements():
     module = regular_module(h)
     for g in (g for g in young_subgroup(YoungPair(4, 0)) if g not in h):
         assert [module.act(g, b) for b in h] == [g * b for b in h]
+        assert [module.act(b, g) for b in h] == [b * g for b in h]
         assert module._positions(g) == [None] * len(h)
-    with pytest.raises(ValueError, match="different degrees"):
-        module.act(Permutation.identity(3), h[0])
+    # a longer g would index into a valid tuple of h's degree without the check
+    for other in (Permutation.identity(3), Permutation.identity(5), Permutation((2, 1, 3, 4, 5))):
+        with pytest.raises(ValueError, match="different degrees"):
+            module.act(other, h[0])
 
 
 def test_natural_module_acts_by_calling_the_permutation():
@@ -654,9 +665,9 @@ def test_invariant_dimension_walks_no_second_closure(monkeypatch):
     walks = []
     orbit = symgroup._orbit
 
-    def recorded(start, gens, act):
-        walks.append((start, act))
-        return orbit(start, gens, act)
+    def recorded(start, tables):
+        walks.append((start, tables))
+        return orbit(start, tables)
 
     monkeypatch.setattr(symgroup, "_orbit", recorded)
     pair = YoungPair(5, 2)
@@ -664,7 +675,8 @@ def test_invariant_dimension_walks_no_second_closure(monkeypatch):
     assert walks == []
     assert induction_invariance_check(pair, module)
     assert invariant_dimension(module) == 1
-    assert walks and all(type(start) is int and act is list.__getitem__ for start, act in walks)
+    assert walks and all(type(start) is int and all(type(t) is list for t in tables)
+                         for start, tables in walks)
 
 
 def test_perm_module_rejects_a_basis_with_a_repeated_point():
