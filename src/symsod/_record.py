@@ -1,4 +1,4 @@
-"""``Record``: the immutable, slotted base of symsod's records; it generates no code."""
+"""``Record``, the immutable slotted base of symsod's records, and ``InternalInvariantError``."""
 
 from __future__ import annotations
 
@@ -7,6 +7,11 @@ from operator import attrgetter
 # object's own setter, bound once: a record refuses attribute assignment, so its
 # constructor fills its slots through it
 _set = object.__setattr__
+
+
+class InternalInvariantError(AssertionError):
+    """A structural invariant of the engine failed; maps to CLI exit 3.  Every
+    layer imports this module, so none imports another layer to raise it."""
 
 
 class Record:

@@ -158,7 +158,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    polys = gottsche_series(betti, max(top, 1))[: top + 1]
+    polys = gottsche_series(betti, top)
     rows = [
         {"n": n, "poincare": text, "total_betti": poly_eval(poly, 1), "euler": poly_eval(poly, -1)}
         for n, (poly, text) in enumerate(zip(polys, poly_strs(polys)))
@@ -219,21 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", help="fully expand an expression")
     p_dec.add_argument("expression")
-    p_dec.add_argument("--format", choices=("text", "json"), default="text")
-    p_dec.set_defaults(func=_cmd_decompose)
 
     p_inv = sub.add_parser("invariants", help="euler / hh / exceptional length")
     p_inv.add_argument("expression")
-    p_inv.add_argument("--format", choices=("text", "json"), default="text")
-    p_inv.set_defaults(func=_cmd_invariants)
 
     p_tab = sub.add_parser("table", help="q(n;l) rows or Hilbert-scheme Betti tables")
     p_tab.add_argument("kind", choices=("q", "gottsche"))
     p_tab.add_argument("--l", type=int, default=None, help="number of exceptional pieces")
     p_tab.add_argument("--betti", default=None, help="b0,b1,b2,b3,b4 for the gottsche table")
     p_tab.add_argument("--n", type=int, default=None, help="largest weight to print")
-    p_tab.add_argument("--format", choices=("text", "json"), default="text")
-    p_tab.set_defaults(func=_cmd_table)
 
     p_ver = sub.add_parser("verify", help="run the built-in property suites")
     p_ver.add_argument("--suite", default="all", help="a suite name, or all (default)")
@@ -241,8 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n", type=int, default=None, help="cap the exhaustive ranges (at least 1)"
     )
     p_ver.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p_ver.add_argument("--format", choices=("text", "json"), default="text")
-    p_ver.set_defaults(func=_cmd_verify)
+
+    # every verb ends with --format, so it is the last option of each --help
+    for verb, func in ((p_dec, _cmd_decompose), (p_inv, _cmd_invariants),
+                       (p_tab, _cmd_table), (p_ver, _cmd_verify)):
+        verb.add_argument("--format", choices=("text", "json"), default="text")
+        verb.set_defaults(func=func)
 
     return parser
 

@@ -27,14 +27,10 @@ and the parser in ``symsod.grammar`` reads nothing else about them.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
-from ._record import Record, _set
+from ._record import InternalInvariantError, Record, _set
 from .series import BettiVector
-
-
-class InternalInvariantError(AssertionError):
-    """A structural invariant of the engine failed; maps to CLI exit 3."""
 
 
 class _Rendered(Record):
@@ -156,17 +152,11 @@ class Sym(_Rendered):
         _set(self, "inner", inner)
 
 
-Atom = Union[Point, Curve, SymCurve, Surface, Phantom, Opaque, SymPower]
-CatExpr = Union[Atom, Sod, Bullet, Sym]
+Atom = Point | Curve | SymCurve | Surface | Phantom | Opaque | SymPower
+CatExpr = Atom | Sod | Bullet | Sym
 
 POINT = Point()
 PHANTOM = Phantom()
-
-_ATOM_TYPES = (Point, Curve, SymCurve, Surface, Phantom, Opaque, SymPower)
-
-
-def is_atom(e: CatExpr) -> bool:
-    return isinstance(e, _ATOM_TYPES)
 
 
 def sort_key(e: CatExpr) -> tuple:
@@ -204,7 +194,7 @@ def canonicalize(e: CatExpr) -> CatExpr:
     construction.  No evaluation happens here: sym(0, -) and sym(1, -) are
     left alone for the rewrite engine.
     """
-    if is_atom(e):
+    if isinstance(e, Atom):
         return e
     if isinstance(e, Sym):
         return Sym(e.arity, canonicalize(e.inner))
@@ -289,7 +279,7 @@ class Component(Record):
     def of(cls, atoms: Iterable[Atom]) -> "Component":
         kept = [a for a in atoms if not isinstance(a, Point)]
         for a in kept:
-            if not is_atom(a):
+            if not isinstance(a, Atom):
                 raise InternalInvariantError(f"component factor is not an atom: {a!r}")
         if not kept:
             return cls((POINT,))

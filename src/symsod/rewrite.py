@@ -52,7 +52,6 @@ from .expr import (
     SymCurve,
     SymPower,
     canonicalize,
-    is_atom,
 )
 from .partitions import multiplicity_vectors, partition_count
 
@@ -93,17 +92,10 @@ def _reduced(e: CatExpr) -> CatExpr:
 # the point.  An id numbers an atom of one expand call; _components maps it back.
 Entries = list[tuple[tuple[int, ...], int]]
 
-_UNIT: Entries = [((), 1)]  # the point: _product returns the other operand, uncopied
-
 
 def _product(left: Entries, right: Entries) -> Entries:
     """Every product of an entry of ``left`` with one of ``right``; left varies
-    slowest.  A unit operand returns the other; otherwise this is the single
-    block of :func:`_blocks` at m = 0, which holds the join."""
-    if left == _UNIT:
-        return right
-    if right == _UNIT:
-        return left
+    slowest: the single block of :func:`_blocks` at m = 0, which holds the join."""
     return _blocks([left], [right], 0)
 
 
@@ -121,7 +113,7 @@ class _Expansion:
         return ids.setdefault(atom, len(ids))
 
     def expand(self, e: CatExpr) -> Entries:
-        if is_atom(e):
+        if isinstance(e, Atom):
             return [((), 1)] if isinstance(e, Point) else [((self._id(e),), 1)]
 
         if isinstance(e, Sod):

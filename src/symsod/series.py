@@ -50,7 +50,7 @@ import operator
 import sys
 from typing import Callable, Iterable
 
-from ._record import Record
+from ._record import InternalInvariantError, Record
 
 _CASTS = {1: "b", 2: "h", 4: "i", 8: "q"}  # memoryview formats by item size
 
@@ -227,8 +227,6 @@ def _law_rows(rows: list[int], psi: Callable[[int], int], top: int, label: str) 
     for n in range(len(rows), top + 1):
         f, rest = divmod(sum(map(operator.mul, b, reversed(rows))), n)
         if rest:
-            from .expr import InternalInvariantError  # expr imports this module
-
             raise InternalInvariantError(
                 f"{label.format(n)}: the divisor sum leaves {rest} mod {n}"
             )
@@ -236,16 +234,16 @@ def _law_rows(rows: list[int], psi: Callable[[int], int], top: int, label: str) 
     return rows
 
 
-def _check_trunc(trunc: int, least: int = 1) -> None:
-    if type(trunc) is not int or trunc < least:
-        raise ValueError(f"truncation order must be an integer >= {least}, got {trunc!r}")
+def _check_trunc(trunc: int) -> None:
+    if type(trunc) is not int or trunc < 0:
+        raise ValueError(f"truncation order must be an integer >= 0, got {trunc!r}")
 
 
 def euler_product_power(c: int, trunc: int) -> list[int]:
     """Rows 0..trunc of ``prod_{m=1..trunc} (1 - q^m)^(-c)`` for any integer c."""
     if type(c) is not int:
         raise ValueError(f"the power must be an integer, got {c!r}")
-    _check_trunc(trunc, 0)
+    _check_trunc(trunc)
     return _rows(trunc, ((0, m, -1, -c) for m in range(1, trunc + 1)), 0)
 
 
@@ -266,7 +264,7 @@ def sym_power_totals(h_plus: int, h_minus: int, trunc: int) -> tuple[tuple[int, 
     """
     if type(h_plus) is not int or type(h_minus) is not int:
         raise ValueError(f"each of h+ and h- must be an integer, got ({h_plus!r}, {h_minus!r})")
-    _check_trunc(trunc, 0)
+    _check_trunc(trunc)
     where = f" of sym^{{}} of (h+, h-) = ({h_plus}, {h_minus})"
     eulers = _law_rows([1], lambda r: h_plus - h_minus, trunc, "euler" + where)
     hhs = _law_rows([1], lambda r: h_plus + (-1) ** (r + 1) * h_minus, trunc, "hh" + where)
@@ -307,7 +305,7 @@ def macdonald_poincare(g: int, a: int) -> list[int]:
     """
     if type(g) is not int or g < 0:
         raise ValueError(f"the genus must be an integer >= 0, got {g!r}")
-    _check_trunc(a, 0)
+    _check_trunc(a)
     row = [0] * (2 * a + 1)
     for k in range(0, min(2 * g, a) + 1):
         c = math.comb(2 * g, k)

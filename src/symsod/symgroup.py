@@ -57,15 +57,16 @@ What is validated, and where:
   do already: they are then the module's generator tables, checked at
   construction.  Their orbits are counted by the same walk.
 
-Inside the hot loops permutations are plain image tuples; ``Permutation``
-objects appear only where user code sees them: group lists, the arguments
-of ``act`` callables, and the basis of :func:`regular_module`.  That
-module's ``act`` applies one ``operator.itemgetter`` per listed b to the
-images of g and returns the listed element g * b, so the basis index finds
-the very object it stores.  Tables and image tuples compose by ``map`` over
-``__getitem__``: the per-element loops run in C builtins.  The natural
-module's ``act`` is ``Permutation.__call__`` itself.  One walk, ``_orbit``,
-finds every orbit here, by subscript: module orbits and cycles.
+``Permutation`` is a ``Record`` of one field with its own hash.  Inside the
+hot loops permutations are plain image tuples; ``Permutation`` objects
+appear only where user code sees them: group lists, the arguments of ``act``
+callables, and the basis of :func:`regular_module`.  That module's ``act``
+applies one ``operator.itemgetter`` per listed b to the images of g and
+returns the listed element g * b, so the basis index finds the very object
+it stores.  Tables and image tuples compose by ``map`` over ``__getitem__``:
+the per-element loops run in C builtins.  The natural module's ``act`` is
+``Permutation.__call__`` itself.  One walk, ``_orbit``, finds every orbit
+here, by subscript: module orbits and cycles.
 """
 
 from __future__ import annotations
@@ -80,18 +81,18 @@ from ._record import Record, _set
 from .partitions import partitions_of
 
 
-# object's own allocator, bound once: Permutation refuses attribute assignment,
-# so its constructors fill its slot through it and ``_set``
+# object's own allocator, bound once: a record refuses attribute assignment, so
+# Permutation's unchecked constructors fill its slot through it and ``_set``
 _new = object.__new__
 
 
-class Permutation:
+class Permutation(Record):
     """A permutation of {1, ..., n} in one-line form: images[k-1] = image of k.
 
-    Immutable, with equality and hash read from ``images`` alone, so equal
-    images give equal keys however the object was made.  ``Permutation(images)``
-    stores ``tuple(images)`` and calls ``__post_init__``, the one validating
-    hook; ``_unchecked``, products and inverses skip it.
+    A record of one field; its own hash, ``hash(images)``, is cheaper than the
+    record's field getter.  ``Permutation(images)`` stores ``tuple(images)`` and
+    calls ``__post_init__``, the one validating hook; ``_unchecked``, products
+    and inverses skip it.
     """
 
     __slots__ = ("images",)
@@ -114,24 +115,8 @@ class Permutation:
         _set(p, "images", images)
         return p
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"Permutation is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Permutation is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Permutation:
-            return self.images == other.images
-        return NotImplemented
-
     def __hash__(self) -> int:
         return hash(self.images)
-
-    def __reduce__(self):
-        """Pickle and copy through ``Permutation(images)``; restoring the slot
-        directly would go through the refused ``__setattr__``."""
-        return Permutation, (self.images,)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -151,9 +136,7 @@ class Permutation:
         a, b = self.images, other.images
         if len(a) != len(b):
             raise ValueError("cannot compose permutations of different degrees")
-        p = _new(Permutation)
-        _set(p, "images", _compose(a, b))
-        return p
+        return Permutation._unchecked(_compose(a, b))
 
     def inverse(self) -> "Permutation":
         return Permutation._unchecked(_inverse(self.images))

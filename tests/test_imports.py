@@ -46,6 +46,34 @@ def test_the_check_sees_an_unread_import():
     assert _unread_imports(tree) == [("itertools", 1), ("z", 3)]
 
 
+def _function_imports(tree: ast.Module) -> set[tuple[str, str]]:
+    """(function name, imported module) for each import inside a function body."""
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    found.add((fn.name, "." * node.level + (node.module or "")))
+                elif isinstance(node, ast.Import):
+                    found.update((fn.name, alias.name) for alias in node.names)
+    return found
+
+
+def test_the_only_function_level_imports_are_the_lazy_suite_loads():
+    # a function-level import hides an import cycle between layers; the two
+    # allowed ones keep symsod.suites unloaded until verify or run_suites
+    assert _function_imports(ast.parse("def f():\n    import math\n")) == {("f", "math")}
+    found = {
+        (path.name, *site)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in _function_imports(ast.parse(path.read_text()))
+    }
+    assert found == {
+        ("__init__.py", "__getattr__", ".suites"),
+        ("cli.py", "_cmd_verify", ".suites"),
+    }
+
+
 _PROBE = """
 import sys
 import symsod.cli

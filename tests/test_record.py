@@ -1,8 +1,10 @@
 import copy
 import pickle
+import typing
 
 import pytest
 
+from symsod import expr
 from symsod._record import Record, _set
 from symsod.expr import (
     PHANTOM,
@@ -21,12 +23,19 @@ from symsod.invariants import invariant_report, phantom_audit
 from symsod.rewrite import expand
 from symsod.series import BettiVector
 from symsod.suites import CheckResult
-from symsod.symgroup import YoungPair, induction_invariance_check, trivial_module, young_subgroup
+from symsod.symgroup import (
+    Permutation,
+    YoungPair,
+    induction_invariance_check,
+    trivial_module,
+    young_subgroup,
+)
 
 _A = "Opaque(name='A', euler=None, hh=None)"
 PAIR = YoungPair(2, 1)
 
 # one value of every record class, with the repr its frozen dataclass had
+# (Permutation keeps its own short form)
 SAMPLES = [
     (POINT, "Point()"),
     (PHANTOM, "Phantom()"),
@@ -59,6 +68,7 @@ SAMPLES = [
         "PhantomAuditReport(l=1, n_max=1, rows=(PhantomAuditRow(n=1, hilb_total_betti=3, "
         "q_value=3),))",
     ),
+    (Permutation((2, 1)), "Permutation(2, 1)"),
     (YoungPair(3, 1), "YoungPair(n=3, i=1)"),
     (
         induction_invariance_check(PAIR, trivial_module(young_subgroup(PAIR))),
@@ -78,6 +88,13 @@ def _leaves(cls: type) -> set[type]:
 
 def test_every_record_class_has_a_sample():
     assert _leaves(Record) == {type(value) for value in VALUES}
+
+
+def test_every_leaf_expression_class_but_the_composites_is_an_atom():
+    # a new atom class left out of the Atom union would fail isinstance(e, Atom)
+    atoms = _leaves(expr._Rendered) - {Sod, Bullet, Sym}
+    assert atoms == set(typing.get_args(expr.Atom))
+    assert isinstance(POINT, expr.Atom) and not isinstance(Sym(2, POINT), expr.Atom)
 
 
 @pytest.mark.parametrize("value, shown", SAMPLES, ids=[type(v).__name__ for v in VALUES])

@@ -51,7 +51,7 @@ def test_betti_vector_refuses_non_integers_and_negatives(b):
         pytest.param(euler_product_power, (2.5, 3), id="euler-float-power"),
         pytest.param(euler_product_power, (True, 3), id="euler-bool-power"),
         pytest.param(euler_product_power, (2, True), id="euler-bool-order"),
-        pytest.param(gottsche_series, (BettiVector(1, 0, 1, 0, 1), 0), id="gottsche-order-0"),
+        pytest.param(gottsche_series, (BettiVector(1, 0, 1, 0, 1), -1), id="gottsche-order-minus-1"),
         pytest.param(gottsche_series, (BettiVector(1, 0, 1, 0, 1), 2.0), id="gottsche-float-order"),
         pytest.param(gottsche_series, (BettiVector(1, 0, 1, 0, 1), True), id="gottsche-bool-order"),
         pytest.param(sym_power_totals, (3.0, 0, 2), id="totals-float-h-plus"),
@@ -72,6 +72,8 @@ def test_series_entry_points_refuse_non_integer_or_short_orders(route, args):
 
 def test_euler_product_power_to_order_zero_is_the_unit():
     assert euler_product_power(5, 0) == [1]
+    # like every other series entry point, Goettsche's series accepts order 0
+    assert gottsche_series(BettiVector(1, 2, 3, 2, 1), 0) == [[1]]
 
 
 def test_gottsche_low_coefficients():
