@@ -24,8 +24,9 @@ expression verbs the schema is::
 
 It is written piece by piece, byte for byte ``json.dumps(payload)``: strings
 through the encoder ``json.dumps`` uses, the invariants by ``json.dumps``.  Each
-distinct component is rendered once, to ``{"factors": [...], "multiplicity": ``
-(or to the pieces of its text line around the multiplicity); an entry adds
+atom of the expansion's table is rendered once; each distinct component joins
+its atoms' names by position, once, into ``{"factors": [...], "multiplicity": ``
+(or into the pieces of its text line around the multiplicity); an entry adds
 ``str(mult) + "}"``.
 """
 
@@ -57,10 +58,10 @@ def _expression_json(text: str, expr: CatExpr, report: InvariantReport) -> str:
     """``json.dumps`` of the expression payload, written piece by piece."""
     prefix = f'{{"input": {_json_str(text)}, "canonical": {_json_str(render_text(expr))}'
     expansion = report.expansion
+    names = [_json_str(render_text(atom)) for atom in expansion.atoms]
     heads = [
-        '{"factors": [' + ", ".join([_json_str(render_text(a)) for a in comp.factors])
-        + '], "multiplicity": '
-        for comp in expansion.distinct
+        '{"factors": [' + ", ".join(map(names.__getitem__, comp)) + '], "multiplicity": '
+        for comp in expansion.components
     ]
     components = ", ".join([f"{heads[index]}{mult}}}" for index, mult in expansion.pairs])
     invariants = json.dumps(report.to_json_dict())
@@ -69,10 +70,12 @@ def _expression_json(text: str, expr: CatExpr, report: InvariantReport) -> str:
 
 def _write_entries(expansion: ComponentList, tails: Sequence[str]) -> None:
     """One line per entry: each distinct component's text and tail (aligned with
-    ``distinct``) are joined once into the two pieces around the multiplicity."""
+    ``components``) are joined once into the two pieces around the multiplicity;
+    each atom of the table is rendered once."""
+    names = list(map(render_text, expansion.atoms))
     pieces = [
-        (" * ".join(map(render_text, comp.factors)) + "  x", tail + "\n")
-        for comp, tail in zip(expansion.distinct, tails)
+        (" * ".join(map(names.__getitem__, comp)) + "  x", tail + "\n")
+        for comp, tail in zip(expansion.components, tails)
     ]
     lines = []
     for i, (index, mult) in enumerate(expansion.pairs, 1):
@@ -96,7 +99,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     entries = expand(expr)
     total = entries.total_multiplicity()
     print(f"components ({len(entries)} entries, total multiplicity {total}):")
-    _write_entries(entries, [""] * len(entries.distinct))
+    _write_entries(entries, [""] * len(entries.components))
     return 0
 
 

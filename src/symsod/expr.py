@@ -283,7 +283,8 @@ class Component(Record):
                 raise InternalInvariantError(f"component factor is not an atom: {a!r}")
         if not kept:
             return cls((POINT,))
-        kept.sort(key=sort_key)
+        if len(kept) > 1:
+            kept.sort(key=sort_key)
         return cls(tuple(kept))
 
     def is_point(self) -> bool:
@@ -293,24 +294,57 @@ class Component(Record):
         return " * ".join(str(a) for a in self.factors)
 
 
-class ComponentList(Record, derived=("counts",)):
-    """An expansion: its distinct components, and its ordered entries pointing at them.
+class ComponentList(Record, derived=("distinct", "counts")):
+    """An expansion: its atom table, its distinct components, and its ordered
+    entries pointing at them.
 
-    ``distinct`` holds each component once, in first-seen order; ``pairs`` are
-    the entries as (index into ``distinct``, multiplicity).  Multiplicity > 1
-    records completely orthogonal repetitions of the same component: the p(n)
-    points of sym(n, pt), and products with them.  Distinct entries may point at
-    the same component when the blocks they came from are only semi-orthogonal.
-    The constructor sums ``counts``, the multiplicity of each distinct component,
-    and checks the layout in the same pass.  Iterating yields the entries as
-    (component, multiplicity).
+    ``atoms`` holds each distinct atom once, in ``sort_key`` order (ties in the
+    order the expansion first met them).  ``components`` holds each distinct
+    component once, in first-seen order, as a non-decreasing tuple of positions
+    into ``atoms``; the position of the point appears only alone.  ``pairs``
+    are the entries as (index into ``components``, multiplicity).  Multiplicity
+    > 1 records completely orthogonal repetitions of the same component: the
+    p(n) points of sym(n, pt), and products with them.  Distinct entries may
+    point at the same component when the blocks they came from are only
+    semi-orthogonal.  The constructor checks the table once per atom and the
+    layout once per component and entry, builds ``distinct`` (the components
+    as :class:`Component` values, aligned with ``components``) and sums
+    ``counts``, the multiplicity of each distinct component; no check hashes an
+    atom.  Iterating yields the entries as (component, multiplicity).
     """
 
-    __slots__ = ("distinct", "pairs", "counts")
+    __slots__ = ("atoms", "components", "pairs", "distinct", "counts")
 
     def __init__(
-        self, distinct: tuple[Component, ...] = (), pairs: tuple[tuple[int, int], ...] = ()
+        self,
+        atoms: tuple[Atom, ...] = (),
+        components: tuple[tuple[int, ...], ...] = (),
+        pairs: tuple[tuple[int, int], ...] = (),
     ) -> None:
+        keys = []
+        for atom in atoms:
+            if not isinstance(atom, Atom):
+                raise InternalInvariantError(f"atom table entry is not an atom: {atom!r}")
+            keys.append(sort_key(atom))
+        run = 0  # first position of the current run of equal keys
+        for i in range(1, len(keys)):
+            if keys[i] != keys[i - 1]:
+                if keys[i] < keys[i - 1]:
+                    raise InternalInvariantError(f"atom table out of sort order at {atoms[i]}")
+                run = i
+            elif atoms[i] in atoms[run:i]:  # equal atoms have equal keys: compare the run only
+                raise InternalInvariantError(f"atom {atoms[i]} repeats in the table")
+        point = 0 if atoms and isinstance(atoms[0], Point) else None  # the least key
+        for comp in components:
+            if list(comp) != sorted(comp):
+                raise InternalInvariantError(f"component {comp} is not in position order")
+            if not comp or comp[0] < 0 or comp[-1] >= len(atoms):
+                raise InternalInvariantError(f"component {comp} outside 0..{len(atoms) - 1}")
+            if comp[0] == point and len(comp) > 1:
+                raise InternalInvariantError(f"component {comp} holds the point with other atoms")
+        if len(set(components)) < len(components):
+            raise InternalInvariantError("a distinct component repeats")
+        distinct = tuple([Component.of(map(atoms.__getitem__, comp)) for comp in components])
         counts = [0] * len(distinct)
         for index, mult in pairs:
             if not 0 <= index < len(distinct):
@@ -321,10 +355,10 @@ class ComponentList(Record, derived=("counts",)):
             counts[index] += mult
         if 0 in counts:
             raise InternalInvariantError(f"no entry uses {distinct[counts.index(0)]}")
-        if len({comp.factors for comp in distinct}) < len(distinct):
-            raise InternalInvariantError("a distinct component repeats")
-        _set(self, "distinct", distinct)
+        _set(self, "atoms", atoms)
+        _set(self, "components", components)
         _set(self, "pairs", pairs)
+        _set(self, "distinct", distinct)
         _set(self, "counts", tuple(counts))
 
     def total_multiplicity(self) -> int:

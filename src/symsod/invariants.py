@@ -2,10 +2,12 @@
 
 The Euler characteristic and the total Hochschild dimension of an
 expression are the sums over its expanded components (with multiplicity) of
-the products over atomic factors.  One report values each distinct atom
-once and each distinct component of the expansion once, by its position in
-``ComponentList.distinct``; the totals are summed over the distinct
-components, each value times that component's total multiplicity.  The
+the products over atomic factors.  One report values each atom of the
+expansion's table (``ComponentList.atoms``) once, and each distinct
+component once, as the product of the values at its positions; the totals
+are summed over the distinct components, each value times that component's
+total multiplicity, and the expansion is purely exceptional when its table
+is the point alone.  No atom is hashed.  The
 atoms sym^n(S) over one surface S read one evaluation of the invariant law
 (:func:`series.sym_power_totals`, Euler's divisor-sum recurrence), to order
 the largest such n; Goettsche's series at z = -1 and z = 1, built by the
@@ -44,11 +46,11 @@ from ._record import Record
 from .expr import (
     Atom,
     CatExpr,
-    Component,
     ComponentList,
     Curve,
     InternalInvariantError,
     Opaque,
+    POINT,
     Phantom,
     Point,
     Surface,
@@ -110,16 +112,17 @@ def _known(fold: Callable[[Sequence[int]], int], values: Sequence[Optional[int]]
     return None if None in values else fold(values)
 
 
-def _component_values(distinct: Sequence[Component]) -> tuple[_Values, ...]:
-    """(euler, hh_total) of each distinct component, in order, each distinct atom
-    evaluated once."""
-    atoms = dict.fromkeys(atom for comp in distinct for atom in comp.factors)
-    powers = [a for a in atoms if isinstance(a, SymPower) and isinstance(a.base, Surface)]
-    tops = {a.base.betti: a.arity for a in sorted(powers, key=lambda a: a.arity)}  # largest last
-    values = {atom: _atom_value(atom, tops) for atom in atoms}
+def _component_values(expansion: ComponentList) -> tuple[_Values, ...]:
+    """(euler, hh_total) of each distinct component, in order: each atom of the
+    table valued once, each component the product over its positions."""
+    atoms = expansion.atoms
+    # the table orders sym^n(S) atoms by n, so the last one per surface is its top
+    tops = {a.base.betti: a.arity for a in atoms
+            if isinstance(a, SymPower) and isinstance(a.base, Surface)}
+    values = [_atom_value(atom, tops) for atom in atoms]
     products = []
-    for comp in distinct:
-        eulers, hhs = zip(*(values[atom] for atom in comp.factors))
+    for comp in expansion.components:
+        eulers, hhs = zip(*map(values.__getitem__, comp))
         products.append((_known(math.prod, eulers), _known(math.prod, hhs)))
     return tuple(products)
 
@@ -172,14 +175,12 @@ class InvariantReport(Record):
 def invariant_report(e: CatExpr) -> InvariantReport:
     """Expand ``e``; value and total each distinct component once."""
     expansion = expand(e)
-    values = _component_values(expansion.distinct)
+    values = _component_values(expansion)
     counts = expansion.counts
     return InvariantReport(
         euler=_weighted_sum((euler, mult) for (euler, _), mult in zip(values, counts)),
         hh_total=_weighted_sum((hh, mult) for (_, hh), mult in zip(values, counts)),
-        exceptional_length=(
-            sum(counts) if all(comp.is_point() for comp in expansion.distinct) else None
-        ),
+        exceptional_length=sum(counts) if expansion.atoms == (POINT,) else None,
         expansion=expansion,
         values=values,
     )

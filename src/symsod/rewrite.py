@@ -26,9 +26,10 @@ Rules, applied until every component is a product of atoms:
 The walk works on interned atom ids: one expand call numbers each distinct atom
 the first time it meets it (a leaf, a curve power of R3, a sym-power atom of
 R7), so an entry is a sorted tuple of small ints, () for the point.  At the end
-each distinct tuple is numbered in first-seen order and built into one
-``Component`` of the atoms it numbers; an entry becomes (that number,
-multiplicity).
+the ids are ranked once by ``sort_key`` into the expansion's atom table (the
+point first when an entry is ()), each distinct tuple is numbered in first-seen
+order and mapped to the sorted tuple of its atoms' positions in the table, and
+an entry becomes (that number, multiplicity).
 
 Everything is pure and deterministic.
 """
@@ -42,7 +43,6 @@ from .expr import (
     Atom,
     Bullet,
     CatExpr,
-    Component,
     ComponentList,
     Curve,
     POINT,
@@ -52,6 +52,7 @@ from .expr import (
     SymCurve,
     SymPower,
     canonicalize,
+    sort_key,
 )
 from .partitions import multiplicity_vectors, partition_count
 
@@ -176,15 +177,25 @@ def _blocks(first: list[Entries], second: list[Entries], m: int) -> Entries:
 
 
 def _components(e: CatExpr, split_head: bool) -> ComponentList:
-    """The engine's entries as a :class:`ComponentList`: each distinct id tuple
-    numbered once, in first-seen order, and built into one ``Component``."""
+    """The engine's entries as a :class:`ComponentList`: the atom ids ranked once
+    by ``sort_key`` (a stable sort, so ties keep first-seen order), the point
+    first when an entry is (), and each distinct id tuple numbered once, in
+    first-seen order, as the sorted tuple of its atoms' ranks."""
     walk = _Expansion(split_head)
     numbers: dict[tuple[int, ...], int] = {}
     pairs = tuple([(numbers.setdefault(ids, len(numbers)), mult)
                    for ids, mult in walk.expand(canonicalize(e))])
-    atoms = list(walk.ids)
-    distinct = tuple([Component.of([atoms[i] for i in ids]) for ids in numbers])
-    return ComponentList(distinct, pairs)
+    found = list(walk.ids)
+    keys = list(map(sort_key, found))
+    order = sorted(range(len(found)), key=keys.__getitem__)
+    head = (POINT,) if () in numbers else ()  # the point's key is the least
+    rank = [0] * len(found)
+    for position, i in enumerate(order, len(head)):
+        rank[i] = position
+    atoms = head + tuple([found[i] for i in order])
+    components = tuple([tuple(sorted(map(rank.__getitem__, ids))) if ids else (0,)
+                        for ids in numbers])
+    return ComponentList(atoms, components, pairs)
 
 
 def expand(e: CatExpr) -> ComponentList:

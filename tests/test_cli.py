@@ -10,8 +10,8 @@ from collections import Counter
 import pytest
 
 import symsod
-from symsod import cli, partitions, series, suites
-from symsod.expr import Bullet, Component, Curve, Opaque, Sod, Sym
+from symsod import cli, invariants, partitions, series, suites
+from symsod.expr import Bullet, Component, Curve, Opaque, Sod, Sym, SymCurve
 from symsod.grammar import parse_expr, render_text
 from symsod.invariants import invariant_report
 from symsod.rewrite import expand
@@ -132,10 +132,15 @@ def test_invariants_text_renders_components_like_decompose(capsys):
     assert f"  1. {factor}  x1" in capsys.readouterr().out.splitlines()
 
 
-@pytest.mark.parametrize("text", ["sym(2, sod(curve(1), pt, curve(1)))", "sym(10, fakeP2(2))"])
+@pytest.mark.parametrize(
+    "text",
+    ["sym(2, sod(curve(1), pt, curve(1)))", "sym(10, fakeP2(2))", "sym(9, curve(2))",
+     "sym(6, ruled(1))"],
+)
 def test_expression_verbs_hash_no_component(monkeypatch, capsys, text):
-    # both inputs repeat a component; the expression verbs reach each entry's
-    # distinct component by its index and never hash a Component
+    # every input repeats a component or an atom; past the walk the expression
+    # verbs reach each entry's component by its index and each factor by its
+    # position in the atom table, and never hash a Component or a curve atom
     formats = ([], ["--format", "json"])
     runs = [[verb, text, *fmt] for verb in ("decompose", "invariants") for fmt in formats]
     expected = []
@@ -144,12 +149,35 @@ def test_expression_verbs_hash_no_component(monkeypatch, capsys, text):
         expected.append(capsys.readouterr().out)
 
     def no_hash(self):
-        raise AssertionError(f"Component hashed: {self}")
+        raise AssertionError(f"{type(self).__name__} hashed: {self}")
 
-    monkeypatch.setattr(Component, "__hash__", no_hash)
+    expansion = expand(parse_expr(text))  # the walk itself hashes its Sym nodes
+    monkeypatch.setattr(cli, "expand", lambda e: expansion)
+    monkeypatch.setattr(invariants, "expand", lambda e: expansion)
+    for cls in (Component, Curve, SymCurve):
+        monkeypatch.setattr(cls, "__hash__", no_hash)
     for argv, out in zip(runs, expected):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == out
+
+
+def test_expression_json_renders_each_atom_once(monkeypatch, capsys):
+    # one render_text call for the canonical text and one per atom of the table
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return render_text(e)
+
+    monkeypatch.setattr(cli, "render_text", counted)
+    for text in ("sym(15, curve(3))", "sym(8, ruled(2))", "sym(4, sod(pt, curve(1), X, pt))",
+                 "hilb(6, blowup(P2))", "sym(10, fakeP2(2))", "A"):
+        atoms = expand(parse_expr(text)).atoms
+        for verb in ("decompose", "invariants"):
+            calls.clear()
+            assert run_cli(verb, text, "--format", "json") == 0
+            assert len(calls) == len(atoms) + 1, (verb, text)
+            assert calls[1:] == list(atoms)
 
 
 def test_invariants_unknown(capsys):
@@ -536,6 +564,28 @@ def test_every_benchmark_call_site_resolves():
         tracer.install()  # raises on any SPAN_SITES entry or patched class attribute that is gone
     finally:
         tracer.uninstall()
+
+
+def test_benchmark_counters_fire_on_expression_verbs(capsys):
+    # the benchmark's per-layer report counts these calls; a refactor that
+    # builds distinct components lazily, or stops rendering through
+    # cli.render_text, would zero them and fail only the benchmark's own tests
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["invariants", "sym(9, curve(2))", "--format", "json"]) == 0
+        assert cli.main(["decompose", "sym(4, fakeP2(1))", "--format", "json"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls = tracer.self_times([1.0])[0]
+    assert tracer.counts["expr.component_of.calls"] > 0
+    assert tracer.counts["rewrite.multiplicity_vectors.calls"] > 0
+    assert calls["grammar.render_text"] > 0
 
 
 def test_benchmark_cache_hooks_drain_the_package(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +29,9 @@ from symsod.expr import (
     sort_key,
     surface_literal,
 )
+from symsod.rewrite import expand, expand_tail_first
 from symsod.series import BettiVector
+from symsod.suites import gen_random_expr
 
 
 def test_canonicalize_keeps_point_products():
@@ -71,9 +74,14 @@ def test_component_drops_point_units():
     assert Component.of([]).is_point()
 
 
+# positions 0 and 1 of this table are the point and curve(1)
+_TABLE = (POINT, Curve(1))
+
+
 def test_component_list_counts_and_checks_in_one_pass():
     curve, point = Component.of([Curve(1)]), Component.of([])
-    components = ComponentList((curve, point), ((0, 2), (1, 3), (0, 1)))
+    components = ComponentList(_TABLE, ((1,), (0,)), ((0, 2), (1, 3), (0, 1)))
+    assert components.distinct == (curve, point)
     assert components.counts == (3, 3)
     assert list(components) == [(curve, 2), (point, 3), (curve, 1)]
     assert len(components) == 3
@@ -104,9 +112,49 @@ def test_component_list_counts_and_checks_in_one_pass():
     ],
 )
 def test_component_list_rejects_a_wrong_layout(distinct, pairs, message):
-    made = (Component.of([Curve(1)]), Component.of([]))
+    made = ((1,), (0,))  # curve(1) and the point, as positions into _TABLE
     with pytest.raises(InternalInvariantError, match=message):
-        ComponentList(tuple(made[i] for i in distinct), pairs)
+        ComponentList(_TABLE, tuple(made[i] for i in distinct), pairs)
+
+
+_X0, _X1 = Opaque("X", 0, 2), Opaque("X", 1, 3)  # tied in the sort order
+
+
+@pytest.mark.parametrize(
+    "atoms, components, message",
+    [
+        (_TABLE, ((0,), (2,)), r"component \(2,\) outside 0\.\.1"),
+        (_TABLE, ((-1,),), r"component \(-1,\) outside 0\.\.1"),  # would wrap around
+        (_TABLE, ((),), r"component \(\) outside 0\.\.1"),
+        ((Curve(1), Curve(1)), ((0,), (1,)), r"atom curve\(1\) repeats"),
+        ((_X0, _X1, _X0), ((0,), (1,), (2,)), "atom X repeats"),  # in a run of equal keys
+        ((Component.of([Curve(1)]),), ((0,),), "atom table entry is not an atom"),
+        ((Sod((POINT, POINT)),), ((0,),), "atom table entry is not an atom"),
+        (_TABLE, ((0, 1),), r"component \(0, 1\) holds the point"),
+        (_TABLE, ((0, 0),), r"component \(0, 0\) holds the point"),
+        ((POINT, Curve(1), Curve(2)), ((2, 1),), r"component \(2, 1\) is not in position order"),
+        ((Curve(1), POINT), ((0,), (1,)), r"atom table out of sort order at pt"),
+        ((Curve(2), Curve(1)), ((0, 1),), r"atom table out of sort order at curve\(1\)"),
+    ],
+)
+def test_component_list_rejects_a_wrong_table(atoms, components, message):
+    pairs = tuple((index, 1) for index in range(len(components)))
+    with pytest.raises(InternalInvariantError, match=message):
+        ComponentList(atoms, components, pairs)
+
+
+@pytest.mark.parametrize("engine", [expand, expand_tail_first])
+def test_distinct_components_are_their_positions_in_the_table(engine):
+    # the expansions of test_golden's random corpus: each distinct component
+    # holds the table's atoms at its positions, and every atom of the table is used
+    rng = random.Random(0)
+    for _ in range(500):
+        expansion = engine(gen_random_expr(rng, 3))
+        atoms, components = expansion.atoms, expansion.components
+        for comp, positions in zip(expansion.distinct, components, strict=True):
+            assert comp.factors == tuple(atoms[p] for p in positions)
+        assert set().union(*components) == set(range(len(atoms)))
+        assert list(atoms) == sorted(atoms, key=sort_key)
 
 
 def _run_with_hash_seed(seed: int, code: str, stdin: bytes = b"") -> bytes:

@@ -2,8 +2,10 @@
 
 The digests pin the exact bytes that ``decompose`` and ``invariants`` print,
 in text and in JSON, for the ``exceptional-decompose`` benchmark cells and a
-few mixed inputs, what ``invariants`` prints for ``hilbert-invariants`` cells,
-and what ``table`` prints for the ``oracle-tables`` cells.
+few mixed inputs, what ``invariants`` prints for ``hilbert-invariants`` cells
+(and ``decompose`` for its curve and ruled cells), and what ``table`` prints
+for the ``oracle-tables`` cells.  One pins the order of two tied factors, two
+same-name declared opaque atoms, under both bracketings.
 An engine change that reorders entries, merges them at a different point or
 renders them differently changes a digest.  Three more pin what ``verify``
 prints, a passing run and a failing one, one pins what the parser makes
@@ -21,8 +23,10 @@ import re
 import pytest
 
 from symsod import cli, symgroup
+from symsod.expr import POINT, Bullet, Curve, Opaque, Sod, Sym
 from symsod.grammar import ParseError, parse_expr, render_text
-from symsod.rewrite import expand
+from symsod.invariants import invariant_report
+from symsod.rewrite import expand, expand_tail_first
 from symsod.suites import frobenius_battery, gen_random_expr
 
 
@@ -212,6 +216,49 @@ HILBERT_DIGESTS = {
 def test_invariants_stdout_digest(text):
     argvs = [["invariants", text, "--format", fmt] for fmt in ("text", "json")]
     assert stdout_digest(*argvs) == HILBERT_DIGESTS[text]
+
+
+# SHA-256 of the two stdouts (text, json) of ``decompose <text>``, joined by a
+# NUL byte, for the curve and ruled-surface cells of HILBERT_DIGESTS: their
+# components hold several atoms, so these pin the order of the factors.
+HILBERT_DECOMPOSE_DIGESTS = {
+    "sym(6, curve(0))": "b3d92e8c36ce6e02cac30eefc05fb6c581e1936d9f1e89bf7c6929849c9504a6",
+    "sym(9, curve(2))": "c35cf69cf9fb9930ad5e94199535f6a9681847ca4824567a51bc87601b4c9a56",
+    "sym(15, curve(4))": "e829b8fd307af50f164574ce9d2a57520374c46590470a1d6235eaec8d907204",
+    "sym(4, ruled(0))": "f0da083a4dcea80487125136cec1bba3c226fa95ab59064e78bcd986fd0c1391",
+    "sym(6, ruled(1))": "397d57b1ce38c6498dabaeb48deb13ed1a528537c702d3d1a5cfeff7cb65864a",
+    "sym(8, ruled(3))": "ac3952959c38617f31e3b548d75923cdc9cc4c23e58cd2a3bac8b0520083acf0",
+}
+
+
+@pytest.mark.parametrize("text", HILBERT_DECOMPOSE_DIGESTS)
+def test_decompose_curve_and_ruled_digest(text):
+    argvs = [["decompose", text, "--format", fmt] for fmt in ("text", "json")]
+    assert stdout_digest(*argvs) == HILBERT_DECOMPOSE_DIGESTS[text]
+
+
+def test_same_name_opaque_factor_order_digest():
+    # two declared opaque atoms named X tie in the sort order, so a component
+    # holding both keeps them in the order the walk first met them; that order
+    # differs between the bracketings, and the digest pins it for both, with
+    # the values the report gives each distinct component
+    x0, x1 = Opaque("X", 0, 2), Opaque("X", 1, 3)
+    trees = [
+        Sym(2, Sod((x0, x1))),
+        Bullet((x1, x0)),
+        Sym(3, Sod((x1, Curve(1), x0))),
+        Bullet((Sod((x0, POINT)), Sym(2, Sod((POINT, x1))))),
+    ]
+    lines, orders = [], set()
+    for tree in trees:
+        for engine in (expand, expand_tail_first):
+            entries = [(comp.factors, mult) for comp, mult in engine(tree)]
+            orders.update(f.index(x0) < f.index(x1) for f, _ in entries if x0 in f and x1 in f)
+            lines.append(f"{tree!r}\t{engine.__name__}\t{entries!r}")
+        lines.append(f"{tree!r}\t{invariant_report(tree).values!r}")
+    assert orders == {True, False}  # both orders of the tied atoms occur
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1467c0f09a0150d0ad8fb77bba490bb291fdb8c1c42c68c210263666d83759e9"
 
 
 def test_high_order_hilbert_invariants_digest():

@@ -184,6 +184,23 @@ def test_one_law_evaluation_per_surface(monkeypatch):
     assert (report.euler, report.hh_total) == (poly_eval(poly, -1), poly_eval(poly, 1))
 
 
+def test_each_atom_of_the_table_is_valued_once(monkeypatch):
+    calls = []
+    value = invariants._atom_value
+
+    def counted(atom, tops):
+        calls.append(atom)
+        return value(atom, tops)
+
+    monkeypatch.setattr(invariants, "_atom_value", counted)
+    texts = ["sym(15, curve(3))", "sym(8, ruled(2))", "sym(2, sod(curve(1), X, curve(1)))",
+             "hilb(6, blowup(blowup(P2)))", "sym(10, fakeP2(2))", "sym(3, P2)"]
+    for text in texts:
+        calls.clear()
+        report = invariant_report(parse_expr(text))
+        assert calls == list(report.expansion.atoms), text
+
+
 @pytest.mark.parametrize(
     "e, distinct, rows, totals",
     [

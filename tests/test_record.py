@@ -52,15 +52,15 @@ SAMPLES = [
     (Sym(3, Sod((POINT, POINT))), "Sym(arity=3, inner=Sod(parts=(Point(), Point())))"),
     (Component.of([Opaque("A"), Curve(1)]), f"Component(factors=(Curve(genus=1), {_A}))"),
     (
-        expand(Sod((POINT, Opaque("A")))),  # no counts: they are worked out from the pairs
-        "ComponentList(distinct=(Component(factors=(Point(),)), "
-        f"Component(factors=({_A},))), pairs=((0, 1), (1, 1)))",
+        # no distinct or counts: they are worked out from the table and the pairs
+        expand(Sod((POINT, Opaque("A")))),
+        f"ComponentList(atoms=(Point(), {_A}), components=((0,), (1,)), pairs=((0, 1), (1, 1)))",
     ),
     (BettiVector(1, 2, 3, 2, 1), "BettiVector(b0=1, b1=2, b2=3, b3=2, b4=1)"),
     (
         invariant_report(Curve(1)),
         "InvariantReport(euler=0, hh_total=4, exceptional_length=None, expansion=ComponentList("
-        "distinct=(Component(factors=(Curve(genus=1),)),), pairs=((0, 1),)), values=((0, 4),))",
+        "atoms=(Curve(genus=1),), components=((0,),), pairs=((0, 1),)), values=((0, 4),))",
     ),
     (phantom_audit(1, 1).rows[0], "PhantomAuditRow(n=1, hilb_total_betti=3, q_value=3)"),
     (
