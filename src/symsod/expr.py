@@ -162,28 +162,26 @@ PHANTOM = Phantom()
 def sort_key(e: CatExpr) -> tuple:
     """Total order on expressions: atoms first (point < curve < sym-curve <
     surface < phantom < opaque < sym-power), then composites by kind and
-    children."""
-    if isinstance(e, Point):
-        return (0,)
-    if isinstance(e, Curve):
-        return (1, e.genus)
-    if isinstance(e, SymCurve):
-        return (2, e.genus, e.degree)
-    if isinstance(e, Surface):
-        return (3, e.name)
-    if isinstance(e, Phantom):
-        return (4,)
-    if isinstance(e, Opaque):
-        return (5, e.name)
-    if isinstance(e, SymPower):
-        return (6, e.arity, sort_key(e.base))
-    if isinstance(e, Sod):
-        return (7, tuple(sort_key(p) for p in e.parts))
-    if isinstance(e, Bullet):
-        return (8, tuple(sort_key(f) for f in e.factors))
-    if isinstance(e, Sym):
-        return (9, e.arity, sort_key(e.inner))
-    raise TypeError(f"not a CatExpr: {e!r}")
+    children.  One dispatch on the class; anything else raises ``TypeError``."""
+    key = _SORT_KEYS.get(type(e))
+    if key is None:
+        raise TypeError(f"not a CatExpr: {e!r}")
+    return key(e)
+
+
+# Each expression class's key; its first element is the class's kind, 0..9.
+_SORT_KEYS = {
+    Point: lambda e: (0,),
+    Curve: lambda e: (1, e.genus),
+    SymCurve: lambda e: (2, e.genus, e.degree),
+    Surface: lambda e: (3, e.name),
+    Phantom: lambda e: (4,),
+    Opaque: lambda e: (5, e.name),
+    SymPower: lambda e: (6, e.arity, sort_key(e.base)),
+    Sod: lambda e: (7, tuple(map(sort_key, e.parts))),
+    Bullet: lambda e: (8, tuple(map(sort_key, e.factors))),
+    Sym: lambda e: (9, e.arity, sort_key(e.inner)),
+}
 
 
 def canonicalize(e: CatExpr) -> CatExpr:

@@ -7,11 +7,11 @@ expansion's table (``ComponentList.atoms``) once, and each distinct
 component once, as the product of the values at its positions; the totals
 are summed over the distinct components, each value times that component's
 total multiplicity, and the expansion is purely exceptional when its table
-is the point alone.  No atom is hashed.  The
-atoms sym^n(S) over one surface S read one evaluation of the invariant law
-(:func:`series.sym_power_totals`, Euler's divisor-sum recurrence), to order
-the largest such n; Goettsche's series at z = -1 and z = 1, built by the
-binomial kernel, stays its independent check.  The phantom audit sets that
+is the point alone.  No atom is hashed.  The atoms sym^n(S) over surfaces S
+with one pair h+ = b0 + b2 + b4, h- = b1 + b3 read one evaluation of the
+invariant law (:func:`series.sym_power_totals`, Euler's divisor-sum
+recurrence), to order the largest such n; Goettsche's series at z = -1 and
+z = 1, built by the binomial kernel, stays its independent check.  The phantom audit sets that
 series against q(n; l) (:func:`partitions.q_length`, the same recurrence).
 Atom values:
 
@@ -74,19 +74,26 @@ _Values = tuple[Optional[int], Optional[int]]
 
 
 @lru_cache(maxsize=None)
-def _hilb_poincare_value(betti: BettiVector, top: int) -> tuple[_Values, ...]:
+def _hilb_poincare_value(h_plus: int, h_minus: int, top: int) -> tuple[_Values, ...]:
     """(euler, total Betti) of Hilb^n S for n = 0..top, from the invariant law at
     h+ = b0 + b2 + b4 and h- = b1 + b3; ``invariants:goettsche-two-path``
     checks it against Goettsche's series.
 
-    A report asks once per surface S, with ``top`` the largest n of its
-    sym^n(S) atoms; its other sym^n(S) atoms are cache hits.
+    The law reads only the pair, so the key is three ints and hashes no Betti
+    vector.  A report asks once per pair, with ``top`` the largest n of its
+    sym^n(S) atoms over surfaces S with that pair; its other sym^n(S) atoms are
+    cache hits.
     """
-    return sym_power_totals(betti.b0 + betti.b2 + betti.b4, betti.b1 + betti.b3, top)
+    return sym_power_totals(h_plus, h_minus, top)
 
 
-def _atom_value(atom: Atom, tops: dict[BettiVector, int]) -> _Values:
-    """(euler, hh_total) of an atom; ``tops`` holds the ``top`` of each surface."""
+def _law_pair(betti: BettiVector) -> tuple[int, int]:
+    """(h+, h-) of a surface: the even and the odd Betti sums."""
+    return betti.b0 + betti.b2 + betti.b4, betti.b1 + betti.b3
+
+
+def _atom_value(atom: Atom, tops: dict[tuple[int, int], int]) -> _Values:
+    """(euler, hh_total) of an atom; ``tops`` holds the ``top`` of each (h+, h-)."""
     if isinstance(atom, Point):
         return 1, 1
     if isinstance(atom, Curve):
@@ -102,7 +109,8 @@ def _atom_value(atom: Atom, tops: dict[BettiVector, int]) -> _Values:
         return atom.euler, atom.hh
     if isinstance(atom, SymPower):
         if isinstance(atom.base, Surface):
-            return _hilb_poincare_value(atom.base.betti, tops[atom.base.betti])[atom.arity]
+            pair = _law_pair(atom.base.betti)
+            return _hilb_poincare_value(*pair, tops[pair])[atom.arity]
         return (0, 0) if isinstance(atom.base, Phantom) else (None, None)
     raise InternalInvariantError(f"not an atom: {atom!r}")
 
@@ -116,8 +124,8 @@ def _component_values(expansion: ComponentList) -> tuple[_Values, ...]:
     """(euler, hh_total) of each distinct component, in order: each atom of the
     table valued once, each component the product over its positions."""
     atoms = expansion.atoms
-    # the table orders sym^n(S) atoms by n, so the last one per surface is its top
-    tops = {a.base.betti: a.arity for a in atoms
+    # the table orders sym^n(S) atoms by n, so the last one per (h+, h-) is its top
+    tops = {_law_pair(a.base.betti): a.arity for a in atoms
             if isinstance(a, SymPower) and isinstance(a.base, Surface)}
     values = [_atom_value(atom, tops) for atom in atoms]
     products = []

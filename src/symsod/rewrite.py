@@ -4,9 +4,12 @@ Rules, applied until every component is a product of atoms:
 
 * R1  sym(n, sod(A_1..A_l)) has one block per weak composition (i_1..i_l)
       of n, the product of the sym(i_j, A_j); head-first, i_1 = n..0 varies
-      slowest.  The powers sym(0..n, A) of each distinct part A are built once
-      per R1 node, however often A repeats, and each sym(m, sod(A_j..A_l)) is
-      one list comprehension over its blocks.
+      slowest: the t^n coefficient of the product over the parts of
+      Z_A(t) = sum_m [sym^m A] t^m.  One expand call keeps a powers row
+      sym(0..m, A) per distinct part A, extended on demand to the largest n an
+      R1 node asks for: the unit, A itself, then R2, R3 or R7 at each m >= 2.
+      No Sym node is built per arity, and each sym(m, sod(A_j..A_l)) is one
+      list comprehension over its blocks.
 * R2  sym(n, pt) is p(n) completely orthogonal copies of the point,
       aggregated into a single entry with multiplicity p(n).
 * R3  sym(n, curve(g)) gives one component per multiplicity vector
@@ -37,7 +40,8 @@ Everything is pure and deterministic.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import partial, reduce
+from typing import Callable
 
 from .expr import (
     Atom,
@@ -101,12 +105,13 @@ def _product(left: Entries, right: Entries) -> Entries:
 
 
 class _Expansion:
-    """One expand call: its bracketing, its atom ids and a memo of the Sym nodes
-    it expanded."""
+    """One expand call: its bracketing, its atom ids, a memo of the Sym nodes it
+    visited and one powers row per SOD part that an R1 node read."""
 
     def __init__(self, split_head: bool) -> None:
         self.split_head = split_head
         self.memo: dict[Sym, Entries] = {}
+        self.rows: dict[CatExpr, list[Entries]] = {}  # part -> sym(0..m, part)
         self.ids: dict[Atom, int] = {}  # in id order: the atom of id i is the i-th key
 
     def _id(self, atom: Atom) -> int:
@@ -131,32 +136,49 @@ class _Expansion:
 
         raise TypeError(f"not a CatExpr: {e!r}")
 
+    def _power(self, part: CatExpr) -> Callable[[int], Entries]:
+        """sym(m, part) as a function of m >= 2, for a single SOD part: R2 for the
+        point, R3 for a curve, R7 for the rest, whose reduced base is built once."""
+        if isinstance(part, Point):
+            return lambda m: [((), partition_count(m))]  # R2
+        if isinstance(part, Curve):
+            return partial(self._curve_power, part.genus)  # R3
+        base = _reduced(part)  # R7
+        return lambda m: [((self._id(SymPower(m, base)),), 1)]
+
+    def _curve_power(self, g: int, n: int) -> Entries:
+        """R3: one component per multiplicity vector of weight n, the all-ones
+        vector (the top power) first; sym^a(curve(g)) is interned once per degree a."""
+        vectors = multiplicity_vectors(n)[::-1]
+        degrees = {a for vec in vectors for _, a in vec}
+        ids = {a: self._id(Curve(g) if a == 1 else SymCurve(g, a)) for a in degrees}
+        return [(tuple(sorted([ids[a] for _, a in vec])), 1) for vec in vectors]
+
+    def _row(self, part: CatExpr, n: int) -> list[Entries]:
+        """The powers sym(0..m, part), m >= n, of one SOD part: the unit, the part
+        itself, then the single-part rule at each m >= 2; built once per walk and
+        extended when an R1 node asks for a larger n."""
+        row = self.rows.get(part)
+        if row is None:
+            row = self.rows[part] = [[((), 1)], self.expand(part)]  # R5, R6
+        if len(row) <= n:
+            row.extend(map(self._power(part), range(len(row), n + 1)))
+        return row
+
     def _sym(self, n: int, inner: CatExpr) -> Entries:
         if n == 0:
             return [((), 1)]  # R5: the unit
         if n == 1:
             return self.expand(inner)  # R6
         parts = _parts(inner)
-        base = parts[0] if len(parts) == 1 else None
-        if isinstance(base, Point):
-            return [((), partition_count(n))]  # R2
-        if isinstance(base, Curve):
-            # R3: one component per multiplicity vector of weight n, the all-ones
-            # vector (the top power) first; sym^a(curve(g)) is interned once per degree a
-            g = base.genus
-            vectors = multiplicity_vectors(n)[::-1]
-            degrees = {a for vec in vectors for _, a in vec}
-            ids = {a: self._id(Curve(g) if a == 1 else SymCurve(g, a)) for a in degrees}
-            return [(tuple(sorted([ids[a] for _, a in vec])), 1) for vec in vectors]
-        if base is not None:
-            # R7: bullet and nested-sym bases and the remaining atoms stay opaque sym powers
-            return [((self._id(SymPower(n, _reduced(base))),), 1)]
+        if len(parts) == 1:
+            return self._power(parts[0])(n)
 
         # R1: split off the parts from one end (head-first the first, tail-first
-        # the last), then build the powers of each rest from the far end; the
-        # powers of a repeated part are built once, in first-seen order
+        # the last), then build the powers of each rest from the far end; each
+        # distinct part's row is read in first-seen order, so atom ids are too
         ends = parts if self.split_head else parts[::-1]
-        of = {p: [self.expand(Sym(m, p)) for m in range(n + 1)] for p in dict.fromkeys(ends)}
+        of = {p: self._row(p, n) for p in dict.fromkeys(ends)}
         powers = [of[p] for p in ends]
         acc = powers[-1]
         for k in range(len(ends) - 2, -1, -1):

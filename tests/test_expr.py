@@ -21,6 +21,7 @@ from symsod.expr import (
     Sym,
     SymCurve,
     SymPower,
+    _Rendered,
     betti_of,
     blowup,
     canonicalize,
@@ -65,6 +66,19 @@ def test_sort_key_total_order_on_atoms():
     assert isinstance(ordered[3], Surface)
     assert ordered[4] == PHANTOM
     assert ordered[5] == Opaque("Z")
+
+
+def test_sort_key_has_one_key_per_expression_class():
+    # the kinds the docstring orders: point < curve < sym-curve < surface <
+    # phantom < opaque < sym-power < sod < bullet < sym
+    samples = [POINT, Curve(1), SymCurve(1, 2), surface_literal(BettiVector(1, 0, 1, 0, 1)),
+               PHANTOM, Opaque("A"), SymPower(2, PHANTOM), Sod((POINT, PHANTOM)),
+               Bullet((Curve(1), PHANTOM)), Sym(2, PHANTOM)]
+    assert {type(e) for e in samples} == set(_Rendered.__subclasses__())
+    assert [sort_key(e)[0] for e in samples] == list(range(10))
+    for other in (3, None, Component.of([Curve(1)]), BettiVector(1, 0, 1, 0, 1)):
+        with pytest.raises(TypeError, match="not a CatExpr"):
+            sort_key(other)
 
 
 def test_component_drops_point_units():

@@ -178,10 +178,30 @@ def test_one_law_evaluation_per_surface(monkeypatch):
     report = invariant_report(parse_expr("hilb(11, blowup(blowup(surface(1,0,7,0,1))))"))
     info = invariants._hilb_poincare_value.cache_info()
     assert (info.misses, calls) == (1, [])
-    assert invariants._hilb_poincare_value(BettiVector(1, 0, 8, 0, 1), 11)
+    assert invariants._hilb_poincare_value(10, 0, 11)  # h+ = 1 + 8 + 1, h- = 0
     assert invariants._hilb_poincare_value.cache_info().misses == 1  # the one key it took
     poly = gottsche_series(BettiVector(1, 0, 9, 0, 1), 11)[11]
     assert (report.euler, report.hh_total) == (poly_eval(poly, -1), poly_eval(poly, 1))
+
+
+def test_component_values_hash_no_betti_vector(monkeypatch):
+    # the law's cache and the tops of one report are keyed by (h+, h-) ints,
+    # so valuing sym^n(S) atoms hashes no Betti vector; the values are pinned
+    expansions = [invariants.expand(parse_expr(text)) for text in (
+        "hilb(11, blowup(blowup(blowup(surface(1,0,7,0,1)))))",
+        "sod(hilb(3, surface(1,2,5,2,1)), hilb(5, surface(1,2,5,2,1)))",
+    )]
+
+    def refused(betti):
+        raise AssertionError(f"hashed {betti!r}")
+
+    monkeypatch.setattr(BettiVector, "__hash__", refused)
+    invariants._hilb_poincare_value.cache_clear()
+    ones = [8207563, 2919411, 997150, 325193, 100529, 29183, 7854, 1925, 418, 77, 11, 1]
+    assert invariants._component_values(expansions[0]) == tuple((v, v) for v in ones)
+    assert invariants._component_values(expansions[1]) == ((22, 374), (108, 6204))
+    info = invariants._hilb_poincare_value.cache_info()
+    assert (info.hits, info.misses) == (10, 2)
 
 
 def test_each_atom_of_the_table_is_valued_once(monkeypatch):

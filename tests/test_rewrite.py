@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -18,13 +19,18 @@ from symsod.expr import (
     SymPower,
     canonicalize,
     sort_key,
+    surface_literal,
 )
 from symsod.grammar import parse_expr, render_text
 from symsod.invariants import invariant_report
-from symsod.partitions import q_length
+from symsod.partitions import partition_count, q_length
 from symsod.rewrite import expand, expand_tail_first
+from symsod.series import BettiVector
+from symsod.suites import gen_random_expr
 
-A, B, C = Opaque("A"), Opaque("B"), Opaque("C")
+A, B, C, X = Opaque("A"), Opaque("B"), Opaque("C"), Opaque("X")
+O24 = Opaque("O", 2, 4)  # declared euler and hh
+S3 = surface_literal(BettiVector(1, 0, 3, 0, 1))
 
 
 def point_entry(mult):
@@ -142,16 +148,76 @@ def _r1_reference(n, parts, head_first):
         ("P2", [POINT] * 3),
         ("fakeP2(2)", [POINT] * 4 + [PHANTOM]),
         ("sod(A, bullet(P1, curve(1)), A)", [A, Curve(1), Curve(1), A]),
+        ("sod(pt, curve(0), pt, curve(0))", [POINT, Curve(0), POINT, Curve(0)]),
+        ("sod(curve(2), phantom, curve(2))", [Curve(2), PHANTOM, Curve(2)]),
+        ("sod(surface(1,0,3,0,1), A, surface(1,0,3,0,1))", [S3, A, S3]),
+        (Sod((O24, A, O24)), [O24, A, O24]),
+        ("sod(bullet(A, curve(1)), sym(2, X), sym(3, P1), bullet(curve(1), A))",
+         [Bullet((Curve(1), A)), Sym(2, X), Sym(3, Sod((POINT, POINT))), Bullet((Curve(1), A))]),
     ],
 )
 def test_r1_entries_follow_the_weak_compositions_in_order(engine, text, parts):
-    # R1 builds the powers of a repeated part once; its entries, their order and
-    # the first-seen order of ``distinct`` must be those of the literal rule
+    # R1 reads one powers row per distinct part; its entries, their order and
+    # the first-seen order of ``distinct`` must be those of the literal rule,
+    # for parts of every kind: point, curves, phantom, surface, opaque with and
+    # without declared values, a bullet of atoms and nested syms
     for n in range(7):
-        components = engine(parse_expr(f"sym({n}, {text})"))
+        inner = parse_expr(text) if isinstance(text, str) else text
+        components = engine(Sym(n, inner))
         reference = _r1_reference(n, parts, head_first=engine is expand)
         assert list(components) == reference, (text, n)
         assert components.distinct == tuple(dict.fromkeys(comp for comp, _ in reference)), (text, n)
+
+
+def _subterms(e):
+    yield e
+    children = e.parts if isinstance(e, Sod) else e.factors if isinstance(e, Bullet) else ()
+    for child in children + ((e.inner,) if isinstance(e, Sym) else ()):
+        yield from _subterms(child)
+
+
+def test_every_part_is_its_own_only_part():
+    # a powers row applies the single-part rule to each part R4 returns, which
+    # is what sym(m, part) gives only if the part splits no further
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(500):
+        for term in _subterms(canonicalize(gen_random_expr(rng, 3))):
+            for part in rewrite._parts(term):
+                assert rewrite._parts(part) == [part], render_text(part)
+                seen.add(type(part).__name__)
+    assert seen >= {"Point", "Curve", "Surface", "Phantom", "Opaque", "Bullet", "Sym"}, seen
+
+
+def test_r1_builds_no_sym_node_per_arity():
+    walk = rewrite._Expansion(split_head=True)
+    e = parse_expr("sym(45, P2)")
+    entries = walk.expand(e)
+    assert list(walk.memo) == [e]
+    assert list(walk.rows) == [POINT]
+    assert walk.rows[POINT][2:] == [[((), partition_count(m))] for m in range(2, 46)]
+    assert sum(mult for _, mult in entries) == q_length(45, 3)
+
+
+def test_one_powers_row_per_part_across_r1_nodes(monkeypatch):
+    # sym(4, ruled(1)) builds curve(1)'s row to 4 and sym(5, ruled(1)) extends it
+    # to 5: one multiplicity_vectors call per arity 2..5 in the whole walk
+    calls = []
+    real = rewrite.multiplicity_vectors
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(rewrite, "multiplicity_vectors", counted)
+    e = parse_expr("bullet(sym(5, ruled(1)), sym(4, ruled(1)))")
+    for engine in (expand, expand_tail_first):
+        calls.clear()
+        components = engine(e)
+        assert sorted(calls) == [2, 3, 4, 5]
+        left, right = map(engine, canonicalize(e).factors)
+        assert list(components) == [(Component.of(c.factors + d.factors), mc * md)
+                                    for c, mc in left for d, md in right]
 
 
 def test_long_sod_does_not_recurse_per_part():
