@@ -14,10 +14,9 @@ every Hilb^n(S):
 
 from symsod import (
     BettiVector,
-    euler_char,
     expand,
     gottsche_series,
-    hh_total_dim,
+    invariant_report,
     parse_expr,
     phantom_audit,
     q_length,
@@ -40,8 +39,8 @@ print("hilb(3, ruled(2)) components are products of symmetric powers of the curv
 for comp, mult in expand(parse_expr("hilb(3, ruled(2))")):
     print(f"  {comp}  x{mult}")
 # genus 0: the surface has a length-4 exceptional collection, so Hilb^3 has q(3;4)
-e = parse_expr("hilb(3, ruled(0))")
-print("genus 0 invariants:", euler_char(e), "=", hh_total_dim(e), "= q(3;4) =", q_length(3, 4))
+report = invariant_report(parse_expr("hilb(3, ruled(0))"))
+print("genus 0 invariants:", report.euler, "=", report.hh_total, "= q(3;4) =", q_length(3, 4))
 
 print()
 print("=== quasi-phantoms ===")

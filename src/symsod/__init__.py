@@ -35,8 +35,6 @@ from .expr import (
 from .grammar import ParseError, parse_expr
 from .invariants import (
     InvariantReport,
-    euler_char,
-    hh_total_dim,
     invariant_report,
     phantom_audit,
 )
@@ -71,12 +69,11 @@ __all__ = [
     "InvariantReport", "Opaque", "ParseError", "PermModule", "Permutation",
     "PHANTOM", "Phantom", "POINT", "Point", "Sod", "Surface", "Sym", "SymCurve",
     "SymPower", "YoungPair", "betti_of", "blowup", "canonicalize", "cycle_type",
-    "euler_char", "euler_product_power", "expand", "expand_tail_first",
-    "gottsche_series", "hh_total_dim", "induction_invariance_check",
-    "invariant_dimension", "invariant_report", "macdonald_poincare", "make_preset",
-    "multiplicity_vectors", "parse_expr", "partition_count", "partitions_of",
-    "phantom_audit", "q_length", "render_text", "run_suites", "surface_literal",
-    "young_coset_reps", "young_subgroup",
+    "euler_product_power", "expand", "expand_tail_first", "gottsche_series",
+    "induction_invariance_check", "invariant_dimension", "invariant_report",
+    "macdonald_poincare", "make_preset", "multiplicity_vectors", "parse_expr",
+    "partition_count", "partitions_of", "phantom_audit", "q_length", "render_text",
+    "run_suites", "surface_literal", "young_coset_reps", "young_subgroup",
 ]
 
 

@@ -132,7 +132,7 @@ def _parse_betti(text: str) -> BettiVector:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    top = args.n if args.n is not None else 10
+    top = args.n
     if top < 0:
         print("error: --n must be >= 0", file=sys.stderr)
         return 2
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("kind", choices=("q", "gottsche"))
     p_tab.add_argument("--l", type=int, default=None, help="number of exceptional pieces")
     p_tab.add_argument("--betti", default=None, help="b0,b1,b2,b3,b4 for the gottsche table")
-    p_tab.add_argument("--n", type=int, default=None, help="largest weight to print")
+    p_tab.add_argument("--n", type=int, default=10, help="largest weight to print")
 
     p_ver = sub.add_parser("verify", help="run the built-in property suites")
     p_ver.add_argument("--suite", default="all", help="a suite name, or all (default)")

@@ -296,19 +296,23 @@ class ComponentList(Record, derived=("distinct", "counts")):
     """An expansion: its atom table, its distinct components, and its ordered
     entries pointing at them.
 
-    ``atoms`` holds each distinct atom once, in ``sort_key`` order (ties in the
-    order the expansion first met them).  ``components`` holds each distinct
-    component once, in first-seen order, as a non-decreasing tuple of positions
-    into ``atoms``; the position of the point appears only alone.  ``pairs``
-    are the entries as (index into ``components``, multiplicity).  Multiplicity
-    > 1 records completely orthogonal repetitions of the same component: the
-    p(n) points of sym(n, pt), and products with them.  Distinct entries may
-    point at the same component when the blocks they came from are only
-    semi-orthogonal.  The constructor checks the table once per atom and the
-    layout once per component and entry, builds ``distinct`` (the components
-    as :class:`Component` values, aligned with ``components``) and sums
-    ``counts``, the multiplicity of each distinct component; no check hashes an
-    atom.  Iterating yields the entries as (component, multiplicity).
+    The constructor owns the layout.  It takes the atoms in any order, each
+    component as a tuple of indices into them, and () as the point, the empty
+    product.  It computes each atom's ``sort_key`` once and sorts the table
+    stably, so ties keep the order given, with the point appended when ()
+    occurs; it then maps each component to the non-decreasing tuple of its
+    atoms' positions in the sorted table.  So ``atoms`` holds each distinct
+    atom once, in ``sort_key`` order, and ``components`` each distinct
+    component once, in the order given; the point's position, 0, appears only
+    alone, and building a list again from its own fields changes nothing.
+    ``pairs`` are the entries as (index into ``components``, multiplicity).
+    Multiplicity > 1 records completely orthogonal repetitions of the same
+    component: the p(n) points of sym(n, pt), and products with them.  Distinct
+    entries may point at the same component when the blocks they came from are
+    only semi-orthogonal.  The constructor also builds ``distinct`` (the
+    components as :class:`Component` values, aligned with ``components``) and
+    sums ``counts``, the multiplicity of each distinct component; no check
+    hashes an atom.  Iterating yields the entries as (component, multiplicity).
     """
 
     __slots__ = ("atoms", "components", "pairs", "distinct", "counts")
@@ -319,30 +323,38 @@ class ComponentList(Record, derived=("distinct", "counts")):
         components: tuple[tuple[int, ...], ...] = (),
         pairs: tuple[tuple[int, int], ...] = (),
     ) -> None:
+        given = atoms + (POINT,) if () in components else atoms
         keys = []
-        for atom in atoms:
+        for atom in given:
             if not isinstance(atom, Atom):
                 raise InternalInvariantError(f"atom table entry is not an atom: {atom!r}")
             keys.append(sort_key(atom))
+        order = sorted(range(len(given)), key=keys.__getitem__)  # stable: ties keep their order
+        table = tuple([given[i] for i in order])
+        rank = [0] * len(given)
+        for position, i in enumerate(order):
+            rank[i] = position
+        keys = [keys[i] for i in order]
         run = 0  # first position of the current run of equal keys
         for i in range(1, len(keys)):
             if keys[i] != keys[i - 1]:
-                if keys[i] < keys[i - 1]:
-                    raise InternalInvariantError(f"atom table out of sort order at {atoms[i]}")
                 run = i
-            elif atoms[i] in atoms[run:i]:  # equal atoms have equal keys: compare the run only
-                raise InternalInvariantError(f"atom {atoms[i]} repeats in the table")
-        point = 0 if atoms and isinstance(atoms[0], Point) else None  # the least key
+            elif table[i] in table[run:i]:  # equal atoms have equal keys: compare the run only
+                raise InternalInvariantError(f"atom {table[i]} repeats in the table")
+        point = 0 if table and isinstance(table[0], Point) else None  # the least key
+        laid = []
         for comp in components:
-            if list(comp) != sorted(comp):
-                raise InternalInvariantError(f"component {comp} is not in position order")
-            if not comp or comp[0] < 0 or comp[-1] >= len(atoms):
+            if comp and (min(comp) < 0 or max(comp) >= len(atoms)):
                 raise InternalInvariantError(f"component {comp} outside 0..{len(atoms) - 1}")
-            if comp[0] == point and len(comp) > 1:
+            # () is the appended point, at 0: its key is the least
+            positions = tuple(sorted(map(rank.__getitem__, comp))) if comp else (0,)
+            if positions[0] == point and len(positions) > 1:
                 raise InternalInvariantError(f"component {comp} holds the point with other atoms")
+            laid.append(positions)
+        components = tuple(laid)
         if len(set(components)) < len(components):
             raise InternalInvariantError("a distinct component repeats")
-        distinct = tuple([Component.of(map(atoms.__getitem__, comp)) for comp in components])
+        distinct = tuple([Component.of(map(table.__getitem__, comp)) for comp in components])
         counts = [0] * len(distinct)
         for index, mult in pairs:
             if not 0 <= index < len(distinct):
@@ -353,7 +365,7 @@ class ComponentList(Record, derived=("distinct", "counts")):
             counts[index] += mult
         if 0 in counts:
             raise InternalInvariantError(f"no entry uses {distinct[counts.index(0)]}")
-        _set(self, "atoms", atoms)
+        _set(self, "atoms", table)
         _set(self, "components", components)
         _set(self, "pairs", pairs)
         _set(self, "distinct", distinct)

@@ -124,7 +124,8 @@ def _component_values(expansion: ComponentList) -> tuple[_Values, ...]:
     """(euler, hh_total) of each distinct component, in order: each atom of the
     table valued once, each component the product over its positions."""
     atoms = expansion.atoms
-    # the table orders sym^n(S) atoms by n, so the last one per (h+, h-) is its top
+    # ComponentList sorts its table by sort_key, so sym^n(S) atoms come in order
+    # of n and the last one per (h+, h-) is its top
     tops = {_law_pair(a.base.betti): a.arity for a in atoms
             if isinstance(a, SymPower) and isinstance(a.base, Surface)}
     values = [_atom_value(atom, tops) for atom in atoms]
@@ -138,16 +139,6 @@ def _component_values(expansion: ComponentList) -> tuple[_Values, ...]:
 def _weighted_sum(terms: Iterable[tuple[Optional[int], int]]) -> Optional[int]:
     """The sum of value * multiplicity over the terms, or None when a value is unknown."""
     return _known(sum, [None if value is None else value * mult for value, mult in terms])
-
-
-def euler_char(e: CatExpr) -> Optional[int]:
-    """Euler characteristic, or None when an opaque leaf absorbs it."""
-    return invariant_report(e).euler
-
-
-def hh_total_dim(e: CatExpr) -> Optional[int]:
-    """Total Hochschild dimension, or None when an opaque leaf absorbs it."""
-    return invariant_report(e).hh_total
 
 
 class InvariantReport(Record):

@@ -29,10 +29,9 @@ Rules, applied until every component is a product of atoms:
 The walk works on interned atom ids: one expand call numbers each distinct atom
 the first time it meets it (a leaf, a curve power of R3, a sym-power atom of
 R7), so an entry is a sorted tuple of small ints, () for the point.  At the end
-the ids are ranked once by ``sort_key`` into the expansion's atom table (the
-point first when an entry is ()), each distinct tuple is numbered in first-seen
-order and mapped to the sorted tuple of its atoms' positions in the table, and
-an entry becomes (that number, multiplicity).
+each distinct tuple is numbered in first-seen order and an entry becomes (that
+number, multiplicity); :class:`ComponentList` lays out the atoms in id order and
+the numbered tuples as its table and components.
 
 Everything is pure and deterministic.
 """
@@ -56,7 +55,6 @@ from .expr import (
     SymCurve,
     SymPower,
     canonicalize,
-    sort_key,
 )
 from .partitions import multiplicity_vectors, partition_count
 
@@ -105,12 +103,11 @@ def _product(left: Entries, right: Entries) -> Entries:
 
 
 class _Expansion:
-    """One expand call: its bracketing, its atom ids, a memo of the Sym nodes it
-    visited and one powers row per SOD part that an R1 node read."""
+    """One expand call: its bracketing, its atom ids and one powers row per SOD
+    part that an R1 node read."""
 
     def __init__(self, split_head: bool) -> None:
         self.split_head = split_head
-        self.memo: dict[Sym, Entries] = {}
         self.rows: dict[CatExpr, list[Entries]] = {}  # part -> sym(0..m, part)
         self.ids: dict[Atom, int] = {}  # in id order: the atom of id i is the i-th key
 
@@ -129,10 +126,7 @@ class _Expansion:
             return reduce(_product, [self.expand(f) for f in e.factors])
 
         if isinstance(e, Sym):
-            entries = self.memo.get(e)
-            if entries is None:
-                entries = self.memo[e] = self._sym(e.arity, e.inner)
-            return entries
+            return self._sym(e.arity, e.inner)
 
         raise TypeError(f"not a CatExpr: {e!r}")
 
@@ -178,8 +172,7 @@ class _Expansion:
         # the last), then build the powers of each rest from the far end; each
         # distinct part's row is read in first-seen order, so atom ids are too
         ends = parts if self.split_head else parts[::-1]
-        of = {p: self._row(p, n) for p in dict.fromkeys(ends)}
-        powers = [of[p] for p in ends]
+        powers = [self._row(p, n) for p in ends]
         acc = powers[-1]
         for k in range(len(ends) - 2, -1, -1):
             first, second = (powers[k], acc) if self.split_head else (acc, powers[k])
@@ -199,25 +192,13 @@ def _blocks(first: list[Entries], second: list[Entries], m: int) -> Entries:
 
 
 def _components(e: CatExpr, split_head: bool) -> ComponentList:
-    """The engine's entries as a :class:`ComponentList`: the atom ids ranked once
-    by ``sort_key`` (a stable sort, so ties keep first-seen order), the point
-    first when an entry is (), and each distinct id tuple numbered once, in
-    first-seen order, as the sorted tuple of its atoms' ranks."""
+    """The engine's entries as a :class:`ComponentList`: each distinct id tuple
+    numbered once, in first-seen order, over the atoms in id order."""
     walk = _Expansion(split_head)
     numbers: dict[tuple[int, ...], int] = {}
     pairs = tuple([(numbers.setdefault(ids, len(numbers)), mult)
                    for ids, mult in walk.expand(canonicalize(e))])
-    found = list(walk.ids)
-    keys = list(map(sort_key, found))
-    order = sorted(range(len(found)), key=keys.__getitem__)
-    head = (POINT,) if () in numbers else ()  # the point's key is the least
-    rank = [0] * len(found)
-    for position, i in enumerate(order, len(head)):
-        rank[i] = position
-    atoms = head + tuple([found[i] for i in order])
-    components = tuple([tuple(sorted(map(rank.__getitem__, ids))) if ids else (0,)
-                        for ids in numbers])
-    return ComponentList(atoms, components, pairs)
+    return ComponentList(tuple(walk.ids), tuple(numbers), pairs)
 
 
 def expand(e: CatExpr) -> ComponentList:

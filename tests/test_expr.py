@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -139,22 +140,44 @@ _X0, _X1 = Opaque("X", 0, 2), Opaque("X", 1, 3)  # tied in the sort order
     [
         (_TABLE, ((0,), (2,)), r"component \(2,\) outside 0\.\.1"),
         (_TABLE, ((-1,),), r"component \(-1,\) outside 0\.\.1"),  # would wrap around
-        (_TABLE, ((),), r"component \(\) outside 0\.\.1"),
+        (_TABLE, ((),), r"atom pt repeats"),  # () appends a second point to this table
         ((Curve(1), Curve(1)), ((0,), (1,)), r"atom curve\(1\) repeats"),
         ((_X0, _X1, _X0), ((0,), (1,), (2,)), "atom X repeats"),  # in a run of equal keys
         ((Component.of([Curve(1)]),), ((0,),), "atom table entry is not an atom"),
         ((Sod((POINT, POINT)),), ((0,),), "atom table entry is not an atom"),
         (_TABLE, ((0, 1),), r"component \(0, 1\) holds the point"),
         (_TABLE, ((0, 0),), r"component \(0, 0\) holds the point"),
-        ((POINT, Curve(1), Curve(2)), ((2, 1),), r"component \(2, 1\) is not in position order"),
-        ((Curve(1), POINT), ((0,), (1,)), r"atom table out of sort order at pt"),
-        ((Curve(2), Curve(1)), ((0, 1),), r"atom table out of sort order at curve\(1\)"),
     ],
 )
 def test_component_list_rejects_a_wrong_table(atoms, components, message):
     pairs = tuple((index, 1) for index in range(len(components)))
     with pytest.raises(InternalInvariantError, match=message):
         ComponentList(atoms, components, pairs)
+
+
+@pytest.mark.parametrize(
+    "atoms, components, laid_atoms, laid_components",
+    [
+        ((POINT, Curve(1), Curve(2)), ((2, 1),), (POINT, Curve(1), Curve(2)), ((1, 2),)),
+        ((Curve(1), POINT), ((0,), (1,)), _TABLE, ((1,), (0,))),
+        ((Curve(2), Curve(1)), ((0, 1),), (Curve(1), Curve(2)), ((0, 1),)),
+        ((Curve(1),), ((),), _TABLE, ((0,),)),  # () is the point, the empty product
+        ((_X1, _X0), ((1,), (0,)), (_X1, _X0), ((1,), (0,))),  # a tie keeps its order
+        ((Curve(2), _X0, Curve(1), _X1), ((2, 0), (), (3,), (1, 2)),
+         (POINT, Curve(1), Curve(2), _X0, _X1), ((1, 2), (0,), (4,), (1, 3))),
+    ],
+)
+def test_component_list_lays_out_its_table(atoms, components, laid_atoms, laid_components):
+    # the constructor sorts the table, appends the point for () and maps each
+    # component to positions; the laid-out fields build the same list again
+    pairs = tuple((index, index + 1) for index in range(len(components)))
+    given = ComponentList(atoms, components, pairs)
+    laid = ComponentList(laid_atoms, laid_components, pairs)
+    assert (given.atoms, given.components) == (laid_atoms, laid_components)
+    assert given == laid and hash(given) == hash(laid) and repr(given) == repr(laid)
+    assert (given.distinct, given.counts, list(given)) == (laid.distinct, laid.counts, list(laid))
+    copied = pickle.loads(pickle.dumps(given))
+    assert copied == laid and repr(copied) == repr(laid)
 
 
 @pytest.mark.parametrize("engine", [expand, expand_tail_first])

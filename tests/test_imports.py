@@ -46,6 +46,30 @@ def test_the_check_sees_an_unread_import():
     assert _unread_imports(tree) == [("itertools", 1), ("z", 3)]
 
 
+def _names(tree: ast.Module) -> set[str]:
+    """Every name a module binds or reads, as a variable, an import, a def or an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.asname or alias.name.rpartition(".")[2] for alias in node.names)
+    return found
+
+
+def test_only_expr_names_sort_key():
+    # ComponentList lays out an expansion's atom table by sort_key; no other
+    # module ranks atoms, so the layout has one home
+    assert _names(ast.parse("from .expr import sort_key as k\nx.sort_key\n")) >= {"k", "sort_key"}
+    users = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if "sort_key" in _names(ast.parse(path.read_text()))]
+    assert users == ["expr.py"]
+
+
 def _function_imports(tree: ast.Module) -> set[tuple[str, str]]:
     """(function name, imported module) for each import inside a function body."""
     found = set()

@@ -21,8 +21,6 @@ from symsod.expr import (
 )
 from symsod.invariants import (
     InvariantReport,
-    euler_char,
-    hh_total_dim,
     invariant_report,
     phantom_audit,
 )
@@ -33,43 +31,43 @@ from symsod.suites import gen_random_expr
 
 
 def test_euler_atoms():
-    assert euler_char(POINT) == 1
-    assert euler_char(Curve(0)) == 2
-    assert euler_char(Curve(3)) == -4
-    assert euler_char(PHANTOM) == 0
-    assert euler_char(surface_literal(BettiVector(1, 0, 1, 0, 1))) == 3
+    assert invariant_report(POINT).euler == 1
+    assert invariant_report(Curve(0)).euler == 2
+    assert invariant_report(Curve(3)).euler == -4
+    assert invariant_report(PHANTOM).euler == 0
+    assert invariant_report(surface_literal(BettiVector(1, 0, 1, 0, 1))).euler == 3
 
 
 def test_euler_sym_curve_projective_spaces():
     for n in range(2, 7):
-        assert euler_char(SymCurve(0, n)) == n + 1
+        assert invariant_report(SymCurve(0, n)).euler == n + 1
 
 
 def test_euler_unknown_absorbs():
-    assert euler_char(Opaque("A")) is None
-    assert euler_char(Sod((POINT, Opaque("A")))) is None
-    assert euler_char(Opaque("A", euler=7, hh=9)) == 7
+    assert invariant_report(Opaque("A")).euler is None
+    assert invariant_report(Sod((POINT, Opaque("A")))).euler is None
+    assert invariant_report(Opaque("A", euler=7, hh=9)).euler == 7
 
 
 def test_hh_atoms():
-    assert hh_total_dim(PHANTOM) == 0
-    assert hh_total_dim(Curve(2)) == 6
-    assert hh_total_dim(make_preset("fakeP2", 1)) == 3
+    assert invariant_report(PHANTOM).hh_total == 0
+    assert invariant_report(Curve(2)).hh_total == 6
+    assert invariant_report(make_preset("fakeP2", 1)).hh_total == 3
 
 
 def test_hh_of_hilbert_scheme_of_surface_atom():
     plane = surface_literal(BettiVector(1, 0, 1, 0, 1))
-    assert hh_total_dim(Sym(2, plane)) == 9
-    assert euler_char(Sym(2, plane)) == 9
+    report = invariant_report(Sym(2, plane))
+    assert (report.hh_total, report.euler) == (9, 9)
 
 
 def test_sym_power_of_phantom_is_phantom():
-    assert hh_total_dim(SymPower(4, PHANTOM)) == 0
-    assert euler_char(SymPower(4, PHANTOM)) == 0
-    assert hh_total_dim(Sym(3, make_preset("fakeP2", 2))) == q_length(3, 4)
+    report = invariant_report(SymPower(4, PHANTOM))
+    assert (report.hh_total, report.euler) == (0, 0)
+    assert invariant_report(Sym(3, make_preset("fakeP2", 2))).hh_total == q_length(3, 4)
 
 
-@pytest.mark.parametrize("evaluate", [invariant_report, euler_char, hh_total_dim])
+@pytest.mark.parametrize("evaluate", [invariant_report])
 def test_macdonald_series_once_per_degree(monkeypatch, evaluate):
     calls = []
 
@@ -124,9 +122,8 @@ def test_phantom_audit_validates_arguments():
 
 
 def test_declared_opaque_invariants_multiply():
-    e = Bullet((Opaque("A", euler=3, hh=5), Curve(1)))
-    assert euler_char(e) == 3 * 0
-    assert hh_total_dim(e) == 5 * 4
+    report = invariant_report(Bullet((Opaque("A", euler=3, hh=5), Curve(1))))
+    assert (report.euler, report.hh_total) == (3 * 0, 5 * 4)
 
 
 def _weighted(values, mults):
@@ -152,11 +149,10 @@ def test_report_totals_are_the_weighted_sums_of_its_rows():
         eulers, hhs = zip(*report.values)
         totals = (_weighted(eulers, counts), _weighted(hhs, counts))
         assert (report.euler, report.hh_total) == totals
-        assert (report.euler, report.hh_total) == (euler_char(e), hh_total_dim(e))
         # each factor valued on its own, with a series of its own order
         for comp, (euler, hh) in zip(distinct, report.values):
-            assert euler == _factor_product([euler_char(f) for f in comp.factors])
-            assert hh == _factor_product([hh_total_dim(f) for f in comp.factors])
+            assert euler == _factor_product([invariant_report(f).euler for f in comp.factors])
+            assert hh == _factor_product([invariant_report(f).hh_total for f in comp.factors])
         unknown += report.euler is None
     assert 0 < unknown < len(corpus)
     report = invariant_report(undeclared)

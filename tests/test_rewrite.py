@@ -71,26 +71,6 @@ def test_nested_sym_power_base_is_the_parsed_canonical_inner():
     assert parse_expr(render_text(atom.base)) == atom.base
 
 
-@pytest.mark.parametrize("engine", [expand, expand_tail_first])
-def test_one_expand_call_expands_each_power_once(monkeypatch, engine):
-    # each sym(m, X) is computed once per call; with the repeated parts of
-    # sod(A, B, A, B), a call without the memo computes sym(m, A) twice
-    real = rewrite._Expansion._sym
-    computed = []
-
-    def counted(self, n, inner):
-        computed.append((n, inner))
-        return real(self, n, inner)
-
-    monkeypatch.setattr(rewrite._Expansion, "_sym", counted)
-    for sod in (Sod((A, B, C)), Sod((A, B, A, B))):
-        for n in range(2, 7):
-            computed.clear()
-            engine(Sym(n, sod))
-            assert (n, sod) in computed
-            assert len(computed) == len(set(computed)), sorted(computed, key=str)
-
-
 def _literal_product(left, right):
     # the engine's entries are sorted tuples of atom ids, () for the point
     return [(tuple(sorted(a + b)), ma * mb) for a, ma in left for b, mb in right]
@@ -189,11 +169,20 @@ def test_every_part_is_its_own_only_part():
     assert seen >= {"Point", "Curve", "Surface", "Phantom", "Opaque", "Bullet", "Sym"}, seen
 
 
-def test_r1_builds_no_sym_node_per_arity():
+def test_r1_builds_no_sym_node_per_arity(monkeypatch):
     walk = rewrite._Expansion(split_head=True)
     e = parse_expr("sym(45, P2)")
+    built = []
+    real = Sym.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(Sym, "__init__", counted)
     entries = walk.expand(e)
-    assert list(walk.memo) == [e]
+    monkeypatch.undo()
+    assert built == []
     assert list(walk.rows) == [POINT]
     assert walk.rows[POINT][2:] == [[((), partition_count(m))] for m in range(2, 46)]
     assert sum(mult for _, mult in entries) == q_length(45, 3)
@@ -203,6 +192,14 @@ def test_one_powers_row_per_part_across_r1_nodes(monkeypatch):
     # sym(4, ruled(1)) builds curve(1)'s row to 4 and sym(5, ruled(1)) extends it
     # to 5: one multiplicity_vectors call per arity 2..5 in the whole walk
     calls = []
+    real_row = rewrite._Expansion._row
+    walks = []
+
+    def recorded(self, part, n):
+        walks.append(self)
+        return real_row(self, part, n)
+
+    monkeypatch.setattr(rewrite._Expansion, "_row", recorded)
     real = rewrite.multiplicity_vectors
 
     def counted(n):
@@ -218,6 +215,14 @@ def test_one_powers_row_per_part_across_r1_nodes(monkeypatch):
         left, right = map(engine, canonicalize(e).factors)
         assert list(components) == [(Component.of(c.factors + d.factors), mc * md)
                                     for c, mc in left for d, md in right]
+        # the repeated parts of sod(A, B, A, B) share one row each, and the
+        # entries stay those of the literal rule
+        for n in range(2, 7):
+            walks.clear()
+            components = engine(Sym(n, Sod((A, B, A, B))))
+            assert list(walks[0].rows) == ([A, B] if engine is expand else [B, A])
+            reference = _r1_reference(n, [A, B, A, B], head_first=engine is expand)
+            assert list(components) == reference, n
 
 
 def test_long_sod_does_not_recurse_per_part():
