@@ -7,18 +7,17 @@ of dense rows, ``row[e]`` the coefficient of z^e (zeros included, so row n of
 Goettsche's series has 4n + 1 entries).  Two routes build them.
 
 * The binomial kernel, ``_rows``, applies one factor at a time, in place, to
-  packed rows: row n is a single integer, its z^e coefficient the signed
-  digit e in base 2^W (Kronecker substitution), so one step of a factor is
-  one big-integer shift-and-add.  :func:`euler_product_power` runs it at
-  W = 0, one plain integer per row;
-  Goettsche's series packs, through ``_product``, which takes W from a
-  z-free majorant of the product (``_majorant``, by Euler's logarithmic
-  derivative below) and decodes each row with one ``memoryview`` cast (or,
-  for digits over 8 bytes, one slice a digit).
-  In u = z^2 q its b2 family is the z-free ``prod (1 - u^m)^(-b2)``, built at
-  W = 0 and placed as a seed, a_n at z^(2n), so only the b0, b1, b3 and b4
-  families are packed; rows pack z^d for d the gcd of the z-exponents (2 when
-  b1 = b3 = 0).  Its cost grows with the exponents.
+  packed rows: row n is a single integer, its z^e coefficient the digit e in
+  base 2^W (Kronecker substitution), so one step of a factor is one
+  big-integer shift-and-add.  :func:`euler_product_power` runs it at W = 0,
+  one plain integer per row.  Goettsche's series is the one product that
+  packs.  In u = z^2 q its b2 family is the z-free ``prod (1 - u^m)^(-b2)``,
+  built at W = 0 and placed as a seed, a_n at z^(2n), so only the b0, b1, b3
+  and b4 families are packed, as z^2 when b1 = b3 = 0.  Its coefficients are
+  Betti numbers, so every digit is unsigned, and each is at most q(n; total
+  Betti), which sizes W; each row decodes with one ``memoryview`` cast (or,
+  for digits over 8 bytes, one slice a digit).  Its cost grows with the
+  exponents.
 * Euler's logarithmic derivative, ``_law_rows``, reads a z-free series F of
   symmetric powers from the Adams operations psi^r of its generator: t F'/F
   has b_N = sum_{r | N} (N/r) psi^r at t^N, and n f_n = sum_{k=1..n} b_k f_(n-k),
@@ -52,7 +51,7 @@ from typing import Callable, Iterable
 
 from ._record import InternalInvariantError, Record
 
-_CASTS = {1: "b", 2: "h", 4: "i", 8: "q"}  # memoryview formats by item size
+_CASTS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview formats by item size
 
 
 def poly_eval(row: list[int], z: int) -> int:
@@ -110,13 +109,16 @@ def _rows(
 ) -> list[int]:
     """Rows 0..trunc of the product of ``(1 + s z^a q^m)^e``, each packed as the
     integer value of its z-polynomial at z = 2^width; ``rows``, if given, holds
-    the packed rows of a series to multiply and is multiplied in place.
+    the packed rows of a series to multiply (Goettsche's b2 seed) and is
+    multiplied in place.  :func:`euler_product_power` calls it at width 0 and
+    :func:`gottsche_series` at the width of its digits.
 
     A factor with e >= 0 multiplies the rows in place from the top down, so
     that a row reads only rows not yet multiplied; one with e < 0 divides them
     by ``(1 + s z^a q^m)^-e`` from the bottom up, so that a row reads only rows
     already divided.  Packing is a ring map, so every step is exact whatever
-    the width; the width only decides whether the digits can be read back.
+    the width, even where a partial product has negative coefficients; the
+    width only decides whether the finished product's digits can be read back.
     """
     if rows is None:
         rows = [1] + [0] * trunc
@@ -134,80 +136,6 @@ def _rows(
                 row += c * rows[n - jm] << shift
             rows[n] = row
     return rows
-
-
-def _product(
-    trunc: int,
-    z_slope: int,
-    factors: Iterable[tuple[int, ...]],
-    seed: tuple[int, list[int]] | None = None,
-) -> list[list[int]]:
-    """The product of ``(1 + s z^a q^m)^e`` over ``(a, m, s, e)``, s = +-1, times
-    ``sum_n f_n z^(k n) q^n`` for ``seed = (k, [f_0, ..., f_trunc])`` (by
-    default 1), as dense rows: row n is the list of the z^0..z^(z_slope n)
-    coefficients of q^n (so a <= z_slope m and k <= z_slope), zeros included.
-
-    Row n is built by :func:`_rows` as one integer.  Every exponent is a
-    multiple of the z-step d, the gcd of k and the factors' a, so the row
-    packs z^d, not z: ``sum_e c_(d e) 2^(W e)``, from the seed rows
-    ``f_n 2^(W k n / d)``; factors with e = 0 are dropped.  The sum of |c| over
-    row n is at most the q^n coefficient of the z-free majorant
-    ``sum_n |f_n| q^n prod_m (1 - q^m)^(-E_m)``, E_m the sum of |e| over the
-    factors at m (:func:`_majorant`); W is its largest bit length plus 2, in
-    whole bytes, so every digit lies in (-2^(W-1), 2^(W-1)).  A W of at most
-    8 bytes is rounded up to 1, 2, 4 or 8.  Adding 2^(W-1) to each digit and
-    flipping that bit again, ``(row + B) ^ B``, leaves each digit in two's
-    complement, so one ``int.to_bytes`` lays the row out W/8 bytes a digit;
-    one ``memoryview`` cast reads them all, or, for W over 8 bytes, one signed
-    slice a digit.  A z-step d > 1 spreads them to every d-th entry.
-    """
-    factors = [f for f in factors if f[3]]
-    k, seed_rows = seed or (0, [1] + [0] * trunc)
-    step = math.gcd(k, *(f[0] for f in factors)) or 1
-    size = (max(_majorant(trunc, factors, seed_rows)).bit_length() + 9) // 8  # W / 8
-    if size <= 8:
-        size = 1 << (size - 1).bit_length()
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * (z_slope * trunc // step + 1), "little")
-    shift = k // step * 8 * size
-    rows = [f << shift * n for n, f in enumerate(seed_rows)]
-    _rows(trunc, [(a // step, m, s, e) for a, m, s, e in factors], 8 * size, rows)
-    cast, order, polys = _CASTS.get(size), sys.byteorder, []
-    for n, row in enumerate(rows):
-        length = z_slope * n // step * size + size
-        raw = ((row + bias) ^ bias).to_bytes(length, order)
-        if cast:
-            digits = memoryview(raw).cast(cast).tolist()
-        else:
-            digits = [
-                int.from_bytes(raw[at : at + size], order, signed=True)
-                for at in range(0, length, size)
-            ]
-        if order == "big":
-            digits.reverse()
-        if step > 1:
-            dense = [0] * (z_slope * n + 1)
-            dense[::step] = digits
-            digits = dense
-        polys.append(digits)
-    return polys
-
-
-def _majorant(trunc: int, factors: list[tuple[int, ...]], seed_rows: list[int]) -> list[int]:
-    """Rows 0..trunc of ``sum_n |f_n| q^n prod_m (1 - q^m)^(-E_m)``, E_m the sum
-    of |e| over the factors ``(a, m, s, e)`` at m, by Euler's logarithmic
-    derivative: b_N = sum_{m | N} m E_m, n a_n = sum_{k=1..n} b_k a_(n-k), then
-    the convolution of a with the |f_n|.  It only sizes the digits of
-    :func:`_product`, so the kernel stays the independent side of every check.
-    """
-    b = [0] * trunc  # b[N - 1] is b_N
-    for _, m, _, e in factors:
-        for at in range(m - 1, trunc, m):
-            b[at] += m * abs(e)
-    a = [1]
-    for n in range(1, trunc + 1):
-        a.append(sum(map(operator.mul, b, reversed(a))) // n)
-    seed = [abs(f) for f in seed_rows]
-    return [sum(map(operator.mul, seed, reversed(a[: n + 1]))) for n in range(trunc + 1)]
 
 
 def _law_rows(rows: list[int], psi: Callable[[int], int], top: int, label: str) -> list[int]:
@@ -279,21 +207,56 @@ def gottsche_series(b: BettiVector, trunc: int) -> list[list[int]]:
                     / [(1 - z^(2m-2) q^m)^b0 (1 - z^2m q^m)^b2 (1 - z^(2m+2) q^m)^b4]
 
     Row n, for n = 0..trunc, is the Poincare polynomial of Hilb^n(S) for a
-    surface S with Betti vector ``b``.  This formula is imported from the
-    classical literature; nothing in this package rederives it.
+    surface S with Betti vector ``b``, as its 4n + 1 coefficients.  This
+    formula is imported from the classical literature; nothing in this
+    package rederives it.
 
     In u = z^2 q the b2 family is the z-free ``prod_m (1 - u^m)^(-b2)``: its
-    rows a_n come from :func:`euler_product_power` on small integers and seed
-    the packed product at z^(2n), which then runs over b0, b1, b3 and b4 only.
+    rows a_n, from :func:`euler_product_power`, seed packed row n at z^(2n),
+    and :func:`_rows` multiplies in the b0, b1, b3 and b4 families with
+    nonzero power, packing z^2, not z, when b1 = b3 = 0.  Each coefficient
+    is a Betti number, >= 0 and at most q(n; total Betti) (the z = 1 value,
+    bounded coefficientwise by ``prod_m (1 - q^m)^(-total)``, read by
+    :func:`_law_rows`), so W is the bit length of q(trunc; total) in whole
+    bytes, rounded up to 1, 2, 4 or 8 up to 8 bytes: one ``int.to_bytes``
+    lays a row out and one ``memoryview`` cast, or one unsigned slice a
+    digit, reads it.  The bound only sizes the digits; the kernel values them.
     """
     _check_trunc(trunc)
+    step = 1 if b.b1 else 2  # the z-step: with b1 = b3 = 0 the rows pack z^2
     # b0, b1, b3, b4 come with z^(2m-2), z^(2m-1), z^(2m+1), z^(2m+2); b0 and b4
     # are in the denominator
-    families = ((-2, -1, b.b0), (-1, 1, b.b1), (1, 1, b.b3), (2, -1, b.b4))
-    factors = (
-        (2 * m + da, m, s, s * power) for m in range(1, trunc + 1) for da, s, power in families
-    )
-    return _product(trunc, 4, factors, (2, euler_product_power(b.b2, trunc)))
+    families = [(-2, -1, b.b0), (-1, 1, b.b1), (1, 1, b.b3), (2, -1, b.b4)]
+    factors = [
+        ((2 * m + da) // step, m, s, s * power)
+        for m in range(1, trunc + 1)
+        for da, s, power in families
+        if power
+    ]
+    total = b.total()
+    bound = _law_rows([1], lambda r: total, trunc, f"q({{}};{total})")[-1]
+    size = (bound.bit_length() + 7) // 8 or 1  # W / 8
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()
+    shift = 2 // step * 8 * size
+    rows = [a << shift * n for n, a in enumerate(euler_product_power(b.b2, trunc))]
+    _rows(trunc, factors, 8 * size, rows)
+    cast, order, polys = _CASTS.get(size), sys.byteorder, []
+    for n, row in enumerate(rows):
+        length = (4 * n // step + 1) * size
+        raw = row.to_bytes(length, order)
+        if cast:
+            digits = memoryview(raw).cast(cast).tolist()
+        else:
+            digits = [int.from_bytes(raw[at : at + size], order) for at in range(0, length, size)]
+        if order == "big":
+            digits.reverse()
+        if step > 1:
+            dense = [0] * (4 * n + 1)
+            dense[::step] = digits
+            digits = dense
+        polys.append(digits)
+    return polys
 
 
 def macdonald_poincare(g: int, a: int) -> list[int]:

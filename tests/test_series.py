@@ -9,7 +9,6 @@ from symsod.expr import InternalInvariantError
 from symsod.partitions import q_length
 from symsod.series import (
     BettiVector,
-    _product,
     _rows,
     euler_product_power,
     gottsche_series,
@@ -220,118 +219,66 @@ def test_product_kernel_equals_the_generic_product():
             assert euler_product_power(c, trunc) == expected, (c, trunc)
 
 
-def test_packed_kernel_decodes_signed_and_wide_coefficients():
-    # random factor lists: s = +-1, e of both signs, 0 <= a <= z_slope m; the
-    # results carry negative z-coefficients, and every fifth list has
-    # exponents up to 10**6, so its packed digits are many bytes wide
-    rng = random.Random(1)
-    signed = 0
-    for case in range(60):
-        trunc = 30 if case % 6 == 0 else rng.randint(1, 14)
-        z_slope = rng.randint(0, 4)
-        largest = 10**6 if case % 5 == 0 else 4
-        factors = [
-            (rng.randint(0, z_slope * m), m, rng.choice((-1, 1)), e)
-            for m, e in (
-                (rng.randint(1, trunc), rng.choice((-1, 1)) * rng.randint(1, largest))
-                for _ in range(rng.randint(1, 4))
-            )
-        ]
-        product = _product(trunc, z_slope, factors)
-        assert product == _dense(_product_by_mul(trunc, factors), z_slope), (trunc, factors)
-        signed += any(c < 0 for row in product for c in row)
-    assert signed >= 20
-    # every z-exponent a multiple of step, so rows pack z^step; every other list
-    # is seeded with signed rows f_n at z^(k n), k a multiple of step too
-    for step in (2, 3):
-        signed = 0
-        for case in range(40):
-            trunc = rng.randint(1, 14)
-            z_slope = step * rng.randint(1, 2)
-            largest = 10**6 if case % 5 == 0 else 4
-            factors = [
-                (step * rng.randint(0, z_slope * m // step), m, rng.choice((-1, 1)), e)
-                for m, e in (
-                    (rng.randint(1, trunc), rng.choice((-1, 1)) * rng.randint(0, largest))
-                    for _ in range(rng.randint(0, 4))
-                )
-            ]
-            expected = _product_by_mul(trunc, factors)
-            seed = None
-            if case % 2:
-                k = step * rng.randint(0, z_slope // step)
-                seed = (k, [1] + [rng.randint(-largest, largest) for _ in range(trunc)])
-                expected = _mul(expected, [{k * n: f} if f else {} for n, f in enumerate(seed[1])])
-            product = _product(trunc, z_slope, factors, seed)
-            assert product == _dense(expected, z_slope), (trunc, z_slope, factors, seed)
-            assert not any(c for row in product for e, c in enumerate(row) if e % step)
-            signed += any(c < 0 for row in product for c in row)
-        assert signed >= 10, step
-
-
-def test_packed_rows_decode_by_cast_and_by_slice(monkeypatch):
-    # digits of 1, 2, 4 or 8 bytes are read by one memoryview cast, wider ones
-    # by one signed slice each; both against the generic product, with signed
-    # digits, seeded rows and z-steps 1-3, and row n always z_slope n + 1 long
+def _spy_packed_widths(monkeypatch):
+    """Patch ``series._rows`` to log the width of each packed (width > 0) call."""
     widths = []
     real = series._rows
 
     def spy(trunc, factors, width, rows=None):
-        widths.append(width)
+        if width:
+            widths.append(width)
         return real(trunc, factors, width, rows)
 
     monkeypatch.setattr(series, "_rows", spy)
-    rng = random.Random(3)
-    signed = {}
-    for largest, top in ((1, 3), (3, 6), (40, 8), (10**5, 8), (10**12, 8), (10**30, 6)):
-        for step in (1, 2, 3):
-            for case in range(8):
-                trunc = rng.randint(1, top)
-                z_slope = step * rng.randint(1, 2)
-                factors = [
-                    (step * rng.randint(0, z_slope * m // step), m, rng.choice((-1, 1)), e)
-                    for m, e in (
-                        (rng.randint(1, trunc), rng.choice((-1, 1)) * rng.randint(1, largest))
-                        for _ in range(rng.randint(1, 3))
-                    )
-                ]
-                expected = _product_by_mul(trunc, factors)
-                seed = None
-                if case % 2:
-                    k = step * rng.randint(0, z_slope // step)
-                    seed = (k, [1] + [rng.randint(-largest, largest) for _ in range(trunc)])
-                    expected = _mul(expected, [{k * n: f} if f else {} for n, f in enumerate(seed[1])])
-                widths.clear()
-                product = _product(trunc, z_slope, factors, seed)
-                assert product == _dense(expected, z_slope), (trunc, z_slope, factors, seed)
-                assert [len(row) for row in product] == [z_slope * n + 1 for n in range(trunc + 1)]
-                [width] = widths  # one kernel pass: the majorant does not run it
-                negative = any(c < 0 for row in product for c in row)
-                signed[width] = signed.get(width, 0) + negative
+    return widths
+
+
+def test_packed_rows_decode_by_cast_and_by_slice(monkeypatch):
+    # unsigned digits of 1, 2, 4 or 8 bytes are read by one memoryview cast,
+    # wider ones by one slice each; each width with z-step 1 (b1 > 0) and
+    # z-step 2 (b1 = 0), against the generic product, from trunc 0 and the
+    # all-zero Betti vector up
+    widths = _spy_packed_widths(monkeypatch)
+    seen = set()
+    vectors = [(0, 0, 0, 0, 0)]
+    vectors += [(b0, b1, b2, b1, b0) for b2 in (0, 40, 10**4, 10**9) for b0, b1 in ((1, 0), (2, 2))]
+    for b in vectors:
+        for trunc in range(6):
+            factors = [
+                (a, m, sign, sign * betti)
+                for m in range(1, trunc + 1)
+                for a, sign, betti in zip(range(2 * m - 2, 2 * m + 3), (-1, 1, -1, 1, -1), b)
+            ]
+            widths.clear()
+            rows = gottsche_series(BettiVector(*b), trunc)
+            assert rows == _dense(_product_by_mul(trunc, factors), 4), (b, trunc)
+            [width] = widths  # one packed kernel pass
+            seen.add((width, 1 if b[1] else 2))
     cast = {8 * size for size in series._CASTS}
     assert cast == {8, 16, 32, 64}
-    assert {width for width in signed if width <= 64} == cast  # no 3-, 5-, 6- or 7-byte digit
-    assert any(width > 64 for width in signed)
-    assert all(signed[width] >= 2 for width in signed if width in cast), signed
-    assert sum(signed[width] for width in signed if width > 64) >= 2, signed
+    assert {(width, step) for width in cast for step in (1, 2)} <= seen
+    assert {width for width, _ in seen} - cast  # the slice path ran
+    assert {step for width, step in seen if width > 64} == {1, 2}
 
 
-def test_majorant_equals_the_kernel_at_width_0():
-    # the log-derivative majorant against the binomial kernel at W = 0 on the
-    # same z-free product: several factors share an m, with weights of mixed
-    # size and sign (|e| counts), and the seeds are signed (|f_n| counts)
-    rng = random.Random(5)
-    for case in range(80):
-        trunc = rng.randint(0, 20)
-        largest = 10**6 if case % 5 == 0 else 6
-        factors = [
-            (rng.randint(0, 4 * m), m, rng.choice((-1, 1)), rng.randint(-largest, largest))
-            for m in (rng.randint(1, max(1, trunc // 3)) for _ in range(rng.randint(0, 8)))
-        ]
-        seed = [rng.randint(-largest, largest) for _ in range(trunc + 1)]
-        expected = [abs(f) for f in seed]
-        _rows(trunc, [(0, m, -1, -abs(e)) for _, m, _, e in factors], 0, expected)
-        assert series._majorant(trunc, factors, seed) == expected, (trunc, factors, seed)
+def test_the_digit_bound_only_sizes_the_digits(monkeypatch):
+    # the counterpart of test_the_law_and_q_length_never_run_the_kernel: a
+    # bound raised past 2^70 widens every digit past 8 bytes, so the rows
+    # decode by slices, yet they do not change, since the kernel values them
+    cases = [((1, 0, 1, 0, 1), 4), ((1, 2, 3, 2, 1), 5), ((0, 0, 0, 0, 0), 3), ((2, 1, 40, 1, 2), 0)]
+    expected = [gottsche_series(BettiVector(*b), trunc) for b, trunc in cases]
+    law_rows = series._law_rows
+
+    def inflated(rows, psi, top, label):
+        return [f + (1 << 70) for f in law_rows(rows, psi, top, label)]
+
+    monkeypatch.setattr(series, "_law_rows", inflated)
+    widths = _spy_packed_widths(monkeypatch)
+    for (b, trunc), rows in zip(cases, expected):
+        widths.clear()
+        assert gottsche_series(BettiVector(*b), trunc) == rows, (b, trunc)
+        [width] = widths
+        assert width > 64, (b, trunc)
 
 
 def test_cast_formats_have_the_item_sizes_they_are_keyed_by():
