@@ -63,10 +63,12 @@ appear only where user code sees them: group lists, the arguments of ``act``
 callables, and the basis of :func:`regular_module`.  That module's ``act``
 applies one ``operator.itemgetter`` per listed b to the images of g and
 returns the listed element g * b, so the basis index finds the very object
-it stores.  Tables and image tuples compose by ``map`` over ``__getitem__``:
-the per-element loops run in C builtins.  The natural module's ``act`` is
-``Permutation.__call__`` itself.  One walk, ``_orbit``, finds every orbit
-here, by subscript: module orbits and cycles.
+it stores.  Tables compose by ``_gather``, one ``operator.itemgetter`` (a
+subscript list below two positions), and image tuples by ``map`` over a
+``__getitem__`` that the coset moves bind once per generator and per inverse
+coset representative: the per-element loops run in C builtins.  The
+natural module's ``act`` is ``Permutation.__call__`` itself.  One walk,
+``_orbit``, finds every orbit here, by subscript: module orbits and cycles.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
 from typing import Any, Callable, Iterable, Sequence
 
 from ._record import Record, _set
@@ -148,6 +149,13 @@ class Permutation(Record):
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """One-line images of a * b, for image tuples of equal degree."""
     return tuple(map(((0,) + a).__getitem__, b))
+
+
+def _gather(table: Sequence[int], positions: Sequence[int]) -> list[int]:
+    """``[table[p] for p in positions]``, by one ``operator.itemgetter`` over the positions."""
+    if len(positions) < 2:  # a getter of one index returns a scalar
+        return [table[p] for p in positions]
+    return list(operator.itemgetter(*positions)(table))
 
 
 def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -302,10 +310,10 @@ def _check_relations(gens: Sequence[tuple[int, ...]], tables: Sequence[list[int]
         return
     identity = list(range(len(tables[0])))
     for j, k, m in _coxeter_matrix(gens):
-        product = list(map(tables[j].__getitem__, tables[k]))
+        product = _gather(tables[j], tables[k])
         power = product
         for _ in range(m - 1):
-            power = list(map(product.__getitem__, power))
+            power = _gather(product, power)
         if power != identity:
             relation = f"{Permutation(gens[j])!r}^2" if j == k else (
                 f"({Permutation(gens[j])!r} {Permutation(gens[k])!r})^{m}")
@@ -330,11 +338,12 @@ def class_table(
         letters = [next(gens) for _ in block[1:]]
         entries = []
         for shape in partitions_of(len(block)):
-            word, start = [], 0
-            for part in shape:
+            word, start, z = [], 0, 1
+            for j, part in enumerate(shape):
                 word += letters[start:start + part - 1]
                 start += part
-            z = math.prod(k**m * math.factorial(m) for k, m in Counter(shape).items())
+                # equal parts are adjacent, so this is the run of parts equal to part so far
+                z *= part * (j + 1 - shape.index(part))
             entries.append((shape, tuple(word), math.factorial(len(block)) // z))
         per_block.append(entries)
     return [
@@ -411,7 +420,7 @@ class PermModule:
         table = self._tables[identity]
         for letter in word:
             images = _compose(images, letter)
-            table = list(map(table.__getitem__, self._tables[letter]))
+            table = _gather(table, self._tables[letter])
         if len(word) > 1:
             table = self._checked(Permutation._unchecked(images), table)
         return sum(map(operator.eq, table, range(len(table))))
@@ -532,17 +541,17 @@ def induction_invariance_check(y: YoungPair, m: PermModule) -> InductionReport:
         raise ValueError("module is not defined over the Young subgroup of the given pair")
     n, size = y.n, len(m.basis)
     reps = [r.images for r in young_coset_reps(y)]
-    rep_inverses = [_inverse(r) for r in reps]
+    unrep = [((0,) + _inverse(r)).__getitem__ for r in reps]
     head = n - y.i  # a coset is read off the images of the tail block, positions head + 1..n
-    rep_index = {frozenset(r[head:]): j for j, r in enumerate(reps)}
+    coset = {frozenset(r[head:]): j for j, r in enumerate(reps)}.__getitem__
     gens = _adjacent_transpositions([range(1, n + 1)])
     tables = []
     for s in gens:
-        table = []
+        move, table = ((0,) + s).__getitem__, []
         for r in reps:
-            x = _compose(s, r)  # s * g_k = g_j * h
-            j = rep_index[frozenset(x[head:])]
-            h = _compose(rep_inverses[j], x)
+            x = tuple(map(move, r))  # s * g_k = g_j * h
+            j = coset(frozenset(x[head:]))
+            h = tuple(map(unrep[j], x))  # g_j^-1 * x
             h_table = m._tables.get(h)
             if h_table is None:
                 raise ValueError(f"s * g_k = g_j * h with h = {Permutation(h)!r}, "

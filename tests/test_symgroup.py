@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import math
@@ -162,6 +163,14 @@ def test_orbit_is_the_set_of_points_reached():
     assert symgroup._orbit(1, [[0, 2, 1, 3], [0, 1, 3, 2]]) == {1, 2, 3}
     cycles = symgroup._orbits(range(1, 6), [(0, 2, 1, 3, 5, 4)])
     assert cycles == [{1, 2}, {3}, {4, 5}]
+
+
+def test_gather_is_a_list_of_subscripts_at_every_length():
+    # a getter of one index would return a scalar, and of none would fail
+    table = [4, 0, 3, 1, 2]
+    for positions in ([], [3], (3, 3), [4, 0, 2, 1, 3]):
+        gathered = symgroup._gather(table, positions)
+        assert type(gathered) is list and gathered == [table[p] for p in positions]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -470,15 +479,24 @@ def test_invariant_dimension_by_classes_equals_literal_burnside():
         for i in range(n + 1):
             pair = YoungPair(n, i)
             h = young_subgroup(pair)
-            classes = symgroup.class_table(pair.blocks)
-            assert sum(size for _, _, size in classes) == len(h)
-            for types, word, size in classes:
-                assert _block_cycle_types(_word_element(word, n), pair) == types
-                assert sum(_block_cycle_types(g, pair) == types for g in h) == size
             modules = [trivial_module(h), natural_module(h, n), regular_module(h)]
             modules += [random_orbit_module(h, n, rng) for _ in range(3)]
             for module in modules:
                 assert invariant_dimension(module) == _literal_burnside(module, h)
+
+
+def test_class_sizes_are_the_block_cycle_type_counts_up_to_degree_7():
+    # each class's word lies in its class, and its size, prod |B|!/z_lambda, is the
+    # count of the subgroup's elements with its block cycle types
+    for n in range(1, 8):
+        for i in range(n + 1):
+            pair = YoungPair(n, i)
+            counts = collections.Counter(_block_cycle_types(g, pair) for g in young_subgroup(pair))
+            classes = symgroup.class_table(pair.blocks)
+            for types, word, size in classes:
+                assert _block_cycle_types(_word_element(word, n), pair) == types
+                assert counts[types] == size, (pair, types)
+            assert len(classes) == len(counts)
 
 
 def test_invariant_dimension_by_classes_on_groups_with_non_involution_generators():
