@@ -12,6 +12,7 @@ Grammar (whitespace-insensitive, keywords case-sensitive)::
           | "sym(" nat "," expr ")"
           | "hilb(" nat "," expr ")"
           | ident                          -- any other name: an opaque atom
+    nat  := [0-9]+                         -- ASCII digits only
 
 ``hilb(n, e)`` is sugar for ``sym(n, e)`` and insists that ``e`` is
 surface-like (a surface literal, P2, fakeP2, ruled, or a blow-up); the
@@ -47,7 +48,7 @@ class ParseError(ValueError):
 # A token is a plain (kind, text, pos) tuple; kind is "ident", "nat", "punct" or "end".
 _Token = tuple[str, str, int]
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<nat>\d+)|(?P<punct>[(),]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<nat>[0-9]+)|(?P<punct>[(),]))")
 
 
 def _tokenize(text: str) -> list[_Token]:

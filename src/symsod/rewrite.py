@@ -9,7 +9,9 @@ Rules, applied until every component is a product of atoms:
       sym(0..m, A) per distinct part A, extended on demand to the largest n an
       R1 node asks for: the unit, A itself, then R2, R3 or R7 at each m >= 2.
       No Sym node is built per arity, and each sym(m, sod(A_j..A_l)) is one
-      list comprehension over its blocks.
+      list comprehension over its blocks; head-first builds the answer from
+      the top two parts and sym(0..n, sod(A_3..A_l)) in one comprehension,
+      tail-first keeps the chain as the reference.
 * R2  sym(n, pt) is p(n) completely orthogonal copies of the point,
       aggregated into a single entry with multiplicity p(n).
 * R3  sym(n, curve(g)) gives one component per multiplicity vector
@@ -170,15 +172,17 @@ class _Expansion:
 
         # R1: split off the parts from one end (head-first the first, tail-first
         # the last), then build the powers of each rest from the far end; each
-        # distinct part's row is read in first-seen order, so atom ids are too
+        # distinct part's row is read in first-seen order, so atom ids are too;
+        # head-first stops at level 2 and joins the top two parts in one pass
         ends = parts if self.split_head else parts[::-1]
         powers = [self._row(p, n) for p in ends]
+        fused = self.split_head and len(ends) > 2
         acc = powers[-1]
-        for k in range(len(ends) - 2, -1, -1):
+        for k in range(len(ends) - 2, 1 if fused else -1, -1):
             first, second = (powers[k], acc) if self.split_head else (acc, powers[k])
             arities = range(n + 1) if k else (n,)
             acc = [_blocks(first, second, m) for m in arities]
-        return acc[-1]
+        return _top_blocks(powers[0], powers[1], acc, n) if fused else acc[-1]
 
 
 def _blocks(first: list[Entries], second: list[Entries], m: int) -> Entries:
@@ -189,6 +193,20 @@ def _blocks(first: list[Entries], second: list[Entries], m: int) -> Entries:
             for i in range(m + 1)
             for a, mult_a in first[m - i]
             for b, mult_b in second[i]]
+
+
+def _top_blocks(head: list[Entries], first: list[Entries], second: list[Entries],
+                n: int) -> Entries:
+    """``_blocks(head, [_blocks(first, second, m) for m in 0..n], n)``, entry for
+    entry, with no list per m; a head and a first entry are joined once."""
+    return [(c if not ab else ab if not c else tuple(sorted(ab + c)), mult_ab * mult_c)
+            for i in range(n + 1)
+            for a, mult_a in head[n - i]
+            for j in range(i + 1)
+            for b, mult_b in first[i - j]
+            for ab, mult_ab in [(b if not a else a if not b else tuple(sorted(a + b)),
+                                 mult_a * mult_b)]
+            for c, mult_c in second[j]]
 
 
 def _components(e: CatExpr, split_head: bool) -> ComponentList:

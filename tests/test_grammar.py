@@ -73,6 +73,11 @@ def test_parse_errors_carry_positions():
         parse_expr("fakeP2(0)")
     with pytest.raises(ParseError):
         parse_expr("surface(1,2,3,4,5)")
+    # the grammar's naturals are ASCII digits: other Unicode decimals are refused
+    for text, position in (("sym(\uff13, pt)", 4), ("curve(\u0662)", 6)):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert err.value.position == position
     with pytest.raises(ParseError):
         parse_expr("sod(pt)")
     with pytest.raises(ParseError):

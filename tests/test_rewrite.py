@@ -78,15 +78,18 @@ def _literal_product(left, right):
 
 def test_product_and_blocks_are_the_literal_product(monkeypatch):
     # _product and _blocks join inline; both must equal the literal product on
-    # unit, point-only and mixed operands
+    # unit, point-only and mixed operands, and _top_blocks the two-level chain
     operands = [[((), 1)], [((), 3)], [((), 1), ((), 2)], [((0,), 1), ((1, 2), 2)], [((2,), 2), ((), 1)]]
     for left, right in itertools.product(operands, repeat=2):
         assert rewrite._product(left, right) == _literal_product(left, right)
-    for r, s in itertools.product(range(len(operands)), repeat=2):
+    for r, s, t in itertools.product(range(len(operands)), repeat=3):
         first, second = operands[r:] + operands[:r], operands[s:] + operands[:s]
+        third = operands[t:] + operands[:t]
         for m in range(5):
             literal = [entry for i in range(m + 1) for entry in _literal_product(first[m - i], second[i])]
             assert rewrite._blocks(first, second, m) == literal, (r, s, m)
+            rest = [rewrite._blocks(second, third, k) for k in range(m + 1)]
+            assert rewrite._top_blocks(first, second, third, m) == rewrite._blocks(first, rest, m), (r, s, t, m)
 
     exprs = [Sym(3, Sod((A, POINT, B))), Bullet((Sym(2, Sod((POINT, POINT))), Sym(2, Sod((A, B)))))]
     with monkeypatch.context() as patch:
@@ -134,6 +137,9 @@ def _r1_reference(n, parts, head_first):
         (Sod((O24, A, O24)), [O24, A, O24]),
         ("sod(bullet(A, curve(1)), sym(2, X), sym(3, P1), bullet(curve(1), A))",
          [Bullet((Curve(1), A)), Sym(2, X), Sym(3, Sod((POINT, POINT))), Bullet((Curve(1), A))]),
+        ("sod(curve(1), pt)", [Curve(1), POINT]),
+        ("sod(pt, curve(1), phantom, A, pt, curve(0), B)",
+         [POINT, Curve(1), PHANTOM, A, POINT, Curve(0), B]),
     ],
 )
 def test_r1_entries_follow_the_weak_compositions_in_order(engine, text, parts):
