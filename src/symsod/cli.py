@@ -36,6 +36,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_str  # the string form json.dumps writes
 from typing import Optional, Sequence
@@ -121,14 +122,21 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     return 0
 
 
+_INT_RE = re.compile(r"-?[0-9]+")  # unlike int(): no "_", "+", spaces or non-ASCII digits
+
+
+def _int(text: str) -> int:
+    """An integer option's value, ASCII ``-?[0-9]+``."""
+    if not _INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_betti(text: str) -> BettiVector:
-    try:
-        values = [int(p) for p in text.split(",")]
-    except ValueError:
-        values = []
-    if len(values) != 5:
+    parts = text.split(",")
+    if len(parts) != 5 or not all(map(_INT_RE.fullmatch, parts)):
         raise ValueError(f"--betti needs five comma-separated integers, got {text!r}")
-    return BettiVector(*values)
+    return BettiVector(*map(int, parts))
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -228,16 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tab = sub.add_parser("table", help="q(n;l) rows or Hilbert-scheme Betti tables")
     p_tab.add_argument("kind", choices=("q", "gottsche"))
-    p_tab.add_argument("--l", type=int, default=None, help="number of exceptional pieces")
+    p_tab.add_argument("--l", type=_int, default=None, help="number of exceptional pieces")
     p_tab.add_argument("--betti", default=None, help="b0,b1,b2,b3,b4 for the gottsche table")
-    p_tab.add_argument("--n", type=int, default=10, help="largest weight to print")
+    p_tab.add_argument("--n", type=_int, default=10, help="largest weight to print")
 
     p_ver = sub.add_parser("verify", help="run the built-in property suites")
     p_ver.add_argument("--suite", default="all", help="a suite name, or all (default)")
     p_ver.add_argument(
-        "--max-n", type=int, default=None, help="cap the exhaustive ranges (at least 1)"
+        "--max-n", type=_int, default=None, help="cap the exhaustive ranges (at least 1)"
     )
-    p_ver.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    p_ver.add_argument("--seed", type=_int, default=0, help="seed for randomized checks")
 
     # every verb ends with --format, so it is the last option of each --help
     for verb, func in ((p_dec, _cmd_decompose), (p_inv, _cmd_invariants),

@@ -9,15 +9,16 @@ Goettsche's series has 4n + 1 entries).  Two routes build them.
 * The binomial kernel, ``_rows``, applies one factor at a time, in place, to
   packed rows: row n is a single integer, its z^e coefficient the digit e in
   base 2^W (Kronecker substitution), so one step of a factor is one
-  big-integer shift-and-add.  :func:`euler_product_power` runs it at W = 0,
-  one plain integer per row.  Goettsche's series is the one product that
-  packs.  In u = z^2 q its b2 family is the z-free ``prod (1 - u^m)^(-b2)``,
-  built at W = 0 and placed as a seed, a_n at z^(2n), so only the b0, b1, b3
-  and b4 families are packed, as z^2 when b1 = b3 = 0.  Its coefficients are
-  Betti numbers, so every digit is unsigned, and each is at most q(n; total
-  Betti), which sizes W; each row decodes with one ``memoryview`` cast (or,
-  for digits over 8 bytes, one slice a digit).  Its cost grows with the
-  exponents.
+  big-integer shift-and-add (with no multiply for a unit factor, one step of
+  coefficient 1).  :func:`euler_product_power` runs it at W = 0, one plain
+  integer per row.  Goettsche's series is the one product that packs.  In
+  u = z^2 q its b2 family is P(u)^b2, P the partition series (unit factors,
+  at W = 0), packed and squared up to b2 as a seed, digit n at z^(2n), so
+  only the b0, b1, b3 and b4 families are packed, as z^2 when b1 = b3 = 0.
+  Its coefficients are Betti numbers, so every digit is unsigned, and each
+  is at most q(n; total Betti), which sizes W; each row decodes with one
+  ``memoryview`` cast (or, for digits over 8 bytes, one slice a digit).
+  Its cost grows with the exponents.
 * Euler's logarithmic derivative, ``_law_rows``, reads a z-free series F of
   symmetric powers from the Adams operations psi^r of its generator: t F'/F
   has b_N = sum_{r | N} (N/r) psi^r at t^N, and n f_n = sum_{k=1..n} b_k f_(n-k),
@@ -28,7 +29,8 @@ Goettsche's series has 4n + 1 entries).  Two routes build them.
 So the checks against the law (``invariants:goettsche-two-path``) and
 against q(n; l) (``series:eta-euler-product``, ``invariants:phantom-audit``)
 each set the kernel against the recurrence; ``series:gottsche-euler`` sets
-the packed kernel against the kernel at W = 0.  The functions:
+the packed kernel against the kernel at W = 0 with power chi, a run that
+:func:`gottsche_series` never makes.  The functions:
 
 * :func:`euler_product_power` -- the Euler product ``prod (1 - q^m)^(-c)``
   for any integer c; for c = l >= 1 its q^n coefficient is ``q(n; l)``,
@@ -119,16 +121,23 @@ def _rows(
     already divided.  Packing is a ring map, so every step is exact whatever
     the width, even where a partial product has negative coefficients; the
     width only decides whether the finished product's digits can be read back.
+    A unit factor, ``1 + z^a q^m`` or ``1 / (1 - z^a q^m)``, runs without a multiply.
     """
     if rows is None:
         rows = [1] + [0] * trunc
     for a, m, s, e in factors:
+        order = range(m, trunc + 1) if e < 0 else range(trunc, m - 1, -1)
+        if e == s and s in (1, -1):  # a unit factor
+            shift = a * width
+            for n in order:
+                rows[n] += rows[n - m] << shift
+            continue
         sign = -1 if e < 0 else 1
         steps = [
             (j * m, sign * s**j * math.comb(abs(e), j), j * a * width)
             for j in range(1, min(abs(e), trunc // m) + 1)
         ]
-        for n in range(m, trunc + 1) if e < 0 else range(trunc, m - 1, -1):
+        for n in order:
             row = rows[n]
             for jm, c, shift in steps:
                 if jm > n:
@@ -211,16 +220,18 @@ def gottsche_series(b: BettiVector, trunc: int) -> list[list[int]]:
     formula is imported from the classical literature; nothing in this
     package rederives it.
 
-    In u = z^2 q the b2 family is the z-free ``prod_m (1 - u^m)^(-b2)``: its
-    rows a_n, from :func:`euler_product_power`, seed packed row n at z^(2n),
-    and :func:`_rows` multiplies in the b0, b1, b3 and b4 families with
-    nonzero power, packing z^2, not z, when b1 = b3 = 0.  Each coefficient
-    is a Betti number, >= 0 and at most q(n; total Betti) (the z = 1 value,
-    bounded coefficientwise by ``prod_m (1 - q^m)^(-total)``, read by
-    :func:`_law_rows`), so W is the bit length of q(trunc; total) in whole
-    bytes, rounded up to 1, 2, 4 or 8 up to 8 bytes: one ``int.to_bytes``
-    lays a row out and one ``memoryview`` cast, or one unsigned slice a
-    digit, reads it.  The bound only sizes the digits; the kernel values them.
+    In u = z^2 q the b2 family is the z-free ``P(u)^b2``, P the partition
+    series, and :func:`_rows` multiplies in the b0, b1, b3 and b4 families
+    with nonzero power, packing z^2, not z, when b1 = b3 = 0.  Each
+    coefficient is a Betti number, >= 0 and at most q(n; total Betti) (the
+    z = 1 value, bounded coefficientwise by ``prod_m (1 - q^m)^(-total)``,
+    read by :func:`_law_rows`), so W is the bit length of q(trunc; total) in
+    whole bytes, rounded up to 1, 2, 4 or 8 up to 8 bytes: one
+    ``int.to_bytes`` lays a row out and one ``memoryview`` cast, or one
+    unsigned slice a digit, reads it.  The bound only sizes the digits; the
+    kernel values them.  P^k has digits q(n; k) < 2^W for k <= b2, so P
+    packed at W squares up to P^b2, each product masked to trunc + 1 digits,
+    with no digit carried; its digit n seeds packed row n at z^(2n).
     """
     _check_trunc(trunc)
     step = 1 if b.b1 else 2  # the z-step: with b1 = b3 = 0 the rows pack z^2
@@ -238,9 +249,18 @@ def gottsche_series(b: BettiVector, trunc: int) -> list[list[int]]:
     size = (bound.bit_length() + 7) // 8 or 1  # W / 8
     if size <= 8:
         size = 1 << (size - 1).bit_length()
-    shift = 2 // step * 8 * size
-    rows = [a << shift * n for n, a in enumerate(euler_product_power(b.b2, trunc))]
-    _rows(trunc, factors, 8 * size, rows)
+    width = 8 * size
+    base = sum(p << width * n for n, p in enumerate(euler_product_power(1, trunc)))
+    seed, power, mask = 1, b.b2, (1 << width * (trunc + 1)) - 1
+    while power:  # P^b2; no power past b2 is formed
+        if power & 1:
+            seed = seed * base & mask
+        power >>= 1
+        if power:
+            base = base * base & mask
+    digit, shift = (1 << width) - 1, 2 // step * width
+    rows = [(seed >> width * n & digit) << shift * n for n in range(trunc + 1)]
+    _rows(trunc, factors, width, rows)
     cast, order, polys = _CASTS.get(size), sys.byteorder, []
     for n, row in enumerate(rows):
         length = (4 * n // step + 1) * size

@@ -383,6 +383,43 @@ def test_table_gottsche_non_integer_betti(capsys):
     assert err == "error: --betti needs five comma-separated integers, got '1,a,1,0,1'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        pytest.param(
+            ("table", "gottsche", "--betti", "1_0,0,1,0,1_0", "--n", "1"), "--betti",
+            id="betti-underscore",
+        ),
+        pytest.param(
+            ("table", "gottsche", "--betti", "\u0967,0,1,0,\u0967", "--n", "1"), "--betti",
+            id="betti-devanagari-digit",
+        ),
+        pytest.param(("table", "q", "--l", "\u0662", "--n", "3"), "--l", id="l-arabic-indic-digit"),
+        pytest.param(("table", "q", "--l", "2", "--n", "1_0"), "--n", id="n-underscore"),
+        pytest.param(
+            ("verify", "--suite", "rewrite", "--max-n", "\uff13"), "--max-n", id="max-n-fullwidth-digit"
+        ),
+        pytest.param(("verify", "--suite", "combinatorics", "--seed", "+1"), "--seed", id="seed-plus"),
+        pytest.param(("table", "q", "--l", " 2", "--n", "3"), "--l", id="l-space"),
+    ],
+)
+def test_integer_options_read_ascii_digits_only(capsys, argv, option):
+    # int() reads "1_0", "+1", " 2" and non-ASCII digits; like the expression
+    # grammar, every integer option refuses them, naming the option
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:  # argparse refuses the value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    value = argv[argv.index(option) + 1]
+    if option == "--betti":
+        expected = f"error: --betti needs five comma-separated integers, got {value!r}"
+    else:
+        expected = f"error: argument {option}: invalid int value: {value!r}"
+    assert captured.err.splitlines()[-1].endswith(expected)
+
+
 def test_verify_single_suite(capsys):
     assert run_cli("verify", "--suite", "combinatorics", "--max-n", "8") == 0
     out = capsys.readouterr().out

@@ -297,9 +297,10 @@ def test_wide_digits_decode_in_either_byte_order(monkeypatch):
 
 
 def test_gottsche_packs_only_the_b0_b1_b3_b4_families(monkeypatch):
-    # the b2 family is z-free in u = z^2 q: it runs at width 0 only, as the
-    # seed, and never reaches the packed-width call; with b1 = b3 = 0 the
-    # packed factors carry z^2, so their exponents are halved
+    # the b2 family is z-free in u = z^2 q: its seed is the partition series,
+    # the one width-0 call, raised to b2 by squaring, so no kernel call
+    # carries the power b2; with b1 = b3 = 0 the packed factors carry z^2, so
+    # their exponents are halved
     calls = []
     real = series._rows
 
@@ -319,7 +320,44 @@ def test_gottsche_packs_only_the_b0_b1_b3_b4_families(monkeypatch):
             (a // step, m) for m in range(1, 7) for a, betti in
             zip((2 * m - 2, 2 * m - 1, 2 * m + 1, 2 * m + 2), (b[0], b[1], b[3], b[4])) if betti
         }, b
-        assert (0, [(0, m, -1, -7) for m in range(1, 7)]) in calls, b
+        assert (0, [(0, m, -1, -1) for m in range(1, 7)]) in calls, b
+        assert all(abs(e) != 7 for _, factors in calls for _, _, _, e in factors), b
+
+
+@pytest.mark.parametrize("b2", [0, 1, 2, 7, 60, 10**6, 10**12])
+def test_gottsche_b2_family_alone_is_the_euler_product_at_z_squared(b2):
+    # the seed, squared up from the partition series, against the kernel run
+    # at width 0 with the power b2: a_n sits at z^(2n) in every row, the last
+    # one included
+    a = euler_product_power(b2, 25)
+    for trunc in range(26):
+        rows = gottsche_series(BettiVector(0, 0, b2, 0, 0), trunc)
+        assert rows == [[0] * 2 * n + [a[n]] + [0] * 2 * n for n in range(trunc + 1)], trunc
+
+
+@pytest.mark.parametrize("width", [0, 64])
+def test_unit_factors_equal_the_generic_product(width):
+    # 1 + z^a q^m multiplies from the top down and 1 / (1 - z^a q^m) divides
+    # from the bottom up, one shift-and-add a row; with powers 2 and -2 mixed
+    # in, every coefficient is >= 0, so the rows read back at W = 64 (at
+    # W = 0, z = 1, each row is its coefficient sum)
+    rng = random.Random(width)
+    for _ in range(60):
+        trunc = rng.randint(0, 12)
+        factors = [
+            (rng.randint(0, 3), rng.randint(1, 5), s, s * rng.choice((1, 1, 1, 2)))
+            for s in rng.choices((1, -1), k=rng.randint(1, 8))
+        ]
+        expected = _product_by_mul(trunc, factors)
+        rows = _rows(trunc, factors, width)
+        if width:
+            assert all(row >> width * (3 * n + 1) == 0 for n, row in enumerate(rows))
+            digits = [[row >> width * e & (1 << width) - 1 for e in range(3 * n + 1)]
+                      for n, row in enumerate(rows)]
+            rows = [{e: c for e, c in enumerate(row) if c} for row in digits]
+        else:
+            expected = [sum(row.values()) for row in expected]
+        assert rows == expected, (trunc, factors)
 
 
 def _law_by_the_kernel(h_plus, h_minus, trunc):
