@@ -84,6 +84,12 @@ class Surface(_Rendered):
 
     __slots__ = ("name", "betti")
 
+    def __init__(self, name: str, betti: BettiVector) -> None:
+        if not name or type(betti) is not BettiVector:
+            raise ValueError(f"surface atom needs a name and Betti vector, got {name!r}, {betti!r}")
+        _set(self, "name", name)
+        _set(self, "betti", betti)
+
 
 class Phantom(_Rendered):
     """An admissible piece with vanishing total Hochschild homology."""
@@ -94,7 +100,8 @@ class Phantom(_Rendered):
 class Opaque(_Rendered):
     """A named category we know nothing about beyond optionally declared invariants.
 
-    Declared values must be some category's: hh >= |euler|, of the same parity.
+    Declared values are ``int`` or None, and must be some category's: hh >= |euler|,
+    of the same parity.
     """
 
     __slots__ = ("name", "euler", "hh")
@@ -103,6 +110,8 @@ class Opaque(_Rendered):
         if not name:
             raise ValueError("opaque atom needs a non-empty name")
         e, h = euler, hh
+        if {type(e), type(h)} - {int, type(None)}:
+            raise ValueError(f"opaque atom {name}: euler={e!r} and hh={h!r} must be integers")
         if h is not None and (h < abs(e or 0) or (e is not None and (h - e) % 2)):
             raise ValueError(f"opaque atom {name}: no category has euler={e} and hh={h}")
         _set(self, "name", name)
@@ -284,9 +293,6 @@ class Component(Record):
         if len(kept) > 1:
             kept.sort(key=sort_key)
         return cls(tuple(kept))
-
-    def is_point(self) -> bool:
-        return self.factors == (POINT,)
 
     def __str__(self) -> str:
         return " * ".join(str(a) for a in self.factors)

@@ -288,7 +288,8 @@ def macdonald_poincare(g: int, a: int) -> list[int]:
     """
     if type(g) is not int or g < 0:
         raise ValueError(f"the genus must be an integer >= 0, got {g!r}")
-    _check_trunc(a)
+    if type(a) is not int or a < 0:
+        raise ValueError(f"the degree must be an integer >= 0, got {a!r}")
     row = [0] * (2 * a + 1)
     for k in range(0, min(2 * g, a) + 1):
         c = math.comb(2 * g, k)

@@ -3,6 +3,7 @@ import pickle
 import random
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import symsod
 from symsod.expr import (
     Bullet,
+    CatExpr,
     Component,
     ComponentList,
     Curve,
@@ -22,7 +24,6 @@ from symsod.expr import (
     Sym,
     SymCurve,
     SymPower,
-    _Rendered,
     betti_of,
     blowup,
     canonicalize,
@@ -31,6 +32,7 @@ from symsod.expr import (
     sort_key,
     surface_literal,
 )
+from symsod.grammar import parse_expr, render_text
 from symsod.rewrite import expand, expand_tail_first
 from symsod.series import BettiVector
 from symsod.suites import gen_random_expr
@@ -75,7 +77,7 @@ def test_sort_key_has_one_key_per_expression_class():
     samples = [POINT, Curve(1), SymCurve(1, 2), surface_literal(BettiVector(1, 0, 1, 0, 1)),
                PHANTOM, Opaque("A"), SymPower(2, PHANTOM), Sod((POINT, PHANTOM)),
                Bullet((Curve(1), PHANTOM)), Sym(2, PHANTOM)]
-    assert {type(e) for e in samples} == set(_Rendered.__subclasses__())
+    assert {type(e) for e in samples} == set(typing.get_args(CatExpr))
     assert [sort_key(e)[0] for e in samples] == list(range(10))
     for other in (3, None, Component.of([Curve(1)]), BettiVector(1, 0, 1, 0, 1)):
         with pytest.raises(TypeError, match="not a CatExpr"):
@@ -85,8 +87,7 @@ def test_sort_key_has_one_key_per_expression_class():
 def test_component_drops_point_units():
     c = Component.of([POINT, Curve(1), POINT])
     assert c.factors == (Curve(1),)
-    assert Component.of([POINT, POINT]).is_point()
-    assert Component.of([]).is_point()
+    assert Component.of([POINT, POINT]).factors == Component.of([]).factors == (POINT,)
 
 
 # positions 0 and 1 of this table are the point and curve(1)
@@ -321,8 +322,6 @@ def test_natural_number_fields_reject_bool_and_float(build):
 
 
 def test_natural_number_fields_accept_plain_ints():
-    from symsod.grammar import parse_expr, render_text
-
     for e in (Sym(2, Sod((Opaque("A"), POINT))), Sym(0, Curve(0)), Curve(3)):
         assert parse_expr(render_text(e)) == e
     assert (SymCurve(1, 0).degree, SymPower(2, Curve(1)).arity) == (0, 2)
@@ -333,13 +332,21 @@ def test_natural_number_fields_accept_plain_ints():
 def test_surface_atom_enforces_duality():
     with pytest.raises(ValueError):
         Surface("bad", BettiVector(1, 2, 0, 0, 1))
+    # an empty name would render as nothing, and a tuple's report raised AttributeError
+    for name, betti in (("", BettiVector(1, 0, 1, 0, 1)), ("S", (1, 0, 1, 0, 1)), ("S", None)):
+        with pytest.raises(ValueError, match="surface atom needs"):
+            Surface(name, betti)
 
 
-@pytest.mark.parametrize("euler, hh", [(3, 1), (-3, 1), (2, 3), (0, 1), (None, -1)])
+@pytest.mark.parametrize(
+    "euler, hh",
+    [(3, 1), (-3, 1), (2, 3), (0, 1), (None, -1), (1.0, 3), (True, 3), ("1", "3"), (1, 3.0)],
+)
 def test_opaque_rejects_invariants_no_category_has(euler, hh):
     # hh is the sum of the Hochschild dimensions and euler their alternating
-    # sum, so hh >= |euler| with the same parity, and hh >= 0 on its own
-    with pytest.raises(ValueError, match=f"euler={euler} and hh={hh}"):
+    # sum, so hh >= |euler| with the same parity, and hh >= 0 on its own; both
+    # are int or None (1.0 was reported as the float 1.0, "1" raised TypeError)
+    with pytest.raises(ValueError, match=f"euler={euler!r} and hh={hh!r}"):
         Opaque("A", euler=euler, hh=hh)
 
 
@@ -350,8 +357,6 @@ def test_opaque_accepts_invariants_some_category_has(euler, hh):
 
 
 def test_blowup_stays_atomic_under_expansion():
-    from symsod.rewrite import expand
-
     components = expand(blowup(make_preset("P2")))
     assert len(components) == 2
     head = tuple(components)[0][0].factors[0]

@@ -119,3 +119,72 @@ def test_the_cli_imports_no_dataclasses_and_loads_the_suites_only_for_verify():
     lines = proc.stdout.splitlines()
     assert lines[:2] == ["['symsod.symgroup']", "True"], proc.stderr
     assert proc.returncode == 0 and lines[-1] == "passed 3/3 checks", proc.stdout
+
+
+# Every package-private name a test reads, imports, patches or names as a
+# mutation target (tests/test_mutants.py), with why it may: a benchmark hook,
+# the independence of two oracles, or the mutant that only its test kills.
+# Anything else reaches the package through its public names.
+PRIVATE_NAMES = {
+    "invariants._hilb_poincare_value": "bench hook: bench/run.py drains and counts the law's cache",
+    "partitions._P_TABLE": "bench hook: bench/run.py drains it",
+    "partitions._Q_CACHE": "bench hook: bench/run.py drains it; also cold for oracle independence",
+    "partitions._law_rows": "only its spies kill q_length rebuilding a cached row or a wrong label",
+    "series._law_rows": "oracle independence: the law's bound only sizes Goettsche's digits",
+    "series._rows": "oracle independence: the law and q_length never run the binomial kernel",
+    "rewrite._top_blocks": "mutation row: head-first's fusion, which only one check compares",
+    "symgroup._check_relations": "only its spy kills re-checking the relations of one coset",
+    "symgroup._coxeter_matrix": "independent oracle: Todd-Coxeter certifies the relators",
+    "symgroup._orbit": "only its spy kills module construction walking orbits of the group list",
+}
+TESTS = pathlib.Path(__file__).resolve().parent
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def _private_names(tree: ast.Module) -> set[str]:
+    """``module._name`` for each package-private name the tree reads as an attribute of
+    a symsod module or class, imports, patches with ``setattr`` or spells in a string."""
+    bound = {"symsod": ""}  # local name -> the module or module.Class it stands for
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("symsod"):
+            module = node.module.removeprefix("symsod").lstrip(".")
+            for alias in node.names:
+                name = bound[alias.asname or alias.name] = f"{module}.{alias.name}".lstrip(".")
+                if module and alias.name.startswith("_"):
+                    found.add(name)
+
+    def owner(node):
+        if isinstance(node, ast.Attribute) and owner(node.value) == "":
+            return node.attr
+        return bound.get(node.id) if isinstance(node, ast.Name) else None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "setattr" and node.args:
+            target, *rest = node.args  # monkeypatch.setattr(target, "name", value)
+            node = ast.Attribute(target, getattr(rest[0], "value", None) if rest else None)
+        if isinstance(node, ast.Attribute) and isinstance(node.attr, str) and owner(node.value):
+            if node.attr.startswith("_") and not node.attr.startswith("__"):
+                found.add(f"{owner(node.value)}.{node.attr}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            module, _, name = node.value.partition(".")
+            if module in MODULES and name.startswith("_") and name.isidentifier():
+                found.add(node.value)
+    return found
+
+
+def test_the_scan_sees_each_kind_of_private_reference():
+    tree = ast.parse("import symsod\nfrom symsod import rewrite as r\n"
+                     "from symsod.series import _rows\nfrom symsod.symgroup import Permutation\n"
+                     "r._a, symsod.cli._b, Permutation._c, r.__name__\n"
+                     "m.setattr(r, '_d', 0)\nx = 'symgroup._e', 'symsod._f'\n")
+    assert _private_names(tree) == {"series._rows", "rewrite._a", "cli._b",
+                                    "symgroup.Permutation._c", "rewrite._d", "symgroup._e"}
+
+
+def test_tests_reach_private_names_only_where_allowed():
+    found = set()
+    for path in sorted(TESTS.glob("*.py")):
+        if path.name != pathlib.Path(__file__).name:
+            found |= _private_names(ast.parse(path.read_text()))
+    assert found == set(PRIVATE_NAMES)

@@ -67,19 +67,6 @@ def test_sym_power_of_phantom_is_phantom():
     assert invariant_report(Sym(3, make_preset("fakeP2", 2))).hh_total == q_length(3, 4)
 
 
-@pytest.mark.parametrize("evaluate", [invariant_report])
-def test_macdonald_series_once_per_degree(monkeypatch, evaluate):
-    calls = []
-
-    def counted(g, a):
-        calls.append((g, a))
-        return macdonald_poincare(g, a)
-
-    monkeypatch.setattr(invariants, "macdonald_poincare", counted)
-    evaluate(Sym(16, make_preset("ruled", 2)))
-    assert len(calls) == len(set(calls)) <= 16
-
-
 def test_report_breakdown_and_consistency():
     report = invariant_report(Sym(2, make_preset("P1")))
     assert report.expansion.total_multiplicity() == 5
@@ -165,11 +152,8 @@ def test_one_law_evaluation_per_surface(monkeypatch):
     # the law, to order 11, values them all, and no Goettsche series is built
     calls = []
 
-    def counted(betti, top):
-        calls.append((betti, top))
-        return gottsche_series(betti, top)
-
-    monkeypatch.setattr(invariants, "gottsche_series", counted)
+    monkeypatch.setattr(invariants, "gottsche_series",
+                        lambda b, top: calls.append((b, top)) or gottsche_series(b, top))
     invariants._hilb_poincare_value.cache_clear()
     report = invariant_report(parse_expr("hilb(11, blowup(blowup(surface(1,0,7,0,1))))"))
     info = invariants._hilb_poincare_value.cache_info()
@@ -182,11 +166,14 @@ def test_one_law_evaluation_per_surface(monkeypatch):
 
 def test_component_values_hash_no_betti_vector(monkeypatch):
     # the law's cache and the tops of one report are keyed by (h+, h-) ints,
-    # so valuing sym^n(S) atoms hashes no Betti vector; the values are pinned
-    expansions = [invariants.expand(parse_expr(text)) for text in (
+    # so valuing sym^n(S) atoms hashes no Betti vector; the values are pinned.
+    # The walk hashes its atoms, so each report reads an expansion made before
+    trees = [parse_expr(text) for text in (
         "hilb(11, blowup(blowup(blowup(surface(1,0,7,0,1)))))",
         "sod(hilb(3, surface(1,2,5,2,1)), hilb(5, surface(1,2,5,2,1)))",
     )]
+    expansions = [invariants.expand(tree) for tree in trees]
+    monkeypatch.setattr(invariants, "expand", lambda e: expansions.pop(0))
 
     def refused(betti):
         raise AssertionError(f"hashed {betti!r}")
@@ -194,27 +181,22 @@ def test_component_values_hash_no_betti_vector(monkeypatch):
     monkeypatch.setattr(BettiVector, "__hash__", refused)
     invariants._hilb_poincare_value.cache_clear()
     ones = [8207563, 2919411, 997150, 325193, 100529, 29183, 7854, 1925, 418, 77, 11, 1]
-    assert invariants._component_values(expansions[0]) == tuple((v, v) for v in ones)
-    assert invariants._component_values(expansions[1]) == ((22, 374), (108, 6204))
+    assert invariant_report(trees[0]).values == tuple((v, v) for v in ones)
+    assert invariant_report(trees[1]).values == ((22, 374), (108, 6204))
     info = invariants._hilb_poincare_value.cache_info()
     assert (info.hits, info.misses) == (10, 2)
 
 
 def test_each_atom_of_the_table_is_valued_once(monkeypatch):
+    # each curve power of the table reads its Macdonald row once, in table order,
+    # however many components hold it
     calls = []
-    value = invariants._atom_value
-
-    def counted(atom, tops):
-        calls.append(atom)
-        return value(atom, tops)
-
-    monkeypatch.setattr(invariants, "_atom_value", counted)
-    texts = ["sym(15, curve(3))", "sym(8, ruled(2))", "sym(2, sod(curve(1), X, curve(1)))",
-             "hilb(6, blowup(blowup(P2)))", "sym(10, fakeP2(2))", "sym(3, P2)"]
-    for text in texts:
+    monkeypatch.setattr(invariants, "macdonald_poincare",
+                        lambda g, a: calls.append(SymCurve(g, a)) or macdonald_poincare(g, a))
+    for text in ("sym(15, curve(3))", "sym(8, ruled(2))", "sym(3, sod(curve(1), X, curve(2)))"):
         calls.clear()
         report = invariant_report(parse_expr(text))
-        assert calls == list(report.expansion.atoms), text
+        assert calls == [a for a in report.expansion.atoms if isinstance(a, SymCurve)], text
 
 
 @pytest.mark.parametrize(
@@ -255,5 +237,5 @@ def test_report_totals_over_repeated_components(e, distinct, rows, totals):
     mults = [mult for _, mult in expansion.pairs]
     assert (report.euler, report.hh_total) == (_weighted(eulers, mults), _weighted(hhs, mults))
     assert (report.euler, report.hh_total, report.exceptional_length) == totals
-    all_points = all(comp.is_point() for comp in expansion.distinct)
+    all_points = all(comp.factors == (POINT,) for comp in expansion.distinct)
     assert (report.exceptional_length is None) == (not all_points)

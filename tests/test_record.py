@@ -5,12 +5,13 @@ import typing
 import pytest
 
 from symsod import expr
-from symsod._record import Record, _set
+from symsod._record import Record
 from symsod.expr import (
     PHANTOM,
     POINT,
     Bullet,
     Component,
+    ComponentList,
     Curve,
     Opaque,
     Sod,
@@ -92,8 +93,10 @@ def test_every_record_class_has_a_sample():
 
 def test_every_leaf_expression_class_but_the_composites_is_an_atom():
     # a new atom class left out of the Atom union would fail isinstance(e, Atom)
-    atoms = _leaves(expr._Rendered) - {Sod, Bullet, Sym}
-    assert atoms == set(typing.get_args(expr.Atom))
+    expressions = {cls for cls in _leaves(Record) if cls.__module__ == "symsod.expr"}
+    expressions -= {Component, ComponentList}
+    assert expressions == set(typing.get_args(expr.CatExpr))
+    assert expressions - {Sod, Bullet, Sym} == set(typing.get_args(expr.Atom))
     assert isinstance(POINT, expr.Atom) and not isinstance(Sym(2, POINT), expr.Atom)
 
 
@@ -108,7 +111,7 @@ def test_record_semantics(value, shown):
     for name in cls._fields:  # every field takes part in equality
         variant = object.__new__(cls)
         for other in cls.__slots__:
-            _set(variant, other, object() if other == name else getattr(value, other))
+            object.__setattr__(variant, other, object() if other == name else getattr(value, other))
         assert variant != value, name
     for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
         assert type(copied) is cls and copied == value and hash(copied) == hash(value)

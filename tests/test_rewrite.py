@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,7 @@ from symsod.expr import (
 )
 from symsod.grammar import parse_expr, render_text
 from symsod.invariants import invariant_report
-from symsod.partitions import partition_count, q_length
+from symsod.partitions import q_length
 from symsod.rewrite import expand, expand_tail_first
 from symsod.series import BettiVector
 from symsod.suites import gen_random_expr
@@ -71,33 +72,15 @@ def test_nested_sym_power_base_is_the_parsed_canonical_inner():
     assert parse_expr(render_text(atom.base)) == atom.base
 
 
-def _literal_product(left, right):
-    # the engine's entries are sorted tuples of atom ids, () for the point
-    return [(tuple(sorted(a + b)), ma * mb) for a, ma in left for b, mb in right]
-
-
-def test_product_and_blocks_are_the_literal_product(monkeypatch):
-    # _product and _blocks join inline; both must equal the literal product on
-    # unit, point-only and mixed operands, and _top_blocks the two-level chain
-    operands = [[((), 1)], [((), 3)], [((), 1), ((), 2)], [((0,), 1), ((1, 2), 2)], [((2,), 2), ((), 1)]]
-    for left, right in itertools.product(operands, repeat=2):
-        assert rewrite._product(left, right) == _literal_product(left, right)
-    for r, s, t in itertools.product(range(len(operands)), repeat=3):
-        first, second = operands[r:] + operands[:r], operands[s:] + operands[:s]
-        third = operands[t:] + operands[:t]
-        for m in range(5):
-            literal = [entry for i in range(m + 1) for entry in _literal_product(first[m - i], second[i])]
-            assert rewrite._blocks(first, second, m) == literal, (r, s, m)
-            rest = [rewrite._blocks(second, third, k) for k in range(m + 1)]
-            assert rewrite._top_blocks(first, second, third, m) == rewrite._blocks(first, rest, m), (r, s, t, m)
-
-    exprs = [Sym(3, Sod((A, POINT, B))), Bullet((Sym(2, Sod((POINT, POINT))), Sym(2, Sod((A, B)))))]
-    with monkeypatch.context() as patch:
-        patch.setattr(rewrite, "_product", _literal_product)
-        literal = [tuple(expand(e)) for e in exprs]
-    assert [tuple(expand(e)) for e in exprs] == literal
-    components = expand(Sym(2, Sod((POINT,) * 60)))
-    assert components.total_multiplicity() == q_length(2, 60)
+def test_product_and_blocks_are_the_literal_product():
+    # a bullet's entries are the products of its factors' entries, the first
+    # factor varying slowest, on unit, point-only and mixed operands; R1's blocks
+    # are the literal rule of test_r1_entries_follow_the_weak_compositions_in_order
+    operands = [POINT, Sym(3, POINT), Sym(2, Sod((A, POINT))), Sod((A, Sym(2, Sod((B, C)))))]
+    for x, y in itertools.product(operands, repeat=2):
+        left, right = map(expand, canonicalize(Bullet((x, y))).factors)
+        assert list(expand(Bullet((x, y)))) == [
+            (Component.of(c.factors + d.factors), mc * md) for c, mc in left for d, md in right]
 
 
 def _r1_reference(n, parts, head_first):
@@ -155,64 +138,29 @@ def test_r1_entries_follow_the_weak_compositions_in_order(engine, text, parts):
         assert components.distinct == tuple(dict.fromkeys(comp for comp, _ in reference)), (text, n)
 
 
-def _subterms(e):
-    yield e
-    children = e.parts if isinstance(e, Sod) else e.factors if isinstance(e, Bullet) else ()
-    for child in children + ((e.inner,) if isinstance(e, Sym) else ()):
-        yield from _subterms(child)
-
-
-def test_every_part_is_its_own_only_part():
-    # a powers row applies the single-part rule to each part R4 returns, which
-    # is what sym(m, part) gives only if the part splits no further
-    rng = random.Random(0)
-    seen = set()
-    for _ in range(500):
-        for term in _subterms(canonicalize(gen_random_expr(rng, 3))):
-            for part in rewrite._parts(term):
-                assert rewrite._parts(part) == [part], render_text(part)
-                seen.add(type(part).__name__)
-    assert seen >= {"Point", "Curve", "Surface", "Phantom", "Opaque", "Bullet", "Sym"}, seen
-
-
 def test_r1_builds_no_sym_node_per_arity(monkeypatch):
-    walk = rewrite._Expansion(split_head=True)
     e = parse_expr("sym(45, P2)")
     built = []
     real = Sym.__init__
 
-    def counted(self, *args):
-        built.append(args)
-        real(self, *args)
-
-    monkeypatch.setattr(Sym, "__init__", counted)
-    entries = walk.expand(e)
+    monkeypatch.setattr(Sym, "__init__", lambda self, *args:
+                        built.append(args) or real(self, *args))
+    components = expand(e)
     monkeypatch.undo()
-    assert built == []
-    assert list(walk.rows) == [POINT]
-    assert walk.rows[POINT][2:] == [[((), partition_count(m))] for m in range(2, 46)]
-    assert sum(mult for _, mult in entries) == q_length(45, 3)
+    assert built == [(45, e.inner)]  # the canonical form's own node
+    assert components.total_multiplicity() == q_length(45, 3)
 
 
 def test_one_powers_row_per_part_across_r1_nodes(monkeypatch):
     # sym(4, ruled(1)) builds curve(1)'s row to 4 and sym(5, ruled(1)) extends it
     # to 5: one multiplicity_vectors call per arity 2..5 in the whole walk
     calls = []
-    real_row = rewrite._Expansion._row
-    walks = []
-
-    def recorded(self, part, n):
-        walks.append(self)
-        return real_row(self, part, n)
-
-    monkeypatch.setattr(rewrite._Expansion, "_row", recorded)
     real = rewrite.multiplicity_vectors
 
-    def counted(n):
-        calls.append(n)
-        return real(n)
-
-    monkeypatch.setattr(rewrite, "multiplicity_vectors", counted)
+    monkeypatch.setattr(rewrite, "multiplicity_vectors", lambda n: calls.append(n) or real(n))
+    built = []
+    monkeypatch.setattr(rewrite, "SymPower",
+                        lambda m, base: built.append((m, base.name)) or SymPower(m, base))
     e = parse_expr("bullet(sym(5, ruled(1)), sym(4, ruled(1)))")
     for engine in (expand, expand_tail_first):
         calls.clear()
@@ -221,12 +169,13 @@ def test_one_powers_row_per_part_across_r1_nodes(monkeypatch):
         left, right = map(engine, canonicalize(e).factors)
         assert list(components) == [(Component.of(c.factors + d.factors), mc * md)
                                     for c, mc in left for d, md in right]
-        # the repeated parts of sod(A, B, A, B) share one row each, and the
-        # entries stay those of the literal rule
+        # the repeated parts of sod(A, B, A, B) share one row each, so each
+        # sym^m(A) and sym^m(B) atom is built once, and the entries stay those
+        # of the literal rule
         for n in range(2, 7):
-            walks.clear()
+            built.clear()
             components = engine(Sym(n, Sod((A, B, A, B))))
-            assert list(walks[0].rows) == ([A, B] if engine is expand else [B, A])
+            assert sorted(built) == sorted((m, x) for m in range(2, n + 1) for x in "AB")
             reference = _r1_reference(n, [A, B, A, B], head_first=engine is expand)
             assert list(components) == reference, n
 
@@ -251,7 +200,7 @@ def test_bullet_distributes_over_sod():
 def test_sym_of_distributed_bullet():
     # the product rule fires inside a symmetric power too
     components = expand(Sym(2, Bullet((Sod((POINT, POINT)), POINT))))
-    assert all(comp.is_point() for comp, _ in components)
+    assert all(comp.factors == (POINT,) for comp, _ in components)
     assert components.total_multiplicity() == q_length(2, 2)
 
 
@@ -322,10 +271,6 @@ def test_trivial_syms_reduce_below_a_nested_sym_base():
 def test_trivial_syms_are_transparent_anywhere():
     # R5 and R6 apply at every level of a base: wrapping a subterm X as
     # sym(1, X) or as bullet(X, sym(0, Y)) changes no entry and no total
-    import random
-
-    from symsod.suites import gen_random_expr
-
     rng = random.Random(3)
     for _ in range(60):
         e = gen_random_expr(rng, depth=3)
@@ -349,20 +294,15 @@ def test_expand_never_fails_on_awkward_nesting():
 def test_components_are_a_fixed_point_of_expansion():
     # rebuilding an expansion as an SOD of bullet products and expanding
     # again must reproduce the same multiset of components
-    import random
-
-    from symsod.expr import Bullet as B, Sod as S
-    from symsod.suites import gen_random_expr
-
     rng = random.Random(3)
     for _ in range(60):
         e = gen_random_expr(rng, depth=3)
         components = expand(e)
         parts = []
         for comp, mult in components:
-            expr = B(comp.factors) if len(comp.factors) > 1 else comp.factors[0]
+            expr = Bullet(comp.factors) if len(comp.factors) > 1 else comp.factors[0]
             parts.extend([expr] * mult)
-        rebuilt = expand(S(tuple(parts)) if len(parts) > 1 else parts[0])
+        rebuilt = expand(Sod(tuple(parts)) if len(parts) > 1 else parts[0])
         assert rebuilt.as_multiset() == components.as_multiset()
 
 
@@ -371,12 +311,8 @@ def test_equal_components_of_one_expansion_are_one_object(monkeypatch, text):
     real = Component.of.__func__
     built = []
 
-    def counted(cls, atoms):
-        atoms = tuple(atoms)
-        built.append(atoms)
-        return real(cls, atoms)
-
-    monkeypatch.setattr(Component, "of", classmethod(counted))
+    monkeypatch.setattr(Component, "of", classmethod(
+        lambda cls, atoms: built.append(tuple(atoms)) or real(cls, built[-1])))
     components = expand(parse_expr(text))
     assert len(built) == len(set(built))  # one Component.of call per distinct atom tuple
     first = {}
@@ -390,11 +326,6 @@ def test_engine_multiset_is_the_public_recount(engine):
     # the engine numbers its distinct components itself; recounting its entries
     # must give the same multiset, and ``distinct`` must be the components in
     # first-appearance order, each once
-    import random
-    from collections import Counter
-
-    from symsod.suites import gen_random_expr
-
     rng = random.Random(5)
     for _ in range(100):
         e = gen_random_expr(rng, depth=3)
@@ -412,11 +343,8 @@ def test_engine_multiset_is_the_public_recount(engine):
 
 @pytest.mark.parametrize("engine", [expand, expand_tail_first])
 def test_factors_keep_sort_key_order_whichever_atom_is_met_first(engine):
+    # head-first meets curve(2) before A, tail-first A before curve(2)
     e = parse_expr("bullet(sym(2, sod(curve(2), A)), sym(2, sod(A, curve(2))))")
-    walk = rewrite._Expansion(split_head=engine is expand)
-    walk.expand(canonicalize(e))
-    # head-first numbers curve(2) before A, tail-first A before curve(2)
-    assert (walk.ids[Curve(2)] < walk.ids[A]) == (engine is expand)
     components = engine(e)
     first = {}
     for comp, _ in components:

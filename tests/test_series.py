@@ -87,6 +87,8 @@ def test_macdonald_trivial_and_known():
     assert macdonald_poincare(3, 0) == [1]
     assert macdonald_poincare(1, 1) == [1, 2, 1]
     assert macdonald_poincare(0, 3) == [1, 0, 1, 0, 1, 0, 1]  # Sym^3 P^1 = P^3
+    with pytest.raises(ValueError, match="degree must be an integer >= 0, got -1"):
+        macdonald_poincare(1, -1)
     # 2a + 1 entries whatever the genus: z^(2a) is the top class
     assert all(len(macdonald_poincare(g, a)) == 2 * a + 1 for g in range(5) for a in range(7))
 
@@ -147,15 +149,13 @@ def test_gottsche_k3_hilbert_square_anchor():
 
 def test_macdonald_euler_generating_identity():
     # sum over a of euler(Sym^a C) t^a = (1 - t)^(2g - 2); check coefficients
-    import math as _math
-
     for g in range(4):
         power = 2 * g - 2
         for a in range(9):
             if power >= 0:
-                expected = (-1) ** a * _math.comb(power, a)
+                expected = (-1) ** a * math.comb(power, a)
             else:
-                expected = _math.comb(a - power - 1, a)
+                expected = math.comb(a - power - 1, a)
             assert poly_eval(macdonald_poincare(g, a), -1) == expected
 
 
@@ -233,12 +233,12 @@ def _spy_packed_widths(monkeypatch):
     return widths
 
 
-def test_packed_rows_decode_by_cast_and_by_slice(monkeypatch):
+def test_packed_rows_decode_by_cast_and_by_slice():
     # unsigned digits of 1, 2, 4 or 8 bytes are read by one memoryview cast,
     # wider ones by one slice each; each width with z-step 1 (b1 > 0) and
     # z-step 2 (b1 = 0), against the generic product, from trunc 0 and the
-    # all-zero Betti vector up
-    widths = _spy_packed_widths(monkeypatch)
+    # all-zero Betti vector up.  A digit is as wide as q(trunc; total Betti)
+    widths = (8, 16, 32, 64, math.inf)
     seen = set()
     vectors = [(0, 0, 0, 0, 0)]
     vectors += [(b0, b1, b2, b1, b0) for b2 in (0, 40, 10**4, 10**9) for b0, b1 in ((1, 0), (2, 2))]
@@ -249,16 +249,11 @@ def test_packed_rows_decode_by_cast_and_by_slice(monkeypatch):
                 for m in range(1, trunc + 1)
                 for a, sign, betti in zip(range(2 * m - 2, 2 * m + 3), (-1, 1, -1, 1, -1), b)
             ]
-            widths.clear()
             rows = gottsche_series(BettiVector(*b), trunc)
             assert rows == _dense(_product_by_mul(trunc, factors), 4), (b, trunc)
-            [width] = widths  # one packed kernel pass
-            seen.add((width, 1 if b[1] else 2))
-    cast = {8 * size for size in series._CASTS}
-    assert cast == {8, 16, 32, 64}
-    assert {(width, step) for width in cast for step in (1, 2)} <= seen
-    assert {width for width, _ in seen} - cast  # the slice path ran
-    assert {step for width, step in seen if width > 64} == {1, 2}
+            bits = euler_product_power(sum(b), trunc)[-1].bit_length()
+            seen.add((next(width for width in widths if bits <= width), 1 if b[1] else 2))
+    assert seen == {(width, step) for width in widths for step in (1, 2)}
 
 
 def test_the_digit_bound_only_sizes_the_digits(monkeypatch):
@@ -282,9 +277,12 @@ def test_the_digit_bound_only_sizes_the_digits(monkeypatch):
 
 
 def test_cast_formats_have_the_item_sizes_they_are_keyed_by():
-    # the formats are native: pin their sizes on this host
-    for size, fmt in series._CASTS.items():
-        assert memoryview(bytes(8)).cast(fmt).itemsize == size, fmt
+    # P(u)^b2 alone ends in its digit bound q(2; b2) = b2 (b2 + 3) / 2, which at
+    # b2 = 2^k - 1 sets the top bit of a 2k-bit digit: only an unsigned cast of
+    # the digit's own size reads it back
+    for k in (4, 8, 16, 32):
+        b2 = 2**k - 1
+        assert gottsche_series(BettiVector(0, 0, b2, 0, 0), 2)[2][4] == b2 * (b2 + 3) // 2
 
 
 def test_wide_digits_decode_in_either_byte_order(monkeypatch):
@@ -303,13 +301,8 @@ def test_gottsche_packs_only_the_b0_b1_b3_b4_families(monkeypatch):
     # their exponents are halved
     calls = []
     real = series._rows
-
-    def spy(trunc, factors, width, rows=None):
-        factors = list(factors)
-        calls.append((width, factors))
-        return real(trunc, factors, width, rows)
-
-    monkeypatch.setattr(series, "_rows", spy)
+    monkeypatch.setattr(series, "_rows", lambda trunc, factors, width, rows=None: calls.append(
+        (width, list(factors))) or real(trunc, calls[-1][1], width, rows))
     for b, step in (((2, 1, 7, 1, 2), 1), ((3, 0, 7, 0, 3), 2), ((0, 0, 7, 0, 0), 2)):
         calls.clear()
         gottsche_series(BettiVector(*b), 6)
