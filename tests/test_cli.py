@@ -165,7 +165,11 @@ def test_expression_json_renders_each_atom_once(monkeypatch, capsys):
     # one render_text call for the canonical text and one per atom of the table
     calls = []
 
-    monkeypatch.setattr(cli, "render_text", lambda e: calls.append(e) or render_text(e))
+    def counted(e):
+        calls.append(e)
+        return render_text(e)
+
+    monkeypatch.setattr(cli, "render_text", counted)
     for text in ("sym(15, curve(3))", "sym(8, ruled(2))", "sym(4, sod(pt, curve(1), X, pt))",
                  "hilb(6, blowup(P2))", "sym(10, fakeP2(2))", "A"):
         atoms = expand(parse_expr(text)).atoms
@@ -223,7 +227,9 @@ def test_internal_invariant_exit_3(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "invariant_report", boom)
     assert run_cli("invariants", "pt") == 3
-    assert "internal invariant violation" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing printed before the report
+    assert captured.err == "internal invariant violation: forced\n"
 
 
 def test_table_q_row(capsys):
@@ -258,8 +264,11 @@ def test_table_q_calls_q_length_once_per_n(monkeypatch, capsys):
     assert cli.q_length is partitions.q_length
     calls = []
 
-    monkeypatch.setattr(cli, "q_length",
-                        lambda n, l: calls.append((n, l)) or partitions.q_length(n, l))
+    def spy(n, l):
+        calls.append((n, l))
+        return partitions.q_length(n, l)
+
+    monkeypatch.setattr(cli, "q_length", spy)
     assert run_cli("table", "q", "--l", "3", "--n", "5") == 0
     assert "1, 3, 9, 22, 51, 108" in capsys.readouterr().out
     assert calls == [(n, 3) for n in range(5, -1, -1)]
@@ -271,12 +280,29 @@ def test_table_q_builds_the_divisor_sums_once(monkeypatch, capsys):
     monkeypatch.setattr(partitions, "_Q_CACHE", {})
     built, read = [], []
     law_rows = partitions._law_rows
-    monkeypatch.setattr(partitions, "_law_rows", lambda rows, psi, top, label: built.append(top)
-                        or law_rows(rows, lambda r: read.append(r) or psi(r), top, label))
+
+    def counted(rows, psi, top, label):
+        built.append(top)
+        return law_rows(rows, lambda r: read.append(r) or psi(r), top, label)
+
+    monkeypatch.setattr(partitions, "_law_rows", counted)
     assert run_cli("table", "q", "--l", "3", "--n", "40", "--format", "json") == 0
     assert json.loads(capsys.readouterr().out)["values"] == euler_product_power(3, 40)
     assert built == [40]
     assert read == list(range(1, 41))
+
+
+def test_table_q_exits_3_when_the_recurrence_leaves_a_remainder(monkeypatch, capsys):
+    # q_length raises what its recurrence raises on a remainder: table q's own
+    # ``except ValueError`` lets it through to exit 3, and no header or row is printed
+    def leaves_a_remainder(n, l):
+        raise InternalInvariantError(f"q({n};{l}): the divisor sum leaves 1 mod {n}")
+
+    monkeypatch.setattr(cli, "q_length", leaves_a_remainder)
+    assert run_cli("table", "q", "--l", "1", "--n", "2") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal invariant violation: q(2;1): the divisor sum leaves 1 mod 2\n"
 
 
 def test_table_q_requires_l(capsys):
@@ -287,7 +313,11 @@ def test_main_builds_one_parser_and_keeps_its_usage_errors(monkeypatch, capsys):
     built = []
     build = cli.build_parser
 
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
     assert run_cli("decompose", "sym(2, P1)") == 0
     assert run_cli("invariants", "P2") == 0
     assert len(built) <= 1  # none if an earlier call built it
@@ -333,14 +363,19 @@ def test_table_gottsche_non_integer_betti(capsys):
 @pytest.mark.parametrize(
     "argv, option",
     [
-        pytest.param(("table", "gottsche", "--betti", "1_0,0,1,0,1_0", "--n", "1"), "--betti",
-                     id="betti-underscore"),
-        pytest.param(("table", "gottsche", "--betti", "\u0967,0,1,0,\u0967", "--n", "1"), "--betti",
-                     id="betti-devanagari-digit"),
+        pytest.param(
+            ("table", "gottsche", "--betti", "1_0,0,1,0,1_0", "--n", "1"), "--betti",
+            id="betti-underscore",
+        ),
+        pytest.param(
+            ("table", "gottsche", "--betti", "\u0967,0,1,0,\u0967", "--n", "1"), "--betti",
+            id="betti-devanagari-digit",
+        ),
         pytest.param(("table", "q", "--l", "\u0662", "--n", "3"), "--l", id="l-arabic-indic-digit"),
         pytest.param(("table", "q", "--l", "2", "--n", "1_0"), "--n", id="n-underscore"),
-        pytest.param(("verify", "--suite", "rewrite", "--max-n", "\uff13"), "--max-n",
-                     id="max-n-fullwidth-digit"),
+        pytest.param(
+            ("verify", "--suite", "rewrite", "--max-n", "\uff13"), "--max-n", id="max-n-fullwidth-digit"
+        ),
         pytest.param(("verify", "--suite", "combinatorics", "--seed", "+1"), "--seed", id="seed-plus"),
         pytest.param(("table", "q", "--l", " 2", "--n", "3"), "--l", id="l-space"),
     ],

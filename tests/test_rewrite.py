@@ -9,6 +9,7 @@ from symsod import cli, rewrite
 from symsod.expr import (
     Bullet,
     Component,
+    ComponentList,
     Curve,
     InternalInvariantError,
     Opaque,
@@ -143,8 +144,11 @@ def test_r1_builds_no_sym_node_per_arity(monkeypatch):
     built = []
     real = Sym.__init__
 
-    monkeypatch.setattr(Sym, "__init__", lambda self, *args:
-                        built.append(args) or real(self, *args))
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(Sym, "__init__", counted)
     components = expand(e)
     monkeypatch.undo()
     assert built == [(45, e.inner)]  # the canonical form's own node
@@ -157,10 +161,18 @@ def test_one_powers_row_per_part_across_r1_nodes(monkeypatch):
     calls = []
     real = rewrite.multiplicity_vectors
 
-    monkeypatch.setattr(rewrite, "multiplicity_vectors", lambda n: calls.append(n) or real(n))
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(rewrite, "multiplicity_vectors", counted)
     built = []
-    monkeypatch.setattr(rewrite, "SymPower",
-                        lambda m, base: built.append((m, base.name)) or SymPower(m, base))
+
+    def power(m, base):
+        built.append((m, base.name))
+        return SymPower(m, base)
+
+    monkeypatch.setattr(rewrite, "SymPower", power)
     e = parse_expr("bullet(sym(5, ruled(1)), sym(4, ruled(1)))")
     for engine in (expand, expand_tail_first):
         calls.clear()
@@ -311,8 +323,12 @@ def test_equal_components_of_one_expansion_are_one_object(monkeypatch, text):
     real = Component.of.__func__
     built = []
 
-    monkeypatch.setattr(Component, "of", classmethod(
-        lambda cls, atoms: built.append(tuple(atoms)) or real(cls, built[-1])))
+    def counted(cls, atoms):
+        atoms = tuple(atoms)
+        built.append(atoms)
+        return real(cls, atoms)
+
+    monkeypatch.setattr(Component, "of", classmethod(counted))
     components = expand(parse_expr(text))
     assert len(built) == len(set(built))  # one Component.of call per distinct atom tuple
     first = {}
@@ -342,10 +358,22 @@ def test_engine_multiset_is_the_public_recount(engine):
 
 
 @pytest.mark.parametrize("engine", [expand, expand_tail_first])
-def test_factors_keep_sort_key_order_whichever_atom_is_met_first(engine):
-    # head-first meets curve(2) before A, tail-first A before curve(2)
+def test_factors_keep_sort_key_order_whichever_atom_is_met_first(monkeypatch, engine):
     e = parse_expr("bullet(sym(2, sod(curve(2), A)), sym(2, sod(A, curve(2))))")
+    given = []
+
+    def recorded(atoms, components, pairs):
+        given.append(atoms)
+        return ComponentList(atoms, components, pairs)
+
+    monkeypatch.setattr(rewrite, "ComponentList", recorded)
     components = engine(e)
+    monkeypatch.undo()
+    # the engine hands over its atoms as met: head-first meets curve(2) before A,
+    # tail-first A before curve(2); either way the list's positions are sorted
+    [atoms] = given
+    assert (atoms.index(Curve(2)) < atoms.index(A)) == (engine is expand)
+    assert all(list(positions) == sorted(positions) for positions in components.components)
     first = {}
     for comp, _ in components:
         assert list(comp.factors) == sorted(comp.factors, key=sort_key)

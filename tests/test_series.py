@@ -233,12 +233,12 @@ def _spy_packed_widths(monkeypatch):
     return widths
 
 
-def test_packed_rows_decode_by_cast_and_by_slice():
+def test_packed_rows_decode_by_cast_and_by_slice(monkeypatch):
     # unsigned digits of 1, 2, 4 or 8 bytes are read by one memoryview cast,
     # wider ones by one slice each; each width with z-step 1 (b1 > 0) and
     # z-step 2 (b1 = 0), against the generic product, from trunc 0 and the
-    # all-zero Betti vector up.  A digit is as wide as q(trunc; total Betti)
-    widths = (8, 16, 32, 64, math.inf)
+    # all-zero Betti vector up
+    widths = _spy_packed_widths(monkeypatch)
     seen = set()
     vectors = [(0, 0, 0, 0, 0)]
     vectors += [(b0, b1, b2, b1, b0) for b2 in (0, 40, 10**4, 10**9) for b0, b1 in ((1, 0), (2, 2))]
@@ -249,11 +249,15 @@ def test_packed_rows_decode_by_cast_and_by_slice():
                 for m in range(1, trunc + 1)
                 for a, sign, betti in zip(range(2 * m - 2, 2 * m + 3), (-1, 1, -1, 1, -1), b)
             ]
+            widths.clear()
             rows = gottsche_series(BettiVector(*b), trunc)
             assert rows == _dense(_product_by_mul(trunc, factors), 4), (b, trunc)
-            bits = euler_product_power(sum(b), trunc)[-1].bit_length()
-            seen.add((next(width for width in widths if bits <= width), 1 if b[1] else 2))
-    assert seen == {(width, step) for width in widths for step in (1, 2)}
+            [width] = widths  # one packed kernel pass
+            seen.add((width, 1 if b[1] else 2))
+    cast = {8, 16, 32, 64}
+    assert {(width, step) for width in cast for step in (1, 2)} <= seen
+    assert {width for width, _ in seen} - cast  # the slice path ran
+    assert {step for width, step in seen if width > 64} == {1, 2}
 
 
 def test_the_digit_bound_only_sizes_the_digits(monkeypatch):
@@ -301,8 +305,13 @@ def test_gottsche_packs_only_the_b0_b1_b3_b4_families(monkeypatch):
     # their exponents are halved
     calls = []
     real = series._rows
-    monkeypatch.setattr(series, "_rows", lambda trunc, factors, width, rows=None: calls.append(
-        (width, list(factors))) or real(trunc, calls[-1][1], width, rows))
+
+    def spy(trunc, factors, width, rows=None):
+        factors = list(factors)
+        calls.append((width, factors))
+        return real(trunc, factors, width, rows)
+
+    monkeypatch.setattr(series, "_rows", spy)
     for b, step in (((2, 1, 7, 1, 2), 1), ((3, 0, 7, 0, 3), 2), ((0, 0, 7, 0, 0), 2)):
         calls.clear()
         gottsche_series(BettiVector(*b), 6)

@@ -196,7 +196,11 @@ def _act_calls(monkeypatch):
     init = PermModule.__init__
 
     def counted(self, group, basis, act):
-        init(self, group, basis, lambda g, b: calls.append(g) or act(g, b))
+        def counting(g, b):
+            calls.append(g)
+            return act(g, b)
+
+        init(self, group, basis, counting)
 
     monkeypatch.setattr(PermModule, "__init__", counted)
     return calls
@@ -253,10 +257,13 @@ def test_one_coset_induction_checks_the_relations_once(monkeypatch):
     # with one coset the induced tables are the module's generator tables, which
     # construction checked against the same relations; with more the check runs again
     checks = []
-    relations = symgroup._check_relations
+    check_relations = symgroup._check_relations
 
-    monkeypatch.setattr(symgroup, "_check_relations",
-                        lambda gens, tables: checks.append(len(gens)) or relations(gens, tables))
+    def counted(gens, tables):
+        checks.append(len(gens))
+        check_relations(gens, tables)
+
+    monkeypatch.setattr(symgroup, "_check_relations", counted)
     for (n, i), expected in (((4, 0), [3]), ((4, 4), [3]), ((4, 2), [2, 3])):
         checks.clear()
         pair = YoungPair(n, i)
@@ -581,7 +588,9 @@ def test_invariant_dimension_matches_orbit_count_oracle():
             h = young_subgroup(YoungPair(n, i))
             for _ in range(5):
                 module = random_orbit_module(h, n, rng)
-                assert invariant_dimension(module) == module.orbit_count()
+                burnside = invariant_dimension(module)
+                orbits = module.orbit_count()
+                assert burnside == orbits
 
 
 def test_induction_check_natural_module_4_2():
@@ -605,8 +614,11 @@ def test_induction_check_reuses_the_module_group(monkeypatch):
     built = []
     post_init = Permutation.__post_init__
 
-    monkeypatch.setattr(Permutation, "__post_init__",
-                        lambda self: built.append(self) or post_init(self))
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted)
     pair = YoungPair(6, 0)
     assert induction_invariance_check(pair, regular_module(young_subgroup(pair)))
     assert len(built) == 1
@@ -660,8 +672,11 @@ def test_invariant_dimension_walks_no_second_closure(monkeypatch):
     walks = []
     orbit = symgroup._orbit
 
-    monkeypatch.setattr(symgroup, "_orbit",
-                        lambda start, tables: walks.append((start, tables)) or orbit(start, tables))
+    def recorded(start, tables):
+        walks.append((start, tables))
+        return orbit(start, tables)
+
+    monkeypatch.setattr(symgroup, "_orbit", recorded)
     pair = YoungPair(5, 2)
     module = regular_module(young_subgroup(pair))
     assert walks == []
