@@ -186,12 +186,6 @@ def test_invariants_unknown(capsys):
     assert "euler: unknown" in out
 
 
-def test_parse_error_exit_2(capsys):
-    assert run_cli("decompose", "sym(2,") == 2
-    err = capsys.readouterr().err
-    assert "parse error" in err
-
-
 def test_parse_error_on_nesting_beyond_the_cap(capsys):
     deep = "sym(2, " * 1200 + "pt" + ")" * 1200
     assert run_cli("invariants", deep) == 2
@@ -258,36 +252,28 @@ def test_table_q_with_twelve_objects_to_n_40(capsys):
     assert json.loads(capsys.readouterr().out)["values"] == expected
 
 
-def test_table_q_calls_q_length_once_per_n(monkeypatch, capsys):
-    # the benchmark times table q at this call site (bench/spans.py's SPAN_SITES);
-    # top comes first, so its call fills the cache and every later one is a hit
+def test_table_q_builds_the_divisor_sums_once(cold_q_cache, monkeypatch, capsys):
+    # the benchmark times table q at its q_length call site (bench/spans.py's
+    # SPAN_SITES); top comes first, so its call runs the recurrence once to top,
+    # reading psi once per r, and every later call is a cache hit
     assert cli.q_length is partitions.q_length
-    calls = []
+    calls, built, read = [], [], []
 
     def spy(n, l):
         calls.append((n, l))
         return partitions.q_length(n, l)
 
-    monkeypatch.setattr(cli, "q_length", spy)
-    assert run_cli("table", "q", "--l", "3", "--n", "5") == 0
-    assert "1, 3, 9, 22, 51, 108" in capsys.readouterr().out
-    assert calls == [(n, 3) for n in range(5, -1, -1)]
-
-
-def test_table_q_builds_the_divisor_sums_once(monkeypatch, capsys):
-    # one recurrence run to top, reading psi once per r; each row below it is
-    # then a cache hit
-    monkeypatch.setattr(partitions, "_Q_CACHE", {})
-    built, read = [], []
     law_rows = partitions._law_rows
 
     def counted(rows, psi, top, label):
         built.append(top)
         return law_rows(rows, lambda r: read.append(r) or psi(r), top, label)
 
+    monkeypatch.setattr(cli, "q_length", spy)
     monkeypatch.setattr(partitions, "_law_rows", counted)
     assert run_cli("table", "q", "--l", "3", "--n", "40", "--format", "json") == 0
     assert json.loads(capsys.readouterr().out)["values"] == euler_product_power(3, 40)
+    assert calls == [(n, 3) for n in range(40, -1, -1)]
     assert built == [40]
     assert read == list(range(1, 41))
 
@@ -303,10 +289,6 @@ def test_table_q_exits_3_when_the_recurrence_leaves_a_remainder(monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal invariant violation: q(2;1): the divisor sum leaves 1 mod 2\n"
-
-
-def test_table_q_requires_l(capsys):
-    assert run_cli("table", "q") == 2
 
 
 def test_main_builds_one_parser_and_keeps_its_usage_errors(monkeypatch, capsys):
@@ -517,29 +499,34 @@ def test_every_export_resolves_once():
     assert [name for name in symsod.__all__ if not hasattr(symsod, name)] == []
 
 
-def test_every_benchmark_call_site_resolves():
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(monkeypatch, name):
+    """``bench/<name>.py``, loaded as ``bench_<name>`` with ``bench/`` on the path."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_call_site_resolves(monkeypatch):
     # the benchmark wraps these attributes in spans; a refactor that drops one
     # would otherwise fail only the benchmark's own run
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    tracer = spans.Tracer()
+    tracer = _bench_module(monkeypatch, "spans").Tracer()
     try:
         tracer.install()  # raises on any SPAN_SITES entry or patched class attribute that is gone
     finally:
         tracer.uninstall()
 
 
-def test_benchmark_counters_fire_on_expression_verbs(capsys):
+def test_benchmark_counters_fire_on_expression_verbs(monkeypatch, capsys):
     # the benchmark's per-layer report counts these calls; a refactor that
     # builds distinct components lazily, or stops rendering through
     # cli.render_text, would zero them and fail only the benchmark's own tests
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    tracer = spans.Tracer()
+    tracer = _bench_module(monkeypatch, "spans").Tracer()
     tracer.install()
     try:
         assert cli.main(["invariants", "sym(9, curve(2))", "--format", "json"]) == 0
@@ -556,11 +543,7 @@ def test_benchmark_counters_fire_on_expression_verbs(capsys):
 def test_benchmark_cache_hooks_drain_the_package(monkeypatch, capsys):
     # the benchmark empties these caches before every operation and counts what
     # they held; a refactor that renames one would otherwise fail only its run
-    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
-    monkeypatch.syspath_prepend(str(bench))
-    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
-    bench_run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_run)
+    bench_run = _bench_module(monkeypatch, "run")
     counts = Counter()
     bench_run.drain_caches(symsod, counts)
     counts.clear()
@@ -579,12 +562,7 @@ def test_benchmark_module_ops_run_and_check(monkeypatch):
     # the frobenius-battery workload builds its modules and runs the induction
     # check through these calls; a changed S_n signature would otherwise fail
     # only the benchmark's own run
-    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
-    monkeypatch.syspath_prepend(str(bench))
-    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
+    workloads = _bench_module(monkeypatch, "workloads")
     ops = {}
     for op in workloads.frobenius_round(0, 0):
         n, _, kind, _ = op.params
@@ -599,12 +577,7 @@ def test_benchmark_decompose_ops_run_and_check(monkeypatch):
     # the exceptional-decompose workload checks every decompose against the
     # benchmark's oracle; an R1 change that breaks those checks would otherwise
     # fail only the benchmark's own run
-    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
-    monkeypatch.syspath_prepend(str(bench))
-    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
+    workloads = _bench_module(monkeypatch, "workloads")
     ops = workloads.exceptional_round(0, 0)
     assert {op.family for op in ops} == {"points", "fake-plane", "product"}
     for op in ops:
@@ -615,12 +588,7 @@ def test_benchmark_table_ops_run_and_check(monkeypatch):
     # the oracle-tables workload checks every q and Goettsche table against the
     # benchmark's oracle; a broken packing of the Goettsche rows would otherwise
     # fail only the benchmark's own run
-    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
-    monkeypatch.syspath_prepend(str(bench))
-    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
+    workloads = _bench_module(monkeypatch, "workloads")
     ops = workloads.tables_round(0, 0)
     odd = [op.params[1][1] > 0 for op in ops if op.family == "table-gottsche"]
     assert {op.family for op in ops} == {"table-q", "table-gottsche"}
@@ -633,25 +601,11 @@ def test_benchmark_table_ops_run_and_check(monkeypatch):
 def test_benchmark_largest_module_ops_run_and_check(monkeypatch, i):
     # the regular modules of S_6 (720 basis points, one coset) and of S_0 x S_6
     # are the battery's largest cells; the benchmark's oracle checks their reports
-    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
-    monkeypatch.syspath_prepend(str(bench))
-    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
+    workloads = _bench_module(monkeypatch, "workloads")
     [op] = [op for op in workloads.frobenius_round(0, 0) if op.params[:3] == (6, i, "regular")]
     module, report = workloads.run_module(symsod, op)
     assert len(module.basis) == 720 and report.induced_basis_size == 720
     assert workloads.check(op, (module, report))
-
-
-def test_console_script_parse_error_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "symsod.cli", "decompose", "sod(pt"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
 
 
 def test_invariants_gottsche_path_via_surface_literal(capsys):

@@ -59,18 +59,6 @@ def test_canonicalize_unwraps_singletons():
     assert canonicalize(Sod((Curve(1),))) == Curve(1)
 
 
-def test_sort_key_total_order_on_atoms():
-    atoms = [Opaque("Z"), PHANTOM, Surface("s", BettiVector(1, 0, 1, 0, 1)),
-             SymCurve(0, 2), Curve(3), POINT]
-    ordered = sorted(atoms, key=sort_key)
-    assert ordered[0] == POINT
-    assert isinstance(ordered[1], Curve)
-    assert isinstance(ordered[2], SymCurve)
-    assert isinstance(ordered[3], Surface)
-    assert ordered[4] == PHANTOM
-    assert ordered[5] == Opaque("Z")
-
-
 def test_sort_key_has_one_key_per_expression_class():
     # the kinds the docstring orders: point < curve < sym-curve < surface <
     # phantom < opaque < sym-power < sod < bullet < sym

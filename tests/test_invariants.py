@@ -74,15 +74,6 @@ def test_report_breakdown_and_consistency():
     assert report.to_json_dict() == {"euler": 5, "hh_total": 5, "exceptional_length": 5}
 
 
-def test_report_unknowns_serialize_to_none():
-    report = invariant_report(Sym(2, Sod((Opaque("A"), Opaque("B")))))
-    assert report.to_json_dict() == {
-        "euler": None,
-        "hh_total": None,
-        "exceptional_length": None,
-    }
-
-
 def test_report_rejects_inconsistent_totals():
     with pytest.raises(InternalInvariantError):
         InvariantReport(

@@ -9,6 +9,7 @@ mutants a check must pass: they mark what it does not guard.
 
 import importlib
 import math
+import operator
 import types
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from symsod import invariants
 from symsod.expr import POINT, Bullet, ComponentList
 from symsod.suites import SUITES
-from symsod.symgroup import young_subgroup
+from symsod.symgroup import PermModule, young_subgroup
 
 
 def _after(change):
@@ -86,9 +87,13 @@ ROWS = [
      lambda real: lambda name, *args: real(name, *(args[::-1] if name == "sod" else args))),
 ]
 
-# R2 runs in both bracketings; preset-betti reads no preset's b2
+# R2 runs in both bracketings; preset-betti reads no preset's b2; the battery
+# reads act's values by equality, so a regular module acting by g * b, a new
+# permutation equal to the listed element, passes it
 SURVIVORS = [("rewrite:bracketing-independence", "rewrite.partition_count", _r2),
-             ("catexpr:preset-betti", "expr.ruled_betti", _RULED_B2)]
+             ("catexpr:preset-betti", "expr.ruled_betti", _RULED_B2),
+             ("frobenius:induction-invariance", "symgroup.regular_module",
+              lambda real: lambda group: PermModule(group, list(group), operator.mul))]
 
 
 @pytest.fixture(autouse=True)

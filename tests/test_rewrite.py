@@ -200,15 +200,6 @@ def test_long_sod_does_not_recurse_per_part():
     assert components.total_multiplicity() == 2 * 260 + math.comb(260, 2)
 
 
-def test_bullet_distributes_over_sod():
-    # bullet(sod(A, B), C) -> sod(bullet(A, C), bullet(B, C))
-    components = expand(Bullet((Sod((A, B)), C)))
-    assert tuple(components) == (
-        (Component.of([A, C]), 1),
-        (Component.of([B, C]), 1),
-    )
-
-
 def test_sym_of_distributed_bullet():
     # the product rule fires inside a symmetric power too
     components = expand(Sym(2, Bullet((Sod((POINT, POINT)), POINT))))
@@ -216,15 +207,10 @@ def test_sym_of_distributed_bullet():
     assert components.total_multiplicity() == q_length(2, 2)
 
 
-def test_sym_of_plain_bullet_stays_opaque():
-    inner = Bullet((Curve(1), Curve(2)))
-    components = expand(Sym(2, inner))
-    assert tuple(components) == ((Component.of([SymPower(2, inner)]), 1),)
-
-
-def test_sym_of_phantom_stays_opaque():
-    components = expand(Sym(3, PHANTOM))
-    assert tuple(components) == ((Component.of([SymPower(3, PHANTOM)]), 1),)
+@pytest.mark.parametrize("n, base", [(2, Bullet((Curve(1), Curve(2)))), (3, PHANTOM)],
+                         ids=["bullet", "phantom"])
+def test_sym_of_a_plain_bullet_or_a_phantom_stays_opaque(n, base):
+    assert tuple(expand(Sym(n, base))) == ((Component.of([SymPower(n, base)]), 1),)
 
 
 def test_nested_trivial_syms_simplify():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from symsod import partitions, series
+from symsod import series
 from symsod.expr import InternalInvariantError
 from symsod.partitions import q_length
 from symsod.series import (
@@ -73,14 +73,6 @@ def test_euler_product_power_to_order_zero_is_the_unit():
     assert euler_product_power(5, 0) == [1]
     # like every other series entry point, Goettsche's series accepts order 0
     assert gottsche_series(BettiVector(1, 2, 3, 2, 1), 0) == [[1]]
-
-
-def test_gottsche_low_coefficients():
-    rows = gottsche_series(BettiVector(1, 0, 1, 0, 1), 4)
-    assert len(rows) == 5 and rows[0] == [1]
-    assert rows[1] == [1, 0, 1, 0, 1]  # Hilb^1 = the surface
-    assert [len(row) for row in rows] == [1, 5, 9, 13, 17]  # z^0..z^(4n), zeros kept
-    assert gottsche_series(BettiVector(1, 2, 0, 2, 1), 1)[1] == [1, 2, 0, 2, 1]
 
 
 def test_macdonald_trivial_and_known():
@@ -196,68 +188,56 @@ def _product_by_mul(trunc, factors):
     return result
 
 
-def test_product_kernel_equals_the_generic_product():
+def _spy_rows(monkeypatch):
+    """Patch ``series._rows`` to log the width and the factor list of each call."""
+    calls = []
+    real = series._rows
+
+    def spy(trunc, factors, width, rows=None):
+        factors = list(factors)
+        calls.append((width, factors))
+        return real(trunc, factors, width, rows)
+
+    monkeypatch.setattr(series, "_rows", spy)
+    return calls
+
+
+def test_product_kernel_equals_the_generic_product(monkeypatch):
+    # Goettsche's series in one packed kernel pass, from trunc 0 and the all-zero
+    # Betti vector up: row n is its 4n + 1 coefficients, row 1 the surface itself.
+    # Unsigned digits of 1, 2, 4 or 8 bytes are read by one memoryview cast, wider
+    # ones by one slice each; each width with z-step 1 (b1 > 0) and z-step 2 (b1 = 0)
+    calls = _spy_rows(monkeypatch)
+    seen = set()
     rng = random.Random(0)
     vectors = [(0, 0, 0, 0, 0), (0, 3, 0, 3, 0), (2, 1, 5, 1, 2), (1, 0, 60, 0, 1)]
     # only the z-free b2 family (no packed factor); z-step 2 with no seed; odd only
     vectors += [(0, 0, 7, 0, 0), (1, 0, 0, 0, 1), (3, 0, 0, 0, 3), (0, 2, 0, 2, 0)]
     vectors += [(1, b1, rng.randint(0, 60), b1, 1) for b1 in (0, 0, 1, 2, 3)]
     vectors += [(1, 0, 10**6, 0, 1), (1, 2, 10**6, 2, 1)]  # packed digits many bytes wide
+    vectors += [(b0, b1, b2, b1, b0) for b2 in (0, 40, 10**4, 10**9) for b0, b1 in ((1, 0), (2, 2))]
+    vectors += [(1, 0, 1, 0, 1), (1, 2, 0, 2, 1)]
     for b in vectors:
-        for trunc in range(1, 13):
+        for trunc in range(13):
             factors = [
                 (a, m, sign, sign * betti)
                 for m in range(1, trunc + 1)
                 for a, sign, betti in zip(range(2 * m - 2, 2 * m + 3), (-1, 1, -1, 1, -1), b)
             ]
+            calls.clear()
             expected = _dense(_product_by_mul(trunc, factors), 4)
             assert gottsche_series(BettiVector(*b), trunc) == expected, (b, trunc)
-    for c in range(-4, 9):
-        for trunc in range(1, 13):
-            factors = [(0, m, -1, -c) for m in range(1, trunc + 1)]
-            expected = [row.get(0, 0) for row in _product_by_mul(trunc, factors)]
-            assert euler_product_power(c, trunc) == expected, (c, trunc)
-
-
-def _spy_packed_widths(monkeypatch):
-    """Patch ``series._rows`` to log the width of each packed (width > 0) call."""
-    widths = []
-    real = series._rows
-
-    def spy(trunc, factors, width, rows=None):
-        if width:
-            widths.append(width)
-        return real(trunc, factors, width, rows)
-
-    monkeypatch.setattr(series, "_rows", spy)
-    return widths
-
-
-def test_packed_rows_decode_by_cast_and_by_slice(monkeypatch):
-    # unsigned digits of 1, 2, 4 or 8 bytes are read by one memoryview cast,
-    # wider ones by one slice each; each width with z-step 1 (b1 > 0) and
-    # z-step 2 (b1 = 0), against the generic product, from trunc 0 and the
-    # all-zero Betti vector up
-    widths = _spy_packed_widths(monkeypatch)
-    seen = set()
-    vectors = [(0, 0, 0, 0, 0)]
-    vectors += [(b0, b1, b2, b1, b0) for b2 in (0, 40, 10**4, 10**9) for b0, b1 in ((1, 0), (2, 2))]
-    for b in vectors:
-        for trunc in range(6):
-            factors = [
-                (a, m, sign, sign * betti)
-                for m in range(1, trunc + 1)
-                for a, sign, betti in zip(range(2 * m - 2, 2 * m + 3), (-1, 1, -1, 1, -1), b)
-            ]
-            widths.clear()
-            rows = gottsche_series(BettiVector(*b), trunc)
-            assert rows == _dense(_product_by_mul(trunc, factors), 4), (b, trunc)
-            [width] = widths  # one packed kernel pass
+            [width] = [width for width, _ in calls if width]
             seen.add((width, 1 if b[1] else 2))
     cast = {8, 16, 32, 64}
     assert {(width, step) for width in cast for step in (1, 2)} <= seen
     assert {width for width, _ in seen} - cast  # the slice path ran
     assert {step for width, step in seen if width > 64} == {1, 2}
+    for c in range(-4, 9):
+        for trunc in range(1, 13):
+            factors = [(0, m, -1, -c) for m in range(1, trunc + 1)]
+            expected = [row.get(0, 0) for row in _product_by_mul(trunc, factors)]
+            assert euler_product_power(c, trunc) == expected, (c, trunc)
 
 
 def test_the_digit_bound_only_sizes_the_digits(monkeypatch):
@@ -272,11 +252,11 @@ def test_the_digit_bound_only_sizes_the_digits(monkeypatch):
         return [f + (1 << 70) for f in law_rows(rows, psi, top, label)]
 
     monkeypatch.setattr(series, "_law_rows", inflated)
-    widths = _spy_packed_widths(monkeypatch)
+    calls = _spy_rows(monkeypatch)
     for (b, trunc), rows in zip(cases, expected):
-        widths.clear()
+        calls.clear()
         assert gottsche_series(BettiVector(*b), trunc) == rows, (b, trunc)
-        [width] = widths
+        [width] = [width for width, _ in calls if width]
         assert width > 64, (b, trunc)
 
 
@@ -303,15 +283,7 @@ def test_gottsche_packs_only_the_b0_b1_b3_b4_families(monkeypatch):
     # the one width-0 call, raised to b2 by squaring, so no kernel call
     # carries the power b2; with b1 = b3 = 0 the packed factors carry z^2, so
     # their exponents are halved
-    calls = []
-    real = series._rows
-
-    def spy(trunc, factors, width, rows=None):
-        factors = list(factors)
-        calls.append((width, factors))
-        return real(trunc, factors, width, rows)
-
-    monkeypatch.setattr(series, "_rows", spy)
+    calls = _spy_rows(monkeypatch)
     for b, step in (((2, 1, 7, 1, 2), 1), ((3, 0, 7, 0, 3), 2), ((0, 0, 7, 0, 0), 2)):
         calls.clear()
         gottsche_series(BettiVector(*b), 6)
@@ -341,15 +313,16 @@ def test_gottsche_b2_family_alone_is_the_euler_product_at_z_squared(b2):
 def test_unit_factors_equal_the_generic_product(width):
     # 1 + z^a q^m multiplies from the top down and 1 / (1 - z^a q^m) divides
     # from the bottom up, one shift-and-add a row; with powers 2 and -2 mixed
-    # in, every coefficient is >= 0, so the rows read back at W = 64 (at
-    # W = 0, z = 1, each row is its coefficient sum)
+    # in, every coefficient is >= 0, so the rows read back at W = 64.  At W = 0,
+    # z = 1, each row is its coefficient sum, and the sign of e is drawn apart
+    # from s, so that 1 / (1 + z^a q^m)^k and (1 - z^a q^m)^k occur too
     rng = random.Random(width)
     for _ in range(60):
         trunc = rng.randint(0, 12)
-        factors = [
-            (rng.randint(0, 3), rng.randint(1, 5), s, s * rng.choice((1, 1, 1, 2)))
-            for s in rng.choices((1, -1), k=rng.randint(1, 8))
-        ]
+        factors = []
+        for s in rng.choices((1, -1), k=rng.randint(1, 8)):
+            a, m, power = rng.randint(0, 3), rng.randint(1, 5), rng.choice((1, 1, 1, 2))
+            factors.append((a, m, s, power * (rng.choice((1, -1)) if width == 0 else s)))
         expected = _product_by_mul(trunc, factors)
         rows = _rows(trunc, factors, width)
         if width:
@@ -393,7 +366,7 @@ def test_invariant_law_raises_when_a_division_leaves_a_remainder(monkeypatch):
         sym_power_totals(3, 0, 2)
 
 
-def test_the_law_and_q_length_never_run_the_kernel(monkeypatch):
+def test_the_law_and_q_length_never_run_the_kernel(cold_q_cache, monkeypatch):
     # euler_product_power and gottsche_series are the other side of the checks
     # that compare them with the law or with q(n; l), so each check compares
     # two routes, never the recurrence with itself
@@ -401,7 +374,6 @@ def test_the_law_and_q_length_never_run_the_kernel(monkeypatch):
         raise AssertionError("the binomial kernel ran")
 
     monkeypatch.setattr(series, "_rows", no_kernel)
-    monkeypatch.setattr(partitions, "_Q_CACHE", {})
     hilb_p2 = [1, 3, 9, 22, 51]  # euler = total Betti of Hilb^n(P2), = q(n; 3)
     assert sym_power_totals(3, 0, 4) == tuple(zip(hilb_p2, hilb_p2))
     assert [q_length(n, 3) for n in range(5)] == hilb_p2

@@ -132,11 +132,6 @@ def test_cycle_type_examples():
     assert cycle_type(Permutation((2, 3, 4, 5, 1))) == (5,)
 
 
-def test_young_subgroup_order():
-    assert len(young_subgroup(YoungPair(4, 2))) == math.factorial(2) * math.factorial(2)
-    assert len(young_subgroup(YoungPair(5, 0))) == math.factorial(5)
-
-
 def _transposition(a, b, n):
     images = list(range(1, n + 1))
     images[a - 1], images[b - 1] = b, a
@@ -158,13 +153,6 @@ def test_orbit_is_the_set_of_points_reached():
     for pair, orbits in ((YoungPair(5, 0), 1), (YoungPair(5, 2), 3)):
         assert PermModule(young_subgroup(pair), subsets, _subset_act).orbit_count() == orbits
     assert cycle_type(Permutation((2, 1, 3, 5, 4))) == (2, 2, 1)
-
-
-def test_gather_is_a_list_of_subscripts_at_every_length():
-    # a getter of one index would return a scalar: one-point bases compose their tables too
-    for n in range(1, 5):
-        module = trivial_module(young_subgroup(YoungPair(n, 0)))
-        assert invariant_dimension(module) == module.orbit_count() == 1
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -204,14 +192,6 @@ def _act_calls(monkeypatch):
 
     monkeypatch.setattr(PermModule, "__init__", counted)
     return calls
-
-
-def test_regular_module_of_s6_validates_on_the_adjacent_transpositions(monkeypatch):
-    # the identity, then each of (1 2), (2 3), ..., (5 6), on each of the 720 basis points
-    calls = _act_calls(monkeypatch)
-    regular_module(young_subgroup(YoungPair(6, 0)))
-    acted = [Permutation.identity(6)] + [_transposition(a, a + 1, 6) for a in range(1, 6)]
-    assert calls == [g for g in acted for _ in range(720)]
 
 
 def test_regular_module_acts_by_the_groups_own_elements():
@@ -280,25 +260,36 @@ def test_induction_check_rejects_tables_that_break_the_relations():
         induction_invariance_check(pair, module)
 
 
-def test_construction_and_induction_check_read_each_act_value_once(monkeypatch):
-    # construction reads the identity and each generator on every basis point, the
-    # Burnside side each class word of length 2 or more; nothing else calls act
-    pair = YoungPair(4, 2)
+@pytest.mark.parametrize("n, i, long_words", [(4, 2, 1), (6, 0, 11 - 2), (6, 3, 3 * 3 - 3)])
+def test_construction_and_induction_check_read_each_act_value_once(monkeypatch, n, i, long_words):
+    # construction reads the identity, then each adjacent transposition, on every
+    # basis point; the induction check reads the tables it built, so only the
+    # Burnside side calls act: once per basis point and class whose word has length
+    # 2 or more.  S_2 x S_2 has one, (1 2)(3 4); of the p(6) = 11 classes of S_6 all
+    # but the identity and (1 2); of the 3 * 3 of S_3 x S_3 all but the identity,
+    # (1 2) and (4 5).  The walk of orbit_count reads the generators' tables only
+    pair = YoungPair(n, i)
     h = young_subgroup(pair)
+    assert sum(len(word) >= 2 for _, word, _ in symgroup.class_table(pair.blocks)) == long_words
+    acted = [Permutation.identity(n)]
+    acted += [_transposition(a, a + 1, n) for block in pair.blocks for a in block[:-1]]
     calls = _act_calls(monkeypatch)
-    long_words = sum(len(word) >= 2 for _, word, _ in symgroup.class_table(pair.blocks))
-    assert long_words == 1  # (1 2)(3 4)
     builders = {
         "trivial": lambda: trivial_module(h),
-        "natural": lambda: natural_module(h, 4),
+        "natural": lambda: natural_module(h, n),
         "regular": lambda: regular_module(h),
-        "random-orbit": lambda: random_orbit_module(h, 4, random.Random(3)),
+        "random-orbit": lambda: random_orbit_module(h, n, random.Random(3)),
     }
     for kind, build in builders.items():
         calls.clear()
         module = build()
-        assert induction_invariance_check(pair, module)
-        assert len(calls) == (1 + len(module.generators) + long_words) * len(module.basis), kind
+        assert calls == [g for g in acted for _ in module.basis], kind
+        calls.clear()
+        report = induction_invariance_check(pair, module)
+        assert report and len(calls) == long_words * len(module.basis), kind
+        calls.clear()
+        assert module.orbit_count() == report.induced_invariant_dim
+        assert calls == [], kind
 
 
 def test_invariant_dimension_rejects_a_group_list_that_is_not_a_group():
@@ -308,6 +299,7 @@ def test_invariant_dimension_rejects_a_group_list_that_is_not_a_group():
     not_groups = [
         [Permutation.identity(3), Permutation((2, 3, 1))],  # not closed
         s3 + [s3[1]],  # a repeat
+        s3[:-1] + [s3[1]],  # a repeat in place of a missing element: 3! elements, one block
         s3[1:],  # no identity
         [Permutation((2, 1))],  # its point images {2}, {1} miss their own points
     ]
@@ -328,34 +320,23 @@ def _point_act(g, b):
     return g(b)
 
 
-def test_invariant_dimension_rejects_a_fixed_point_sum_that_does_not_divide(monkeypatch):
-    # (1 2)(3 4) is the product of the word (1 2)(3 4) of its class, so acting by
-    # (1 2) instead passes construction and fails the Burnside side's comparison
-    s4 = young_subgroup(YoungPair(4, 0))
-    wrong, swap = Permutation((2, 1, 4, 3)), Permutation((2, 1, 3, 4))
-    module = PermModule(s4, [1, 2, 3, 4], lambda g, b: swap(b) if g == wrong else g(b))
-    with pytest.raises(ValueError, match="action is not a homomorphism"):
-        invariant_dimension(module)
+def test_invariant_dimension_rejects_a_class_table_that_is_not_the_groups(monkeypatch):
     # accepted tables are a genuine action, so only a wrong class table reaches the
-    # sum: without the class of (1 2) (6 elements fixing 2 points each) the natural
-    # module of S_4 sums to 24 - 12
+    # sum.  Without the class of (1 2) (6 elements fixing 2 points each) the natural
+    # module of S_4 sums to 24 - 12, which 24 does not divide; with every class size
+    # doubled it sums to 48, which divides by 24, but the average 2 is not its 1 orbit
     table = symgroup.class_table
-    monkeypatch.setattr(symgroup, "class_table",
-                        lambda blocks: [c for c in table(blocks) if c[0] != ((2, 1, 1),)])
-    with pytest.raises(ValueError, match="not an integer"):
-        invariant_dimension(natural_module(s4, 4))
-
-
-def test_invariant_dimension_rejects_an_average_that_differs_from_the_orbit_count(monkeypatch):
-    # with every class size doubled the natural module of S_4 sums to 48, which
-    # divides by 24, but the average 2 is not its 1 orbit
-    table = symgroup.class_table
-    monkeypatch.setattr(symgroup, "class_table",
-                        lambda blocks: [(t, w, 2 * size) for t, w, size in table(blocks)])
+    wrong_tables = {
+        "not an integer": lambda blocks: [c for c in table(blocks) if c[0] != ((2, 1, 1),)],
+        "differs from the orbit count":
+            lambda blocks: [(t, w, 2 * size) for t, w, size in table(blocks)],
+    }
     module = natural_module(young_subgroup(YoungPair(4, 0)), 4)
     assert module.orbit_count() == 1
-    with pytest.raises(ValueError, match="differs from the orbit count"):
-        invariant_dimension(module)
+    for message, wrong_table in wrong_tables.items():
+        monkeypatch.setattr(symgroup, "class_table", wrong_table)
+        with pytest.raises(ValueError, match=message):
+            invariant_dimension(module)
 
 
 def test_perm_module_rejects_an_action_that_breaks_a_braid_relation():
@@ -367,11 +348,18 @@ def test_perm_module_rejects_an_action_that_breaks_a_braid_relation():
     with pytest.raises(ValueError, match=broken):
         PermModule(young_subgroup(YoungPair(3, 0)), ["a", "b", "c", "d"],
                    lambda g, b: swaps.get(g, {}).get(b, b))
+    # over S_2, (1 2) acting as the 4-cycle a -> b -> c -> d -> a permutes the basis
+    # but has order 4: construction refuses it, before any invariant is counted
+    cycle = dict(zip("abcd", "bcda"))
+    with pytest.raises(ValueError, match=r"breaks Permutation\(2, 1\)\^2 = 1"):
+        PermModule(young_subgroup(YoungPair(2, 0)), list("abcd"),
+                   lambda g, b: cycle[b] if g.images == (2, 1) else b)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_relators_checked_on_a_module_present_the_symmetric_group(n):
-    # Todd-Coxeter coset enumeration on the relators PermModule checks for S_n
+    # Todd-Coxeter coset enumeration on the relators PermModule checks for S_n, bounded:
+    # relators of an infinite group raise ValueError past 2,000 cosets instead of running on
     from sympy.combinatorics.fp_groups import FpGroup
     from sympy.combinatorics.free_groups import free_group
 
@@ -379,13 +367,9 @@ def test_relators_checked_on_a_module_present_the_symmetric_group(n):
     gens = [g.images for g in trivial_module(young_subgroup(YoungPair(n, 0))).generators]
     relators = [(letters[j] * letters[k]) ** m for j, k, m in symgroup._coxeter_matrix(gens)]
     assert len(relators) == n * (n - 1) // 2
-    assert FpGroup(free, relators).order() == math.factorial(n)
-
-
-def test_perm_module_validation_rejects_non_action():
-    group = young_subgroup(YoungPair(3, 0))
-    with pytest.raises(ValueError):
-        PermModule(group, [1, 2, 3], lambda g, b: 1)  # identity does not fix 2
+    table = FpGroup(free, relators).coset_enumeration([], max_cosets=2000)
+    table.compress()
+    assert len(table.table) == math.factorial(n)
 
 
 def _subset_act(g, subset):
@@ -573,33 +557,6 @@ def test_corrupted_generator_is_rejected_or_a_genuine_action():
     assert [key for key, count in rejected.items() if (count > 0) != (key[0] > 2)] == [], rejected
 
 
-def test_invariant_dimension_examples():
-    s4 = young_subgroup(YoungPair(4, 0))
-    assert invariant_dimension(trivial_module(s4)) == 1
-    assert invariant_dimension(natural_module(s4, 4)) == 1
-    h = young_subgroup(YoungPair(4, 2))
-    assert invariant_dimension(natural_module(h, 4)) == 2
-
-
-def test_invariant_dimension_matches_orbit_count_oracle():
-    rng = random.Random(5)
-    for n in (3, 4, 5):
-        for i in range(n + 1):
-            h = young_subgroup(YoungPair(n, i))
-            for _ in range(5):
-                module = random_orbit_module(h, n, rng)
-                burnside = invariant_dimension(module)
-                orbits = module.orbit_count()
-                assert burnside == orbits
-
-
-def test_induction_check_natural_module_4_2():
-    pair = YoungPair(4, 2)
-    report = induction_invariance_check(pair, natural_module(young_subgroup(pair), 4))
-    assert report
-    assert report.induced_invariant_dim == 2
-
-
 def test_induction_check_rejects_wrong_group():
     for pair, n in ((YoungPair(4, 2), 4), (YoungPair(3, 1), 3)):
         with pytest.raises(ValueError):
@@ -689,32 +646,6 @@ def test_invariant_dimension_walks_no_second_closure(monkeypatch):
 def test_perm_module_rejects_a_basis_with_a_repeated_point():
     with pytest.raises(ValueError, match="duplicates"):
         PermModule(young_subgroup(YoungPair(3, 0)), [1, 1, 2, 3], lambda g, b: g(b))
-
-
-@pytest.mark.parametrize("i, classes", [(0, 11), (3, 3 * 3)])
-def test_induction_check_calls_act_only_for_burnside(i, classes):
-    # the induced module reads the tables the regular module built while it was
-    # validated, so inside the check only the Burnside side calls act: once per
-    # basis point and class whose word has length 2 or more.  Of the p(6) = 11
-    # classes of S_6 that leaves out the identity and (1 2), of the 3 * 3 of
-    # S_3 x S_3 the identity, (1 2) and (4 5): construction compared the identity
-    # and the generators already.  The walk of orbit_count reads the generators' tables
-    pair = YoungPair(6, i)
-    calls = []
-
-    def counting(g, b):
-        calls.append(g)
-        return g * b
-
-    h = young_subgroup(pair)
-    module = PermModule(h, list(h), counting)
-    calls.clear()
-    assert induction_invariance_check(pair, module)
-    short_words = {0: 2, 3: 3}[i]  # the identity and one transposition per block
-    assert len(calls) == (classes - short_words) * len(h)
-    calls.clear()
-    assert module.orbit_count() == 1
-    assert calls == []
 
 
 def _act_orbits(basis, elements, act):
