@@ -291,7 +291,8 @@ def test_table_q_exits_3_when_the_recurrence_leaves_a_remainder(monkeypatch, cap
     assert captured.err == "internal invariant violation: q(2;1): the divisor sum leaves 1 mod 2\n"
 
 
-def test_main_builds_one_parser_and_keeps_its_usage_errors(monkeypatch, capsys):
+@pytest.mark.parametrize("argv", [["table", "q"], ["frobnicate", "pt"]], ids=" ".join)
+def test_main_builds_one_parser_and_keeps_its_usage_errors(monkeypatch, capsys, argv):
     built = []
     build = cli.build_parser
 
@@ -305,16 +306,15 @@ def test_main_builds_one_parser_and_keeps_its_usage_errors(monkeypatch, capsys):
     assert len(built) <= 1  # none if an earlier call built it
     capsys.readouterr()
     # after a successful call, a usage error gives a fresh process's code and stderr
-    for argv in (["table", "q"], ["frobnicate", "pt"]):
-        try:
-            code = run_cli(*argv)
-        except SystemExit as exc:  # argparse exits on its own usage errors
-            code = exc.code
-        fresh = subprocess.run(
-            [sys.executable, "-m", "symsod.cli", *argv], capture_output=True, text=True
-        )
-        assert (code, capsys.readouterr().err) == (fresh.returncode, fresh.stderr)
-        assert fresh.returncode == 2 and fresh.stderr
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:  # argparse exits on its own usage errors
+        code = exc.code
+    fresh = subprocess.run(
+        [sys.executable, "-m", "symsod.cli", *argv], capture_output=True, text=True
+    )
+    assert (code, capsys.readouterr().err) == (fresh.returncode, fresh.stderr)
+    assert fresh.returncode == 2 and fresh.stderr
     assert len(built) <= 1
 
 

@@ -38,9 +38,9 @@ def test_euler_atoms():
     assert invariant_report(surface_literal(BettiVector(1, 0, 1, 0, 1))).euler == 3
 
 
-def test_euler_sym_curve_projective_spaces():
-    for n in range(2, 7):
-        assert invariant_report(SymCurve(0, n)).euler == n + 1
+@pytest.mark.parametrize("n", range(2, 7))
+def test_euler_sym_curve_projective_spaces(n):
+    assert invariant_report(SymCurve(0, n)).euler == n + 1
 
 
 def test_euler_unknown_absorbs():

@@ -37,18 +37,18 @@ def test_partitions_of_matches_brute_force(n):
     assert parts == sorted(parts, reverse=True)
 
 
-def test_q_length_is_the_literal_composition_sum():
+@pytest.mark.parametrize("l", range(1, 7))
+def test_q_length_is_the_literal_composition_sum(l):
     for n in range(13):
-        for l in range(1, 7):
-            # stars and bars: l - 1 bars among n + l - 1 slots cut n into l parts
-            ends = n + l - 1
-            compositions = [
-                [b - a - 1 for a, b in zip((-1, *bars), (*bars, ends))]
-                for bars in itertools.combinations(range(ends), l - 1)
-            ]
-            assert len(compositions) == math.comb(ends, l - 1)
-            literal = sum(math.prod(partition_count(i) for i in c) for c in compositions)
-            assert q_length(n, l) == literal, (n, l)
+        # stars and bars: l - 1 bars among n + l - 1 slots cut n into l parts
+        ends = n + l - 1
+        compositions = [
+            [b - a - 1 for a, b in zip((-1, *bars), (*bars, ends))]
+            for bars in itertools.combinations(range(ends), l - 1)
+        ]
+        assert len(compositions) == math.comb(ends, l - 1)
+        literal = sum(math.prod(partition_count(i) for i in c) for c in compositions)
+        assert q_length(n, l) == literal, (n, l)
 
 
 @pytest.mark.parametrize("l", [1, 2, 7, 12])

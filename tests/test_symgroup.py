@@ -104,17 +104,17 @@ def test_permutation_validates_checked_construction_and_products():
     assert repr(Permutation.identity(1)) == "Permutation(1,)"
 
 
-def test_young_subgroup_lists_the_validated_permutations_in_lex_order():
+@pytest.mark.parametrize("n", range(1, 7))
+def test_young_subgroup_lists_the_validated_permutations_in_lex_order(n):
     # built unchecked from itertools.permutations of each block, the elements equal
     # their validated rebuilds, in the same lexicographic order of one-line forms
-    for n in range(1, 7):
-        for i in range(n + 1):
-            h = young_subgroup(YoungPair(n, i))
-            rebuilt = [Permutation(g.images) for g in h]
-            assert h == rebuilt
-            assert [g.images for g in h] == sorted(g.images for g in h)
-            assert all(type(g) is Permutation and type(g.images) is tuple for g in h)
-            assert len(set(h)) == math.factorial(n - i) * math.factorial(i)
+    for i in range(n + 1):
+        h = young_subgroup(YoungPair(n, i))
+        rebuilt = [Permutation(g.images) for g in h]
+        assert h == rebuilt
+        assert [g.images for g in h] == sorted(g.images for g in h)
+        assert all(type(g) is Permutation and type(g.images) is tuple for g in h)
+        assert len(set(h)) == math.factorial(n - i) * math.factorial(i)
 
 
 def test_permutation_rejects_points_outside_its_degree():
@@ -458,18 +458,18 @@ def test_invariant_dimension_by_classes_equals_literal_burnside():
                 assert invariant_dimension(module) == _literal_burnside(module, h)
 
 
-def test_class_sizes_are_the_block_cycle_type_counts_up_to_degree_7():
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_sizes_are_the_block_cycle_type_counts_up_to_degree_7(n):
     # each class's word lies in its class, and its size, prod |B|!/z_lambda, is the
     # count of the subgroup's elements with its block cycle types
-    for n in range(1, 8):
-        for i in range(n + 1):
-            pair = YoungPair(n, i)
-            counts = collections.Counter(_block_cycle_types(g, pair) for g in young_subgroup(pair))
-            classes = symgroup.class_table(pair.blocks)
-            for types, word, size in classes:
-                assert _block_cycle_types(_word_element(word, n), pair) == types
-                assert counts[types] == size, (pair, types)
-            assert len(classes) == len(counts)
+    for i in range(n + 1):
+        pair = YoungPair(n, i)
+        counts = collections.Counter(_block_cycle_types(g, pair) for g in young_subgroup(pair))
+        classes = symgroup.class_table(pair.blocks)
+        for types, word, size in classes:
+            assert _block_cycle_types(_word_element(word, n), pair) == types
+            assert counts[types] == size, (pair, types)
+        assert len(classes) == len(counts)
 
 
 def test_invariant_dimension_by_classes_on_groups_with_non_involution_generators():
@@ -520,41 +520,40 @@ def _relations_hold(tables, gens):
     return True
 
 
-def test_corrupted_generator_is_rejected_or_a_genuine_action():
+@pytest.mark.parametrize("n", range(2, 6))
+def test_corrupted_generator_is_rejected_or_a_genuine_action(n):
     # swap the images of the first basis point and one other under one adjacent
     # transposition; the module and its check must raise, or the corrupted act must
     # be a genuine action (its tables satisfy every relation) whose invariants are
     # its orbits under the adjacent transpositions, counted here from act's images.
     # S_2 has no relation but s^2 = 1, which every swap keeps, so only n >= 3 rejects
-    rejected = {}
-    for n in range(2, 6):
-        for i in range(n + 1):
-            pair = YoungPair(n, i)
-            h = young_subgroup(pair)
-            gens = [(a, a + 1) for block in pair.blocks for a in block[:-1]]
-            perms = [_transposition(a, b, n) for a, b in gens]
-            for kind, basis, act in (("natural", list(range(1, n + 1)), _point_act),
-                                     ("regular", list(h), lambda g, b: g * b)):
-                rejected.setdefault((n, kind), 0)
-                for s in perms:
-                    for other in basis[1:]:
-                        swapped = {basis[0]: act(s, other), other: act(s, basis[0])}
+    rejected = {"natural": 0, "regular": 0}
+    for i in range(n + 1):
+        pair = YoungPair(n, i)
+        h = young_subgroup(pair)
+        gens = [(a, a + 1) for block in pair.blocks for a in block[:-1]]
+        perms = [_transposition(a, b, n) for a, b in gens]
+        for kind, basis, act in (("natural", list(range(1, n + 1)), _point_act),
+                                 ("regular", list(h), lambda g, b: g * b)):
+            for s in perms:
+                for other in basis[1:]:
+                    swapped = {basis[0]: act(s, other), other: act(s, basis[0])}
 
-                        def corrupted(g, b, s=s, swapped=swapped, act=act):
-                            return swapped[b] if g == s and b in swapped else act(g, b)
+                    def corrupted(g, b, s=s, swapped=swapped, act=act):
+                        return swapped[b] if g == s and b in swapped else act(g, b)
 
-                        try:
-                            report = induction_invariance_check(
-                                pair, PermModule(h, basis, corrupted))
-                        except ValueError:
-                            rejected[n, kind] += 1
-                            continue
-                        index = {b: k for k, b in enumerate(basis)}
-                        tables = [[index[corrupted(g, b)] for b in basis] for g in perms]
-                        assert _relations_hold(tables, gens)
-                        assert report.ok
-                        assert report.subgroup_invariant_dim == _act_orbits(basis, perms, corrupted)
-    assert [key for key, count in rejected.items() if (count > 0) != (key[0] > 2)] == [], rejected
+                    try:
+                        report = induction_invariance_check(
+                            pair, PermModule(h, basis, corrupted))
+                    except ValueError:
+                        rejected[kind] += 1
+                        continue
+                    index = {b: k for k, b in enumerate(basis)}
+                    tables = [[index[corrupted(g, b)] for b in basis] for g in perms]
+                    assert _relations_hold(tables, gens)
+                    assert report.ok
+                    assert report.subgroup_invariant_dim == _act_orbits(basis, perms, corrupted)
+    assert [kind for kind, count in rejected.items() if (count > 0) != (n > 2)] == [], rejected
 
 
 def test_induction_check_rejects_wrong_group():
