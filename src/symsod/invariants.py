@@ -11,8 +11,9 @@ is the point alone.  No atom is hashed.  The atoms sym^n(S) over surfaces S
 with one pair h+ = b0 + b2 + b4, h- = b1 + b3 read one evaluation of the
 invariant law (:func:`series.sym_power_totals`, Euler's divisor-sum
 recurrence), to order the largest such n; Goettsche's series at z = -1 and
-z = 1, built by the binomial kernel, stays its independent check.  The phantom audit sets that
-series against q(n; l) (:func:`partitions.q_length`, the same recurrence).
+z = 1, built by the binomial kernel and Miller's recurrence, stays its
+independent check.  The phantom audit sets that series against q(n; l)
+(:func:`partitions.q_length`, the same recurrence).
 Atom values:
 
 ====================  ===========================  =========================

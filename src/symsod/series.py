@@ -11,14 +11,18 @@ Goettsche's series has 4n + 1 entries).  Two routes build them.
   base 2^W (Kronecker substitution), so one step of a factor is one
   big-integer shift-and-add (with no multiply for a unit factor, one step of
   coefficient 1).  :func:`euler_product_power` runs it at W = 0, one plain
-  integer per row.  Goettsche's series is the one product that packs.  In
-  u = z^2 q its b2 family is P(u)^b2, P the partition series (unit factors,
-  at W = 0), packed and squared up to b2 as a seed, digit n at z^(2n), so
-  only the b0, b1, b3 and b4 families are packed, as z^2 when b1 = b3 = 0.
-  Its coefficients are Betti numbers, so every digit is unsigned, and each
-  is at most q(n; total Betti), which sizes W; each row decodes with one
-  ``memoryview`` cast (or, for digits over 8 bytes, one slice a digit).
-  Its cost grows with the exponents.
+  integer per row.  Its cost grows with the exponents.  Goettsche's series
+  is the one product that packs.  In u = z^2 q its b2 family is P(u)^b2, P
+  the partition series (unit factors, at W = 0), and by Jacobi's triple
+  product its b1 and b3 families are P(u)^b1 Theta^b1, Theta a theta series
+  whose rows past row 0 are zero off the triangular numbers.  P(u)^(b2 + b1)
+  is packed and squared up as a seed, digit n at z^(2n), and convolved with
+  Theta^b1, built packed by J. C. P. Miller's power recurrence at a cost that
+  does not grow with b1; only the b0 and b4 families run the kernel, packed
+  as z^2 when b1 = b3 = 0.  Its coefficients are Betti numbers, so every
+  digit is unsigned, and each is at most q(n; total Betti), which sizes W;
+  each row decodes with one ``memoryview`` cast (or, for digits over 8
+  bytes, one slice a digit).
 * Euler's logarithmic derivative, ``_law_rows``, reads a z-free series F of
   symmetric powers from the Adams operations psi^r of its generator: t F'/F
   has b_N = sum_{r | N} (N/r) psi^r at t^N, and n f_n = sum_{k=1..n} b_k f_(n-k),
@@ -28,9 +32,10 @@ Goettsche's series has 4n + 1 entries).  Two routes build them.
 
 So the checks against the law (``invariants:goettsche-two-path``) and
 against q(n; l) (``series:eta-euler-product``, ``invariants:phantom-audit``)
-each set the kernel against the recurrence; ``series:gottsche-euler`` sets
-the packed kernel against the kernel at W = 0 with power chi, a run that
-:func:`gottsche_series` never makes.  The functions:
+each set the kernel (with Miller's recurrence, for Goettsche's odd families)
+against Euler's; ``series:gottsche-euler`` sets the packed series against
+the kernel at W = 0 with power chi, a run that :func:`gottsche_series` never
+makes.  The functions:
 
 * :func:`euler_product_power` -- the Euler product ``prod (1 - q^m)^(-c)``
   for any integer c; for c = l >= 1 its q^n coefficient is ``q(n; l)``,
@@ -171,6 +176,46 @@ def _law_rows(rows: list[int], psi: Callable[[int], int], top: int, label: str) 
     return rows
 
 
+def _theta_taps(trunc: int) -> list[tuple[int, int, int]]:
+    """(T_k, k^2, (k + 1)^2) for each triangular number T_k = k (k + 1) / 2 in
+    1..trunc: row T_k of Jacobi's theta series is (z^(k^2) + z^((k+1)^2)) / (1 + z),
+    and every other row past row 0 is zero."""
+    return [(k * (k + 1) // 2, k * k, (k + 1) ** 2)
+            for k in range(1, (math.isqrt(8 * trunc + 1) + 1) // 2)]
+
+
+def _theta_power(trunc: int, power: int, width: int) -> list[int]:
+    """Rows 0..trunc of Theta^power, Theta the theta series of Jacobi's triple
+    product in :func:`gottsche_series`, each packed at z = 2^width.
+
+    J. C. P. Miller's recurrence for a power of a series with unit constant term,
+    n G_n = sum_k ((power + 1) T_k - n) Theta_(T_k) G_(n - T_k), reads only the
+    rows at the triangular numbers (:func:`_theta_taps`), so a row costs
+    O(sqrt n) taps of two shifts and one small multiply whatever the power; the
+    taps leave out the divisor 1 + z.  G has integer coefficients and 1 + z
+    divides each tap, since 1 + z^(2k+1) has an odd exponent, so packing (a ring
+    map) makes the sum exactly n (1 + 2^width) G_n(2^width); a division that
+    leaves a remainder raises InternalInvariantError.
+    """
+    modulus, rows = 1 + (1 << width), [1]
+    taps = [(t, (power + 1) * t, lo * width, hi * width) for t, lo, hi in _theta_taps(trunc)]
+    for n in range(1, trunc + 1):
+        acc = 0
+        for t, lift, lo, hi in taps:
+            if t > n:
+                break
+            g = rows[n - t]
+            acc += (lift - n) * ((g << lo) + (g << hi))
+        g, rest = divmod(acc, n * modulus)
+        if rest:
+            raise InternalInvariantError(
+                f"theta^{power} at q^{n}: Miller's recurrence leaves {rest} "
+                f"mod {n} (1 + 2^{width})"
+            )
+        rows.append(g)
+    return rows
+
+
 def _check_trunc(trunc: int) -> None:
     if type(trunc) is not int or trunc < 0:
         raise ValueError(f"truncation order must be an integer >= 0, got {trunc!r}")
@@ -197,7 +242,8 @@ def sym_power_totals(h_plus: int, h_minus: int, trunc: int) -> tuple[tuple[int, 
     h_plus + (-1)^(r+1) h_minus: O(trunc^2) integer steps whatever the exponents.
     For a surface with Betti vector b, h_plus = b0 + b2 + b4 and h_minus = b1 + b3,
     and these are :func:`gottsche_series` at z = -1 and z = 1; that series,
-    built by the binomial kernel, stays the independent check of the law.
+    built by the binomial kernel and Miller's recurrence, stays the
+    independent check of the law.
     """
     if type(h_plus) is not int or type(h_minus) is not int:
         raise ValueError(f"each of h+ and h- must be an integer, got ({h_plus!r}, {h_minus!r})")
@@ -221,27 +267,32 @@ def gottsche_series(b: BettiVector, trunc: int) -> list[list[int]]:
     package rederives it.
 
     In u = z^2 q the b2 family is the z-free ``P(u)^b2``, P the partition
-    series, and :func:`_rows` multiplies in the b0, b1, b3 and b4 families
-    with nonzero power, packing z^2, not z, when b1 = b3 = 0.  Each
+    series, and the odd families are ``prod_m (1 + u^m / z)(1 + u^m z)``,
+    which Jacobi's triple product (Andrews, *The Theory of Partitions*, 1976,
+    Thm 2.8) writes as ``P(u) Theta``, with
+    ``Theta = sum_{k>=0} q^(T_k) z^(k^2) (1 + z^(2k+1)) / (1 + z)`` over the
+    triangular numbers T_k = k (k + 1) / 2.  So the rows are
+    ``P(u)^(b2 + b1) Theta^b1``, Theta^b1 by :func:`_theta_power`, and
+    :func:`_rows` multiplies in the b0 and b4 families with nonzero power,
+    packing z^2, not z, when b1 = b3 = 0.  Each
     coefficient is a Betti number, >= 0 and at most q(n; total Betti) (the
     z = 1 value, bounded coefficientwise by ``prod_m (1 - q^m)^(-total)``,
     read by :func:`_law_rows`), so W is the bit length of q(trunc; total) in
     whole bytes, rounded up to 1, 2, 4 or 8 up to 8 bytes: one
     ``int.to_bytes`` lays a row out and one ``memoryview`` cast, or one
     unsigned slice a digit, reads it.  The bound only sizes the digits; the
-    kernel values them.  P^k has digits q(n; k) < 2^W for k <= b2, so P
-    packed at W squares up to P^b2, each product masked to trunc + 1 digits,
-    with no digit carried; its digit n seeds packed row n at z^(2n).
+    kernel values them.  P^k has digits q(n; k) < 2^W for k <= b2 + b1, so
+    P packed at W squares up to P^(b2 + b1), each product masked to
+    trunc + 1 digits, with no digit carried; packed row n is the sum of its
+    digit i times Theta^b1's row n - i, shifted to z^(2i).
     """
     _check_trunc(trunc)
     step = 1 if b.b1 else 2  # the z-step: with b1 = b3 = 0 the rows pack z^2
-    # b0, b1, b3, b4 come with z^(2m-2), z^(2m-1), z^(2m+1), z^(2m+2); b0 and b4
-    # are in the denominator
-    families = [(-2, -1, b.b0), (-1, 1, b.b1), (1, 1, b.b3), (2, -1, b.b4)]
+    # b0 and b4 come with 1 / (1 - z^(2m-2) q^m) and 1 / (1 - z^(2m+2) q^m)
     factors = [
-        ((2 * m + da) // step, m, s, s * power)
+        ((2 * m + da) // step, m, -1, -power)
         for m in range(1, trunc + 1)
-        for da, s, power in families
+        for da, power in ((-2, b.b0), (2, b.b4))
         if power
     ]
     total = b.total()
@@ -251,15 +302,22 @@ def gottsche_series(b: BettiVector, trunc: int) -> list[list[int]]:
         size = 1 << (size - 1).bit_length()
     width = 8 * size
     base = sum(p << width * n for n, p in enumerate(euler_product_power(1, trunc)))
-    seed, power, mask = 1, b.b2, (1 << width * (trunc + 1)) - 1
-    while power:  # P^b2; no power past b2 is formed
+    seed, power, mask = 1, b.b2 + b.b1, (1 << width * (trunc + 1)) - 1
+    while power:  # P^(b2 + b1); no power past b2 + b1 is formed
         if power & 1:
             seed = seed * base & mask
         power >>= 1
         if power:
             base = base * base & mask
     digit, shift = (1 << width) - 1, 2 // step * width
-    rows = [(seed >> width * n & digit) << shift * n for n in range(trunc + 1)]
+    seed = [seed >> width * n & digit for n in range(trunc + 1)]
+    if b.b1:
+        theta = _theta_power(trunc, b.b1, width)
+        offsets = range(0, shift * (trunc + 1), shift)  # u^i sits at z^(2i)
+        rows = [sum(map(operator.lshift, map(operator.mul, seed, theta[n::-1]), offsets))
+                for n in range(trunc + 1)]
+    else:
+        rows = [s << shift * n for n, s in enumerate(seed)]
     _rows(trunc, factors, width, rows)
     cast, order, polys = _CASTS.get(size), sys.byteorder, []
     for n, row in enumerate(rows):

@@ -132,6 +132,7 @@ PRIVATE_NAMES = {
     "partitions._law_rows": "only its spies kill q_length rebuilding a cached row or a wrong label",
     "series._law_rows": "oracle independence: the law's bound only sizes Goettsche's digits",
     "series._rows": "oracle independence: the law and q_length never run the binomial kernel",
+    "series._theta_taps": "mutation row and remainder test: only Miller's recurrence reads them",
     "rewrite._top_blocks": "mutation row: head-first's fusion, which only one check compares",
     "symgroup._check_relations": "only its spy kills re-checking the relations of one coset",
     "symgroup._coxeter_matrix": "independent oracle: Todd-Coxeter certifies the relators",

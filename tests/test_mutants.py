@@ -53,6 +53,8 @@ ROWS = [
     ("series:eta-euler-product", "series.math",  # the binomial kernel's C(e, 2) off by one
      lambda real: types.SimpleNamespace(comb=lambda e, j: math.comb(e, j) + (j == 2))),
     ("series:gottsche-euler", "suites.gottsche_series", _MOVED),
+    ("series:gottsche-euler", "series._theta_taps",  # Theta loses its last triangular row
+     _after(lambda taps: taps[:-1])),
     ("series:gottsche-palindromic", "suites.gottsche_series", _MOVED),
     ("series:gottsche-palindromic", "suites.gottsche_series", _PADDED),
     ("symgroup:class-counts", "symgroup.class_table",

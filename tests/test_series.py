@@ -217,6 +217,8 @@ def test_product_kernel_equals_the_generic_product(monkeypatch):
     vectors += [(1, 0, 10**6, 0, 1), (1, 2, 10**6, 2, 1)]  # packed digits many bytes wide
     vectors += [(b0, b1, b2, b1, b0) for b2 in (0, 40, 10**4, 10**9) for b0, b1 in ((1, 0), (2, 2))]
     vectors += [(1, 0, 1, 0, 1), (1, 2, 0, 2, 1)]
+    # Theta^b1 by Miller's recurrence at large b1, and with no b0, b2 or b4 family
+    vectors += [(1, 17, rng.randint(0, 60), 17, 1), (2, 1000, 5, 1000, 2), (0, 5, 0, 5, 0)]
     for b in vectors:
         for trunc in range(13):
             factors = [
@@ -278,24 +280,44 @@ def test_wide_digits_decode_in_either_byte_order(monkeypatch):
     assert gottsche_series(b, 5) == expected
 
 
-def test_gottsche_packs_only_the_b0_b1_b3_b4_families(monkeypatch):
-    # the b2 family is z-free in u = z^2 q: its seed is the partition series,
-    # the one width-0 call, raised to b2 by squaring, so no kernel call
-    # carries the power b2; with b1 = b3 = 0 the packed factors carry z^2, so
+def test_gottsche_packs_only_the_b0_b4_families(monkeypatch):
+    # the b2 family is z-free in u = z^2 q, and the b1 and b3 families are
+    # P(u)^b1 Theta^b1 (Jacobi's triple product): the seed is the partition
+    # series, the one width-0 call, raised to b2 + b1 by squaring, and Theta^b1
+    # comes from Miller's recurrence, so no kernel call carries b1, b3, b2 or
+    # b2 + b1 as a power; with b1 = b3 = 0 the packed factors carry z^2, so
     # their exponents are halved
     calls = _spy_rows(monkeypatch)
-    for b, step in (((2, 1, 7, 1, 2), 1), ((3, 0, 7, 0, 3), 2), ((0, 0, 7, 0, 0), 2)):
+    for b, step in (((2, 5, 7, 5, 2), 1), ((3, 0, 7, 0, 3), 2), ((0, 0, 7, 0, 0), 2),
+                    ((0, 5, 7, 5, 0), 1)):
         calls.clear()
         gottsche_series(BettiVector(*b), 6)
         [packed] = [factors for width, factors in calls if width]
-        assert all(abs(e) in (b[0], b[1]) for _, _, _, e in packed), b
+        assert all(s == -1 and e == -b[0] for _, _, s, e in packed), b
         pairs = {(a, m) for a, m, _, _ in packed}
         assert pairs == {
-            (a // step, m) for m in range(1, 7) for a, betti in
-            zip((2 * m - 2, 2 * m - 1, 2 * m + 1, 2 * m + 2), (b[0], b[1], b[3], b[4])) if betti
+            ((2 * m + da) // step, m) for m in range(1, 7) for da in (-2, 2) if b[0]
         }, b
         assert (0, [(0, m, -1, -1) for m in range(1, 7)]) in calls, b
-        assert all(abs(e) != 7 for _, factors in calls for _, _, _, e in factors), b
+        powers = {abs(e) for _, factors in calls for _, _, _, e in factors}
+        assert not powers & {b[1], b[2], b[1] + b[2]}, b
+
+
+def test_jacobi_triple_product_is_the_partition_series_times_theta():
+    # prod_m (1 + z^(2m-1) q^m)(1 + z^(2m+1) q^m) = P(z^2 q) Theta to q^30, with
+    # Theta's row T_k = k (k + 1) / 2 the alternating z^(k^2) - ... + z^((k+1)^2 - 1)
+    trunc = 30
+    odd = [{0: 1}] + [{} for _ in range(trunc)]
+    partitions = [{0: 1}] + [{} for _ in range(trunc)]
+    for m in range(1, trunc + 1):
+        for a in (2 * m - 1, 2 * m + 1):
+            odd = _mul(odd, _factor(trunc, a, m, lambda j: math.comb(1, j)))
+        partitions = _mul(partitions, _factor(trunc, 2 * m, m, lambda j: 1))
+    theta = [{} for _ in range(trunc + 1)]
+    for k in range(8):  # T_7 = 28, T_8 = 36
+        theta[k * (k + 1) // 2] = {k * k + j: (-1) ** j for j in range(2 * k + 1)}
+    assert _mul(partitions, theta) == odd
+    assert all(odd)  # no row is trivially empty
 
 
 @pytest.mark.parametrize("b2", [0, 1, 2, 7, 60, 10**6, 10**12])
@@ -364,6 +386,20 @@ def test_invariant_law_raises_when_a_division_leaves_a_remainder(monkeypatch):
     assert sym_power_totals(3, 0, 1) == ((1, 1), (3, 3))  # no row reads psi(2)
     with pytest.raises(InternalInvariantError, match=r"^euler of sym\^2 of \(h\+, h-\) = \(3, 0\)"):
         sym_power_totals(3, 0, 2)
+
+
+def test_theta_power_raises_when_a_division_leaves_a_remainder(monkeypatch):
+    # a tap z^(k^2) + z^((k+1)^2 + 1) has no factor 1 + z: at q^1 the sum
+    # b1 (2^W + 2^(5W)) leaves a remainder mod 1 + 2^W (W = 8 for q(1; 9) = 9)
+    b = BettiVector(1, 2, 3, 2, 1)
+    taps = series._theta_taps
+    monkeypatch.setattr(
+        series, "_theta_taps", lambda trunc: [(t, lo, hi + 1) for t, lo, hi in taps(trunc)]
+    )
+    assert gottsche_series(b, 0) == [[1]]  # no row divides
+    message = r"^theta\^2 at q\^1: Miller's recurrence leaves \d+ mod 1 \(1 \+ 2\^8\)$"
+    with pytest.raises(InternalInvariantError, match=message):
+        gottsche_series(b, 1)
 
 
 def test_the_law_and_q_length_never_run_the_kernel(cold_q_cache, monkeypatch):
