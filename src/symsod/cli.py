@@ -27,7 +27,9 @@ through the encoder ``json.dumps`` uses, the invariants by ``json.dumps``.  Each
 atom of the expansion's table is rendered once; each distinct component joins
 its atoms' names by position, once, into ``{"factors": [...], "multiplicity": ``
 (or into the pieces of its text line around the multiplicity); an entry adds
-``str(mult) + "}"``.
+``str(mult) + "}"``.  When there is one distinct component, as for every purely
+exceptional input, its head is written once and the multiplicities are joined
+with ``"}, " + head``.
 """
 
 from __future__ import annotations
@@ -64,7 +66,12 @@ def _expression_json(text: str, expr: CatExpr, report: InvariantReport) -> str:
         '{"factors": [' + ", ".join(map(names.__getitem__, comp)) + '], "multiplicity": '
         for comp in expansion.components
     ]
-    components = ", ".join([f"{heads[index]}{mult}}}" for index, mult in expansion.pairs])
+    pairs = expansion.pairs
+    if len(heads) == 1:  # one distinct component: its head is written once
+        head = heads[0]
+        components = head + ("}, " + head).join([f"{mult}" for _, mult in pairs]) + "}"
+    else:
+        components = ", ".join([f"{heads[index]}{mult}}}" for index, mult in pairs])
     invariants = json.dumps(report.to_json_dict())
     return f'{prefix}, "components": [{components}], "invariants": {invariants}}}'
 

@@ -361,10 +361,11 @@ class ComponentList(Record, derived=("distinct", "counts")):
         if len(set(components)) < len(components):
             raise InternalInvariantError("a distinct component repeats")
         distinct = tuple([Component.of(map(table.__getitem__, comp)) for comp in components])
-        counts = [0] * len(distinct)
+        size = len(distinct)
+        counts = [0] * size
         for index, mult in pairs:
-            if not 0 <= index < len(distinct):
-                raise InternalInvariantError(f"entry index {index} outside 0..{len(counts) - 1}")
+            if not 0 <= index < size:
+                raise InternalInvariantError(f"entry index {index} outside 0..{size - 1}")
             if mult < 1:
                 comp = distinct[index]
                 raise InternalInvariantError(f"multiplicity must be >= 1: {comp} x {mult}")

@@ -30,10 +30,12 @@ Rules, applied until every component is a product of atoms:
 
 The walk works on interned atom ids: one expand call numbers each distinct atom
 the first time it meets it (a leaf, a curve power of R3, a sym-power atom of
-R7), so an entry is a sorted tuple of small ints, () for the point.  At the end
-each distinct tuple is numbered in first-seen order and an entry becomes (that
-number, multiplicity); :class:`ComponentList` lays out the atoms in id order and
-the numbered tuples as its table and components.
+R7), so an entry's key is a sorted tuple of small ints, or 0 for the point.  At
+the end each distinct key is numbered in first-seen order and an entry becomes
+(that number, multiplicity); :class:`ComponentList` lays out the atoms in id
+order and the numbered keys (0 read as ()) as its table and components.  A walk
+that interned no atom keyed every entry 0, which is already the point's number
+in a one-component list: its entries go to :class:`ComponentList` unnumbered.
 
 Everything is pure and deterministic.
 """
@@ -93,9 +95,11 @@ def _reduced(e: CatExpr) -> CatExpr:
     return e
 
 
-# Engine entries: (component as a sorted tuple of atom ids, multiplicity); () is
-# the point.  An id numbers an atom of one expand call; _components maps it back.
-Entries = list[tuple[tuple[int, ...], int]]
+# Engine entries: (key, multiplicity), the key a component as a sorted tuple of
+# atom ids, or 0 for the point, falsy like the empty product.  An id numbers an
+# atom of one expand call; _components maps it back.
+Key = tuple[int, ...] | int
+Entries = list[tuple[Key, int]]
 
 
 def _product(left: Entries, right: Entries) -> Entries:
@@ -119,7 +123,7 @@ class _Expansion:
 
     def expand(self, e: CatExpr) -> Entries:
         if isinstance(e, Atom):
-            return [((), 1)] if isinstance(e, Point) else [((self._id(e),), 1)]
+            return [(0, 1)] if isinstance(e, Point) else [((self._id(e),), 1)]
 
         if isinstance(e, Sod):
             return [entry for part in e.parts for entry in self.expand(part)]
@@ -136,7 +140,7 @@ class _Expansion:
         """sym(m, part) as a function of m >= 2, for a single SOD part: R2 for the
         point, R3 for a curve, R7 for the rest, whose reduced base is built once."""
         if isinstance(part, Point):
-            return lambda m: [((), partition_count(m))]  # R2
+            return lambda m: [(0, partition_count(m))]  # R2
         if isinstance(part, Curve):
             return partial(self._curve_power, part.genus)  # R3
         base = _reduced(part)  # R7
@@ -156,14 +160,14 @@ class _Expansion:
         extended when an R1 node asks for a larger n."""
         row = self.rows.get(part)
         if row is None:
-            row = self.rows[part] = [[((), 1)], self.expand(part)]  # R5, R6
+            row = self.rows[part] = [[(0, 1)], self.expand(part)]  # R5, R6
         if len(row) <= n:
             row.extend(map(self._power(part), range(len(row), n + 1)))
         return row
 
     def _sym(self, n: int, inner: CatExpr) -> Entries:
         if n == 0:
-            return [((), 1)]  # R5: the unit
+            return [(0, 1)]  # R5: the unit
         if n == 1:
             return self.expand(inner)  # R6
         parts = _parts(inner)
@@ -188,7 +192,7 @@ class _Expansion:
 def _blocks(first: list[Entries], second: list[Entries], m: int) -> Entries:
     """sym(m) of a two-term SOD from its terms' powers, as one comprehension:
     block i is first[m-i] * second[i], i = 0..m, and within a block the entries
-    of first vary slowest; the id tuples are joined inline, () for the point."""
+    of first vary slowest; the keys are joined inline, the point's 0 the unit."""
     return [(b if not a else a if not b else tuple(sorted(a + b)), mult_a * mult_b)
             for i in range(m + 1)
             for a, mult_a in first[m - i]
@@ -210,13 +214,16 @@ def _top_blocks(head: list[Entries], first: list[Entries], second: list[Entries]
 
 
 def _components(e: CatExpr, split_head: bool) -> ComponentList:
-    """The engine's entries as a :class:`ComponentList`: each distinct id tuple
-    numbered once, in first-seen order, over the atoms in id order."""
+    """The engine's entries as a :class:`ComponentList`: each distinct key
+    numbered once, in first-seen order, over the atoms in id order; with no
+    atom every key is 0, the point's number, and there is nothing to number."""
     walk = _Expansion(split_head)
-    numbers: dict[tuple[int, ...], int] = {}
-    pairs = tuple([(numbers.setdefault(ids, len(numbers)), mult)
-                   for ids, mult in walk.expand(canonicalize(e))])
-    return ComponentList(tuple(walk.ids), tuple(numbers), pairs)
+    entries = walk.expand(canonicalize(e))
+    if not walk.ids:  # no atom: nothing to number
+        return ComponentList((), ((),), tuple(entries))
+    numbers: dict[Key, int] = {}
+    pairs = tuple([(numbers.setdefault(ids, len(numbers)), mult) for ids, mult in entries])
+    return ComponentList(tuple(walk.ids), tuple([ids or () for ids in numbers]), pairs)
 
 
 def expand(e: CatExpr) -> ComponentList:

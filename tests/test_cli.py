@@ -81,6 +81,7 @@ def test_expression_json_is_json_dumps_of_the_payload(monkeypatch, capsys):
     texts += ["A", "sym(2, sod(A, B))", "bullet(sym(2, sod(curve(1), X1)), sym(3, P1))"]
     texts += ["pt", "sym(5, P2)", "sym(4, sod(pt, pt, pt, pt))", "bullet(sym(3, P2), sym(2, P1))"]
     texts += ["sym(2, sym(2, pt))", "sym(3, sym(2, P1))", "sym(2,\tsod(A,\n B))"]  # escapes
+    texts += ["bullet(A, sym(3, P2))", "bullet(sym(3, P1), curve(2))"]  # one head, many entries
     cases = [(text, parse_expr(text)) for text in texts]
     # declared opaque atoms have no text form: the parser is bypassed for them
     declared = {
@@ -184,6 +185,24 @@ def test_invariants_unknown(capsys):
     run_cli("invariants", "A")
     out = capsys.readouterr().out
     assert "euler: unknown" in out
+
+
+# The fault ledger: known faults as strict xfails, so that a fix flips them.
+# Expected values by their own route, not by the engine:
+# q(2; q(2; 1)) = q(2; 2) = 5 and q(3; q(2; 2)) = q(3; 5) = 65 points; the
+# bullet base has h+ = h- = 12 (curve(1) has (2, 2), curve(2) has (2, 4)), and
+# the law gives sym^4 of it (0, 21816).
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: sym-powers of a valued base print unknown")
+@pytest.mark.parametrize(
+    "expression, euler, hh_total",
+    [("sym(2, sym(2, pt))", 5, 5), ("sym(3, sym(2, P1))", 65, 65),
+     ("sym(4, bullet(curve(1), curve(2)))", 0, 21816)],
+)
+def test_invariants_of_a_sym_power_of_a_valued_base(capsys, expression, euler, hh_total):
+    assert run_cli("invariants", expression, "--format", "json") == 0
+    values = json.loads(capsys.readouterr().out)["invariants"]
+    assert (values["euler"], values["hh_total"]) == (euler, hh_total)
 
 
 def test_parse_error_on_nesting_beyond_the_cap(capsys):
